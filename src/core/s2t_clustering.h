@@ -87,6 +87,21 @@ struct S2TTimings {
     segmentation_materialize_us += o.segmentation_materialize_us;
     return *this;
   }
+
+  /// Field-wise difference (the work between two cumulative snapshots).
+  S2TTimings& operator-=(const S2TTimings& o) {
+    arena_build_us -= o.arena_build_us;
+    index_build_us -= o.index_build_us;
+    voting_us -= o.voting_us;
+    segmentation_us -= o.segmentation_us;
+    sampling_us -= o.sampling_us;
+    clustering_us -= o.clustering_us;
+    voting_probe_us -= o.voting_probe_us;
+    voting_kernel_us -= o.voting_kernel_us;
+    segmentation_dp_us -= o.segmentation_dp_us;
+    segmentation_materialize_us -= o.segmentation_materialize_us;
+    return *this;
+  }
 };
 
 /// \brief Full output of an S2T-Clustering run.

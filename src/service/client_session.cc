@@ -2,234 +2,75 @@
 
 #include <utility>
 
-#include "sql/query_functions.h"
-
 namespace hermes::service {
 
-namespace {
-
-std::string At(size_t pos, const std::string& tok) {
-  return sql::ErrorLocation(pos, tok);
-}
-
-std::unique_ptr<sql::RowCursor> Ack(std::string status) {
-  return sql::MakeTableCursor(sql::AckTable(std::move(status)));
-}
-
-}  // namespace
-
-ClientSession::ClientSession(Server* server) : server_(server) {
-  // Per-session knobs seeded from the server's configured defaults; the
-  // threads hook swaps only *this* session's context (shared trees run on
-  // the server's context, so no catalog state is touched here).
-  (void)sql::RegisterHermesSettings(
-      &settings_, server_->options().session_defaults, [this](size_t n) {
-        if (n != threads_) {
-          threads_ = n;
-          sql::SwapExecContext(n, &exec_, &session_stats_);
-        }
-        return Status::OK();
-      });
-  threads_ = static_cast<size_t>(
-      server_->options().session_defaults.threads);
-  if (threads_ > 1) exec_ = std::make_unique<exec::ExecContext>(threads_);
-}
+ClientSession::ClientSession(Server* server)
+    : sql::FrontEnd(server->options().session_defaults), server_(server) {}
 
 ClientSession::~ClientSession() { server_->OnSessionClosed(); }
 
-StatusOr<sql::Table> ClientSession::Execute(const std::string& sql) {
-  HERMES_ASSIGN_OR_RETURN(std::unique_ptr<sql::RowCursor> cursor,
-                          ExecuteCursor(sql));
-  return cursor->ToTable();
+Status ClientSession::CreateMod(const sql::Statement& stmt) {
+  return server_->CreateMod(stmt.mod);
 }
 
-StatusOr<std::unique_ptr<sql::RowCursor>> ClientSession::ExecuteCursor(
-    const std::string& sql) {
-  HERMES_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
-  if (stmt.num_params > 0) {
-    return Status::InvalidArgument(
-        "statement has $N placeholders; use Prepare and Bind");
-  }
-  return ExecuteStatement(stmt, {});
+Status ClientSession::DropMod(const sql::Statement& stmt) {
+  return server_->DropMod(stmt.mod);
 }
 
-StatusOr<sql::PreparedStatement> ClientSession::Prepare(
-    const std::string& sql) {
-  HERMES_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
-  // The runner pins this session; the server (and this session) must
-  // outlive the handle, mirroring the cursor-lifetime contract.
-  return sql::PreparedStatement(
-      std::move(stmt),
-      [this](const sql::Statement& s, const std::vector<sql::Value>& b) {
-        return ExecuteStatement(s, b);
-      });
+StatusOr<std::pair<size_t, size_t>> ClientSession::LoadMod(
+    const std::string& mod, traj::TrajectoryStore parsed) {
+  return server_->LoadMod(mod, std::move(parsed));
 }
 
-StatusOr<sql::Table> ClientSession::ExecuteScript(const std::string& sql) {
-  return sql::RunScript(sql, [this](const sql::Statement& stmt) {
-    return ExecuteStatement(stmt, {});
-  });
+StatusOr<sql::Table> ClientSession::Insert(
+    const sql::Statement& stmt, std::vector<traj::Trajectory> batch) {
+  const auto queued = static_cast<int64_t>(batch.size());
+  HERMES_ASSIGN_OR_RETURN(uint64_t ticket,
+                          server_->EnqueueInsert(stmt.mod, std::move(batch)));
+  // Asynchronous ack: the rows are queued, not yet query-visible; FLUSH
+  // (or time) makes them so. The ticket orders against FLUSH.
+  sql::Table table;
+  table.columns = {{"status", sql::ValueType::kString},
+                   {"trajectories_queued", sql::ValueType::kInt},
+                   {"ticket", sql::ValueType::kInt}};
+  table.rows = {{sql::Value::Str("QUEUE INSERT " + stmt.mod),
+                 sql::Value::Int(queued),
+                 sql::Value::Int(static_cast<int64_t>(ticket))}};
+  return table;
 }
 
-StatusOr<std::unique_ptr<sql::RowCursor>> ClientSession::ExecuteStatement(
-    const sql::Statement& stmt, const std::vector<sql::Value>& binds) {
-  using Kind = sql::Statement::Kind;
-  switch (stmt.kind) {
-    case Kind::kCreateMod: {
-      HERMES_RETURN_NOT_OK(server_->CreateMod(stmt.mod));
-      return Ack("CREATE MOD " + stmt.mod);
-    }
-    case Kind::kDropMod: {
-      HERMES_RETURN_NOT_OK(server_->DropMod(stmt.mod));
-      return Ack("DROP MOD " + stmt.mod);
-    }
-    case Kind::kLoadMod: {
-      HERMES_ASSIGN_OR_RETURN(auto totals,
-                              server_->LoadMod(stmt.mod, stmt.path));
-      sql::Table table;
-      table.columns = {{"status", sql::ValueType::kString},
-                       {"trajectories", sql::ValueType::kInt},
-                       {"points", sql::ValueType::kInt}};
-      table.rows = {{sql::Value::Str("LOAD " + stmt.mod),
-                     sql::Value::Int(static_cast<int64_t>(totals.first)),
-                     sql::Value::Int(static_cast<int64_t>(totals.second))}};
-      return sql::MakeTableCursor(std::move(table));
-    }
-    case Kind::kInsert: {
-      HERMES_ASSIGN_OR_RETURN(std::vector<traj::Trajectory> batch,
-                              sql::BuildInsertTrajectories(stmt, binds));
-      const auto queued = static_cast<int64_t>(batch.size());
-      HERMES_ASSIGN_OR_RETURN(uint64_t ticket,
-                              server_->EnqueueInsert(stmt.mod,
-                                                     std::move(batch)));
-      // Asynchronous ack: the rows are queued, not yet query-visible;
-      // FLUSH (or time) makes them so. The ticket orders against FLUSH.
-      sql::Table table;
-      table.columns = {{"status", sql::ValueType::kString},
-                       {"trajectories_queued", sql::ValueType::kInt},
-                       {"ticket", sql::ValueType::kInt}};
-      table.rows = {{sql::Value::Str("QUEUE INSERT " + stmt.mod),
-                     sql::Value::Int(queued),
-                     sql::Value::Int(static_cast<int64_t>(ticket))}};
-      return sql::MakeTableCursor(std::move(table));
-    }
-    case Kind::kSet: {
-      HERMES_ASSIGN_OR_RETURN(sql::Value v,
-                              sql::EvalScalar(stmt.set_value, binds));
-      Status st = settings_.Set(stmt.setting, std::move(v));
-      if (!st.ok()) {
-        return Status(st.code(),
-                      st.message() + At(stmt.setting_pos, stmt.setting));
-      }
-      HERMES_ASSIGN_OR_RETURN(sql::Value stored, settings_.Get(stmt.setting));
-      return Ack("SET " + stmt.setting + " = " + stored.ToString());
-    }
-    case Kind::kShow:
-      return ExecuteShow(stmt);
-    case Kind::kFlush: {
-      HERMES_RETURN_NOT_OK(server_->Flush());
-      return Ack("FLUSH");
-    }
-    case Kind::kCheckpoint: {
-      HERMES_RETURN_NOT_OK(server_->Checkpoint());
-      return Ack("CHECKPOINT");
-    }
-    case Kind::kSelect:
-      return ExecuteSelect(stmt, binds);
-  }
-  return Status::Internal("unreachable");
+Status ClientSession::Flush(const sql::Statement& /*stmt*/) {
+  return server_->Flush();
 }
 
-StatusOr<std::unique_ptr<sql::RowCursor>> ClientSession::ExecuteShow(
-    const sql::Statement& stmt) {
-  if (stmt.setting == "service.stats") {
-    sql::Table table;
-    table.columns = {{"counter", sql::ValueType::kString},
-                     {"value", sql::ValueType::kInt}};
-    AppendServiceStatsRows(server_->Stats(), "", &table);
-    return sql::MakeTableCursor(std::move(table));
-  }
-
-  if (stmt.setting == "stats") {
-    return sql::MakeTableCursor(
-        sql::PhaseStatsTable(session_stats_, exec_.get()));
-  }
-  HERMES_ASSIGN_OR_RETURN(sql::Table table,
-                          sql::SettingsShowTable(settings_, stmt));
-  return sql::MakeTableCursor(std::move(table));
+Status ClientSession::Checkpoint(const sql::Statement& /*stmt*/) {
+  return server_->Checkpoint();
 }
 
-StatusOr<std::unique_ptr<sql::RowCursor>> ClientSession::ExecuteSelect(
-    const sql::Statement& stmt, const std::vector<sql::Value>& binds) {
-  // Shared `$N`-as-MOD-name resolution, identical to the embedded path.
-  HERMES_ASSIGN_OR_RETURN(std::string mod,
-                          sql::ResolveSelectModName(stmt, binds));
-  auto at_fn = [&stmt] { return At(stmt.function_pos, stmt.function); };
-  std::vector<double> args;
-  args.reserve(stmt.args.size());
-  for (const auto& arg : stmt.args) {
-    HERMES_ASSIGN_OR_RETURN(double v, sql::EvalNumber(arg, binds));
-    args.push_back(v);
-  }
+StatusOr<sql::Table> ClientSession::ServiceStats() {
+  sql::Table table;
+  table.columns = {{"counter", sql::ValueType::kString},
+                   {"value", sql::ValueType::kInt}};
+  AppendServiceStatsRows(server_->Stats(), "", &table);
+  return table;
+}
 
-  if (stmt.function == "QUT") {
-    if (args.size() != 7) {
-      return Status::InvalidArgument(
-          "QUT(D, Wi, We, tau, delta, t, d, gamma) takes 7 numbers" +
-          at_fn());
-    }
-    const std::vector<double> tree_params(args.begin() + 2, args.end());
-    return server_->QutQuery(mod, args[0], args[1], tree_params,
-                             &session_stats_);
-  }
+StatusOr<std::unique_ptr<sql::RowCursor>> ClientSession::Qut(
+    const std::string& mod, double wi, double we,
+    const std::vector<double>& tree_params) {
+  return server_->QutQuery(mod, wi, we, tree_params, mutable_stats());
+}
 
+StatusOr<std::shared_ptr<const traj::TrajectoryStore>>
+ClientSession::Snapshot(const std::string& mod) {
   // Statement-level snapshot isolation: one published snapshot per
   // statement, owned by any cursor the statement returns.
-  HERMES_ASSIGN_OR_RETURN(std::shared_ptr<const traj::TrajectoryStore> snap,
-                          server_->SnapshotMod(mod));
-  sql::QueryEnv env;
-  env.store = std::move(snap);
-  env.exec = exec_.get();
-  env.session_stats = &session_stats_;
-  env.default_sigma = settings_.Get("hermes.sigma")->AsDouble();
-  env.default_epsilon = settings_.Get("hermes.epsilon")->AsDouble();
-  env.use_index = settings_.Get("hermes.use_index")->AsInt() != 0;
-  return sql::EvalSelectFunction(stmt.function, args, env, at_fn());
+  return server_->SnapshotMod(mod);
 }
-
-namespace {
-
-/// ClientSession behind the backend-neutral statement API. Prepared
-/// statements live in the base-class id map; everything else delegates.
-class ClientSessionExecutor final : public sql::PreparedStatementMapExecutor {
- public:
-  explicit ClientSessionExecutor(std::unique_ptr<ClientSession> session)
-      : session_(std::move(session)) {}
-
-  StatusOr<sql::Table> Execute(const std::string& sql) override {
-    return session_->Execute(sql);
-  }
-
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteCursor(
-      const std::string& sql) override {
-    return session_->ExecuteCursor(sql);
-  }
-
- protected:
-  StatusOr<sql::PreparedStatement> PrepareStatement(
-      const std::string& sql) override {
-    return session_->Prepare(sql);
-  }
-
- private:
-  std::unique_ptr<ClientSession> session_;
-};
-
-}  // namespace
 
 std::unique_ptr<sql::StatementExecutor> MakeStatementExecutor(
     std::unique_ptr<ClientSession> session) {
-  return std::make_unique<ClientSessionExecutor>(std::move(session));
+  return sql::MakeStatementExecutor(std::move(session));
 }
 
 }  // namespace hermes::service

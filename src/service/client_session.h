@@ -3,22 +3,21 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/statusor.h"
-#include "exec/exec_context.h"
 #include "service/server.h"
 #include "sql/cursor.h"
+#include "sql/front_end.h"
 #include "sql/parser.h"
-#include "sql/query_functions.h"
-#include "sql/settings.h"
 #include "sql/statement_executor.h"
-#include "sql/value.h"
+#include "traj/trajectory_store.h"
 
 namespace hermes::service {
 
-/// \brief One client's view of the service: the embedded `sql::Session`
-/// dialect executed against the server's *shared* catalog.
+/// \brief One client's view of the service: the shared `sql::FrontEnd`
+/// statement plane executed against the server's *shared* catalog.
 ///
 /// Differences from the embedded session, by design:
 ///
@@ -35,62 +34,38 @@ namespace hermes::service {
 ///    (seeded from the server defaults); `hermes.threads` swaps only this
 ///    session's `ExecContext`. Two sessions with different settings never
 ///    interfere.
+///  - `QUT` reads the MOD's shared tree, which follows the server's
+///    configured `hot_index_budget` (a session's own `SET` does not).
 ///  - `SHOW SERVICE STATS` reports the server's service counters.
 ///
 /// Thread safety: one ClientSession serves one client thread (like a
 /// PostgreSQL backend); different sessions run fully concurrently. The
 /// server must outlive the session and every cursor it returned.
-class ClientSession {
+class ClientSession : public sql::FrontEnd {
  public:
-  ~ClientSession();
+  ~ClientSession() override;
 
-  ClientSession(const ClientSession&) = delete;
-  ClientSession& operator=(const ClientSession&) = delete;
-
-  /// Parses and executes one statement, materializing the full result.
-  StatusOr<sql::Table> Execute(const std::string& sql);
-
-  /// Parses and executes one statement, returning a pull-based cursor.
-  /// `RANGE` / `S2T_MEMBERS` stream rows from the statement's snapshot.
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteCursor(
-      const std::string& sql);
-
-  /// Parses a statement with `$N` placeholders into a reusable handle
-  /// running against this session (same semantics as
-  /// `sql::Session::Prepare` — the wire protocol's PREPARE/BIND+EXECUTE
-  /// path). The handle must not outlive this session.
-  StatusOr<sql::PreparedStatement> Prepare(const std::string& sql);
-
-  /// Executes a ';'-separated script, returning the last statement's
-  /// table (same semantics as `sql::Session::ExecuteScript`).
-  StatusOr<sql::Table> ExecuteScript(const std::string& sql);
-
-  /// This session's settings registry (`SET`/`SHOW` surface).
-  const sql::Settings& settings() const { return settings_; }
-
-  /// This session's execution context (nullptr while hermes.threads = 1).
-  exec::ExecContext* exec_context() { return exec_.get(); }
-
-  /// Session-accumulated statistics (`SHOW STATS`).
-  const exec::ExecStats& stats() const { return session_stats_; }
+ protected:
+  Status CreateMod(const sql::Statement& stmt) override;
+  Status DropMod(const sql::Statement& stmt) override;
+  StatusOr<std::pair<size_t, size_t>> LoadMod(
+      const std::string& mod, traj::TrajectoryStore parsed) override;
+  StatusOr<sql::Table> Insert(const sql::Statement& stmt,
+                              std::vector<traj::Trajectory> batch) override;
+  Status Flush(const sql::Statement& stmt) override;
+  Status Checkpoint(const sql::Statement& stmt) override;
+  StatusOr<sql::Table> ServiceStats() override;
+  StatusOr<std::unique_ptr<sql::RowCursor>> Qut(
+      const std::string& mod, double wi, double we,
+      const std::vector<double>& tree_params) override;
+  StatusOr<std::shared_ptr<const traj::TrajectoryStore>> Snapshot(
+      const std::string& mod) override;
 
  private:
   friend class Server;
   explicit ClientSession(Server* server);
 
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteStatement(
-      const sql::Statement& stmt, const std::vector<sql::Value>& binds);
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteShow(
-      const sql::Statement& stmt);
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteSelect(
-      const sql::Statement& stmt, const std::vector<sql::Value>& binds);
-
   Server* server_;
-  sql::Settings settings_;
-  exec::ExecStats session_stats_;
-  /// Kept in sync with hermes.threads by its on-change hook.
-  size_t threads_ = 1;
-  std::unique_ptr<exec::ExecContext> exec_;
 };
 
 /// Wraps a connected service session in the backend-neutral

@@ -22,7 +22,6 @@
 #include "common/crc32.h"
 #include "service/server.h"
 #include "service/wal_payloads.h"
-#include "sql/query_functions.h"
 #include "traj/trajectory_io.h"
 
 namespace hermes::service {
@@ -116,15 +115,13 @@ StatusOr<std::string> ReadString(Decoder* dec) {
   return s;
 }
 
-/// Per-MOD checkpoint metadata, as recorded in the manifest.
+/// Per-MOD checkpoint metadata, as recorded in the manifest. QUT trees
+/// are caches rebuilt on demand, so none is recorded; each entry still
+/// carries the tree fields of older manifests (written as "no tree"),
+/// which the decoder skips.
 struct ModMeta {
   std::string name;        ///< Canonical MOD key.
   std::string store_file;  ///< File name (within wal_dir) of the store.
-  bool has_tree = false;
-  std::string tree_dir;            ///< ReTraTree directory (env path).
-  std::vector<double> tree_params; ///< The 5 raw QUT tree params.
-  uint64_t tree_next = 0;
-  uint64_t tree_seq = 0;
 };
 
 struct Manifest {
@@ -145,13 +142,8 @@ std::string EncodeManifest(const Manifest& m) {
   for (const ModMeta& mod : m.mods) {
     PutString(&out, mod.name);
     PutString(&out, mod.store_file);
-    out.push_back(mod.has_tree ? 1 : 0);
-    if (mod.has_tree) {
-      PutString(&out, mod.tree_dir);
-      for (double p : mod.tree_params) PutDouble(&out, p);
-      PutFixed64(&out, mod.tree_next);
-    }
-    PutFixed64(&out, mod.tree_seq);
+    out.push_back(0);     // has_tree
+    PutFixed64(&out, 0);  // tree_seq
   }
   return out;
 }
@@ -170,19 +162,18 @@ StatusOr<Manifest> DecodeManifest(const std::string& payload) {
     HERMES_ASSIGN_OR_RETURN(mod.name, ReadString(&dec));
     HERMES_ASSIGN_OR_RETURN(mod.store_file, ReadString(&dec));
     if (dec.remaining() < 1) return Status::Corruption("manifest truncated");
-    mod.has_tree = *dec.data() != 0;
+    const bool has_tree = *dec.data() != 0;
     dec.Skip(1);
-    if (mod.has_tree) {
-      HERMES_ASSIGN_OR_RETURN(mod.tree_dir, ReadString(&dec));
+    if (has_tree) {
+      // An older manifest's tree: directory, 5 params, consumed count.
+      HERMES_RETURN_NOT_OK(ReadString(&dec).status());
       if (dec.remaining() < 5 * 8 + 8) {
         return Status::Corruption("manifest truncated (tree meta)");
       }
-      mod.tree_params.resize(5);
-      for (double& p : mod.tree_params) p = dec.ReadDouble();
-      mod.tree_next = dec.ReadFixed64();
+      dec.Skip(5 * 8 + 8);
     }
     if (dec.remaining() < 8) return Status::Corruption("manifest truncated");
-    mod.tree_seq = dec.ReadFixed64();
+    dec.Skip(8);  // tree_seq
     m.mods.push_back(std::move(mod));
   }
   return m;
@@ -262,7 +253,9 @@ Status Server::Checkpoint() {
     for (const auto& [key, mod] : mods_) mods.emplace_back(key, mod);
   }
   for (const auto& [key, mod] : mods) {
-    common::WriterMutexLock wlock(&mod->mu);
+    // Shared: only the store is read, and wal_mu_ keeps every writer of
+    // it out; QUT readers may go on meanwhile.
+    common::ReaderMutexLock rlock(&mod->mu);
     ModMeta meta;
     meta.name = key;
     meta.store_file = CkptStoreFileName(m.checkpoint_id, key);
@@ -271,17 +264,6 @@ Status Server::Checkpoint() {
     HERMES_RETURN_NOT_OK(
         WriteBlobFile(env_, JoinPath(dir, meta.store_file), kStoreMagic,
                       payload));
-    if (mod->tree != nullptr) {
-      // Persist the tree's own catalog so recovery reopens it instead
-      // of rebuilding; replayed tail inserts land via the normal QUT
-      // catch-up path (tree_next marks how far the saved tree got).
-      HERMES_RETURN_NOT_OK(mod->tree->Save());
-      meta.has_tree = true;
-      meta.tree_dir = mod->tree_dir;
-      meta.tree_params = mod->tree_params;
-      meta.tree_next = mod->tree_next;
-    }
-    meta.tree_seq = mod->tree_seq;
     m.mods.push_back(std::move(meta));
   }
 
@@ -340,12 +322,7 @@ Status Server::ReplayRecord(const wal::Record& rec) {
     case wal::RecordType::kCreateMod: {
       common::MutexLock lock(&catalog_mu_);
       if (mods_.count(key) > 0) return Status::OK();
-      auto mod = std::make_shared<SharedMod>();
-      {
-        common::WriterMutexLock wlock(&mod->mu);
-        Republish(mod.get());
-      }
-      mods_.emplace(key, std::move(mod));
+      mods_.emplace(key, NewMod(key, traj::TrajectoryStore()));
       return Status::OK();
     }
     case wal::RecordType::kDropMod: {
@@ -380,12 +357,7 @@ Status Server::ReplayRecord(const wal::Record& rec) {
     case wal::RecordType::kSwapStore: {
       HERMES_ASSIGN_OR_RETURN(traj::TrajectoryStore store,
                               traj::DecodeStore(&dec));
-      auto mod = std::make_shared<SharedMod>();
-      {
-        common::WriterMutexLock wlock(&mod->mu);
-        mod->store = std::move(store);
-        Republish(mod.get());
-      }
+      auto mod = NewMod(key, std::move(store));
       common::MutexLock lock(&catalog_mu_);
       mods_[key] = std::move(mod);
       return Status::OK();
@@ -402,7 +374,6 @@ Status Server::RecoverOrInit() {
 
   uint64_t start_segment = 1;
   uint64_t next_lsn = 1;
-  uint64_t manifest_gen = 0;
   if (env_->FileExists(JoinPath(dir, kManifestName))) {
     HERMES_ASSIGN_OR_RETURN(
         std::string payload,
@@ -411,7 +382,8 @@ Status Server::RecoverOrInit() {
     checkpoint_id_ = m.checkpoint_id;
     start_segment = m.wal_start_segment;
     next_lsn = m.next_lsn;
-    manifest_gen = m.gen;
+    // Set before any MOD is created: it names their tree directories.
+    gen_ = m.gen + 1;
     for (const ModMeta& meta : m.mods) {
       HERMES_ASSIGN_OR_RETURN(
           std::string blob,
@@ -419,35 +391,13 @@ Status Server::RecoverOrInit() {
       Decoder dec(blob);
       HERMES_ASSIGN_OR_RETURN(traj::TrajectoryStore store,
                               traj::DecodeStore(&dec));
-      auto mod = std::make_shared<SharedMod>();
-      {
-        common::WriterMutexLock wlock(&mod->mu);
-        mod->store = std::move(store);
-        if (meta.has_tree) {
-          const core::ReTraTreeParams params =
-              sql::MakeQutTreeParams(meta.tree_params);
-          auto tree = core::ReTraTree::Open(env_, meta.tree_dir, params,
-                                            exec_.get());
-          if (tree.ok()) {
-            mod->tree = std::move(tree).value();
-            mod->tree->SetHotIndexBudget(static_cast<size_t>(
-                options_.session_defaults.hot_index_budget));
-            mod->tree_params = meta.tree_params;
-            mod->tree_dir = meta.tree_dir;
-            mod->tree_next =
-                static_cast<traj::TrajectoryId>(meta.tree_next);
-          }
-          // A tree that fails to open is not data loss — the store is
-          // authoritative; the next QUT simply rebuilds.
-        }
-        mod->tree_seq = meta.tree_seq;
-        Republish(mod.get());
-      }
+      // No tree is reopened: its directory may hold appends made after
+      // the checkpoint. The first QUT rebuilds from the store.
+      auto mod = NewMod(meta.name, std::move(store));
       common::MutexLock lock(&catalog_mu_);
       mods_[meta.name] = std::move(mod);
     }
   }
-  gen_ = manifest_gen + 1;
 
   // Replay the WAL tail in segment (and hence LSN) order. Only the LAST
   // segment can end torn — writers never append to a segment once a

@@ -113,16 +113,19 @@ void Server::Republish(SharedMod* mod) {
   snapshots_published_.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool Server::TreeFresh(const SharedMod& m, const std::vector<double>& params) {
-  return m.tree != nullptr && m.tree_params == params &&
-         m.tree_next == m.store.NumTrajectories();
-}
-
-void Server::DropTree(SharedMod* mod) {
-  mod->tree.reset();
-  mod->tree_params.clear();
-  mod->tree_dir.clear();
-  mod->tree_next = 0;
+std::shared_ptr<Server::SharedMod> Server::NewMod(const std::string& key,
+                                                  traj::TrajectoryStore store) {
+  const uint64_t instance =
+      mod_instances_.fetch_add(1, std::memory_order_relaxed);
+  auto mod = std::make_shared<SharedMod>(
+      env_, options_.data_dir + "/" + key + "_g" + std::to_string(gen_) +
+                "_" + std::to_string(instance) + "_tree_");
+  {
+    common::WriterMutexLock wlock(&mod->mu);
+    mod->store = std::move(store);
+    Republish(mod.get());
+  }
+  return mod;
 }
 
 Status Server::CreateMod(const std::string& name) {
@@ -136,12 +139,7 @@ Status Server::CreateMod(const std::string& name) {
   }
   HERMES_RETURN_NOT_OK(WalLogAndSync(wal::RecordType::kCreateMod,
                                      NamePayload(key)));
-  auto mod = std::make_shared<SharedMod>();
-  {
-    common::WriterMutexLock wlock(&mod->mu);
-    Republish(mod.get());
-  }
-  mods_.emplace(key, std::move(mod));
+  mods_.emplace(key, NewMod(key, traj::TrajectoryStore()));
   return Status::OK();
 }
 
@@ -172,28 +170,19 @@ Status Server::RegisterStore(const std::string& name,
   const std::string payload = durable() ? SwapPayload(key, store) : "";
   common::MutexLock wal_lock(&wal_mu_);
   HERMES_RETURN_NOT_OK(WalLogAndSync(wal::RecordType::kSwapStore, payload));
-  auto mod = std::make_shared<SharedMod>();
-  {
-    common::WriterMutexLock wlock(&mod->mu);
-    mod->store = std::move(store);
-    Republish(mod.get());
-  }
+  auto mod = NewMod(key, std::move(store));
   common::MutexLock lock(&catalog_mu_);
   mods_[key] = std::move(mod);
   return Status::OK();
 }
 
-StatusOr<std::pair<size_t, size_t>> Server::LoadMod(const std::string& name,
-                                                    const std::string& path) {
+StatusOr<std::pair<size_t, size_t>> Server::LoadMod(
+    const std::string& name, traj::TrajectoryStore parsed) {
   const std::string key = Canonical(name);
-  // Parse the CSV into a scratch store up front: nothing is logged or
-  // visible until the whole file parsed, so a bad row can no longer
-  // leave a phantom (or half-loaded) MOD behind — and the parsed batch
-  // is what the WAL records, making replay independent of the CSV file
-  // still existing at its old path.
-  traj::TrajectoryStore parsed;
-  HERMES_RETURN_NOT_OK(parsed.LoadCsv(path));
-
+  // The file arrives parsed: nothing is logged or visible unless all of
+  // it parsed, so a bad row cannot leave a phantom (or half-loaded) MOD
+  // behind — and the parsed batch is what the WAL records, making replay
+  // independent of the CSV file still existing at its old path.
   common::MutexLock wal_lock(&wal_mu_);
   std::shared_ptr<SharedMod> mod;
   bool created = false;
@@ -201,15 +190,10 @@ StatusOr<std::pair<size_t, size_t>> Server::LoadMod(const std::string& name,
     common::MutexLock lock(&catalog_mu_);
     auto it = mods_.find(key);
     if (it == mods_.end()) {
-      // Publish the (empty) snapshot before the MOD becomes visible in
-      // the catalog: a concurrent SELECT racing the load must find a
+      // The (empty) snapshot is published before the MOD becomes visible
+      // in the catalog: a concurrent SELECT racing the load must find a
       // valid — if still empty — snapshot, never a null one.
-      auto fresh = std::make_shared<SharedMod>();
-      {
-        common::WriterMutexLock wlock(&fresh->mu);
-        Republish(fresh.get());
-      }
-      it = mods_.emplace(key, std::move(fresh)).first;
+      it = mods_.emplace(key, NewMod(key, traj::TrajectoryStore())).first;
       created = true;
     }
     mod = it->second;
@@ -237,8 +221,7 @@ StatusOr<std::pair<size_t, size_t>> Server::LoadMod(const std::string& name,
     // Cannot fail: every trajectory already passed `Add` into `parsed`.
     HERMES_RETURN_NOT_OK(mod->store.Add(parsed.Get(id)).status());
   }
-  // The shared tree no longer matches the store; the next QUT rebuilds.
-  DropTree(mod.get());
+  // Appended like an INSERT: the next QUT catches the shared tree up.
   Republish(mod.get());
   return std::make_pair(mod->store.NumTrajectories(), mod->store.NumPoints());
 }
@@ -278,15 +261,10 @@ StatusOr<uint64_t> Server::EnqueueInsert(const std::string& name,
     return Status::NotFound("no MOD named " + key);
   }
   // The ack means "queued for ingest", so preconditions the worker would
-  // hit asynchronously must fail *here*: the ReTraTree rejects pieces
-  // from <2-sample trajectories, and a poisoned queue entry would only
-  // ever surface as a service-wide ingest_errors count.
+  // hit asynchronously must fail *here*: a poisoned queue entry would
+  // only ever surface as a service-wide ingest_errors count.
   for (const traj::Trajectory& t : batch) {
-    if (t.size() < 2) {
-      return Status::InvalidArgument(
-          "trajectory for object " + std::to_string(t.object_id()) +
-          " needs >= 2 samples");
-    }
+    HERMES_RETURN_NOT_OK(sql::CheckIngestable(t));
   }
   IngestBatch b;
   b.mod = key;
@@ -363,24 +341,15 @@ void Server::WorkerLoop() {
         }
         ++added;
       }
-      if (st.ok() && added > 0 && mod->tree != nullptr) {
-        // Keep the shared tree caught up so QUT sees queued inserts
-        // right after a FLUSH without a rebuild. Advance from the tree's
-        // own cursor (not the batch start) so a query-path catch-up that
-        // raced ahead is never double-applied.
-        const auto size =
-            static_cast<traj::TrajectoryId>(mod->store.NumTrajectories());
-        if (mod->tree_next < size) {
-          st = mod->tree->InsertBatch(mod->store, exec_.get(),
-                                      mod->tree_next, size - mod->tree_next);
-          if (st.ok()) {
-            mod->tree_next = size;
-            tree_catchups_.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            // Partially mutated tree: drop it so the next QUT rebuilds
-            // cleanly instead of double-applying the range.
-            DropTree(mod.get());
-          }
+      if (st.ok() && added > 0) {
+        // Keep a live shared tree caught up so QUT sees queued inserts
+        // right after a FLUSH without a rebuild (a failure drops it).
+        StatusOr<core::QutTreeWork> work =
+            mod->tree.CatchUp(mod->store, exec_.get());
+        if (!work.ok()) {
+          st = work.status();
+        } else if (*work == core::QutTreeWork::kCaughtUp) {
+          tree_catchups_.fetch_add(1, std::memory_order_relaxed);
         }
       }
       if (!st.ok()) {
@@ -417,11 +386,6 @@ void Server::WorkerLoop() {
 StatusOr<std::unique_ptr<sql::RowCursor>> Server::QutQuery(
     const std::string& name, double wi, double we,
     const std::vector<double>& tree_params, exec::ExecStats* session_stats) {
-  if (tree_params.size() != 5) {
-    return Status::InvalidArgument(
-        "QUT tree params must be (tau, delta, t, d, gamma), got " +
-        std::to_string(tree_params.size()) + " value(s)");
-  }
   auto mod = FindMod(Canonical(name));
   if (mod == nullptr) {
     return Status::NotFound("no MOD named " + Canonical(name));
@@ -431,56 +395,22 @@ StatusOr<std::unique_ptr<sql::RowCursor>> Server::QutQuery(
     // QUT readers proceed in parallel (HeapFile/Gist are internally
     // locked), while the ingest worker waits its turn.
     common::ReaderMutexLock rlock(&mod->mu);
-    if (TreeFresh(*mod, tree_params)) {
-      return sql::QutQuery(mod->tree.get(), wi, we, session_stats);
+    if (mod->tree.Fresh(tree_params, mod->store.NumTrajectories())) {
+      return sql::QutQuery(mod->tree.tree(), wi, we, session_stats);
     }
   }
   common::WriterMutexLock wlock(&mod->mu);
-  if (!TreeFresh(*mod, tree_params)) {
-    // A failed build or catch-up leaves a partially mutated tree behind;
-    // dropping it (`DropTree`) forces the next query into a clean rebuild
-    // instead of retrying a range into poisoned state.
-    if (mod->tree == nullptr || mod->tree_params != tree_params) {
-      const core::ReTraTreeParams params =
-          sql::MakeQutTreeParams(tree_params);
-      // The recovery generation in the name keeps fresh trees from
-      // colliding with directories a crashed previous generation leaked.
-      const std::string dir = options_.data_dir + "/" + Canonical(name) +
-                              "_g" + std::to_string(gen_) + "_tree_" +
-                              std::to_string(mod->tree_seq++);
-      DropTree(mod.get());
-      HERMES_ASSIGN_OR_RETURN(
-          mod->tree, core::ReTraTree::Open(env_, dir, params, exec_.get()));
-      mod->tree_dir = dir;
-      // Shared trees are server-scoped resources, so the server's
-      // configured default governs their hot-tier budget (per-session
-      // `SET hermes.hot_index_budget` only affects embedded sessions).
-      mod->tree->SetHotIndexBudget(
-          static_cast<size_t>(options_.session_defaults.hot_index_budget));
-      Status st = mod->tree->InsertBatch(mod->store, exec_.get(), 0,
-                                         mod->store.NumTrajectories());
-      if (!st.ok()) {
-        DropTree(mod.get());
-        return st;
-      }
-      mod->tree_params = tree_params;
-      mod->tree_next =
-          static_cast<traj::TrajectoryId>(mod->store.NumTrajectories());
-    } else {
-      // Same params, new trajectories: incremental catch-up.
-      const auto n =
-          static_cast<traj::TrajectoryId>(mod->store.NumTrajectories());
-      Status st = mod->tree->InsertBatch(mod->store, exec_.get(),
-                                         mod->tree_next, n - mod->tree_next);
-      if (!st.ok()) {
-        DropTree(mod.get());
-        return st;
-      }
-      mod->tree_next = n;
-      tree_catchups_.fetch_add(1, std::memory_order_relaxed);
-    }
+  // Shared trees are server-scoped resources, so the server's configured
+  // default governs their hot-tier budget.
+  HERMES_ASSIGN_OR_RETURN(
+      core::QutTreeWork work,
+      mod->tree.Refresh(
+          tree_params, mod->store, exec_.get(),
+          static_cast<size_t>(options_.session_defaults.hot_index_budget)));
+  if (work == core::QutTreeWork::kCaughtUp) {
+    tree_catchups_.fetch_add(1, std::memory_order_relaxed);
   }
-  return sql::QutQuery(mod->tree.get(), wi, we, session_stats);
+  return sql::QutQuery(mod->tree.tree(), wi, we, session_stats);
 }
 
 // ---------------------------------------------------------------------------
@@ -516,8 +446,8 @@ ServiceStats Server::Stats() const {
     // (rebuilds, catch-up failures), so read it shared; the hot-tier
     // counters behind it are atomics.
     common::ReaderMutexLock rlock(&mod->mu);
-    if (mod->tree != nullptr) {
-      const core::HotTierStats h = mod->tree->hot_stats();
+    if (mod->tree.tree() != nullptr) {
+      const core::HotTierStats h = mod->tree.tree()->hot_stats();
       s.qut_hot_probes += h.qut_hot_probes;
       s.qut_cold_probes += h.qut_cold_probes;
       s.hot_promotions += h.hot_promotions;

@@ -13,7 +13,7 @@
 #include "common/mutex.h"
 #include "common/statusor.h"
 #include "common/thread_annotations.h"
-#include "core/retratree.h"
+#include "core/qut_tree_slot.h"
 #include "exec/exec_context.h"
 #include "service/ingest_queue.h"
 #include "sql/cursor.h"
@@ -157,10 +157,11 @@ class Server {
   /// discards pending writes). Published snapshots already handed to
   /// readers stay valid (shared ownership).
   Status DropMod(const std::string& name);
-  /// Loads CSV into the MOD (created if absent); returns
-  /// (trajectories, points) totals after the load.
+  /// Appends a parsed LOAD file (`sql::ReadLoadFile`) to the MOD,
+  /// creating it if absent; returns (trajectories, points) totals after
+  /// the load.
   StatusOr<std::pair<size_t, size_t>> LoadMod(const std::string& name,
-                                              const std::string& path);
+                                              traj::TrajectoryStore parsed);
   /// Registers a pre-built store, replacing any existing MOD of that
   /// name (mirroring `sql::Session::RegisterStore`; use `CreateMod` for
   /// the AlreadyExists-checked DDL path).
@@ -173,6 +174,8 @@ class Server {
 
   /// Queues trajectories for asynchronous ingest; returns the flush
   /// ticket. The data becomes query-visible when the worker republishes.
+  /// Every trajectory must pass `sql::CheckIngestable` (checked here,
+  /// before anything is queued).
   StatusOr<uint64_t> EnqueueInsert(const std::string& name,
                                    std::vector<traj::Trajectory> batch);
 
@@ -180,7 +183,7 @@ class Server {
   /// republished.
   Status Flush();
 
-  /// Persists the full catalog (stores + tree catalogs) as a checkpoint,
+  /// Persists the full catalog (every MOD's store) as a checkpoint,
   /// atomically publishes its manifest, rotates the WAL, and deletes the
   /// WAL prefix the checkpoint covers. Recovery then replays only the
   /// post-checkpoint tail. `NotSupported` on a non-WAL server; an IO
@@ -188,11 +191,12 @@ class Server {
   /// old checkpoint + a longer tail — never from a half-written one).
   Status Checkpoint();
 
-  /// QUT over the MOD's *shared* tree. The tree is built (or caught up
-  /// with trajectories ingested since) under the MOD's exclusive lock
-  /// when stale; fresh-tree queries run under a shared lock, so
-  /// concurrent QUT readers proceed in parallel (the storage read path
-  /// is internally locked). `tree_params` is (tau, delta, t, d, gamma).
+  /// QUT over the MOD's *shared* tree. The tree is refreshed (built, or
+  /// caught up with trajectories ingested since — `core::QutTreeSlot`)
+  /// under the MOD's exclusive lock when stale; fresh-tree queries run
+  /// under a shared lock, so concurrent QUT readers proceed in parallel
+  /// (the storage read path is internally locked). `tree_params` is
+  /// (tau, delta, t, d, gamma).
   StatusOr<std::unique_ptr<sql::RowCursor>> QutQuery(
       const std::string& name, double wi, double we,
       const std::vector<double>& tree_params, exec::ExecStats* session_stats);
@@ -207,18 +211,16 @@ class Server {
   friend class ClientSession;
 
   struct SharedMod {
+    SharedMod(storage::Env* env, std::string tree_prefix)
+        : tree(env, std::move(tree_prefix)) {}
+
     /// Writer lock: ingest drains and DDL exclusive; QUT queries shared.
     /// Snapshot readers never take it.
     common::SharedMutex mu;
     traj::TrajectoryStore store GUARDED_BY(mu);
-    std::unique_ptr<core::ReTraTree> tree GUARDED_BY(mu);
-    std::vector<double> tree_params GUARDED_BY(mu);
-    /// Env directory backing `tree` (checkpoint manifests record it so
-    /// recovery can reopen the tree instead of rebuilding).
-    std::string tree_dir GUARDED_BY(mu);
-    /// First store id not yet inserted into the tree (catch-up cursor).
-    traj::TrajectoryId tree_next GUARDED_BY(mu) = 0;
-    uint64_t tree_seq GUARDED_BY(mu) = 0;
+    /// The shared QUT tree: kept caught up by the ingest worker once a
+    /// query built it, rebuilt by the query path on new parameters.
+    core::QutTreeSlot tree GUARDED_BY(mu);
 
     /// One published snapshot: the store copy plus one pinned arena
     /// epoch, so `epochs_pinned` reflects it (and every cursor-held
@@ -237,14 +239,14 @@ class Server {
 
   static std::string Canonical(const std::string& name);
   std::shared_ptr<SharedMod> FindMod(const std::string& canonical) const;
+  /// A new MOD holding `store`, its snapshot already published. Every
+  /// MOD instance gets its own tree directory prefix, so a dropped MOD's
+  /// tree — retired when its last holder lets go — never shares files
+  /// with a re-created one.
+  std::shared_ptr<SharedMod> NewMod(const std::string& key,
+                                    traj::TrajectoryStore store);
   /// Re-publishes the MOD's snapshot from its current store state.
   void Republish(SharedMod* mod) REQUIRES(mod->mu);
-  /// True when the MOD's shared tree matches `params` and has consumed
-  /// the whole store (no rebuild or catch-up needed before serving QUT).
-  static bool TreeFresh(const SharedMod& m, const std::vector<double>& params)
-      REQUIRES_SHARED(m.mu);
-  /// Drops a partially mutated tree so the next query rebuilds cleanly.
-  static void DropTree(SharedMod* mod) REQUIRES(mod->mu);
   void WorkerLoop();
   void OnSessionClosed();
 
@@ -286,12 +288,11 @@ class Server {
   Status wal_error_ GUARDED_BY(wal_mu_);
   /// Lock-free mirror of `!wal_error_.ok()` for fast-fail checks.
   std::atomic<bool> wal_failed_{false};
-  /// Recovery generation: manifest's + 1 each `Start`. Baked into shared
-  /// tree directory names so a recovered catalog never collides with
-  /// stale tree dirs a crashed generation leaked (those leak harmlessly
-  /// until the next checkpoint cleanup). Written only before the worker
-  /// spawns.
+  /// Recovery generation: the manifest's + 1 when `Start` recovers from
+  /// one. Baked into shared tree directory names, next to the MOD
+  /// instance number. Written only before the worker spawns.
   uint64_t gen_ = 0;
+  std::atomic<uint64_t> mod_instances_{0};
   uint64_t checkpoint_id_ GUARDED_BY(wal_mu_) = 0;
   /// First WAL segment the current manifest covers (replay floor).
   uint64_t wal_start_segment_ GUARDED_BY(wal_mu_) = 0;

@@ -5,9 +5,9 @@
 #include <utility>
 
 #include "service/client_session.h"
+#include "sql/front_end.h"
 #include "sql/parser.h"
 #include "sql/query_functions.h"
-#include "sql/settings.h"
 
 namespace hermes::shard {
 
@@ -94,9 +94,7 @@ Status Coordinator::RegisterStore(const std::string& name,
 }
 
 StatusOr<std::pair<size_t, size_t>> Coordinator::LoadMod(
-    const std::string& name, const std::string& path) {
-  traj::TrajectoryStore loaded;
-  HERMES_RETURN_NOT_OK(loaded.LoadCsv(path));
+    const std::string& name, traj::TrajectoryStore loaded) {
   const std::string canonical = sql::CanonicalModName(name);
   // Create-if-absent, in lockstep: the MOD exists on all shards or none.
   if (!shards_[0]->SnapshotMod(canonical).ok()) {
@@ -164,7 +162,9 @@ std::shared_ptr<Coordinator::MergedMod> Coordinator::FindOrCreateMerged(
   common::MutexLock lock(&merged_mu_);
   auto it = merged_.find(canonical);
   if (it == merged_.end()) {
-    it = merged_.emplace(canonical, std::make_shared<MergedMod>()).first;
+    auto mm = std::make_shared<MergedMod>(
+        env_, config_.data_dir + "/coord_" + canonical + "_tree_");
+    it = merged_.emplace(canonical, std::move(mm)).first;
   }
   return it->second;
 }
@@ -201,10 +201,10 @@ Status Coordinator::RebuildMerged(
   mm->merged =
       std::make_shared<const traj::TrajectoryStore>(std::move(merged));
   mm->sources = std::move(snaps);
-  // The old tree indexed the old merge; drop it so QUT rebuilds.
-  mm->tree.reset();
-  mm->tree_params.clear();
-  mm->tree_store.reset();
+  // The old tree indexed the old merge; drop it so QUT rebuilds. There
+  // is no catch-up here: a moved merge can interleave *earlier* object
+  // ids, so it is not an append to what the tree consumed.
+  mm->tree.Drop();
   return Status::OK();
 }
 
@@ -234,51 +234,27 @@ Coordinator::GatherSnapshot(const std::string& name) {
 StatusOr<std::unique_ptr<sql::RowCursor>> Coordinator::QutQuery(
     const std::string& name, double wi, double we,
     const std::vector<double>& tree_params, exec::ExecStats* session_stats) {
-  if (tree_params.size() != 5) {
-    return Status::InvalidArgument(
-        "QUT tree params must be (tau, delta, t, d, gamma), got " +
-        std::to_string(tree_params.size()) + " value(s)");
-  }
-  // Refreshes the merged cache as a side effect, so the tree-freshness
-  // check below compares against the *current* merge.
+  // Refreshes the merged cache as a side effect (dropping a stale tree),
+  // so the freshness check below is against the *current* merge.
   HERMES_ASSIGN_OR_RETURN(std::shared_ptr<const traj::TrajectoryStore> snap,
                           GatherSnapshot(name));
+  (void)snap;  // Pinned so the gathered merge outlives the checks below.
   std::shared_ptr<MergedMod> mm =
       FindOrCreateMerged(sql::CanonicalModName(name));
   {
     common::ReaderMutexLock rlock(&mm->mu);
-    if (mm->tree != nullptr && mm->tree_params == tree_params &&
-        mm->tree_store == mm->merged) {
-      return sql::QutQuery(mm->tree.get(), wi, we, session_stats);
+    if (mm->tree.Fresh(tree_params, mm->merged->NumTrajectories())) {
+      return sql::QutQuery(mm->tree.tree(), wi, we, session_stats);
     }
   }
   common::WriterMutexLock wlock(&mm->mu);
-  (void)snap;  // Pinned so the gathered merge outlives the re-check above.
-  if (mm->tree == nullptr || mm->tree_params != tree_params ||
-      mm->tree_store != mm->merged) {
-    // Unlike the per-shard trees there is no incremental catch-up here:
-    // a changed merge can interleave *earlier* object ids, so the tree
-    // is rebuilt from the merged snapshot wholesale.
-    const core::ReTraTreeParams params = sql::MakeQutTreeParams(tree_params);
-    const std::string dir = config_.data_dir + "/coord_" +
-                            sql::CanonicalModName(name) + "_tree_" +
-                            std::to_string(mm->tree_seq++);
-    mm->tree.reset();
-    mm->tree_params.clear();
-    mm->tree_store.reset();
-    HERMES_ASSIGN_OR_RETURN(
-        mm->tree, core::ReTraTree::Open(env_, dir, params, exec_.get()));
-    mm->tree->SetHotIndexBudget(
-        static_cast<size_t>(config_.session_defaults.hot_index_budget));
-    Status st = mm->tree->InsertBatch(*mm->merged, exec_.get());
-    if (!st.ok()) {
-      mm->tree.reset();
-      return st;
-    }
-    mm->tree_params = tree_params;
-    mm->tree_store = mm->merged;
-  }
-  return sql::QutQuery(mm->tree.get(), wi, we, session_stats);
+  HERMES_RETURN_NOT_OK(
+      mm->tree
+          .Refresh(tree_params, *mm->merged, exec_.get(),
+                   static_cast<size_t>(
+                       config_.session_defaults.hot_index_budget))
+          .status());
+  return sql::QutQuery(mm->tree.tree(), wi, we, session_stats);
 }
 
 // ---------------------------------------------------------------------------
@@ -287,61 +263,136 @@ StatusOr<std::unique_ptr<sql::RowCursor>> Coordinator::QutQuery(
 
 namespace {
 
-/// One client's statement session against the coordinator: its own
-/// settings / exec context / stats (mirroring `service::ClientSession`),
-/// plus one `StatementExecutor` per shard — the *only* channel the
-/// scatter, route, and broadcast paths use to reach a shard, so swapping
-/// an in-process shard session for a remote `net::Client` executor
-/// changes nothing above this line.
-class CoordinatorSession final : public sql::PreparedStatementMapExecutor {
+/// One client's statement session against the coordinator: the shared
+/// `sql::FrontEnd` (its own settings / exec context / stats, like a
+/// `service::ClientSession`) plus one `StatementExecutor` per shard — the
+/// *only* channel the scatter, route, and broadcast paths use to reach a
+/// shard, so swapping an in-process shard session for a remote
+/// `net::Client` executor changes nothing above this line.
+class CoordinatorSession final : public sql::FrontEnd {
  public:
-  explicit CoordinatorSession(Coordinator* coord) : coord_(coord) {
+  explicit CoordinatorSession(Coordinator* coord)
+      : sql::FrontEnd(coord->config().session_defaults), coord_(coord) {
     for (size_t k = 0; k < coord_->num_shards(); ++k) {
       shards_.push_back(
           service::MakeStatementExecutor(coord_->shard(k)->Connect()));
     }
-    (void)sql::RegisterHermesSettings(
-        &settings_, coord_->config().session_defaults, [this](size_t n) {
-          if (n != threads_) {
-            threads_ = n;
-            sql::SwapExecContext(n, &exec_, &session_stats_);
-          }
-          return Status::OK();
-        });
-    threads_ =
-        static_cast<size_t>(coord_->config().session_defaults.threads);
-    if (threads_ > 1) exec_ = std::make_unique<exec::ExecContext>(threads_);
-  }
-
-  StatusOr<sql::Table> Execute(const std::string& sql) override {
-    HERMES_ASSIGN_OR_RETURN(std::unique_ptr<sql::RowCursor> cursor,
-                            ExecuteCursor(sql));
-    return cursor->ToTable();
-  }
-
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteCursor(
-      const std::string& sql) override {
-    HERMES_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
-    if (stmt.num_params > 0) {
-      return Status::InvalidArgument(
-          "statement has $N placeholders; use Prepare and Bind");
-    }
-    return ExecuteStatement(stmt, {}, sql);
   }
 
  protected:
-  StatusOr<sql::PreparedStatement> PrepareStatement(
-      const std::string& sql) override {
-    HERMES_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
-    // The runner keeps the statement *text*: scatter paths re-prepare it
-    // on each shard and bind there, so `$N` values round-trip typed
-    // (never through string formatting).
-    return sql::PreparedStatement(
-        std::move(stmt),
-        [this, sql](const sql::Statement& s,
-                    const std::vector<sql::Value>& b) {
-          return ExecuteStatement(s, b, sql);
-        });
+  // DDL and barriers broadcast: every shard's catalog moves in lockstep,
+  // which is what lets every other path assume a MOD exists on all
+  // shards or none.
+  Status CreateMod(const sql::Statement& stmt) override {
+    return Broadcast(stmt.text);
+  }
+  Status DropMod(const sql::Statement& stmt) override {
+    return Broadcast(stmt.text);
+  }
+  Status Flush(const sql::Statement& stmt) override {
+    return Broadcast(stmt.text);
+  }
+  Status Checkpoint(const sql::Statement& stmt) override {
+    return Broadcast(stmt.text);
+  }
+
+  StatusOr<std::pair<size_t, size_t>> LoadMod(
+      const std::string& mod, traj::TrajectoryStore parsed) override {
+    return coord_->LoadMod(mod, std::move(parsed));
+  }
+
+  StatusOr<sql::Table> Insert(const sql::Statement& stmt,
+                              std::vector<traj::Trajectory> batch) override {
+    // Route each trajectory to the shard owning its object, then re-issue
+    // one INSERT per involved shard through the statement plane: an
+    // all-placeholder body bound to the evaluated values, so doubles
+    // round-trip exactly. The batch is in ascending object order with
+    // samples in row order, which is how each shard groups its rows
+    // again, so the merge reproduces the unsharded statement's
+    // trajectories bit-for-bit.
+    // The shards' ingest precondition, checked for the whole statement
+    // first: no shard may queue its part of a statement another rejects.
+    for (const traj::Trajectory& t : batch) {
+      HERMES_RETURN_NOT_OK(sql::CheckIngestable(t));
+    }
+    const size_t n = coord_->num_shards();
+    std::vector<std::string> texts(n);
+    std::vector<std::vector<sql::Value>> shard_binds(n);
+    for (const traj::Trajectory& t : batch) {
+      const size_t k = coord_->partitioner().ShardOf(t.object_id(), n);
+      std::string& text = texts[k];
+      std::vector<sql::Value>& vals = shard_binds[k];
+      for (const auto& p : t.samples()) {
+        text += text.empty() ? "INSERT INTO " + stmt.mod + " VALUES (" : ", (";
+        for (double v : {static_cast<double>(t.object_id()), p.t, p.x, p.y}) {
+          vals.push_back(sql::Value::Double(v));
+          text += "$" + std::to_string(vals.size());
+          text += vals.size() % 4 != 0 ? ", " : ")";
+        }
+      }
+    }
+    std::vector<size_t> ks;
+    for (size_t k = 0; k < n; ++k) {
+      if (!texts[k].empty()) ks.push_back(k);
+    }
+    std::vector<StatusOr<sql::Table>> results = FanOut(ks, [&](size_t k) {
+      return ExecOnShard(k, texts[k] + ";", shard_binds[k]);
+    });
+    int64_t queued = 0;
+    int64_t ticket = 0;
+    for (size_t i = 0; i < results.size(); ++i) {
+      if (!results[i].ok()) return ShardError(ks[i], results[i].status());
+      // Per-shard ack: (status, trajectories_queued, ticket).
+      queued += results[i]->rows[0][1].AsInt();
+      ticket = std::max(ticket, results[i]->rows[0][2].AsInt());
+    }
+    sql::Table table;
+    table.columns = {{"status", sql::ValueType::kString},
+                     {"trajectories_queued", sql::ValueType::kInt},
+                     {"ticket", sql::ValueType::kInt}};
+    table.rows = {{sql::Value::Str("QUEUE INSERT " + stmt.mod),
+                   sql::Value::Int(queued), sql::Value::Int(ticket)}};
+    return table;
+  }
+
+  StatusOr<sql::Table> ServiceStats() override {
+    const CoordinatorStats cs = coord_->Stats();
+    sql::Table table;
+    table.columns = {{"counter", sql::ValueType::kString},
+                     {"value", sql::ValueType::kInt}};
+    table.rows.push_back(
+        {sql::Value::Str("shards"),
+         sql::Value::Int(static_cast<int64_t>(coord_->num_shards()))});
+    service::AppendServiceStatsRows(cs.total, "", &table);
+    for (size_t k = 0; k < cs.per_shard.size(); ++k) {
+      service::AppendServiceStatsRows(
+          cs.per_shard[k], "shard" + std::to_string(k) + ".", &table);
+    }
+    return table;
+  }
+
+  StatusOr<std::unique_ptr<sql::RowCursor>> Qut(
+      const std::string& mod, double wi, double we,
+      const std::vector<double>& tree_params) override {
+    return coord_->QutQuery(mod, wi, we, tree_params, mutable_stats());
+  }
+
+  /// Clustering analytics (S2T, S2T_MEMBERS, TRACLUS, TOPTICS, CONVOYS)
+  /// are global — a cluster may span shards — so they evaluate on the
+  /// merged snapshot, which is bit-identical for any shard count.
+  StatusOr<std::shared_ptr<const traj::TrajectoryStore>> Snapshot(
+      const std::string& mod) override {
+    return coord_->GatherSnapshot(mod);
+  }
+
+  /// RANGE and STATS decompose per shard: scatter–gather.
+  StatusOr<std::unique_ptr<sql::RowCursor>> Select(
+      const sql::Statement& stmt, const std::string& mod,
+      const std::vector<double>& args,
+      const std::vector<sql::Value>& binds) override {
+    if (stmt.function == "RANGE") return ScatterRange(stmt.text, binds);
+    if (stmt.function == "STATS") return ScatterStats(stmt.text, binds);
+    return sql::FrontEnd::Select(stmt, mod, args, binds);
   }
 
  private:
@@ -378,189 +429,10 @@ class CoordinatorSession final : public sql::PreparedStatementMapExecutor {
     return result;
   }
 
-  /// Broadcasts one statement to every shard; first (lowest-index)
-  /// error wins, else shard 0's table — identical on all shards for the
-  /// DDL / FLUSH / CHECKPOINT statements that take this path.
-  StatusOr<std::unique_ptr<sql::RowCursor>> Broadcast(
-      const std::string& text, const std::vector<sql::Value>& binds) {
-    std::vector<size_t> ks(coord_->num_shards());
-    for (size_t k = 0; k < ks.size(); ++k) ks[k] = k;
-    std::vector<StatusOr<sql::Table>> results = FanOut(
-        ks, [&](size_t k) { return ExecOnShard(k, text, binds); });
-    for (auto& r : results) {
-      if (!r.ok()) return r.status();
-    }
-    return sql::MakeTableCursor(std::move(*results[0]));
-  }
-
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteStatement(
-      const sql::Statement& stmt, const std::vector<sql::Value>& binds,
-      const std::string& text) {
-    using Kind = sql::Statement::Kind;
-    switch (stmt.kind) {
-      // DDL and barriers broadcast: every shard's catalog moves in
-      // lockstep, which is what lets every other path assume a MOD
-      // exists on all shards or none.
-      case Kind::kCreateMod:
-      case Kind::kDropMod:
-      case Kind::kFlush:
-      case Kind::kCheckpoint:
-        return Broadcast(text, binds);
-      case Kind::kLoadMod: {
-        HERMES_ASSIGN_OR_RETURN(auto totals,
-                                coord_->LoadMod(stmt.mod, stmt.path));
-        sql::Table table;
-        table.columns = {{"status", sql::ValueType::kString},
-                         {"trajectories", sql::ValueType::kInt},
-                         {"points", sql::ValueType::kInt}};
-        table.rows = {
-            {sql::Value::Str("LOAD " + stmt.mod),
-             sql::Value::Int(static_cast<int64_t>(totals.first)),
-             sql::Value::Int(static_cast<int64_t>(totals.second))}};
-        return sql::MakeTableCursor(std::move(table));
-      }
-      case Kind::kInsert:
-        return ExecuteInsert(stmt, binds);
-      case Kind::kSet: {
-        HERMES_ASSIGN_OR_RETURN(sql::Value v,
-                                sql::EvalScalar(stmt.set_value, binds));
-        Status st = settings_.Set(stmt.setting, std::move(v));
-        if (!st.ok()) {
-          return Status(st.code(),
-                        st.message() +
-                            sql::ErrorLocation(stmt.setting_pos,
-                                               stmt.setting));
-        }
-        HERMES_ASSIGN_OR_RETURN(sql::Value stored,
-                                settings_.Get(stmt.setting));
-        return sql::MakeTableCursor(sql::AckTable(
-            "SET " + stmt.setting + " = " + stored.ToString()));
-      }
-      case Kind::kShow:
-        return ExecuteShow(stmt);
-      case Kind::kSelect:
-        return ExecuteSelect(stmt, binds, text);
-    }
-    return Status::Internal("unreachable");
-  }
-
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteInsert(
-      const sql::Statement& stmt, const std::vector<sql::Value>& binds) {
-    // Route each (obj, t, x, y) row to the shard owning its object, then
-    // re-issue one INSERT per involved shard through the statement
-    // plane: an all-placeholder body bound to the evaluated values, so
-    // doubles round-trip exactly. Row order is preserved per shard, and
-    // both sides group rows per object in ascending id order
-    // (`BuildInsertTrajectories`), so the merge reproduces the
-    // unsharded statement's trajectories bit-for-bit.
-    const size_t n = coord_->num_shards();
-    std::vector<std::string> texts(n);
-    std::vector<std::vector<sql::Value>> shard_binds(n);
-    for (const auto& row : stmt.rows) {
-      HERMES_ASSIGN_OR_RETURN(double obj, sql::EvalNumber(row[0], binds));
-      const size_t k = coord_->partitioner().ShardOf(
-          static_cast<traj::ObjectId>(obj), n);
-      std::string& text = texts[k];
-      std::vector<sql::Value>& vals = shard_binds[k];
-      text += text.empty() ? "INSERT INTO " + stmt.mod + " VALUES (" : ", (";
-      for (int c = 0; c < 4; ++c) {
-        HERMES_ASSIGN_OR_RETURN(sql::Value v, sql::EvalScalar(row[c], binds));
-        vals.push_back(std::move(v));
-        text += "$" + std::to_string(vals.size());
-        text += c < 3 ? ", " : ")";
-      }
-    }
-    std::vector<size_t> ks;
-    for (size_t k = 0; k < n; ++k) {
-      if (!texts[k].empty()) ks.push_back(k);
-    }
-    std::vector<StatusOr<sql::Table>> results = FanOut(ks, [&](size_t k) {
-      return ExecOnShard(k, texts[k] + ";", shard_binds[k]);
-    });
-    int64_t queued = 0;
-    int64_t ticket = 0;
-    for (size_t i = 0; i < results.size(); ++i) {
-      if (!results[i].ok()) return ShardError(ks[i], results[i].status());
-      // Per-shard ack: (status, trajectories_queued, ticket).
-      queued += results[i]->rows[0][1].AsInt();
-      ticket = std::max(ticket, results[i]->rows[0][2].AsInt());
-    }
-    sql::Table table;
-    table.columns = {{"status", sql::ValueType::kString},
-                     {"trajectories_queued", sql::ValueType::kInt},
-                     {"ticket", sql::ValueType::kInt}};
-    table.rows = {{sql::Value::Str("QUEUE INSERT " + stmt.mod),
-                   sql::Value::Int(queued), sql::Value::Int(ticket)}};
-    return sql::MakeTableCursor(std::move(table));
-  }
-
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteShow(
-      const sql::Statement& stmt) {
-    if (stmt.setting == "service.stats") {
-      const CoordinatorStats cs = coord_->Stats();
-      sql::Table table;
-      table.columns = {{"counter", sql::ValueType::kString},
-                       {"value", sql::ValueType::kInt}};
-      table.rows.push_back(
-          {sql::Value::Str("shards"),
-           sql::Value::Int(static_cast<int64_t>(coord_->num_shards()))});
-      service::AppendServiceStatsRows(cs.total, "", &table);
-      for (size_t k = 0; k < cs.per_shard.size(); ++k) {
-        service::AppendServiceStatsRows(
-            cs.per_shard[k], "shard" + std::to_string(k) + ".", &table);
-      }
-      return sql::MakeTableCursor(std::move(table));
-    }
-    if (stmt.setting == "stats") {
-      return sql::MakeTableCursor(
-          sql::PhaseStatsTable(session_stats_, exec_.get()));
-    }
-    HERMES_ASSIGN_OR_RETURN(sql::Table table,
-                            sql::SettingsShowTable(settings_, stmt));
-    return sql::MakeTableCursor(std::move(table));
-  }
-
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteSelect(
-      const sql::Statement& stmt, const std::vector<sql::Value>& binds,
-      const std::string& text) {
-    HERMES_ASSIGN_OR_RETURN(std::string mod,
-                            sql::ResolveSelectModName(stmt, binds));
-    const std::string at =
-        sql::ErrorLocation(stmt.function_pos, stmt.function);
-    std::vector<double> args;
-    args.reserve(stmt.args.size());
-    for (const auto& arg : stmt.args) {
-      HERMES_ASSIGN_OR_RETURN(double v, sql::EvalNumber(arg, binds));
-      args.push_back(v);
-    }
-
-    if (stmt.function == "QUT") {
-      if (args.size() != 7) {
-        return Status::InvalidArgument(
-            "QUT(D, Wi, We, tau, delta, t, d, gamma) takes 7 numbers" + at);
-      }
-      const std::vector<double> tree_params(args.begin() + 2, args.end());
-      return coord_->QutQuery(mod, args[0], args[1], tree_params,
-                              &session_stats_);
-    }
-    // RANGE and STATS decompose per shard: scatter–gather.
-    if (stmt.function == "RANGE") return ScatterRange(text, binds);
-    if (stmt.function == "STATS") return ScatterStats(text, binds);
-
-    // Clustering analytics (S2T, S2T_MEMBERS, TRACLUS, TOPTICS,
-    // CONVOYS) are global — a cluster may span shards — so they
-    // evaluate on the merged snapshot, which is bit-identical for any
-    // shard count.
-    HERMES_ASSIGN_OR_RETURN(std::shared_ptr<const traj::TrajectoryStore> snap,
-                            coord_->GatherSnapshot(mod));
-    sql::QueryEnv env;
-    env.store = std::move(snap);
-    env.exec = exec_.get();
-    env.session_stats = &session_stats_;
-    env.default_sigma = settings_.Get("hermes.sigma")->AsDouble();
-    env.default_epsilon = settings_.Get("hermes.epsilon")->AsDouble();
-    env.use_index = settings_.Get("hermes.use_index")->AsInt() != 0;
-    return sql::EvalSelectFunction(stmt.function, args, env, at);
+  /// Broadcasts one placeholder-free statement to every shard; the first
+  /// (lowest-index) error wins.
+  Status Broadcast(const std::string& text) {
+    return Scatter(text, {}).status();
   }
 
   /// Scatters the statement to every shard and merges row-wise: shard
@@ -638,16 +510,12 @@ class CoordinatorSession final : public sql::PreparedStatementMapExecutor {
 
   Coordinator* coord_;
   std::vector<std::unique_ptr<sql::StatementExecutor>> shards_;
-  sql::Settings settings_;
-  exec::ExecStats session_stats_;
-  size_t threads_ = 1;
-  std::unique_ptr<exec::ExecContext> exec_;
 };
 
 }  // namespace
 
 std::unique_ptr<sql::StatementExecutor> Coordinator::Connect() {
-  return std::make_unique<CoordinatorSession>(this);
+  return sql::MakeStatementExecutor(std::make_unique<CoordinatorSession>(this));
 }
 
 }  // namespace hermes::shard

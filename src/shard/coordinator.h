@@ -10,7 +10,7 @@
 #include "common/mutex.h"
 #include "common/statusor.h"
 #include "common/thread_annotations.h"
-#include "core/retratree.h"
+#include "core/qut_tree_slot.h"
 #include "exec/exec_context.h"
 #include "service/server.h"
 #include "service/service_config.h"
@@ -56,9 +56,10 @@ struct CoordinatorStats {
 ///    lives entirely on one shard), so the merged store — and therefore
 ///    every analytic result — is bit-identical for any shard count, and
 ///    identical to the unsharded server whenever objects first appear in
-///    ascending id order (the datagen convention). Merged stores and
-///    merged QUT trees are cached per MOD and rebuilt only when some
-///    shard publishes a new snapshot.
+///    ascending id order (the datagen convention). Merged stores are
+///    cached per MOD and rebuilt only when some shard publishes a new
+///    snapshot; a move of the merge drops the MOD's merged QUT tree
+///    (`core::QutTreeSlot::Drop`), and the next QUT rebuilds it.
 ///
 /// Startup is atomic: if shard k fails to recover, `Start` fails with a
 /// `"shard k: ..."`-prefixed Status and every already-started shard is
@@ -87,12 +88,13 @@ class Coordinator {
   /// seeding path mirroring `service::Server::RegisterStore`.
   Status RegisterStore(const std::string& name, traj::TrajectoryStore store);
 
-  /// Loads a CSV, routes each trajectory to its owning shard, and
-  /// flushes; returns the MOD's post-load (trajectories, points) totals
-  /// — the sharded counterpart of `service::Server::LoadMod` (the MOD is
-  /// created on every shard if absent).
+  /// Routes each trajectory of a parsed LOAD file (`sql::ReadLoadFile`)
+  /// to its owning shard and flushes; returns the MOD's post-load
+  /// (trajectories, points) totals — the sharded counterpart of
+  /// `service::Server::LoadMod` (the MOD is created on every shard if
+  /// absent).
   StatusOr<std::pair<size_t, size_t>> LoadMod(const std::string& name,
-                                              const std::string& path);
+                                              traj::TrajectoryStore parsed);
 
   /// Blocks until every shard's queued ingest is applied and visible.
   Status Flush();
@@ -107,7 +109,7 @@ class Coordinator {
       const std::string& name);
 
   /// QUT over the MOD's merged tree (built from the merged snapshot,
-  /// cached until the merge changes). Same locking shape as
+  /// cached until the merge moves). Same locking shape as
   /// `service::Server::QutQuery`: fresh-tree queries run under a shared
   /// lock, rebuilds take it exclusive.
   StatusOr<std::unique_ptr<sql::RowCursor>> QutQuery(
@@ -124,20 +126,19 @@ class Coordinator {
   /// One MOD's merged view. `sources` records the per-shard snapshot
   /// identities the cache was built from (held shared so a pointer can
   /// never be reused while we still compare against it); `merged` is the
-  /// canonical-order merge of exactly those snapshots; the tree is built
-  /// over `merged` and `tree_store` pins the snapshot it consumed.
+  /// canonical-order merge of exactly those snapshots, and `tree` is
+  /// built over `merged` (dropped whenever `merged` is replaced).
   struct MergedMod {
+    MergedMod(storage::Env* env, std::string tree_prefix)
+        : tree(env, std::move(tree_prefix)) {}
+
     /// Writers rebuild the merge/tree; QUT readers on a fresh cache take
     /// it shared, so concurrent queries proceed in parallel.
     common::SharedMutex mu;
     std::vector<std::shared_ptr<const traj::TrajectoryStore>> sources
         GUARDED_BY(mu);
     std::shared_ptr<const traj::TrajectoryStore> merged GUARDED_BY(mu);
-    std::unique_ptr<core::ReTraTree> tree GUARDED_BY(mu);
-    std::vector<double> tree_params GUARDED_BY(mu);
-    /// The merged snapshot `tree` was built from (rebuild when it moves).
-    std::shared_ptr<const traj::TrajectoryStore> tree_store GUARDED_BY(mu);
-    uint64_t tree_seq GUARDED_BY(mu) = 0;
+    core::QutTreeSlot tree GUARDED_BY(mu);
   };
 
   Coordinator(service::ServiceConfig config, storage::Env* env,

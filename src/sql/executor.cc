@@ -1,70 +1,36 @@
 #include "sql/executor.h"
 
-#include <algorithm>
-#include <cctype>
 #include <utility>
-
-#include "sql/query_functions.h"
 
 namespace hermes::sql {
 
-namespace {
-
-/// Executor errors carry the statement location of the offending token,
-/// same shape as tokenizer/parser diagnostics.
-std::string At(size_t pos, const std::string& tok) {
-  return ErrorLocation(pos, tok);
-}
-
-std::unique_ptr<RowCursor> MakeCursor(Table table) {
-  return MakeTableCursor(std::move(table));
-}
-
-Table Ack(std::string status) { return AckTable(std::move(status)); }
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Session: construction + registry
-// ---------------------------------------------------------------------------
-
 Session::Session(storage::Env* env, std::string data_dir)
-    : data_dir_(std::move(data_dir)) {
+    : FrontEnd(HermesSettingDefaults{}), data_dir_(std::move(data_dir)) {
   if (env == nullptr) {
     owned_env_ = storage::Env::NewMemEnv();
     env_ = owned_env_.get();
   } else {
     env_ = env;
   }
-  RegisterSettings();
 }
 
-void Session::RegisterSettings() {
-  // Registration of compile-time-known settings cannot fail; the (void)
-  // cast acknowledges the Status. The knobs themselves are shared with
-  // the service layer (`RegisterHermesSettings`); only the threads hook —
-  // what *this* owner does when its parallelism changes — is ours:
-  // lazily-built trees hold the old context, so drop them before the
-  // shared context swap.
-  (void)RegisterHermesSettings(
-      &settings_, HermesSettingDefaults{}, [this](size_t n) {
-        if (n != threads_) {
-          threads_ = n;
-          for (auto& [name, entry] : mods_) {
-            entry.tree.reset();
-            entry.tree_params.clear();
-          }
-          SwapExecContext(n, &exec_, &session_stats_);
-        }
-        return Status::OK();
-      });
+Session::ModEntry* Session::AddMod(const std::string& key) {
+  return &mods_.try_emplace(key, env_, data_dir_ + "/" + key + "_tree_")
+              .first->second;
+}
+
+StatusOr<Session::ModEntry*> Session::FindMod(const std::string& name) {
+  auto it = mods_.find(name);
+  if (it == mods_.end()) return Status::NotFound("no MOD named " + name);
+  return &it->second;
 }
 
 Status Session::RegisterStore(const std::string& name,
                               traj::TrajectoryStore store) {
-  ModEntry entry;
-  entry.store = std::move(store);
-  mods_[CanonicalModName(name)] = std::move(entry);
+  const std::string key = CanonicalModName(name);
+  // Replacing a MOD retires its tree (and the tree's files) first.
+  mods_.erase(key);
+  AddMod(key)->store = std::move(store);
   return Status::OK();
 }
 
@@ -74,230 +40,117 @@ const traj::TrajectoryStore* Session::FindStore(
   return it == mods_.end() ? nullptr : &it->second.store;
 }
 
-StatusOr<Session::ModEntry*> Session::FindMod(const std::string& name) {
-  auto it = mods_.find(name);
-  if (it == mods_.end()) return Status::NotFound("no MOD named " + name);
-  return &it->second;
-}
-
 // ---------------------------------------------------------------------------
-// Session: entry points
+// Backend hooks: the synchronous in-process catalog
 // ---------------------------------------------------------------------------
 
-StatusOr<Table> Session::Execute(const std::string& sql) {
-  HERMES_ASSIGN_OR_RETURN(std::unique_ptr<RowCursor> cursor,
-                          ExecuteCursor(sql));
-  return cursor->ToTable();
-}
-
-StatusOr<std::unique_ptr<RowCursor>> Session::ExecuteCursor(
-    const std::string& sql) {
-  HERMES_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
-  if (stmt.num_params > 0) {
-    return Status::InvalidArgument(
-        "statement has $N placeholders; use Session::Prepare and Bind");
+Status Session::CreateMod(const Statement& stmt) {
+  if (mods_.count(stmt.mod) > 0) {
+    return Status::AlreadyExists("MOD " + stmt.mod + " exists");
   }
-  return ExecuteStatement(stmt, {});
+  AddMod(stmt.mod);
+  return Status::OK();
 }
 
-StatusOr<PreparedStatement> Session::Prepare(const std::string& sql) {
-  HERMES_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
-  // The runner pins this session (it is neither movable nor copyable),
-  // so the handle stays valid for the session's whole life.
-  return PreparedStatement(
-      std::move(stmt), [this](const Statement& s, const std::vector<Value>& b) {
-        return ExecuteStatement(s, b);
-      });
-}
-
-StatusOr<Table> Session::ExecuteScript(const std::string& sql) {
-  return RunScript(
-      sql, [this](const Statement& stmt) { return ExecuteStatement(stmt, {}); });
-}
-
-// ---------------------------------------------------------------------------
-// Session: statement dispatch
-// ---------------------------------------------------------------------------
-
-StatusOr<std::unique_ptr<RowCursor>> Session::ExecuteStatement(
-    const Statement& stmt, const std::vector<Value>& binds) {
-  switch (stmt.kind) {
-    case Statement::Kind::kCreateMod: {
-      if (mods_.count(stmt.mod) > 0) {
-        return Status::AlreadyExists("MOD " + stmt.mod + " exists");
-      }
-      mods_[stmt.mod] = ModEntry{};
-      return MakeCursor(Ack("CREATE MOD " + stmt.mod));
-    }
-    case Statement::Kind::kDropMod: {
-      if (mods_.erase(stmt.mod) == 0) {
-        return Status::NotFound("no MOD named " + stmt.mod);
-      }
-      return MakeCursor(Ack("DROP MOD " + stmt.mod));
-    }
-    case Statement::Kind::kLoadMod: {
-      auto [it, inserted] = mods_.try_emplace(stmt.mod);
-      Status load = it->second.store.LoadCsv(stmt.path);
-      if (!load.ok()) {
-        // A failed load must not leave a phantom empty MOD behind.
-        if (inserted) mods_.erase(it);
-        return load;
-      }
-      it->second.tree.reset();
-      Table table;
-      table.columns = {{"status", ValueType::kString},
-                       {"trajectories", ValueType::kInt},
-                       {"points", ValueType::kInt}};
-      table.rows = {
-          {Value::Str("LOAD " + stmt.mod),
-           Value::Int(static_cast<int64_t>(it->second.store.NumTrajectories())),
-           Value::Int(static_cast<int64_t>(it->second.store.NumPoints()))}};
-      return MakeCursor(std::move(table));
-    }
-    case Statement::Kind::kInsert: {
-      HERMES_ASSIGN_OR_RETURN(ModEntry * entry, FindMod(stmt.mod));
-      // One trajectory per object id (the service session shares this row
-      // evaluation, but queues the result instead of adding inline).
-      HERMES_ASSIGN_OR_RETURN(std::vector<traj::Trajectory> batch,
-                              BuildInsertTrajectories(stmt, binds));
-      size_t added = 0;
-      for (traj::Trajectory& t : batch) {
-        auto r = entry->store.Add(std::move(t));
-        if (!r.ok()) return r.status();
-        ++added;
-      }
-      entry->tree.reset();
-      Table table;
-      table.columns = {{"status", ValueType::kString},
-                       {"trajectories_added", ValueType::kInt}};
-      table.rows = {{Value::Str("INSERT " + stmt.mod),
-                     Value::Int(static_cast<int64_t>(added))}};
-      return MakeCursor(std::move(table));
-    }
-    case Statement::Kind::kSet: {
-      HERMES_ASSIGN_OR_RETURN(Value v, EvalScalar(stmt.set_value, binds));
-      Status st = settings_.Set(stmt.setting, std::move(v));
-      if (!st.ok()) {
-        return Status(st.code(), st.message() +
-                                     At(stmt.setting_pos, stmt.setting));
-      }
-      // Echo the stored (coerced) value, not the literal spelling.
-      HERMES_ASSIGN_OR_RETURN(Value stored, settings_.Get(stmt.setting));
-      return MakeCursor(
-          Ack("SET " + stmt.setting + " = " + stored.ToString()));
-    }
-    case Statement::Kind::kShow:
-      return ExecuteShow(stmt);
-    case Statement::Kind::kCheckpoint:
-      // Durability is a service-layer concern (mirrors SHOW SERVICE
-      // STATS): embedded sessions have no WAL to checkpoint.
-      return Status::NotSupported(
-          "CHECKPOINT is only available through a service session");
-    case Statement::Kind::kFlush:
-      // Embedded sessions ingest synchronously — every INSERT already
-      // applied before its ack — so FLUSH acknowledges trivially. The
-      // service session overrides this with a real queue drain.
-      return MakeCursor(Ack("FLUSH"));
-    case Statement::Kind::kSelect:
-      return ExecuteSelect(stmt, binds);
+Status Session::DropMod(const Statement& stmt) {
+  if (mods_.erase(stmt.mod) == 0) {
+    return Status::NotFound("no MOD named " + stmt.mod);
   }
-  return Status::Internal("unreachable");
+  return Status::OK();
 }
 
-StatusOr<std::unique_ptr<RowCursor>> Session::ExecuteShow(
-    const Statement& stmt) {
-  if (stmt.setting == "service.stats") {
-    return Status::NotSupported(
-        "SHOW SERVICE STATS needs a service session "
-        "(service::Server::Connect); this is an embedded sql::Session");
+StatusOr<std::pair<size_t, size_t>> Session::LoadMod(
+    const std::string& mod, traj::TrajectoryStore parsed) {
+  auto it = mods_.find(mod);
+  ModEntry* entry = it == mods_.end() ? AddMod(mod) : &it->second;
+  for (traj::TrajectoryId id = 0; id < parsed.NumTrajectories(); ++id) {
+    HERMES_RETURN_NOT_OK(entry->store.Add(parsed.Get(id)).status());
   }
-  if (stmt.setting == "stats") {
-    Table table = PhaseStatsTable(session_stats_, exec_.get());
-    // Hot/cold tier counters ride along after the phase timings, summed
-    // over every built tree (counter value in the total_us column).
-    core::HotTierStats tier;
-    for (const auto& [name, entry] : mods_) {
-      if (entry.tree != nullptr) {
-        AccumulateHotTierStats(entry.tree->hot_stats(), &tier);
-      }
-    }
-    AppendHotTierRows(tier, &table);
-    return MakeCursor(std::move(table));
-  }
-  HERMES_ASSIGN_OR_RETURN(Table table, SettingsShowTable(settings_, stmt));
-  return MakeCursor(std::move(table));
+  return std::make_pair(entry->store.NumTrajectories(),
+                        entry->store.NumPoints());
 }
 
-// ---------------------------------------------------------------------------
-// Session: SELECT functions
-// ---------------------------------------------------------------------------
+StatusOr<Table> Session::Insert(const Statement& stmt,
+                                std::vector<traj::Trajectory> batch) {
+  HERMES_ASSIGN_OR_RETURN(ModEntry * entry, FindMod(stmt.mod));
+  size_t added = 0;
+  for (traj::Trajectory& t : batch) {
+    HERMES_RETURN_NOT_OK(entry->store.Add(std::move(t)).status());
+    ++added;
+  }
+  Table table;
+  table.columns = {{"status", ValueType::kString},
+                   {"trajectories_added", ValueType::kInt}};
+  table.rows = {{Value::Str("INSERT " + stmt.mod),
+                 Value::Int(static_cast<int64_t>(added))}};
+  return table;
+}
 
-StatusOr<std::unique_ptr<RowCursor>> Session::ExecuteSelect(
-    const Statement& stmt, const std::vector<Value>& binds) {
-  // When the MOD position itself was a `$N`, its binding names the
-  // dataset (shared resolution with the service session).
-  HERMES_ASSIGN_OR_RETURN(std::string mod, ResolveSelectModName(stmt, binds));
+Status Session::Flush(const Statement& /*stmt*/) {
+  // Every INSERT already applied before its ack.
+  return Status::OK();
+}
+
+Status Session::Checkpoint(const Statement& /*stmt*/) {
+  // Durability is a service-layer concern: no WAL to checkpoint here.
+  return Status::NotSupported(
+      "CHECKPOINT is only available through a service session");
+}
+
+StatusOr<Table> Session::ServiceStats() {
+  return Status::NotSupported(
+      "SHOW SERVICE STATS needs a service session "
+      "(service::Server::Connect); this is an embedded sql::Session");
+}
+
+void Session::AppendStats(Table* table) {
+  // Hot/cold tier counters, summed over every built tree (counter value
+  // in the total_us column).
+  core::HotTierStats tier;
+  for (const auto& [name, entry] : mods_) {
+    if (entry.tree.tree() == nullptr) continue;
+    const core::HotTierStats s = entry.tree.tree()->hot_stats();
+    tier.qut_hot_probes += s.qut_hot_probes;
+    tier.qut_cold_probes += s.qut_cold_probes;
+    tier.hot_promotions += s.hot_promotions;
+    tier.hot_demotions += s.hot_demotions;
+    tier.hot_index_bytes += s.hot_index_bytes;
+    tier.hot_partitions += s.hot_partitions;
+    tier.hot_pins_total += s.hot_pins_total;
+  }
+  auto row = [table](const char* name, uint64_t v) {
+    table->rows.push_back(
+        {Value::Str(name), Value::Int(static_cast<int64_t>(v))});
+  };
+  row("qut_hot_probes", tier.qut_hot_probes);
+  row("qut_cold_probes", tier.qut_cold_probes);
+  row("hot_promotions", tier.hot_promotions);
+  row("hot_demotions", tier.hot_demotions);
+  row("hot_index_bytes", tier.hot_index_bytes);
+  row("hot_partitions", tier.hot_partitions);
+  row("hot_pins_total", tier.hot_pins_total);
+}
+
+StatusOr<std::unique_ptr<RowCursor>> Session::Qut(
+    const std::string& mod, double wi, double we,
+    const std::vector<double>& tree_params) {
   HERMES_ASSIGN_OR_RETURN(ModEntry * entry, FindMod(mod));
-  auto at_fn = [&stmt] { return At(stmt.function_pos, stmt.function); };
+  // Catches the tree up with rows inserted since the last QUT; the
+  // session's own budget applies on every query.
+  const auto budget = static_cast<size_t>(
+      settings().Get("hermes.hot_index_budget")->AsInt());
+  HERMES_RETURN_NOT_OK(entry->tree
+                           .Refresh(tree_params, entry->store, exec_context(),
+                                    budget, mutable_stats())
+                           .status());
+  return QutQuery(entry->tree.tree(), wi, we, mutable_stats());
+}
 
-  // Evaluates all scalar arguments up front (they are few and cheap);
-  // streaming applies to result rows, not inputs.
-  std::vector<double> args;
-  args.reserve(stmt.args.size());
-  for (const auto& arg : stmt.args) {
-    HERMES_ASSIGN_OR_RETURN(double v, EvalNumber(arg, binds));
-    args.push_back(v);
-  }
-
-  if (stmt.function == "QUT") {
-    if (args.size() != 7) {
-      return Status::InvalidArgument(
-          "QUT(D, Wi, We, tau, delta, t, d, gamma) takes 7 numbers" +
-          at_fn());
-    }
-    const double wi = args[0];
-    const double we = args[1];
-    const std::vector<double> tree_params(args.begin() + 2, args.end());
-    if (entry->tree == nullptr || entry->tree_params != tree_params) {
-      const core::ReTraTreeParams params = MakeQutTreeParams(tree_params);
-      const std::string dir =
-          data_dir_ + "/tree_" + std::to_string(tree_seq_++);
-      HERMES_ASSIGN_OR_RETURN(
-          entry->tree, core::ReTraTree::Open(env_, dir, params, exec_.get()));
-      HERMES_RETURN_NOT_OK(
-          entry->tree->InsertStore(entry->store, exec_.get()));
-      entry->tree_params = tree_params;
-      // Same coverage as the S2T path: without a live context (which
-      // records for itself) the fresh tree's cumulative S2T timings — and
-      // the batch-ingest phase split — are exactly this build's; archive
-      // them for SHOW STATS.
-      if (exec_ == nullptr) {
-        entry->tree->stats().s2t_timings.ExportTo(&session_stats_);
-        session_stats_.RecordPhaseUs("ingest_split",
-                                     entry->tree->stats().ingest_split_us);
-        session_stats_.RecordPhaseUs("ingest_apply",
-                                     entry->tree->stats().ingest_apply_us);
-      }
-    }
-    // The budget knob applies on every query, not just at build time, so
-    // `SET hermes.hot_index_budget = 0` cold-disables an existing tree.
-    entry->tree->SetHotIndexBudget(static_cast<size_t>(
-        settings_.Get("hermes.hot_index_budget")->AsInt()));
-    return QutQuery(entry->tree.get(), wi, we, &session_stats_);
-  }
-
-  // Everything else evaluates through the shared query functions — the
-  // same code path a service ClientSession runs over its snapshots. The
-  // embedded session's store outlives its cursors by contract, so a
-  // non-owning handle suffices.
-  QueryEnv env;
-  env.store = BorrowStore(&entry->store);
-  env.exec = exec_.get();
-  env.session_stats = &session_stats_;
-  env.default_sigma = settings_.Get("hermes.sigma")->AsDouble();
-  env.default_epsilon = settings_.Get("hermes.epsilon")->AsDouble();
-  env.use_index = settings_.Get("hermes.use_index")->AsInt() != 0;
-  return EvalSelectFunction(stmt.function, args, env, at_fn());
+StatusOr<std::shared_ptr<const traj::TrajectoryStore>> Session::Snapshot(
+    const std::string& mod) {
+  HERMES_ASSIGN_OR_RETURN(ModEntry * entry, FindMod(mod));
+  // The store outlives the session's cursors by contract.
+  return BorrowStore(&entry->store);
 }
 
 }  // namespace hermes::sql

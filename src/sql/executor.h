@@ -4,17 +4,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/statusor.h"
-#include "core/qut_clustering.h"
-#include "core/retratree.h"
-#include "exec/exec_context.h"
-#include "sql/cursor.h"
-#include "sql/parser.h"
-#include "sql/query_functions.h"
-#include "sql/settings.h"
-#include "sql/value.h"
+#include "core/qut_tree_slot.h"
+#include "sql/front_end.h"
 #include "storage/env.h"
 #include "traj/trajectory_store.h"
 
@@ -25,89 +20,62 @@ namespace hermes::sql {
 /// the embedded counterpart of the demo's psql session against
 /// Hermes@PostgreSQL.
 ///
+/// The statement plane is the shared `FrontEnd`; the session adds its own
+/// synchronous catalog: `INSERT` applies before its ack (acked with
+/// `trajectories_added`), `FLUSH` acknowledges trivially, `CHECKPOINT`
+/// and `SHOW SERVICE STATS` are rejected, and `QUT` trees follow the
+/// session's own `hermes.hot_index_budget`.
+///
 /// Registered settings (see `docs/SQL.md`):
 ///   hermes.threads    int     worker threads for analytic statements
 ///   hermes.sigma      double  default S2T spatial bandwidth
 ///   hermes.epsilon    double  default S2T cluster radius
 ///   hermes.use_index  int     0/1 (off/on): pg3D-Rtree voting engine
 ///   hermes.hot_index_budget int  hot in-memory tier bytes (0 = off)
-class Session {
+class Session : public FrontEnd {
  public:
   /// `env` defaults to a private in-memory environment; pass a Posix env
-  /// + directory to persist ReTraTree partitions.
+  /// + directory to keep ReTraTree partitions on disk.
   explicit Session(storage::Env* env = nullptr,
                    std::string data_dir = "hermes_data");
-
-  // Pinned in place: the settings registry's on-change hooks and every
-  // PreparedStatement/RowCursor hold a pointer to this session.
-  Session(const Session&) = delete;
-  Session& operator=(const Session&) = delete;
-  Session(Session&&) = delete;
-  Session& operator=(Session&&) = delete;
-
-  /// Parses and executes one statement, materializing the full result.
-  /// (Implemented as `ExecuteCursor` drained into a `Table`.)
-  StatusOr<Table> Execute(const std::string& sql);
-
-  /// Parses and executes one statement, returning a pull-based cursor.
-  /// `RANGE` and `S2T_MEMBERS` produce rows incrementally; other
-  /// statements return a cursor over their materialized table. The cursor
-  /// borrows session state: it must not outlive the session, and DDL on
-  /// the MOD it reads invalidates it.
-  StatusOr<std::unique_ptr<RowCursor>> ExecuteCursor(const std::string& sql);
-
-  /// Parses a statement with `$N` placeholders into a reusable handle.
-  StatusOr<PreparedStatement> Prepare(const std::string& sql);
-
-  /// Executes a ';'-separated script, returning the last statement's
-  /// table. Empty statements are skipped; an error in statement k aborts
-  /// the script with the statement's 1-based ordinal prefixed.
-  StatusOr<Table> ExecuteScript(const std::string& sql);
 
   /// Direct access for embedding (e.g. loading a generated scenario).
   Status RegisterStore(const std::string& name, traj::TrajectoryStore store);
   const traj::TrajectoryStore* FindStore(const std::string& name) const;
 
-  /// The run-time settings registry (`SET` / `SHOW` surface).
-  const Settings& settings() const { return settings_; }
-
-  /// Worker threads granted to S2T/QUT statements (`SET hermes.threads`).
-  size_t threads() const { return threads_; }
-
-  /// The session's execution context (nullptr while `threads() == 1`).
-  exec::ExecContext* exec_context() { return exec_.get(); }
-
-  /// Session-accumulated statistics (S2T phase breakdowns, QUT query
-  /// wall times) — the typed source behind `SHOW STATS`.
-  const exec::ExecStats& stats() const { return session_stats_; }
+ protected:
+  Status CreateMod(const Statement& stmt) override;
+  Status DropMod(const Statement& stmt) override;
+  StatusOr<std::pair<size_t, size_t>> LoadMod(
+      const std::string& mod, traj::TrajectoryStore parsed) override;
+  StatusOr<Table> Insert(const Statement& stmt,
+                         std::vector<traj::Trajectory> batch) override;
+  Status Flush(const Statement& stmt) override;
+  Status Checkpoint(const Statement& stmt) override;
+  StatusOr<Table> ServiceStats() override;
+  void AppendStats(Table* table) override;
+  StatusOr<std::unique_ptr<RowCursor>> Qut(
+      const std::string& mod, double wi, double we,
+      const std::vector<double>& tree_params) override;
+  StatusOr<std::shared_ptr<const traj::TrajectoryStore>> Snapshot(
+      const std::string& mod) override;
 
  private:
   struct ModEntry {
+    ModEntry(storage::Env* env, std::string tree_prefix)
+        : tree(env, std::move(tree_prefix)) {}
     traj::TrajectoryStore store;
-    std::unique_ptr<core::ReTraTree> tree;
-    /// (tau, delta, t, d, gamma) the tree was built with.
-    std::vector<double> tree_params;
+    core::QutTreeSlot tree;
   };
 
-  void RegisterSettings();
-  StatusOr<std::unique_ptr<RowCursor>> ExecuteStatement(
-      const Statement& stmt, const std::vector<Value>& binds);
-  StatusOr<std::unique_ptr<RowCursor>> ExecuteSelect(
-      const Statement& stmt, const std::vector<Value>& binds);
-  StatusOr<std::unique_ptr<RowCursor>> ExecuteShow(const Statement& stmt);
+  /// Adds an empty MOD under `key` (which must be absent).
+  ModEntry* AddMod(const std::string& key);
   StatusOr<ModEntry*> FindMod(const std::string& name);
 
   std::unique_ptr<storage::Env> owned_env_;
   storage::Env* env_;
   std::string data_dir_;
   std::map<std::string, ModEntry> mods_;
-  uint64_t tree_seq_ = 0;
-  Settings settings_;
-  exec::ExecStats session_stats_;
-  /// Parallelism of analytic statements; kept in sync with the
-  /// hermes.threads setting by its on-change hook. nullptr = sequential.
-  size_t threads_ = 1;
-  std::unique_ptr<exec::ExecContext> exec_;
 };
 
 }  // namespace hermes::sql

@@ -88,6 +88,10 @@ struct Statement {
   size_t setting_pos = 0;   ///< Byte offset of the setting name token.
   ScalarExpr set_value;     ///< SET right-hand side.
   int num_params = 0;    ///< Highest `$N` placeholder index (0 = none).
+  /// The statement's source text (for a script, just this statement's
+  /// span), so a backend can re-issue it verbatim — the shard
+  /// coordinator's broadcast and scatter paths.
+  std::string text;
 };
 
 /// Parses exactly one statement (trailing ';' optional).

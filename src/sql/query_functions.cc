@@ -145,10 +145,20 @@ StatusOr<std::vector<traj::Trajectory>> BuildInsertTrajectories(
   return out;
 }
 
-bool IsSelectFunction(const std::string& function) {
-  return function == "STATS" || function == "RANGE" || function == "S2T" ||
-         function == "S2T_MEMBERS" || function == "TRACLUS" ||
-         function == "TOPTICS" || function == "CONVOYS";
+StatusOr<traj::TrajectoryStore> ReadLoadFile(const std::string& path) {
+  traj::TrajectoryStore parsed;
+  HERMES_RETURN_NOT_OK(parsed.LoadCsv(path));
+  for (traj::TrajectoryId id = 0; id < parsed.NumTrajectories(); ++id) {
+    HERMES_RETURN_NOT_OK(CheckIngestable(parsed.Get(id)));
+  }
+  return parsed;
+}
+
+Status CheckIngestable(const traj::Trajectory& t) {
+  if (t.size() >= 2) return Status::OK();
+  return Status::InvalidArgument("trajectory for object " +
+                                 std::to_string(t.object_id()) +
+                                 " needs >= 2 samples");
 }
 
 StatusOr<std::unique_ptr<RowCursor>> EvalSelectFunction(
@@ -389,129 +399,6 @@ StatusOr<std::unique_ptr<RowCursor>> EvalSelectFunction(
   }
 
   return Status::NotSupported("unknown function " + function + at);
-}
-
-Table PhaseStatsTable(const exec::ExecStats& session_stats,
-                      const exec::ExecContext* exec) {
-  // Session-accumulated stats plus the live exec context's, merged.
-  std::map<std::string, int64_t> merged = session_stats.PhaseTimings();
-  if (exec != nullptr) {
-    for (const auto& [phase, us] : exec->stats().PhaseTimings()) {
-      merged[phase] += us;
-    }
-  }
-  Table table;
-  table.columns = {{"phase", ValueType::kString},
-                   {"total_us", ValueType::kInt}};
-  for (const auto& [phase, us] : merged) {
-    table.rows.push_back({Value::Str(phase), Value::Int(us)});
-  }
-  return table;
-}
-
-void AccumulateHotTierStats(const core::HotTierStats& s,
-                            core::HotTierStats* total) {
-  total->qut_hot_probes += s.qut_hot_probes;
-  total->qut_cold_probes += s.qut_cold_probes;
-  total->hot_promotions += s.hot_promotions;
-  total->hot_demotions += s.hot_demotions;
-  total->hot_index_bytes += s.hot_index_bytes;
-  total->hot_partitions += s.hot_partitions;
-  total->hot_pins_total += s.hot_pins_total;
-}
-
-void AppendHotTierRows(const core::HotTierStats& tier, Table* table) {
-  auto row = [table](const char* name, uint64_t v) {
-    table->rows.push_back(
-        {Value::Str(name), Value::Int(static_cast<int64_t>(v))});
-  };
-  row("qut_hot_probes", tier.qut_hot_probes);
-  row("qut_cold_probes", tier.qut_cold_probes);
-  row("hot_promotions", tier.hot_promotions);
-  row("hot_demotions", tier.hot_demotions);
-  row("hot_index_bytes", tier.hot_index_bytes);
-  row("hot_partitions", tier.hot_partitions);
-  row("hot_pins_total", tier.hot_pins_total);
-}
-
-StatusOr<Table> SettingsShowTable(const Settings& settings,
-                                  const Statement& stmt) {
-  Table table;
-  table.columns = {{"name", ValueType::kString},
-                   {"value", ValueType::kNull},  // Native type per setting.
-                   {"type", ValueType::kString},
-                   {"description", ValueType::kString}};
-  auto row = [](const Settings::Setting& s) {
-    return std::vector<Value>{Value::Str(s.name), s.value,
-                              Value::Str(ValueTypeName(s.type())),
-                              Value::Str(s.description)};
-  };
-  if (stmt.setting == "all") {
-    for (const Settings::Setting* s : settings.All()) {
-      table.rows.push_back(row(*s));
-    }
-    return table;
-  }
-  const Settings::Setting* s = settings.Find(stmt.setting);
-  if (s == nullptr) {
-    return Status::NotSupported("unrecognized setting " + stmt.setting +
-                                ErrorLocation(stmt.setting_pos, stmt.setting));
-  }
-  table.rows.push_back(row(*s));
-  return table;
-}
-
-StatusOr<Table> RunScript(
-    const std::string& sql,
-    const std::function<StatusOr<std::unique_ptr<RowCursor>>(
-        const Statement&)>& run) {
-  HERMES_ASSIGN_OR_RETURN(std::vector<Statement> stmts, ParseScript(sql));
-  if (stmts.empty()) return Status::InvalidArgument("empty script");
-  Table last;
-  for (size_t k = 0; k < stmts.size(); ++k) {
-    auto prefix = [&] { return "statement " + std::to_string(k + 1) + ": "; };
-    if (stmts[k].num_params > 0) {
-      return Status::InvalidArgument(
-          prefix() + "script statements cannot carry $N placeholders");
-    }
-    auto cursor = run(stmts[k]);
-    if (!cursor.ok()) {
-      return Status(cursor.status().code(),
-                    prefix() + cursor.status().message());
-    }
-    auto table = (*cursor)->ToTable();
-    if (!table.ok()) {
-      return Status(table.status().code(),
-                    prefix() + table.status().message());
-    }
-    last = std::move(*table);
-  }
-  return last;
-}
-
-void SwapExecContext(size_t n, std::unique_ptr<exec::ExecContext>* exec,
-                     exec::ExecStats* archive) {
-  // A context's thread count is fixed at construction; the retiring
-  // context's phase timings fold into the archive so SHOW STATS keeps
-  // accumulating across the swap.
-  if (*exec != nullptr && archive != nullptr) {
-    for (const auto& [phase, us] : (*exec)->stats().PhaseTimings()) {
-      archive->RecordPhaseUs(phase, us);
-    }
-  }
-  *exec = n > 1 ? std::make_unique<exec::ExecContext>(n) : nullptr;
-}
-
-core::ReTraTreeParams MakeQutTreeParams(
-    const std::vector<double>& tree_params) {
-  core::ReTraTreeParams params;
-  params.tau = tree_params[0];
-  params.delta = tree_params[1];
-  params.t_align = tree_params[2];
-  params.d_assign = tree_params[3];
-  params.gamma = static_cast<size_t>(tree_params[4]);
-  params.s2t.SetSigma(params.d_assign).SetEpsilon(params.d_assign);
-  return params;
 }
 
 StatusOr<std::unique_ptr<RowCursor>> QutQuery(core::ReTraTree* tree,

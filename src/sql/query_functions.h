@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/statusor.h"
+#include "core/qut_tree_slot.h"
 #include "core/retratree.h"
 #include "exec/exec_context.h"
 #include "sql/cursor.h"
@@ -95,14 +96,11 @@ StatusOr<std::string> ResolveSelectModName(const Statement& stmt,
 /// embedded session's map and the service server's catalog both follow.
 std::string CanonicalModName(const std::string& name);
 
-/// True when `EvalSelectFunction` implements `function`.
-bool IsSelectFunction(const std::string& function);
-
 /// \brief Evaluates one SELECT function — STATS / RANGE / S2T /
 /// S2T_MEMBERS / TRACLUS / TOPTICS / CONVOYS — against `env`. `at` is the
 /// error-location suffix anchored at the function token. `QUT` is *not*
-/// handled here: it needs ReTraTree ownership, which each frontend
-/// manages itself (see `QutQuery`).
+/// handled here: it reads a backend's `core::QutTreeSlot` (see
+/// `QutQuery`).
 StatusOr<std::unique_ptr<RowCursor>> EvalSelectFunction(
     const std::string& function, const std::vector<double>& args,
     const QueryEnv& env, const std::string& at);
@@ -113,18 +111,26 @@ StatusOr<std::unique_ptr<RowCursor>> QutQuery(core::ReTraTree* tree,
                                               double wi, double we,
                                               exec::ExecStats* session_stats);
 
-/// Maps the SQL `QUT(D, Wi, We, tau, delta, t, d, gamma)` tail — the 5
-/// tree parameters — onto `ReTraTreeParams`, including the
-/// sigma = epsilon = d convention for the buffer re-clustering runs.
-/// One definition so the embedded session and the service server cannot
-/// build differently-parameterized trees for the same statement.
-core::ReTraTreeParams MakeQutTreeParams(const std::vector<double>& tree_params);
+/// The QUT tree-parameter mapping (see `core::MakeQutTreeParams`).
+using core::MakeQutTreeParams;
 
 /// Evaluates the rows of an INSERT statement into one trajectory per
 /// object id (grouped in ascending object order, samples in row order),
 /// resolving `$N` binds.
 StatusOr<std::vector<traj::Trajectory>> BuildInsertTrajectories(
     const Statement& stmt, const std::vector<Value>& binds);
+
+/// Parses a LOAD file (obj_id,t,x,y CSV) into a scratch store, one
+/// trajectory per object id in ascending order; fails like
+/// `CheckIngestable` before anything is loaded.
+StatusOr<traj::TrajectoryStore> ReadLoadFile(const std::string& path);
+
+/// The ingest precondition of LOAD files and of queued (service and
+/// sharded) INSERTs: a trajectory needs >= 2 samples, since one sample
+/// forms no segment. `InvalidArgument` otherwise. The embedded session's
+/// synchronous INSERT stores such points anyway; its QUT tree leaves
+/// them out (`core::QutTreeSlot`).
+Status CheckIngestable(const traj::Trajectory& t);
 
 /// Resolves a scalar: the literal itself, or the bound value of `$N`.
 StatusOr<Value> EvalScalar(const ScalarExpr& e,
@@ -139,42 +145,6 @@ Table AckTable(std::string status);
 
 /// Cursor over an eagerly-built table.
 std::unique_ptr<RowCursor> MakeTableCursor(Table table);
-
-/// `SHOW STATS` table: the session archive merged with the live
-/// context's phase timings (when one exists).
-Table PhaseStatsTable(const exec::ExecStats& session_stats,
-                      const exec::ExecContext* exec);
-
-/// Folds `s` into `total` field-by-field — `SHOW STATS` aggregates the
-/// hot-tier counters across every built ReTraTree (one per MOD here, one
-/// per shared MOD in the service catalog).
-void AccumulateHotTierStats(const core::HotTierStats& s,
-                            core::HotTierStats* total);
-
-/// Appends the hot/cold tier counter rows (`qut_hot_probes`,
-/// `qut_cold_probes`, `hot_index_bytes`, ...) to a `SHOW STATS`-shaped
-/// table: counter name in the phase column, value in the total column.
-void AppendHotTierRows(const core::HotTierStats& tier, Table* table);
-
-/// `SHOW hermes.<name>` / `SHOW ALL` table over a registry; unknown
-/// names fail with the statement's error location.
-StatusOr<Table> SettingsShowTable(const Settings& settings,
-                                  const Statement& stmt);
-
-/// The ';'-script loop shared by both frontends: parses, rejects `$N`
-/// placeholders, executes each statement via `run`, prefixes errors with
-/// `statement k:`, and returns the last statement's table.
-StatusOr<Table> RunScript(
-    const std::string& sql,
-    const std::function<StatusOr<std::unique_ptr<RowCursor>>(
-        const Statement&)>& run);
-
-/// The shared `hermes.threads` on-change reaction: folds the retiring
-/// context's phase timings into `archive` (so SHOW STATS keeps
-/// accumulating) and swaps in a fresh context — nullptr when `n == 1`,
-/// since a sequential session needs no pool.
-void SwapExecContext(size_t n, std::unique_ptr<exec::ExecContext>* exec,
-                     exec::ExecStats* archive);
 
 }  // namespace hermes::sql
 

@@ -2,7 +2,6 @@
 #define HERMES_SQL_STATEMENT_EXECUTOR_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +13,7 @@
 
 namespace hermes::sql {
 
+class FrontEnd;
 class Session;
 
 /// \brief Handle returned by `StatementExecutor::Prepare`: an
@@ -36,8 +36,9 @@ struct PreparedHandle {
 ///
 /// Prepared statements are id-keyed (the wire protocol's model): the
 /// executor chooses the id, `BindExecute` binds `$1..$n` positionally
-/// from `binds` and executes. Backends whose native Prepare returns a
-/// `PreparedStatement` adapt through `PreparedStatementMapExecutor`.
+/// from `binds` and executes. The session backends (every
+/// `sql::FrontEnd`) keep an id -> `PreparedStatement` map behind
+/// `MakeStatementExecutor`.
 ///
 /// Thread safety: one executor serves one client thread, exactly like
 /// the sessions it wraps.
@@ -71,25 +72,12 @@ class StatementExecutor {
   virtual Status Flush();
 };
 
-/// \brief Adapter base for frontends whose native Prepare returns a
-/// `sql::PreparedStatement`: keeps the id -> handle map and implements
-/// the id-keyed `Prepare` / `BindExecute` / `ClosePrepared` on top of
-/// one virtual, `PrepareStatement`.
-class PreparedStatementMapExecutor : public StatementExecutor {
- public:
-  StatusOr<PreparedHandle> Prepare(const std::string& sql) override;
-  StatusOr<Table> BindExecute(uint32_t id,
-                              const std::vector<Value>& binds) override;
-  Status ClosePrepared(uint32_t id) override;
-
- protected:
-  virtual StatusOr<PreparedStatement> PrepareStatement(
-      const std::string& sql) = 0;
-
- private:
-  std::map<uint32_t, PreparedStatement> prepared_;
-  uint32_t next_id_ = 1;
-};
+/// Wraps a session's front end (a `service::ClientSession`, a
+/// coordinator session, ...), owning it. Statements run synchronously
+/// against the front end, so FLUSH's default (execute the statement,
+/// discard the ack) is exact.
+std::unique_ptr<StatementExecutor> MakeStatementExecutor(
+    std::unique_ptr<FrontEnd> front_end);
 
 /// Wraps the embedded `sql::Session` (non-owning; the session must
 /// outlive the executor and every cursor it returned).

@@ -272,6 +272,45 @@ TEST(RecoveryTest, QutResultsSurviveCheckpointAndRestart) {
   }
 }
 
+TEST(RecoveryTest, QutAfterCheckpointIngestAndRestartMatchesFreshServer) {
+  // The shared tree keeps catching up after a checkpoint, so a restart
+  // must not reopen the tree directory the checkpoint saw: it rebuilds
+  // from the recovered store and answers like a server that never died.
+  const std::string qut =
+      "SELECT QUT(SHIPS, 0, 100000, 3000, 750, 750, 1600, 4);";
+  auto env = storage::Env::NewMemEnv();
+  const traj::TrajectoryStore ships = MakeMaritime(12);
+  sql::Table before;
+  {
+    auto server = StartDurable(env.get());
+    ASSERT_TRUE(server->CreateMod("ships").ok());
+    ASSERT_TRUE(server->EnqueueInsert("ships", Slice(ships, 0, 6)).ok());
+    ASSERT_TRUE(server->Flush().ok());
+    ASSERT_TRUE(server->Connect()->Execute(qut).ok());  // builds the tree
+    ASSERT_TRUE(server->Checkpoint().ok());
+    ASSERT_TRUE(server->EnqueueInsert("ships", Slice(ships, 6, 12)).ok());
+    ASSERT_TRUE(server->Flush().ok());  // the worker catches the tree up
+    auto got = server->Connect()->Execute(qut);
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    before = std::move(got).value();
+  }
+  auto restarted = StartDurable(env.get());
+  auto after = restarted->Connect()->Execute(qut);
+  ASSERT_TRUE(after.ok()) << after.status().message();
+
+  auto fresh = std::move(Server::Start(ServerOptions{})).value();
+  traj::TrajectoryStore copy = ships;
+  ASSERT_TRUE(fresh->RegisterStore("ships", std::move(copy)).ok());
+  auto expected = fresh->Connect()->Execute(qut);
+  ASSERT_TRUE(expected.ok()) << expected.status().message();
+
+  EXPECT_GE(expected->rows.size(), 2u);  // A cluster, not just outliers.
+  ASSERT_EQ(before.rows.size(), expected->rows.size());
+  ASSERT_EQ(after->rows.size(), expected->rows.size());
+  EXPECT_EQ(before.rows, expected->rows);
+  EXPECT_EQ(after->rows, expected->rows);
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection: torn writes, fsync failure, failed checkpoints
 // ---------------------------------------------------------------------------

@@ -13,12 +13,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 #include "datagen/aircraft.h"
 #include "datagen/maritime.h"
 #include "datagen/urban.h"
@@ -588,6 +592,292 @@ TEST(StatementExecutorParityTest, EmbeddedServiceCoordinatorAndWireAgree) {
   net->Shutdown();
   coord->Shutdown();
   server->Shutdown();
+}
+
+/// The four backends of the parity tests, each over its own empty
+/// catalog: embedded session, service session, 2-shard coordinator, and
+/// a wire client fronting another service server.
+struct Backends {
+  Backends() {
+    embedded_db = sql::MakeSessionExecutor(&session);
+    server = std::move(service::Server::Start(service::ServerOptions{}))
+                 .value();
+    service_db = service::MakeStatementExecutor(server->Connect());
+    service::ServiceConfig config;
+    config.shards = 2;
+    coord = std::move(Coordinator::Start(config)).value();
+    coord_db = coord->Connect();
+    wire_server = std::move(service::Server::Start(service::ServerOptions{}))
+                      .value();
+    net = std::move(net::NetServer::Start(wire_server.get(),
+                                          net::NetServerOptions{}))
+              .value();
+    wire_db = net::MakeStatementExecutor(
+        std::move(net::Client::Connect("127.0.0.1", net->port())).value());
+  }
+  ~Backends() {
+    net->Shutdown();
+    coord->Shutdown();
+    server->Shutdown();
+    wire_server->Shutdown();
+  }
+
+  std::vector<sql::StatementExecutor*> All() {
+    return {embedded_db.get(), service_db.get(), coord_db.get(),
+            wire_db.get()};
+  }
+
+  sql::Session session;
+  std::unique_ptr<sql::StatementExecutor> embedded_db;
+  std::unique_ptr<service::Server> server;
+  std::unique_ptr<sql::StatementExecutor> service_db;
+  std::unique_ptr<Coordinator> coord;
+  std::unique_ptr<sql::StatementExecutor> coord_db;
+  std::unique_ptr<service::Server> wire_server;
+  std::unique_ptr<net::NetServer> net;
+  std::unique_ptr<sql::StatementExecutor> wire_db;
+};
+
+/// QUT over the whole time domain with a tree that forms clusters on the
+/// maritime domain; `split` varies the tree parameters.
+std::string ClusteringQut(const std::string& mod,
+                          const traj::TrajectoryStore& store, double split) {
+  const auto [t0, t1] = store.TimeDomain();
+  const double tau = (t1 - t0) / split;
+  return "SELECT QUT(" + mod + ", " + std::to_string(t0) + ", " +
+         std::to_string(t1 + 1) + ", " + std::to_string(tau) + ", " +
+         std::to_string(tau / 4) + ", " + std::to_string(tau / 4) +
+         ", 1600, 4);";
+}
+
+TEST(StatementExecutorParityTest, InterleavedIngestAndQutAgreeAcrossBackends) {
+  // Each backend keeps its QUT tree its own way — the embedded session
+  // and the service catch it up after ingest, the coordinator rebuilds
+  // it when its merge moves — and every answer must match bit for bit.
+  const auto store = MakeMaritime();
+  Backends b;
+  std::vector<std::vector<Table>> answers;
+  for (sql::StatementExecutor* db : b.All()) {
+    std::vector<Table> got;
+    ASSERT_TRUE(db->Execute("CREATE MOD ships;").ok());
+    traj::TrajectoryId next = 0;
+    for (const traj::TrajectoryId upto : {4, 7, 12}) {
+      for (; next < upto; ++next) {
+        ASSERT_TRUE(InsertTrajectory(db, "ships", store.Get(next)).ok());
+      }
+      ASSERT_TRUE(db->Flush().ok());
+      // New parameters rebuild; the repeat after the next ingest round
+      // catches up (or, sharded, rebuilds).
+      for (const double split : {8.0, 6.0}) {
+        for (const std::string& q :
+             {ClusteringQut("ships", store, split),
+              std::string("SELECT STATS(ships);")}) {
+          auto t = db->Execute(q);
+          ASSERT_TRUE(t.ok()) << q << ": " << t.status().ToString();
+          got.push_back(std::move(*t));
+        }
+      }
+    }
+    answers.push_back(std::move(got));
+  }
+  bool clustered = false;  // Some QUT answer holds a cluster.
+  for (const Table& t : answers[0]) {
+    clustered = clustered || (t.columns[0].name == "cluster_id" &&
+                              t.rows.size() >= 2);
+  }
+  EXPECT_TRUE(clustered);
+  for (size_t k = 1; k < answers.size(); ++k) {
+    ASSERT_EQ(answers[k].size(), answers[0].size());
+    for (size_t q = 0; q < answers[0].size(); ++q) {
+      ExpectTablesEqual(answers[0][q], answers[k][q],
+                        "backend " + std::to_string(k) + " answer " +
+                            std::to_string(q));
+    }
+  }
+  EXPECT_GE(b.server->Stats().tree_catchups, 1u);
+}
+
+TEST(StatementExecutorParityTest, OneSampleObjectsChangeNothing) {
+  const auto store = MakeMaritime();
+  const std::string csv =
+      (std::filesystem::temp_directory_path() / "hermes_one_sample.csv")
+          .string();
+  {
+    // Two well-formed objects and one with a single sample.
+    std::ofstream out(csv);
+    out << "obj_id,t,x,y\n"
+        << "500,0,0,0\n500,60,100,0\n"
+        << "501,0,10,10\n"
+        << "502,0,50,50\n502,60,150,50\n";
+  }
+  // Several objects, so the statement spans both shards; one of them
+  // has a single sample.
+  std::string insert = "INSERT INTO ships VALUES (999, 0, 0, 0)";
+  for (int id = 1000; id < 1008; ++id) {
+    insert += ", (" + std::to_string(id) + ", 0, 0, 0), (" +
+              std::to_string(id) + ", 60, 100, 0)";
+  }
+  insert += ";";
+  const std::string qut = ClusteringQut("ships", store, 8.0);
+
+  Backends b;
+  std::vector<Table> quts;
+  for (sql::StatementExecutor* db : b.All()) {
+    ASSERT_TRUE(db->Execute("CREATE MOD ships;").ok());
+    for (traj::TrajectoryId i = 0; i < store.NumTrajectories(); ++i) {
+      ASSERT_TRUE(InsertTrajectory(db, "ships", store.Get(i)).ok());
+    }
+    ASSERT_TRUE(db->Flush().ok());
+    auto before = db->Execute("SELECT STATS(ships);");
+    ASSERT_TRUE(before.ok());
+
+    auto load = db->Execute("LOAD MOD ships FROM '" + csv + "';");
+    ASSERT_FALSE(load.ok());
+    EXPECT_EQ(load.status().code(), StatusCode::kInvalidArgument)
+        << load.status().ToString();
+    auto fresh = db->Execute("LOAD MOD other FROM '" + csv + "';");
+    ASSERT_FALSE(fresh.ok());
+    EXPECT_EQ(fresh.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(db->Execute("SELECT STATS(other);").ok());  // No phantom.
+
+    if (db != b.embedded_db.get()) {
+      // Queued ingest rejects the whole statement before any shard
+      // queues its part. (The embedded session applies INSERT
+      // synchronously and stores such points; its QUT tree skips them.)
+      auto ins = db->Execute(insert);
+      ASSERT_FALSE(ins.ok());
+      EXPECT_EQ(ins.status().code(), StatusCode::kInvalidArgument)
+          << ins.status().ToString();
+    }
+    ASSERT_TRUE(db->Flush().ok());
+    auto after = db->Execute("SELECT STATS(ships);");
+    ASSERT_TRUE(after.ok());
+    ExpectTablesEqual(*before, *after, "STATS");
+
+    auto q = db->Execute(qut);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    quts.push_back(std::move(*q));
+  }
+  // The embedded session's stored points leave QUT untouched.
+  ASSERT_TRUE(b.embedded_db->Execute(insert).ok());
+  auto q = b.embedded_db->Execute(qut);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  quts.push_back(std::move(*q));
+  for (size_t k = 1; k < quts.size(); ++k) {
+    ExpectTablesEqual(quts[0], quts[k], "QUT " + std::to_string(k));
+  }
+  EXPECT_EQ(b.server->Stats().ingest_errors, 0u);
+  std::filesystem::remove(csv);
+}
+
+// ---------------------------------------------------------------------------
+// QUT tree lifecycle: retired trees leave no files behind
+// ---------------------------------------------------------------------------
+
+/// Forwards to a MemEnv and tracks which files exist, so a test can see
+/// which tree directories still hold files.
+class TrackingEnv final : public storage::Env {
+ public:
+  StatusOr<std::unique_ptr<storage::RandomRWFile>> NewRWFile(
+      const std::string& fname) override {
+    {
+      common::MutexLock lock(&mu_);
+      files_.insert(fname);
+    }
+    return base_->NewRWFile(fname);
+  }
+  bool FileExists(const std::string& fname) const override {
+    return base_->FileExists(fname);
+  }
+  Status DeleteFile(const std::string& fname) override {
+    Status st = base_->DeleteFile(fname);
+    common::MutexLock lock(&mu_);
+    if (st.ok()) files_.erase(fname);
+    return st;
+  }
+  Status RenameFile(const std::string& src, const std::string& dst) override {
+    Status st = base_->RenameFile(src, dst);
+    common::MutexLock lock(&mu_);
+    if (st.ok()) {
+      files_.erase(src);
+      files_.insert(dst);
+    }
+    return st;
+  }
+  Status CreateDirs(const std::string& dirname) override {
+    return base_->CreateDirs(dirname);
+  }
+  StatusOr<std::vector<std::string>> ListDir(
+      const std::string& dirname) const override {
+    return base_->ListDir(dirname);
+  }
+
+  /// Directories holding at least one file whose directory name contains
+  /// `marker`.
+  std::set<std::string> DirsWith(const std::string& marker) const {
+    common::MutexLock lock(&mu_);
+    std::set<std::string> dirs;
+    for (const std::string& f : files_) {
+      const std::string dir = f.substr(0, f.rfind('/'));
+      if (dir.find(marker) != std::string::npos) dirs.insert(dir);
+    }
+    return dirs;
+  }
+
+ private:
+  std::unique_ptr<storage::Env> base_ = storage::Env::NewMemEnv();
+  mutable common::Mutex mu_;
+  std::set<std::string> files_ GUARDED_BY(mu_);
+};
+
+TEST(QutTreeLifecycleTest, RetiredTreesLeaveOneTreeOfFilesPerMod) {
+  // Every round ingests, then queries with parameters the tree was not
+  // built with (or, sharded, over a merge that moved): 20 retired trees.
+  const auto store = MakeMaritime();
+  constexpr int kRounds = 20;
+  auto rounds = [&](sql::StatementExecutor* db) {
+    ASSERT_TRUE(db->Execute("CREATE MOD ships;").ok());
+    ASSERT_TRUE(db->Execute("CREATE MOD boats;").ok());
+    for (int r = 0; r < kRounds; ++r) {
+      const traj::Trajectory& t = store.Get(r % store.NumTrajectories());
+      ASSERT_TRUE(InsertTrajectory(db, "ships", t).ok());
+      ASSERT_TRUE(InsertTrajectory(db, "boats", t).ok());
+      ASSERT_TRUE(db->Flush().ok());
+      for (const char* mod : {"ships", "boats"}) {
+        auto q = db->Execute(ClusteringQut(mod, store, r % 2 ? 8.0 : 6.0));
+        ASSERT_TRUE(q.ok()) << q.status().ToString();
+      }
+    }
+  };
+  {
+    TrackingEnv env;
+    sql::Session session(&env, "embedded");
+    auto db = sql::MakeSessionExecutor(&session);
+    rounds(db.get());
+    EXPECT_EQ(env.DirsWith("tree_").size(), 2u);
+  }
+  {
+    TrackingEnv env;
+    service::ServerOptions opts;
+    opts.data_dir = "served";
+    auto server = std::move(service::Server::Start(opts, &env)).value();
+    auto db = service::MakeStatementExecutor(server->Connect());
+    rounds(db.get());
+    EXPECT_EQ(env.DirsWith("tree_").size(), 2u);
+    db.reset();
+    server->Shutdown();
+  }
+  {
+    TrackingEnv env;
+    service::ServiceConfig config;
+    config.shards = 2;
+    auto coord = std::move(Coordinator::Start(config, &env)).value();
+    auto db = coord->Connect();
+    rounds(db.get());
+    EXPECT_EQ(env.DirsWith("tree_").size(), 2u);
+    db.reset();
+    coord->Shutdown();
+  }
 }
 
 }  // namespace
