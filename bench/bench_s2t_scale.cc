@@ -2,9 +2,10 @@
 // and per-phase breakdown as the MOD grows — the "efficient and scalable
 // solutions for sub-trajectory clustering" claim — plus a thread sweep of
 // the exec fast path at the largest MOD. The sweep now covers every
-// parallel phase: arena build, STR sorts, voting probe (per-chunk index
-// handles) + kernel, and both NaTS segmentation passes, with the
-// probe/kernel and DP/materialize splits reported separately.
+// parallel phase: arena build, STR sorts, voting probe (row chunks over
+// one in-memory R-tree, no locks) + kernel, and both NaTS segmentation
+// passes, with the probe/kernel and DP/materialize splits reported
+// separately.
 //
 // Besides the usual console report, every (N, threads) point is appended
 // to `BENCH_s2t.json` in the working directory, so successive PRs can

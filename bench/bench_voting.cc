@@ -68,8 +68,8 @@ void BM_VotingIndexed(benchmark::State& state) {
   state.counters["pairs"] = static_cast<double>(pairs);
 }
 
-// Multi-threaded indexed voting (identical output, private index handles
-// per worker).
+// Multi-threaded indexed voting over a persisted index (identical output;
+// the index is copied into an in-memory R-tree probed without locks).
 void BM_VotingParallel(benchmark::State& state) {
   const auto store = MakeMod(160);
   auto env = hermes::storage::Env::NewMemEnv();

@@ -2,8 +2,7 @@
 
 #include <chrono>
 
-#include "rtree/str_bulk_load.h"
-#include "storage/env.h"
+#include "rtree/mem_rtree3d.h"
 
 namespace hermes::core {
 
@@ -37,21 +36,24 @@ StatusOr<S2TResult> S2TClustering::Run(const traj::TrajectoryStore& store,
   timings.arena_build_us = NowUs() - t0;
 
   if (!params_.use_index) {
-    return RunPhases(arena, store, nullptr, nullptr, timings, ctx);
+    return RunPhases(
+        store,
+        [&] {
+          return voting::ComputeVotingNaive(arena, store, params_.voting, ctx);
+        },
+        timings, ctx);
   }
-  auto env = storage::Env::NewMemEnv();
   t0 = NowUs();
-  HERMES_ASSIGN_OR_RETURN(
-      std::unique_ptr<rtree::RTree3D> index,
-      rtree::BuildSegmentIndex(env.get(), "s2t.idx", arena,
-                               /*fill_factor=*/0.9, /*cache_pages=*/512,
-                               ctx));
+  const std::unique_ptr<rtree::MemRTree3D> index =
+      rtree::BuildMemSegmentIndex(arena, /*fill_factor=*/0.9, ctx);
   timings.index_build_us = NowUs() - t0;
-  // The freshly bulk-loaded (and flushed) file backs the parallel probe's
-  // per-chunk read handles.
-  const voting::IndexProbeSource probe{env.get(), "s2t.idx",
-                                       /*cache_pages=*/512};
-  return RunPhases(arena, store, index.get(), &probe, timings, ctx);
+  return RunPhases(
+      store,
+      [&] {
+        return voting::ComputeVotingIndexed(arena, store, *index,
+                                            params_.voting, ctx);
+      },
+      timings, ctx);
 }
 
 StatusOr<S2TResult> S2TClustering::RunWithIndex(
@@ -61,28 +63,24 @@ StatusOr<S2TResult> S2TClustering::RunWithIndex(
   const int64_t t0 = NowUs();
   const traj::SegmentArena arena = traj::SegmentArena::Build(store, ctx);
   timings.arena_build_us = NowUs() - t0;
-  return RunPhases(arena, store, &index, nullptr, timings, ctx);
+  return RunPhases(
+      store,
+      [&] {
+        return voting::ComputeVotingIndexed(arena, store, index,
+                                            params_.voting, ctx);
+      },
+      timings, ctx);
 }
 
 StatusOr<S2TResult> S2TClustering::RunPhases(
-    const traj::SegmentArena& arena, const traj::TrajectoryStore& store,
-    const rtree::RTree3D* index, const voting::IndexProbeSource* probe,
+    const traj::TrajectoryStore& store, const VoteFn& vote,
     S2TTimings timings, exec::ExecContext* ctx) const {
   S2TResult result;
   result.timings = timings;
 
   // Phase 1a: voting.
   int64_t t0 = NowUs();
-  if (index != nullptr) {
-    HERMES_ASSIGN_OR_RETURN(
-        result.voting,
-        voting::ComputeVotingIndexed(arena, store, *index, params_.voting,
-                                     ctx, probe));
-  } else {
-    HERMES_ASSIGN_OR_RETURN(
-        result.voting,
-        voting::ComputeVotingNaive(arena, store, params_.voting, ctx));
-  }
+  HERMES_ASSIGN_OR_RETURN(result.voting, vote());
   result.timings.voting_us = NowUs() - t0;
   result.timings.voting_probe_us = result.voting.probe_us;
   result.timings.voting_kernel_us = result.voting.kernel_us;

@@ -1,6 +1,7 @@
 #ifndef HERMES_CORE_S2T_CLUSTERING_H_
 #define HERMES_CORE_S2T_CLUSTERING_H_
 
+#include <functional>
 #include <vector>
 
 #include "clustering/greedy_clustering.h"
@@ -25,7 +26,9 @@ struct S2TParams {
   segmentation::NatsParams segmentation;
   sampling::SamplingParams sampling;
   clustering::ClusteringParams clustering;
-  /// Use the pg3D-Rtree voting engine (the in-DBMS fast path).
+  /// Use the indexed voting engine (the in-DBMS fast path): candidate
+  /// pairs are pruned by range queries on an in-memory STR R-tree probed
+  /// without locks. Off runs the naive all-pairs engine.
   bool use_index = true;
 
   /// Sets the spatial bandwidth sigma everywhere it appears. All three
@@ -132,30 +135,30 @@ class S2TClustering {
 
   /// Runs the full pipeline. A columnar `SegmentArena` is snapshotted
   /// first and shared by index construction and voting (its cost is
-  /// reported in `timings.arena_build_us`); when `params.use_index` a
-  /// transient in-memory pg3D-Rtree is STR-built over the arena (reported
-  /// in `timings.index_build_us`). `ctx` parallelizes the arena build,
-  /// the STR sort phases, the voting probe (per-chunk read handles over
-  /// the freshly built index file) and kernel, and both NaTS segmentation
-  /// passes; results are identical at any thread count.
+  /// reported in `timings.arena_build_us`); when `params.use_index` an
+  /// in-memory STR R-tree is bulk-loaded over the arena (reported in
+  /// `timings.index_build_us`) and probed without locks. `ctx`
+  /// parallelizes the arena build, the STR sort phases, the voting probe
+  /// and kernel, and both NaTS segmentation passes; results are identical
+  /// at any thread count.
   StatusOr<S2TResult> Run(const traj::TrajectoryStore& store,
                           exec::ExecContext* ctx = nullptr) const;
 
-  /// Runs with a caller-provided segment index (e.g. the ReTraTree's
-  /// per-partition index, or the scenario-2 baseline's freshly built one).
-  /// The probe stays on the calling thread here — a borrowed handle's
-  /// backing file is not known to be re-openable — but every other phase
-  /// still fans out over `ctx`.
+  /// Runs with a caller-provided paged segment index (e.g. the scenario-2
+  /// baseline's freshly built one). Voting copies the index's entries into
+  /// an in-memory tree (charged to the voting probe, not to
+  /// `index_build_us`); every phase fans out over `ctx`.
   StatusOr<S2TResult> RunWithIndex(const traj::TrajectoryStore& store,
                                    const rtree::RTree3D& index,
                                    exec::ExecContext* ctx = nullptr) const;
 
  private:
-  StatusOr<S2TResult> RunPhases(const traj::SegmentArena& arena,
-                                const traj::TrajectoryStore& store,
-                                const rtree::RTree3D* index,
-                                const voting::IndexProbeSource* probe,
-                                S2TTimings timings,
+  using VoteFn = std::function<StatusOr<voting::VotingResult>()>;
+
+  /// Times `vote` as the voting phase, then runs segmentation, sampling
+  /// and clustering.
+  StatusOr<S2TResult> RunPhases(const traj::TrajectoryStore& store,
+                                const VoteFn& vote, S2TTimings timings,
                                 exec::ExecContext* ctx) const;
 
   S2TParams params_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <utility>
 
 #include "service/client_session.h"
@@ -39,9 +40,10 @@ Status ValidateServerOptions(const ServerOptions& options) {
     return Status::InvalidArgument(
         "session_defaults.threads must be in [1, 1024]");
   }
-  if (!(d.sigma > 0.0) || !(d.epsilon > 0.0)) {
+  if (!std::isfinite(d.sigma) || d.sigma <= 0.0 ||
+      !std::isfinite(d.epsilon) || d.epsilon <= 0.0) {
     return Status::InvalidArgument(
-        "session_defaults.sigma/epsilon must be > 0");
+        "session_defaults.sigma/epsilon must be finite and > 0");
   }
   if (d.use_index != 0 && d.use_index != 1) {
     return Status::InvalidArgument("session_defaults.use_index must be 0/1");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <utility>
 
@@ -231,6 +232,13 @@ StatusOr<std::unique_ptr<RowCursor>> EvalSelectFunction(
     // Trailing args omitted -> session defaults (SET hermes.sigma/...).
     const double sigma = args.size() >= 1 ? args[0] : env.default_sigma;
     const double eps = args.size() >= 2 ? args[1] : env.default_epsilon;
+    for (const auto& [name, v] : {std::pair{"sigma", sigma}, {"eps", eps}}) {
+      if (!std::isfinite(v) || v <= 0.0) {
+        return Status::InvalidArgument(function + " " + name +
+                                       " must be finite and > 0, got " +
+                                       Value::Double(v).ToString() + at);
+      }
+    }
     core::S2TParams params;
     params.SetSigma(sigma).SetEpsilon(eps);
     params.use_index = env.use_index;

@@ -121,9 +121,10 @@ Status RegisterHermesSettings(
       }));
   auto positive = [](const char* name) {
     return [name](const Value& v) {
-      if (!(v.AsDouble() > 0.0)) {
+      if (!std::isfinite(v.AsDouble()) || v.AsDouble() <= 0.0) {
         return Status::InvalidArgument(std::string(name) +
-                                       " must be > 0, got " + v.ToString());
+                                       " must be finite and > 0, got " +
+                                       v.ToString());
       }
       return Status::OK();
     };

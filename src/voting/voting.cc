@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/mathutil.h"
@@ -111,19 +112,21 @@ void RunVoteKernel(const traj::SegmentArena& arena,
   }
 }
 
-/// Candidates of arena row `r`, against index handle `index`: owners of
-/// every segment intersecting the row's MBB expanded by the kernel
-/// truncation radius, minus the row's own trajectory, sorted +
-/// deduplicated. This per-row list is a pure function of (index file,
-/// row), which is what lets the parallel probe stitch per-chunk output
-/// back together bit-identically.
-Status ProbeRow(const traj::SegmentArena& arena, const rtree::RTree3D& index,
-                double radius, size_t r, std::vector<uint64_t>* hits,
-                std::vector<traj::TrajectoryId>* candidates) {
+/// Rows per probe chunk. Fixed, so the chunking (and with it the
+/// `voting_probe_handles` count) is the same at any thread count.
+constexpr size_t kProbeGrain = 512;
+
+/// Candidates of arena row `r`: owners of every segment intersecting the
+/// row's MBB expanded by the kernel truncation radius, minus the row's own
+/// trajectory, sorted + deduplicated. This per-row list is a pure function
+/// of (index entries, row), which is what lets the parallel probe stitch
+/// per-chunk output back together bit-identically.
+void ProbeRow(const traj::SegmentArena& arena, const rtree::MemRTree3D& index,
+              double radius, size_t r, std::vector<uint64_t>* hits,
+              std::vector<traj::TrajectoryId>* candidates) {
   const traj::TrajectoryId tid = arena.owner(r);
   const geom::Mbb3D query = arena.BoundsOf(r).Expanded(radius, 0.0);
-  HERMES_RETURN_NOT_OK(
-      index.SearchInto(query, rtree::QueryMode::kIntersects, hits));
+  index.SearchInto(query, rtree::QueryMode::kIntersects, hits);
   candidates->clear();
   for (uint64_t datum : *hits) {
     const traj::SegmentRef ref = rtree::UnpackSegmentRef(datum);
@@ -132,77 +135,37 @@ Status ProbeRow(const traj::SegmentArena& arena, const rtree::RTree3D& index,
   std::sort(candidates->begin(), candidates->end());
   candidates->erase(std::unique(candidates->begin(), candidates->end()),
                     candidates->end());
-  return Status::OK();
 }
 
-/// The probe phase: per-segment candidate lists in CSR form. Fans out over
-/// `ctx` when `probe` names the index's backing file — each chunk opens a
-/// private read-only handle (buffer pools are not thread-safe, files are)
-/// — and falls back to a sequential sweep over the caller's `index`
-/// handle otherwise.
-StatusOr<CandidateLists> ProbeCandidates(const traj::SegmentArena& arena,
-                                         const rtree::RTree3D& index,
-                                         const VotingParams& params,
-                                         exec::ExecContext* ctx,
-                                         const IndexProbeSource* probe) {
+/// The probe phase: per-segment candidate lists in CSR form. Chunks of
+/// rows fan out over `ctx`, all reading the one immutable tree without
+/// locks; each chunk appends to its own list.
+CandidateLists ProbeCandidates(const traj::SegmentArena& arena,
+                               const rtree::MemRTree3D& index,
+                               const VotingParams& params,
+                               exec::ExecContext* ctx) {
   const size_t rows = arena.num_segments();
   const double radius = params.cutoff_sigmas * params.sigma;
-  CandidateLists cands;
-  cands.offsets.assign(rows + 1, 0);
-
-  const size_t threads = ctx != nullptr ? ctx->threads() : 1;
-  const bool parallel = threads > 1 && rows > 1 && probe != nullptr &&
-                        probe->env != nullptr;
-  if (!parallel) {
-    std::vector<uint64_t> hits;  // Reused across segments.
-    std::vector<traj::TrajectoryId> candidates;
-    for (size_t r = 0; r < rows; ++r) {
-      HERMES_RETURN_NOT_OK(
-          ProbeRow(arena, index, radius, r, &hits, &candidates));
-      cands.tids.insert(cands.tids.end(), candidates.begin(),
-                        candidates.end());
-      cands.offsets[r + 1] = cands.tids.size();
-    }
-    return cands;
-  }
-
-  // One chunk (and one private handle) per thread; the handles are opened
-  // up front on the calling thread, so the fan-out body does pure reads.
-  const size_t grain = (rows + threads - 1) / threads;
-  const size_t chunks = exec::NumChunks(rows, grain);
-  std::vector<std::unique_ptr<rtree::RTree3D>> handles(chunks);
-  for (auto& handle : handles) {
-    HERMES_ASSIGN_OR_RETURN(
-        handle,
-        rtree::RTree3D::Open(probe->env, probe->fname, probe->cache_pages));
-  }
+  const size_t chunks = exec::NumChunks(rows, kProbeGrain);
   std::vector<std::vector<traj::TrajectoryId>> chunk_tids(chunks);
-  std::vector<Status> chunk_status(chunks, Status::OK());
   std::vector<uint32_t> row_counts(rows, 0);
-  exec::ParallelFor(ctx, rows, grain,
+  exec::ParallelFor(ctx, rows, kProbeGrain,
                     [&](size_t begin, size_t end, size_t chunk) {
-    const rtree::RTree3D& handle = *handles[chunk];
-    std::vector<uint64_t> hits;
+    std::vector<uint64_t> hits;  // Reused across the chunk's rows.
     std::vector<traj::TrajectoryId> candidates;
     for (size_t r = begin; r < end; ++r) {
-      const Status st =
-          ProbeRow(arena, handle, radius, r, &hits, &candidates);
-      if (!st.ok()) {
-        chunk_status[chunk] = st;
-        return;
-      }
+      ProbeRow(arena, index, radius, r, &hits, &candidates);
       row_counts[r] = static_cast<uint32_t>(candidates.size());
       chunk_tids[chunk].insert(chunk_tids[chunk].end(), candidates.begin(),
                                candidates.end());
     }
   });
-  for (const Status& st : chunk_status) {
-    HERMES_RETURN_NOT_OK(st);
-  }
 
   // Stitch the CSR back together in row order. Chunks cover ascending,
   // disjoint row ranges, so concatenating per-chunk lists in chunk order
   // reproduces the sequential layout exactly.
+  CandidateLists cands;
+  cands.offsets.assign(rows + 1, 0);
   for (size_t r = 0; r < rows; ++r) {
     cands.offsets[r + 1] = cands.offsets[r] + row_counts[r];
   }
@@ -217,12 +180,18 @@ StatusOr<CandidateLists> ProbeCandidates(const traj::SegmentArena& arena,
   return cands;
 }
 
+Status ValidateParams(const VotingParams& params) {
+  // Written so NaN fails too; +inf would widen the probe to everything.
+  if (!(params.sigma > 0.0) || !std::isfinite(params.sigma)) {
+    return Status::InvalidArgument("sigma must be finite and positive");
+  }
+  return Status::OK();
+}
+
 Status ValidateVotingInputs(const traj::SegmentArena& arena,
                             const traj::TrajectoryStore& store,
                             const VotingParams& params) {
-  if (params.sigma <= 0.0) {
-    return Status::InvalidArgument("sigma must be positive");
-  }
+  HERMES_RETURN_NOT_OK(ValidateParams(params));
   if (arena.num_trajectories() != store.NumTrajectories()) {
     return Status::InvalidArgument(
         "segment arena is stale: trajectory count differs from store");
@@ -236,6 +205,31 @@ void SizeResult(const traj::TrajectoryStore& store, VotingResult* result) {
   for (traj::TrajectoryId tid = 0; tid < n; ++tid) {
     result->votes[tid].assign(store.Get(tid).NumSegments(), 0.0);
   }
+}
+
+/// The indexed engine after validation: probe, then kernel. `probe_start`
+/// is when the probe phase began, so a caller that first has to prepare
+/// the tree (the paged adapter) charges that work to the probe too.
+VotingResult VoteIndexed(const traj::SegmentArena& arena,
+                         const traj::TrajectoryStore& store,
+                         const rtree::MemRTree3D& index,
+                         const VotingParams& params, exec::ExecContext* ctx,
+                         int64_t probe_start) {
+  VotingResult result;
+  SizeResult(store, &result);
+
+  // Probe phase. Range query: spatial expansion by the kernel truncation
+  // radius, exact lifespan in time. Any trajectory that could cast a
+  // non-zero vote has at least one segment intersecting the box.
+  const CandidateLists cands = ProbeCandidates(arena, index, params, ctx);
+  result.pairs_evaluated = cands.tids.size();
+  result.probe_us = NowUs() - probe_start;
+  if (ctx != nullptr) {
+    ctx->stats().RecordPhaseUs("voting_probe", result.probe_us);
+  }
+
+  RunVoteKernel(arena, store, params, cands, ctx, &result);
+  return result;
 }
 
 }  // namespace
@@ -289,36 +283,35 @@ StatusOr<VotingResult> ComputeVotingNaive(const traj::SegmentArena& arena,
 
 StatusOr<VotingResult> ComputeVotingIndexed(const traj::SegmentArena& arena,
                                             const traj::TrajectoryStore& store,
-                                            const rtree::RTree3D& index,
+                                            const rtree::MemRTree3D& index,
                                             const VotingParams& params,
-                                            exec::ExecContext* ctx,
-                                            const IndexProbeSource* probe) {
+                                            exec::ExecContext* ctx) {
   HERMES_RETURN_NOT_OK(ValidateVotingInputs(arena, store, params));
-  VotingResult result;
-  SizeResult(store, &result);
+  return VoteIndexed(arena, store, index, params, ctx, NowUs());
+}
 
-  // Probe phase. Range query: spatial expansion by the kernel truncation
-  // radius, exact lifespan in time. Any trajectory that could cast a
-  // non-zero vote has at least one segment intersecting the box.
+StatusOr<VotingResult> ComputeVotingIndexed(
+    const traj::SegmentArena& arena, const traj::TrajectoryStore& store,
+    const rtree::RTree3D& index, const VotingParams& params,
+    exec::ExecContext* ctx, const IndexProbeSource* /*probe*/) {
+  HERMES_RETURN_NOT_OK(ValidateVotingInputs(arena, store, params));
+  // Copy the paged index's current entries (not the arena's rows) into an
+  // in-memory tree, then probe that: same candidate sets, no pager.
   const int64_t probe_start = NowUs();
+  const double inf = std::numeric_limits<double>::infinity();
   HERMES_ASSIGN_OR_RETURN(
-      const CandidateLists cands,
-      ProbeCandidates(arena, index, params, ctx, probe));
-  result.pairs_evaluated = cands.tids.size();
-  result.probe_us = NowUs() - probe_start;
-  if (ctx != nullptr) {
-    ctx->stats().RecordPhaseUs("voting_probe", result.probe_us);
-  }
-
-  RunVoteKernel(arena, store, params, cands, ctx, &result);
-  return result;
+      const std::vector<rtree::RTreeHit> entries,
+      index.SearchHits(geom::Mbb3D(-inf, -inf, -inf, inf, inf, inf)));
+  std::vector<std::pair<geom::Mbb3D, uint64_t>> items;
+  items.reserve(entries.size());
+  for (const rtree::RTreeHit& e : entries) items.emplace_back(e.box, e.datum);
+  const std::unique_ptr<rtree::MemRTree3D> mem =
+      rtree::MemRTree3D::BulkLoad(std::move(items), /*fill_factor=*/0.9, ctx);
+  return VoteIndexed(arena, store, *mem, params, ctx, probe_start);
 }
 
 StatusOr<VotingResult> ComputeVotingNaive(const traj::TrajectoryStore& store,
                                           const VotingParams& params) {
-  if (params.sigma <= 0.0) {
-    return Status::InvalidArgument("sigma must be positive");
-  }
   const traj::SegmentArena arena = traj::SegmentArena::Build(store);
   return ComputeVotingNaive(arena, store, params, nullptr);
 }
@@ -326,9 +319,6 @@ StatusOr<VotingResult> ComputeVotingNaive(const traj::TrajectoryStore& store,
 StatusOr<VotingResult> ComputeVotingIndexed(const traj::TrajectoryStore& store,
                                             const rtree::RTree3D& index,
                                             const VotingParams& params) {
-  if (params.sigma <= 0.0) {
-    return Status::InvalidArgument("sigma must be positive");
-  }
   const traj::SegmentArena arena = traj::SegmentArena::Build(store);
   return ComputeVotingIndexed(arena, store, index, params, nullptr);
 }
@@ -337,9 +327,7 @@ StatusOr<VotingResult> ComputeVotingParallel(
     const traj::TrajectoryStore& store, storage::Env* env,
     const std::string& index_file, const VotingParams& params,
     size_t num_threads) {
-  if (params.sigma <= 0.0) {
-    return Status::InvalidArgument("sigma must be positive");
-  }
+  HERMES_RETURN_NOT_OK(ValidateParams(params));
   if (num_threads == 0) {
     return Status::InvalidArgument("need at least one thread");
   }
@@ -350,17 +338,15 @@ StatusOr<VotingResult> ComputeVotingParallel(
                           rtree::RTree3D::Open(env, index_file));
   exec::ExecContext ctx(num_threads);
   const traj::SegmentArena arena = traj::SegmentArena::Build(store, &ctx);
-  const IndexProbeSource probe{env, index_file, /*cache_pages=*/256};
-  return ComputeVotingIndexed(arena, store, *index, params, &ctx, &probe);
+  return ComputeVotingIndexed(arena, store, *index, params, &ctx);
 }
 
 StatusOr<VotingResult> ComputeVoting(const traj::TrajectoryStore& store,
                                      const VotingParams& params) {
-  auto env = storage::Env::NewMemEnv();
-  HERMES_ASSIGN_OR_RETURN(
-      std::unique_ptr<rtree::RTree3D> index,
-      rtree::BuildSegmentIndex(env.get(), "voting.idx", store));
-  return ComputeVotingIndexed(store, *index, params);
+  const traj::SegmentArena arena = traj::SegmentArena::Build(store);
+  const std::unique_ptr<rtree::MemRTree3D> index =
+      rtree::BuildMemSegmentIndex(arena);
+  return ComputeVotingIndexed(arena, store, *index, params, nullptr);
 }
 
 }  // namespace hermes::voting

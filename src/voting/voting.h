@@ -7,6 +7,7 @@
 #include "common/status.h"
 #include "common/statusor.h"
 #include "exec/exec_context.h"
+#include "rtree/mem_rtree3d.h"
 #include "rtree/rtree3d.h"
 #include "storage/env.h"
 #include "traj/segment_arena.h"
@@ -49,12 +50,10 @@ struct VotingResult {
   double MeanVoting(traj::TrajectoryId tid) const;
 };
 
-/// \brief Where the probe phase can open additional read-only pg3D-Rtree
-/// handles over the index being probed (the `ComputeVotingParallel`
-/// trick): each `ParallelFor` chunk gets a private handle — and with it a
-/// private, non-thread-safe buffer pool — over the shared immutable index
-/// file. The file must hold the complete index (builders flush after bulk
-/// load) and must not be written while voting runs.
+/// \brief A paged index's backing file. Accepted and ignored by the paged
+/// overload of `ComputeVotingIndexed`: the probe runs on an in-memory STR
+/// R-tree that every chunk reads without locks, so no chunk opens a
+/// handle of its own. Kept only so existing callers compile.
 struct IndexProbeSource {
   storage::Env* env = nullptr;
   std::string fname;
@@ -66,9 +65,10 @@ struct IndexProbeSource {
 /// Two engines with identical output:
 ///  - `ComputeVotingNaive` — the "corresponding PostgreSQL function":
 ///    every segment is compared against every other trajectory, O(S·N).
-///  - `ComputeVotingIndexed` — the in-DBMS fast path: a pg3D-Rtree range
+///  - `ComputeVotingIndexed` — the in-DBMS fast path: a pg3D R-tree range
 ///    query (segment MBB expanded by the kernel truncation radius) prunes
-///    the candidate set first.
+///    the candidate set first. The range queries run on an in-memory STR
+///    R-tree (`rtree::MemRTree3D`) probed without locks.
 ///
 /// Both consume a columnar `SegmentArena` snapshot and an optional
 /// `ExecContext`. The vote kernel is partitioned by trajectory: every
@@ -76,19 +76,26 @@ struct IndexProbeSource {
 /// per-segment, per-candidate accumulation order as the sequential engine,
 /// so the result is bit-for-bit identical at any thread count.
 ///
-/// The indexed engine's probe phase fans out too when `probe` names the
-/// index's backing file: each chunk probes through its own read-only
-/// handle, and per-segment candidate lists (sorted + deduplicated per
-/// segment, exactly as in the sequential sweep) are stitched back in
-/// segment order — so the CSR candidate structure, and with it the votes,
-/// stay bit-identical at any thread count. Without a `probe` source the
-/// probe stays on the calling thread (the caller's handle owns a
-/// non-thread-safe buffer pool).
+/// The indexed engine's probe fans out too: fixed-size row chunks share
+/// the one immutable tree, and per-segment candidate lists (sorted +
+/// deduplicated per segment) are stitched back in row order — so the CSR
+/// candidate structure, and with it the votes, stay bit-identical at any
+/// thread count. The chunk count is recorded in `ctx`'s stats under
+/// "voting_probe_handles".
 StatusOr<VotingResult> ComputeVotingNaive(const traj::SegmentArena& arena,
                                           const traj::TrajectoryStore& store,
                                           const VotingParams& params,
                                           exec::ExecContext* ctx = nullptr);
 
+StatusOr<VotingResult> ComputeVotingIndexed(const traj::SegmentArena& arena,
+                                            const traj::TrajectoryStore& store,
+                                            const rtree::MemRTree3D& index,
+                                            const VotingParams& params,
+                                            exec::ExecContext* ctx = nullptr);
+
+/// Paged adapter: copies `index`'s current entries (one full-domain scan,
+/// so removed entries stay out) into an in-memory tree and votes on that.
+/// The copy is charged to `probe_us`. `probe` is ignored.
 StatusOr<VotingResult> ComputeVotingIndexed(const traj::SegmentArena& arena,
                                             const traj::TrajectoryStore& store,
                                             const rtree::RTree3D& index,
@@ -106,17 +113,16 @@ StatusOr<VotingResult> ComputeVotingIndexed(const traj::TrajectoryStore& store,
                                             const rtree::RTree3D& index,
                                             const VotingParams& params);
 
-/// Convenience: builds a temporary in-memory segment index, then runs the
-/// indexed engine.
+/// Convenience: builds a temporary in-memory segment index over a fresh
+/// arena, then runs the indexed engine.
 StatusOr<VotingResult> ComputeVoting(const traj::TrajectoryStore& store,
                                      const VotingParams& params);
 
 /// \brief Multi-threaded indexed voting over a persisted index.
 /// `index_file` must name an existing segment index under `env` (e.g.
-/// built by `rtree::BuildSegmentIndex`). Both phases fan out over
-/// `num_threads`: the probe through per-chunk read handles on
-/// `index_file`, the vote kernel over trajectory chunks. Output is
-/// identical to the single-threaded engines.
+/// built by `rtree::BuildSegmentIndex`). Its entries are copied into an
+/// in-memory tree (the paged adapter above); both phases then fan out over
+/// `num_threads`. Output is identical to the single-threaded engines.
 StatusOr<VotingResult> ComputeVotingParallel(
     const traj::TrajectoryStore& store, storage::Env* env,
     const std::string& index_file, const VotingParams& params,

@@ -110,6 +110,32 @@ TEST(S2TTest, RunWithExternalIndex) {
   EXPECT_EQ(result->timings.index_build_us, 0);  // Build not charged here.
 }
 
+TEST(S2TTest, RunWithIndexProbesInParallelBitIdentically) {
+  traj::TrajectoryStore store = datagen::MakeParallelLanes(
+      3, 4, 700.0, 600.0, 10.0, 10.0, /*seed=*/11, /*jitter=*/2.0);
+  auto env = storage::Env::NewMemEnv();
+  auto index = rtree::BuildSegmentIndex(env.get(), "ext4.idx", store);
+  ASSERT_TRUE(index.ok());
+  S2TClustering s2t(LaneParams());
+  exec::ExecContext one(1);
+  exec::ExecContext four(4);
+  auto base = s2t.RunWithIndex(store, **index, &one);
+  auto run = s2t.RunWithIndex(store, **index, &four);
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(base->voting.votes, run->voting.votes);
+  EXPECT_EQ(base->voting.pairs_evaluated, run->voting.pairs_evaluated);
+  EXPECT_EQ(base->representatives, run->representatives);
+  ASSERT_EQ(base->NumClusters(), run->NumClusters());
+  for (size_t c = 0; c < base->NumClusters(); ++c) {
+    EXPECT_EQ(base->clustering.clusters[c].members,
+              run->clustering.clusters[c].members);
+  }
+  EXPECT_EQ(base->clustering.outliers, run->clustering.outliers);
+  EXPECT_GT(four.stats().Counter("voting_probe_handles"), 0);
+  EXPECT_EQ(run->timings.index_build_us, 0);
+}
+
 TEST(S2TTest, TimingsArePopulated) {
   traj::TrajectoryStore store = datagen::MakeParallelLanes(
       2, 3, 400.0, 500.0, 10.0, 10.0, /*seed=*/3, /*jitter=*/1.0);

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -695,6 +696,32 @@ TEST(StatementExecutorParityTest, InterleavedIngestAndQutAgreeAcrossBackends) {
     }
   }
   EXPECT_GE(b.server->Stats().tree_catchups, 1u);
+}
+
+TEST(StatementExecutorParityTest, NonFiniteS2TBandwidthsRejectedEverywhere) {
+  const auto store = MakeMaritime();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Backends b;
+  for (sql::StatementExecutor* db : b.All()) {
+    ASSERT_TRUE(db->Execute("CREATE MOD ships;").ok());
+    for (traj::TrajectoryId i = 0; i < 4; ++i) {
+      ASSERT_TRUE(InsertTrajectory(db, "ships", store.Get(i)).ok());
+    }
+    ASSERT_TRUE(db->Flush().ok());
+    for (const char* bad : {"SELECT S2T_MEMBERS(ships, 1e999, 3000);",
+                            "SELECT S2T_MEMBERS(ships, 800, 1e999);"}) {
+      EXPECT_TRUE(db->Execute(bad).status().IsInvalidArgument()) << bad;
+    }
+    auto prepared = db->Prepare("SELECT S2T_MEMBERS(ships, $1, $2);");
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    EXPECT_TRUE(db->BindExecute(prepared->id,
+                                {Value::Double(nan), Value::Double(3000)})
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(db->BindExecute(prepared->id,
+                                {Value::Double(800), Value::Double(1600)})
+                    .ok());
+  }
 }
 
 TEST(StatementExecutorParityTest, OneSampleObjectsChangeNothing) {

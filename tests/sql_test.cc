@@ -2,6 +2,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <utility>
 
 #include "datagen/noise.h"
 #include "sql/cursor.h"
@@ -757,6 +759,49 @@ TEST_F(SqlSessionTest, S2TUsesSessionDefaultsWhenArgsOmitted) {
   auto partial = session_.Execute("SELECT S2T(lanes, 30);");
   ASSERT_TRUE(partial.ok());
   EXPECT_EQ(explicit_args->rows, partial->rows);
+}
+
+TEST_F(SqlSessionTest, S2TRejectsNonFiniteOrNonPositiveBandwidths) {
+  // Regression: `1e999` (+inf) used to run and NaN binds produced an
+  // all-outlier table, while SET already refused the same values.
+  traj::TrajectoryStore lanes = datagen::MakeParallelLanes(
+      2, 4, 2000.0, 800.0, 10.0, 10.0, /*seed=*/3, /*jitter=*/1.0);
+  ASSERT_TRUE(session_.RegisterStore("lanes", std::move(lanes)).ok());
+  for (const char* bad :
+       {"SELECT S2T_MEMBERS(lanes, 1e999, 60);",
+        "SELECT S2T_MEMBERS(lanes, 30, 1e999);",
+        "SELECT S2T(lanes, -1e999, 60);", "SELECT S2T(lanes, 0, 60);",
+        "SELECT S2T(lanes, 30, -5);"}) {
+    auto r = session_.Execute(bad);
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << bad;
+    EXPECT_NE(r.status().ToString().find("finite and > 0"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+
+  auto prepared = session_.Prepare("SELECT S2T_MEMBERS(lanes, $1, $2);");
+  ASSERT_TRUE(prepared.ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [sigma, eps] :
+       {std::pair{nan, 60.0}, {30.0, nan}, {inf, 60.0}, {30.0, -inf}}) {
+    ASSERT_TRUE(prepared->Bind(1, Value::Double(sigma)).ok());
+    ASSERT_TRUE(prepared->Bind(2, Value::Double(eps)).ok());
+    EXPECT_TRUE(prepared->Execute().status().IsInvalidArgument())
+        << sigma << ", " << eps;
+  }
+  ASSERT_TRUE(prepared->Bind(1, Value::Double(30)).ok());
+  ASSERT_TRUE(prepared->Bind(2, Value::Double(60)).ok());
+  EXPECT_TRUE(prepared->Execute().ok());
+
+  // The session defaults hold the same line.
+  EXPECT_TRUE(session_.Execute("SET hermes.sigma = 1e999;")
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(session_.Execute("SET hermes.epsilon = -1e999;")
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(session_.Execute("SELECT S2T(lanes);").ok());
 }
 
 TEST_F(SqlSessionTest, UseIndexSettingSwitchesEngineBitExactly) {

@@ -1,7 +1,8 @@
 // Naive-vs-indexed voting parity across the three synthetic movement
 // domains (aircraft terminal area, maritime lanes, urban grid), at 1 and 4
-// threads: the in-DBMS fast path must be a pure optimization — identical
-// `VotingResult`s, and bit-for-bit reproducibility at any thread count.
+// threads: the in-DBMS fast path — on the in-memory R-tree or through the
+// paged adapter — must be a pure optimization: identical `VotingResult`s,
+// and bit-for-bit reproducibility at any thread count.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include "datagen/maritime.h"
 #include "datagen/urban.h"
 #include "exec/exec_context.h"
+#include "rtree/mem_rtree3d.h"
 #include "rtree/str_bulk_load.h"
 #include "storage/env.h"
 #include "traj/segment_arena.h"
@@ -118,6 +120,76 @@ TEST(VotingParityTest, NaiveAndIndexedAgreeAcrossScenariosAndThreads) {
       }
     }
     EXPECT_LE(indexed1->pairs_evaluated, naive1->pairs_evaluated);
+  }
+}
+
+TEST(VotingParityTest, InMemoryPagedAdapterAndNaiveAreBitIdentical) {
+  for (auto& sc : MakeScenarios()) {
+    SCOPED_TRACE(sc.name);
+    const traj::SegmentArena arena = traj::SegmentArena::Build(sc.store);
+    auto env = storage::Env::NewMemEnv();
+    auto paged = rtree::BuildSegmentIndex(env.get(), "paged.idx", arena);
+    ASSERT_TRUE(paged.ok());
+    for (size_t threads : {1u, 4u}) {
+      const std::string at = " threads=" + std::to_string(threads);
+      exec::ExecContext ctx(threads);
+      const auto mem = rtree::BuildMemSegmentIndex(arena, 0.9, &ctx);
+      auto in_memory = ComputeVotingIndexed(arena, sc.store, *mem, sc.params,
+                                            &ctx);
+      auto adapter = ComputeVotingIndexed(arena, sc.store, **paged,
+                                          sc.params, &ctx);
+      auto naive = ComputeVotingNaive(arena, sc.store, sc.params, &ctx);
+      ASSERT_TRUE(in_memory.ok());
+      ASSERT_TRUE(adapter.ok());
+      ASSERT_TRUE(naive.ok());
+      ExpectBitIdentical(*in_memory, *adapter, "in-memory vs adapter" + at);
+      // Naive examines every pair; the votes still match bit for bit.
+      naive->pairs_evaluated = in_memory->pairs_evaluated;
+      ExpectBitIdentical(*in_memory, *naive, "in-memory vs naive" + at);
+      EXPECT_GT(ctx.stats().Counter("voting_probe_handles"), 0);
+    }
+  }
+}
+
+TEST(VotingParityTest, PagedAdapterReadsTheIndexAfterRemove) {
+  // The adapter copies the index's current entries, not the arena's rows:
+  // a tree that lost entries to Remove() votes exactly like a fresh tree
+  // holding only the survivors.
+  for (auto& sc : MakeScenarios()) {
+    SCOPED_TRACE(sc.name);
+    const traj::SegmentArena arena = traj::SegmentArena::Build(sc.store);
+    auto env = storage::Env::NewMemEnv();
+    auto pruned = rtree::BuildSegmentIndex(env.get(), "pruned.idx", arena);
+    ASSERT_TRUE(pruned.ok());
+    auto fresh = rtree::RTree3D::Open(env.get(), "fresh.idx");
+    ASSERT_TRUE(fresh.ok());
+    for (size_t r = 0; r < arena.num_segments(); ++r) {
+      const uint64_t datum = rtree::PackSegmentRef(arena.RefOf(r));
+      if (r % 3 == 0) {
+        ASSERT_TRUE((*pruned)->Remove(arena.BoundsOf(r), datum).ok());
+      } else {
+        ASSERT_TRUE((*fresh)->Insert(arena.BoundsOf(r), datum).ok());
+      }
+    }
+    ASSERT_EQ((*pruned)->num_entries(), (*fresh)->num_entries());
+
+    const auto full_mem = rtree::BuildMemSegmentIndex(arena);
+    auto full = ComputeVotingIndexed(arena, sc.store, *full_mem, sc.params);
+    ASSERT_TRUE(full.ok());
+    for (size_t threads : {1u, 4u}) {
+      exec::ExecContext ctx(threads);
+      auto after_remove =
+          ComputeVotingIndexed(arena, sc.store, **pruned, sc.params, &ctx);
+      auto rebuilt =
+          ComputeVotingIndexed(arena, sc.store, **fresh, sc.params, &ctx);
+      ASSERT_TRUE(after_remove.ok());
+      ASSERT_TRUE(rebuilt.ok());
+      ExpectBitIdentical(*after_remove, *rebuilt,
+                         "removed vs fresh, threads=" +
+                             std::to_string(threads));
+      // The removed entries really were left out of the probe.
+      EXPECT_LT(after_remove->pairs_evaluated, full->pairs_evaluated);
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/mathutil.h"
 #include "datagen/noise.h"
@@ -140,6 +141,40 @@ TEST_F(VotingTest, RejectsNonPositiveSigma) {
   ASSERT_TRUE(index.ok());
   EXPECT_TRUE(
       ComputeVotingIndexed(store, **index, bad).status().IsInvalidArgument());
+}
+
+TEST_F(VotingTest, RejectsNonFiniteSigma) {
+  // `sigma <= 0.0` alone let NaN through (every comparison is false).
+  traj::TrajectoryStore store = datagen::MakeParallelLanes(
+      2, 2, 30.0, 500.0, 10.0, 10.0, /*seed=*/3, /*jitter=*/1.0);
+  const traj::SegmentArena arena = traj::SegmentArena::Build(store);
+  const auto mem = rtree::BuildMemSegmentIndex(arena);
+  auto env = storage::Env::NewMemEnv();
+  auto index = rtree::BuildSegmentIndex(env.get(), "nonfinite.idx", arena);
+  ASSERT_TRUE(index.ok());
+  ASSERT_TRUE((*index)->Flush().ok());
+  for (const double sigma : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    VotingParams bad = params_;
+    bad.sigma = sigma;
+    SCOPED_TRACE(sigma);
+    EXPECT_TRUE(ComputeVotingNaive(arena, store, bad)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(ComputeVotingIndexed(arena, store, *mem, bad)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(ComputeVotingIndexed(arena, store, **index, bad)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(ComputeVotingNaive(store, bad).status().IsInvalidArgument());
+    EXPECT_TRUE(ComputeVoting(store, bad).status().IsInvalidArgument());
+    EXPECT_TRUE(ComputeVotingParallel(store, env.get(), "nonfinite.idx", bad,
+                                      2)
+                    .status()
+                    .IsInvalidArgument());
+  }
 }
 
 TEST_F(VotingTest, VoteForRespectsOverlapRatio) {
