@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -45,17 +44,7 @@ Client::~Client() {
 void Client::CloseWrite() { shutdown(fd_, SHUT_WR); }
 
 Status Client::SendRaw(const void* data, size_t size) {
-  const char* p = static_cast<const char*>(data);
-  size_t off = 0;
-  while (off < size) {
-    const ssize_t w = send(fd_, p + off, size - off, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("send: ") + std::strerror(errno));
-    }
-    off += static_cast<size_t>(w);
-  }
-  return Status::OK();
+  return SendAll(fd_, data, size);
 }
 
 Status Client::SendExecute(const std::string& sql) {
@@ -96,49 +85,9 @@ Status Client::SendClosePrepared(uint32_t stmt_id) {
 }
 
 StatusOr<Response> Client::ReadResponse() {
-  for (;;) {
-    std::string body;
-    const FrameScan scan = ScanFrame(rbuf_, &roff_, &body);
-    if (scan == FrameScan::kFrame) {
-      if (roff_ == rbuf_.size()) {
-        rbuf_.clear();
-        roff_ = 0;
-      }
-      return DecodeResponse(body);
-    }
-    if (scan == FrameScan::kOversize) {
-      return Status::Corruption("oversize response frame");
-    }
-    if (receive_timeout_ms_ > 0) {
-      // Bound the wait for the next byte (not the whole response):
-      // what the deadline protects against is a hung or wedged server,
-      // which stops sending entirely.
-      pollfd pfd{fd_, POLLIN, 0};
-      int r = 0;
-      do {
-        r = poll(&pfd, 1, receive_timeout_ms_);
-      } while (r < 0 && errno == EINTR);
-      if (r == 0) {
-        return Status::IOError("receive timeout after " +
-                               std::to_string(receive_timeout_ms_) +
-                               "ms waiting for server response");
-      }
-      if (r < 0) {
-        return Status::IOError(std::string("poll: ") + std::strerror(errno));
-      }
-    }
-    char buf[16 * 1024];
-    const ssize_t r = read(fd_, buf, sizeof(buf));
-    if (r > 0) {
-      rbuf_.append(buf, static_cast<size_t>(r));
-      continue;
-    }
-    if (r < 0 && errno == EINTR) continue;
-    if (r == 0) {
-      return Status::IOError("connection closed by server");
-    }
-    return Status::IOError(std::string("read: ") + std::strerror(errno));
-  }
+  std::string body;
+  HERMES_RETURN_NOT_OK(reader_.Next(&body, receive_timeout_ms_));
+  return DecodeResponse(body);
 }
 
 StatusOr<sql::Table> Client::ReadTable() {

@@ -17,8 +17,12 @@ namespace hermes::net {
 ///
 /// The synchronous calls (`Execute`, `Prepare`, `BindExecute`, `Flush`,
 /// `Ping`) send one request and wait for its response. For pipelining,
-/// use the split halves: `Send*` queues frames onto the socket without
-/// waiting, and `ReadResponse` pops the next response in request order.
+/// use the split halves: `Send*` writes frames to the socket without
+/// waiting, and `ReadResponse` reads the next response in request order.
+/// The server answers one request at a time and blocks while the socket
+/// will not take its answer, so a pipelining caller must keep reading:
+/// one that sends more than the socket buffers hold before its first
+/// read stalls both sides (TCP backpressure, as in libpq's pipeline mode).
 ///
 /// A `kError` response surfaces as a non-OK Status carrying the server's
 /// code and message — so a socket client observes exactly what an
@@ -68,24 +72,23 @@ class Client {
   /// form of `Execute`'s reply for a previously pipelined request.
   StatusOr<sql::Table> ReadTable();
 
-  /// Half-closes the write side (`shutdown(SHUT_WR)`): the server drains
-  /// queued requests, flushes their responses, then closes.
+  /// Half-closes the write side (`shutdown(SHUT_WR)`): the server answers
+  /// every request already sent, then closes.
   void CloseWrite();
 
   /// Bounds how long `ReadResponse` (and every synchronous round-trip)
-  /// waits for the next response byte. 0 (the default) blocks forever —
-  /// the historical behavior. On expiry the call fails with an
-  /// `IOError` and the connection should be abandoned: the
-  /// response stream's framing is still intact, but request/response
-  /// pairing is no longer knowable.
+  /// waits for the next response byte (the same `FrameReader` poll as the
+  /// server's idle timeout). 0 (the default) blocks forever. On expiry
+  /// the call fails with an `IOError` and the connection should be
+  /// abandoned: the response stream's framing is still intact, but
+  /// request/response pairing is no longer knowable.
   void set_receive_timeout_ms(int ms) { receive_timeout_ms_ = ms; }
 
  private:
-  explicit Client(int fd) : fd_(fd) {}
+  explicit Client(int fd) : fd_(fd), reader_(fd, kMaxFrameBytes) {}
 
   int fd_;
-  std::string rbuf_;
-  size_t roff_ = 0;
+  FrameReader reader_;
   int receive_timeout_ms_ = 0;  ///< 0 = no deadline.
 };
 

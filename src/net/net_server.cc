@@ -1,33 +1,111 @@
 #include "net/net_server.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
+#include <map>
+#include <system_error>
 #include <utility>
+
+#include "service/client_session.h"
 
 namespace hermes::net {
 
 namespace {
 
-Status SetNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::IOError(std::string("fcntl(O_NONBLOCK): ") +
-                           std::strerror(errno));
+/// Executes one decoded request on `session`, appending the response
+/// frame to `*out`. `prepared` maps client-chosen wire statement ids to
+/// the executor's own handles; re-PREPARE on a wire id replaces (and
+/// closes) the old one.
+void HandleRequest(sql::StatementExecutor* session,
+                   std::map<uint32_t, sql::PreparedHandle>* prepared,
+                   const StatusOr<Request>& req, std::string* out) {
+  if (!req.ok()) {
+    AppendErrorFrame(req.status(), out);
+    return;
   }
-  return Status::OK();
+  const Request& r = *req;
+  switch (r.op) {
+    case Opcode::kPing:
+      AppendPongFrame(out);
+      return;
+    case Opcode::kExecute:
+    case Opcode::kFlush: {
+      // FLUSH is spelled as a statement so its ack table — and its
+      // drain-the-ingest-queue semantics — match the SQL path exactly.
+      StatusOr<sql::Table> result =
+          session->Execute(r.op == Opcode::kFlush ? "FLUSH" : r.sql);
+      if (!result.ok()) {
+        AppendErrorFrame(result.status(), out);
+      } else {
+        AppendTableFrame(*result, out);
+      }
+      return;
+    }
+    case Opcode::kPrepare: {
+      StatusOr<sql::PreparedHandle> handle = session->Prepare(r.sql);
+      if (!handle.ok()) {
+        AppendErrorFrame(handle.status(), out);
+        return;
+      }
+      // Re-PREPARE on a wire id replaces the old statement; release the
+      // executor's handle so remote backends can reclaim theirs too.
+      auto it = prepared->find(r.stmt_id);
+      if (it != prepared->end()) {
+        (void)session->ClosePrepared(it->second.id);
+      }
+      prepared->insert_or_assign(r.stmt_id, *handle);
+      AppendPreparedFrame(r.stmt_id, static_cast<uint16_t>(handle->num_params),
+                          out);
+      return;
+    }
+    case Opcode::kBindExecute: {
+      auto it = prepared->find(r.stmt_id);
+      if (it == prepared->end()) {
+        AppendErrorFrame(
+            Status::NotFound("no prepared statement with id " +
+                             std::to_string(r.stmt_id)),
+            out);
+        return;
+      }
+      StatusOr<sql::Table> result =
+          session->BindExecute(it->second.id, r.binds);
+      if (!result.ok()) {
+        AppendErrorFrame(result.status(), out);
+      } else {
+        AppendTableFrame(*result, out);
+      }
+      return;
+    }
+    case Opcode::kClosePrepared: {
+      auto it = prepared->find(r.stmt_id);
+      if (it == prepared->end()) {
+        AppendErrorFrame(
+            Status::NotFound("no prepared statement with id " +
+                             std::to_string(r.stmt_id)),
+            out);
+        return;
+      }
+      const Status st = session->ClosePrepared(it->second.id);
+      prepared->erase(it);
+      if (!st.ok()) {
+        AppendErrorFrame(st, out);
+      } else {
+        AppendPongFrame(out);
+      }
+      return;
+    }
+    default:
+      AppendErrorFrame(Status::InvalidArgument("response opcode in request"),
+                       out);
+      return;
+  }
 }
-
-bool WouldBlock(int err) { return err == EAGAIN || err == EWOULDBLOCK; }
 
 }  // namespace
 
@@ -39,8 +117,7 @@ NetServerOptions MakeNetServerOptions(const service::ServiceConfig& config) {
   NetServerOptions opts;
   opts.listen_addr = config.listen_addr;
   opts.port = config.port;
-  opts.max_frame_bytes =
-      config.max_frame_bytes == 0 ? kMaxFrameBytes : config.max_frame_bytes;
+  opts.max_frame_bytes = config.max_frame_bytes;
   opts.backlog = config.backlog;
   opts.idle_timeout_ms = config.idle_timeout_ms;
   return opts;
@@ -54,10 +131,11 @@ StatusOr<std::unique_ptr<NetServer>> NetServer::Start(
   if (!factory) {
     return Status::InvalidArgument("NetServer requires a session factory");
   }
+  if (options.max_frame_bytes == 0) options.max_frame_bytes = kMaxFrameBytes;
   std::unique_ptr<NetServer> net(
       new NetServer(std::move(factory), std::move(options)));
   HERMES_RETURN_NOT_OK(net->Listen());
-  net->loop_ = std::thread([raw = net.get()] { raw->LoopThread(); });
+  net->acceptor_ = std::thread([raw = net.get()] { raw->AcceptLoop(); });
   return net;
 }
 
@@ -69,14 +147,6 @@ StatusOr<std::unique_ptr<NetServer>> NetServer::Start(
 }
 
 Status NetServer::Listen() {
-  int pipefd[2];
-  if (pipe(pipefd) != 0) {
-    return Status::IOError(std::string("pipe: ") + std::strerror(errno));
-  }
-  wake_rd_ = pipefd[0];
-  wake_wr_ = pipefd[1];
-  HERMES_RETURN_NOT_OK(SetNonBlocking(wake_rd_));
-
   listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     return Status::IOError(std::string("socket: ") + std::strerror(errno));
@@ -101,7 +171,6 @@ Status NetServer::Listen() {
   if (listen(listen_fd_, options_.backlog) != 0) {
     return Status::IOError(std::string("listen: ") + std::strerror(errno));
   }
-  HERMES_RETURN_NOT_OK(SetNonBlocking(listen_fd_));
 
   socklen_t len = sizeof(addr);
   if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
@@ -122,360 +191,103 @@ void NetServer::Shutdown() {
     shut_down_ = true;
   }
   stop_.store(true, std::memory_order_release);
-  WakeLoop();
-  if (loop_.joinable()) loop_.join();
-  // The loop has exited: conns_ is ours now. Abort workers (they finish
-  // at most the statement they are executing), join, and close sockets.
+  // shutdown() on a listening socket wakes the blocked accept() (Linux
+  // returns EINVAL); on a connection it wakes a blocked read, poll or
+  // send. The descriptors themselves stay open until their threads join.
+  if (listen_fd_ >= 0) shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
+  for (auto& conn : conns_) shutdown(conn->fd, SHUT_RDWR);
   for (auto& conn : conns_) {
-    {
-      common::MutexLock lock(&conn->mu);
-      conn->abort = true;
-    }
-    conn->cv.notify_all();
-  }
-  for (auto& conn : conns_) {
-    if (conn->worker.joinable()) conn->worker.join();
-    if (conn->fd >= 0) close(conn->fd);
+    conn->thread.join();
+    close(conn->fd);
   }
   conns_.clear();
   if (listen_fd_ >= 0) close(listen_fd_);
-  if (wake_rd_ >= 0) close(wake_rd_);
-  if (wake_wr_ >= 0) close(wake_wr_);
-  listen_fd_ = wake_rd_ = wake_wr_ = -1;
-}
-
-void NetServer::WakeLoop() {
-  const char b = 'w';
-  // A full pipe already guarantees a pending wakeup; EAGAIN is success.
-  ssize_t ignored = write(wake_wr_, &b, 1);
-  (void)ignored;
+  listen_fd_ = -1;
 }
 
 // ---------------------------------------------------------------------------
-// Event loop
+// Accept thread
 // ---------------------------------------------------------------------------
 
-void NetServer::LoopThread() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    // Move worker-produced response bytes into the write buffers and
-    // reap connections whose worker finished and output fully flushed.
-    for (size_t i = 0; i < conns_.size();) {
-      Connection* conn = conns_[i].get();
-      bool done;
-      {
-        common::MutexLock lock(&conn->mu);
-        if (!conn->outbox.empty()) {
-          conn->wbuf.append(conn->outbox);
-          conn->outbox.clear();
-        }
-        done = conn->worker_done;
-      }
-      if (!conn->wbuf.empty()) WriteReady(conn);
-      if (done && conn->woff == conn->wbuf.size()) {
-        bool empty_outbox;
-        {
-          common::MutexLock lock(&conn->mu);
-          empty_outbox = conn->outbox.empty();
-        }
-        if (empty_outbox) {
-          CloseConnection(conn);
-          conns_.erase(conns_.begin() + static_cast<ptrdiff_t>(i));
-          continue;
-        }
-      }
-      ++i;
-    }
-
-    if (options_.idle_timeout_ms > 0) {
-      const auto now = std::chrono::steady_clock::now();
-      for (auto& conn : conns_) {
-        if (conn->stop_reading) continue;
-        const auto idle_ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                now - conn->last_activity)
-                .count();
-        if (idle_ms < options_.idle_timeout_ms) continue;
-        // Expire through the peer-EOF path: queued requests still execute
-        // and their responses still flush; the reaper above closes the
-        // socket once the worker drains and the output hits the wire.
-        conn->stop_reading = true;
-        {
-          common::MutexLock lock(&conn->mu);
-          conn->input_done = true;
-        }
-        conn->cv.notify_all();
-      }
-    }
-
-    std::vector<pollfd> fds;
-    fds.push_back({listen_fd_, POLLIN, 0});
-    fds.push_back({wake_rd_, POLLIN, 0});
-    for (const auto& conn : conns_) {
-      short events = 0;
-      if (!conn->stop_reading) events |= POLLIN;
-      if (conn->woff < conn->wbuf.size()) events |= POLLOUT;
-      fds.push_back({conn->fd, events, 0});
-    }
-
-    // A sub-second idle timeout needs a sub-second sweep cadence.
-    const int timeout_ms =
-        options_.idle_timeout_ms > 0 ? std::min(1000, options_.idle_timeout_ms)
-                                     : 1000;
-    const int n = poll(fds.data(), fds.size(), timeout_ms);
-    if (n < 0 && errno != EINTR) break;
-    if (n <= 0) continue;
-
-    if (fds[1].revents & POLLIN) {
-      char buf[256];
-      while (read(wake_rd_, buf, sizeof(buf)) > 0) {
-      }
-    }
-    if (fds[0].revents & POLLIN) AcceptReady();
-    // conns_ may have grown (accept) but existing order is stable; only
-    // the first `fds.size() - 2` entries were polled.
-    for (size_t i = 0; i + 2 < fds.size() && i < conns_.size(); ++i) {
-      Connection* conn = conns_[i].get();
-      if (fds[i + 2].fd != conn->fd) continue;  // defensive: stale slot
-      if (fds[i + 2].revents & (POLLIN | POLLHUP | POLLERR)) {
-        ReadReady(conn);
-      }
-      if (fds[i + 2].revents & POLLOUT) WriteReady(conn);
-    }
-  }
-}
-
-void NetServer::AcceptReady() {
+void NetServer::AcceptLoop() {
   for (;;) {
     const int fd = accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN or transient accept failure: poll again later.
+    if (stop_.load(std::memory_order_acquire)) {
+      if (fd >= 0) close(fd);
+      return;
     }
-    if (!SetNonBlocking(fd).ok()) {
-      close(fd);
-      continue;
-    }
+    ReapFinished();
+    if (fd < 0) continue;  // EINTR, or a connection reset before accept.
     const int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_unique<Connection>(fd);
-    conn->last_activity = std::chrono::steady_clock::now();
-    conn->session = factory_();
+    auto conn = std::make_unique<Connection>();
+    conn->fd = fd;
     Connection* raw = conn.get();
-    conn->worker = std::thread([this, raw] { WorkerThread(raw); });
+    try {
+      raw->thread = std::thread(
+          [this, raw, session = factory_()]() mutable {
+            Serve(raw, std::move(session));
+          });
+    } catch (const std::system_error&) {
+      close(fd);  // Out of threads: refuse this peer, keep serving others.
+      continue;
+    }
     conns_.push_back(std::move(conn));
   }
 }
 
-void NetServer::ReadReady(Connection* conn) {
-  bool input_closed = false;
-  char buf[16 * 1024];
-  for (;;) {
-    const ssize_t r = read(conn->fd, buf, sizeof(buf));
-    if (r > 0) {
-      conn->rbuf.append(buf, static_cast<size_t>(r));
-      conn->last_activity = std::chrono::steady_clock::now();
+void NetServer::ReapFinished() {
+  for (size_t i = 0; i < conns_.size();) {
+    Connection* conn = conns_[i].get();
+    if (!conn->done.load(std::memory_order_acquire)) {
+      ++i;
       continue;
     }
-    if (r < 0 && errno == EINTR) continue;
-    if (r < 0 && WouldBlock(errno)) break;
-    // Peer EOF (r == 0) or hard error: either way no more requests will
-    // arrive. Already-queued requests still execute and their responses
-    // still flush — a client may shutdown(SHUT_WR) then read the tail.
-    input_closed = true;
-    break;
+    conn->thread.join();
+    close(conn->fd);
+    conns_.erase(conns_.begin() + static_cast<ptrdiff_t>(i));
   }
-
-  // Frame everything available; decoded requests (and decode errors)
-  // queue to the worker in arrival order.
-  bool queued = false;
-  {
-    common::MutexLock lock(&conn->mu);
-    std::string body;
-    for (;;) {
-      const FrameScan scan = ScanFrame(conn->rbuf, &conn->roff, &body,
-                                       options_.max_frame_bytes);
-      if (scan == FrameScan::kNeedMore) break;
-      if (scan == FrameScan::kOversize) {
-        // The length prefix itself is untrustworthy: answer once, then
-        // never frame this stream again; the connection closes after
-        // the error flushes.
-        conn->queue.push_back(Status::InvalidArgument(
-            "frame exceeds max_frame_bytes (" +
-            std::to_string(options_.max_frame_bytes) + ")"));
-        conn->stop_reading = true;
-        conn->input_done = true;
-        queued = true;
-        break;
-      }
-      conn->queue.push_back(DecodeRequest(body));
-      queued = true;
-    }
-    if (input_closed && !conn->input_done) {
-      conn->stop_reading = true;
-      conn->input_done = true;
-      queued = true;
-    }
-  }
-  // Consumed bytes compact away so a pipelining client cannot grow the
-  // buffer unboundedly across requests.
-  if (conn->roff > 0) {
-    conn->rbuf.erase(0, conn->roff);
-    conn->roff = 0;
-  }
-  if (queued) conn->cv.notify_all();
-}
-
-void NetServer::WriteReady(Connection* conn) {
-  while (conn->woff < conn->wbuf.size()) {
-    const ssize_t w =
-        send(conn->fd, conn->wbuf.data() + conn->woff,
-             conn->wbuf.size() - conn->woff, MSG_NOSIGNAL);
-    if (w > 0) {
-      conn->woff += static_cast<size_t>(w);
-      continue;
-    }
-    if (w < 0 && errno == EINTR) continue;
-    if (w < 0 && WouldBlock(errno)) return;  // Short write: resume on POLLOUT.
-    // Peer is gone; drop the remaining output and let the reaper close.
-    conn->wbuf.clear();
-    conn->woff = 0;
-    conn->stop_reading = true;
-    {
-      common::MutexLock lock(&conn->mu);
-      conn->input_done = true;
-    }
-    conn->cv.notify_all();
-    return;
-  }
-  if (conn->woff == conn->wbuf.size()) {
-    conn->wbuf.clear();
-    conn->woff = 0;
-  }
-}
-
-void NetServer::CloseConnection(Connection* conn) {
-  {
-    common::MutexLock lock(&conn->mu);
-    conn->abort = true;
-  }
-  conn->cv.notify_all();
-  if (conn->worker.joinable()) conn->worker.join();
-  if (conn->fd >= 0) close(conn->fd);
-  conn->fd = -1;
 }
 
 // ---------------------------------------------------------------------------
-// Per-connection worker
+// Connection loop
 // ---------------------------------------------------------------------------
 
-void NetServer::WorkerThread(Connection* conn) {
-  for (;;) {
-    StatusOr<Request> req{Request{}};
-    {
-      common::MutexLock lock(&conn->mu);
-      while (conn->queue.empty() && !conn->input_done && !conn->abort) {
-        lock.Wait(conn->cv);
-      }
-      if (conn->abort || (conn->queue.empty() && conn->input_done)) {
-        conn->worker_done = true;
-        break;
-      }
-      req = std::move(conn->queue.front());
-      conn->queue.pop_front();
-    }
-    std::string out;
-    HandleRequest(conn, req, &out);
-    {
-      common::MutexLock lock(&conn->mu);
-      conn->outbox.append(out);
-    }
-    WakeLoop();
-  }
-  WakeLoop();
-}
-
-void NetServer::HandleRequest(Connection* conn, const StatusOr<Request>& req,
-                              std::string* out) {
-  if (!req.ok()) {
-    AppendErrorFrame(req.status(), out);
-    return;
-  }
-  const Request& r = *req;
-  switch (r.op) {
-    case Opcode::kPing:
-      AppendPongFrame(out);
-      return;
-    case Opcode::kExecute:
-    case Opcode::kFlush: {
-      // FLUSH is spelled as a statement so its ack table — and its
-      // drain-the-ingest-queue semantics — match the SQL path exactly.
-      StatusOr<sql::Table> result =
-          conn->session->Execute(r.op == Opcode::kFlush ? "FLUSH" : r.sql);
-      if (!result.ok()) {
-        AppendErrorFrame(result.status(), out);
-      } else {
-        AppendTableFrame(*result, out);
-      }
-      return;
-    }
-    case Opcode::kPrepare: {
-      StatusOr<sql::PreparedHandle> prepared = conn->session->Prepare(r.sql);
-      if (!prepared.ok()) {
-        AppendErrorFrame(prepared.status(), out);
-        return;
-      }
-      // Re-PREPARE on a wire id replaces the old statement; release the
-      // executor's handle so remote backends can reclaim theirs too.
-      auto it = conn->prepared.find(r.stmt_id);
-      if (it != conn->prepared.end()) {
-        (void)conn->session->ClosePrepared(it->second.id);
-      }
-      conn->prepared.insert_or_assign(r.stmt_id, *prepared);
-      AppendPreparedFrame(r.stmt_id,
-                          static_cast<uint16_t>(prepared->num_params), out);
-      return;
-    }
-    case Opcode::kBindExecute: {
-      auto it = conn->prepared.find(r.stmt_id);
-      if (it == conn->prepared.end()) {
+void NetServer::Serve(Connection* conn,
+                      std::unique_ptr<sql::StatementExecutor> session) {
+  std::map<uint32_t, sql::PreparedHandle> prepared;
+  FrameReader reader(conn->fd, options_.max_frame_bytes);
+  std::string body;
+  std::string out;
+  while (!stop_.load(std::memory_order_acquire)) {
+    // Peer EOF (after every frame it sent), idle timeout, a failed read
+    // and Shutdown() all surface here as IOError: stop serving.
+    const Status read = reader.Next(&body, options_.idle_timeout_ms);
+    if (read.IsIOError()) break;
+    out.clear();
+    if (read.ok()) {
+      HandleRequest(session.get(), &prepared, DecodeRequest(body), &out);
+      const size_t bytes = out.size() - 4;  // Frame length after the prefix.
+      if (bytes > options_.max_frame_bytes) {
+        out.clear();
         AppendErrorFrame(
-            Status::NotFound("no prepared statement with id " +
-                             std::to_string(r.stmt_id)),
-            out);
-        return;
+            Status::ResourceExhausted(
+                "response of " + std::to_string(bytes) +
+                " bytes exceeds max_frame_bytes (" +
+                std::to_string(options_.max_frame_bytes) + ")"),
+            &out);
       }
-      StatusOr<sql::Table> result =
-          conn->session->BindExecute(it->second.id, r.binds);
-      if (!result.ok()) {
-        AppendErrorFrame(result.status(), out);
-      } else {
-        AppendTableFrame(*result, out);
-      }
-      return;
+    } else {
+      // Oversize length prefix: answer once, then never frame this
+      // stream again.
+      AppendErrorFrame(read, &out);
     }
-    case Opcode::kClosePrepared: {
-      auto it = conn->prepared.find(r.stmt_id);
-      if (it == conn->prepared.end()) {
-        AppendErrorFrame(
-            Status::NotFound("no prepared statement with id " +
-                             std::to_string(r.stmt_id)),
-            out);
-        return;
-      }
-      const Status st = conn->session->ClosePrepared(it->second.id);
-      conn->prepared.erase(it);
-      if (!st.ok()) {
-        AppendErrorFrame(st, out);
-      } else {
-        AppendPongFrame(out);
-      }
-      return;
-    }
-    default:
-      AppendErrorFrame(Status::InvalidArgument("response opcode in request"),
-                       out);
-      return;
+    if (!SendAll(conn->fd, out.data(), out.size()).ok() || !read.ok()) break;
   }
+  // The peer sees EOF now; the descriptor is closed after the join.
+  shutdown(conn->fd, SHUT_RDWR);
+  conn->done.store(true, std::memory_order_release);
 }
 
 }  // namespace hermes::net

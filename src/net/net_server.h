@@ -2,12 +2,8 @@
 #define HERMES_NET_NET_SERVER_H_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,7 +12,6 @@
 #include "common/mutex.h"
 #include "common/statusor.h"
 #include "net/wire.h"
-#include "service/client_session.h"
 #include "service/server.h"
 #include "service/service_config.h"
 #include "sql/statement_executor.h"
@@ -29,20 +24,22 @@ struct NetServerOptions {
   std::string listen_addr = "127.0.0.1";
   /// 0 picks an ephemeral port; read it back via `port()`.
   uint16_t port = 0;
-  /// Hard per-frame cap; a peer declaring more is disconnected (the
-  /// stream can no longer be framed once the prefix is untrusted).
+  /// Hard per-frame cap in both directions; 0 means `kMaxFrameBytes`. A
+  /// peer declaring a larger request is answered once and disconnected
+  /// (the stream can no longer be framed once the prefix is untrusted); a
+  /// response that would be larger is replaced by a ResourceExhausted
+  /// ERROR and the connection stays.
   uint32_t max_frame_bytes = kMaxFrameBytes;
   int backlog = 128;
-  /// Connections that have sent no request bytes for this long are
-  /// closed through the peer-EOF path: already-queued requests still
-  /// execute and their responses still flush before the socket closes.
-  /// 0 (the default) disables the sweep — the historical behavior.
+  /// A connection whose peer sends no request bytes for this long while
+  /// the server waits for its next request is closed. Time spent
+  /// executing or writing a response does not count. 0 (the default)
+  /// waits forever.
   int idle_timeout_ms = 0;
 };
 
 /// Projects a validated `service::ServiceConfig`'s network scalars into
-/// the net layer's option struct (`max_frame_bytes == 0` resolves to the
-/// wire protocol's default cap).
+/// the net layer's option struct.
 NetServerOptions MakeNetServerOptions(const service::ServiceConfig& config);
 
 /// \brief TCP front end for any statement backend: accepts connections,
@@ -51,31 +48,20 @@ NetServerOptions MakeNetServerOptions(const service::ServiceConfig& config);
 /// in-process `service::Server` session or a shard coordinator session,
 /// indistinguishable on the wire.
 ///
-/// Threading (see docs/ARCHITECTURE.md "Wire protocol"):
-///
-///  - One event-loop thread owns every socket: it accepts, reads and
-///    frames request bytes, and flushes response bytes — non-blocking
-///    fds throughout, with partial reads and short writes resumed on the
-///    next poll cycle.
-///  - Each connection owns one worker thread running its
-///    statement executor (the session layer is one-thread-per-client by
-///    contract, like a PostgreSQL backend). The loop hands decoded
-///    requests to the worker over a small locked queue; the worker
-///    appends encoded responses to the connection outbox and wakes the
-///    loop through a self-pipe. Responses therefore flow back strictly
-///    in request order: pipelined clients may have many requests in
-///    flight, and answers never reorder.
-///  - A request that fails to decode (unknown opcode, truncated payload)
-///    still travels the queue as an error, so its ERROR response stays
-///    in pipeline order and the connection survives. An oversize length
-///    prefix is fatal to the connection only: one ERROR response is
-///    flushed, then the socket closes; the server and every other
-///    connection keep running.
+/// Threading (see docs/ARCHITECTURE.md "Wire protocol"): one accept
+/// thread, plus one thread per connection running a blocking loop, like
+/// a PostgreSQL backend: read a frame, execute it on the connection's own
+/// executor, write the response, read the next. Responses therefore come
+/// back strictly in request order, and a pipelining peer is held back by
+/// TCP backpressure, not by a server-side queue. A frame that fails to
+/// decode (unknown opcode, truncated payload) is answered with an ERROR
+/// in its place and the connection survives; an oversize length prefix
+/// gets one ERROR, then the connection closes.
 ///
 /// Whatever backend the factory's executors reference must outlive the
-/// NetServer. Destruction (or `Shutdown()`) stops accepting, aborts idle
-/// workers, finishes the request each busy worker is executing, and
-/// closes every socket.
+/// NetServer. Destruction (or `Shutdown()`) stops accepting, lets each
+/// busy connection finish the statement it is executing, abandons the
+/// rest, and joins every thread.
 class NetServer {
  public:
   /// Produces one statement executor per accepted connection.
@@ -100,71 +86,34 @@ class NetServer {
   uint16_t port() const { return port_; }
 
  private:
-  /// One accepted socket: loop-thread buffers plus the locked seam to
-  /// its worker thread.
+  /// One accepted socket and the thread serving it. `fd` is closed only
+  /// after `thread` is joined, so a concurrent `Shutdown()` can never
+  /// reach a reused descriptor number.
   struct Connection {
-    explicit Connection(int fd_in) : fd(fd_in) {}
-
-    // --- Event-loop-thread-only state (no lock needed) ---
-    int fd;
-    std::string rbuf;        ///< Unconsumed request bytes.
-    size_t roff = 0;         ///< Frames before this offset are consumed.
-    std::string wbuf;        ///< Response bytes being written.
-    size_t woff = 0;         ///< Bytes of `wbuf` already on the wire.
-    bool stop_reading = false;  ///< Framing poisoned or peer EOF.
-    /// When the last inbound bytes arrived (accept counts); drives the
-    /// idle sweep. steady_clock so wall-clock jumps cannot expire peers.
-    std::chrono::steady_clock::time_point last_activity;
-
-    // --- Loop <-> worker seam ---
-    common::Mutex mu;
-    std::condition_variable cv;  ///< Signals the worker: work / done / abort.
-    /// Decoded requests in arrival order; a failed decode rides along as
-    /// its error so responses keep pipeline order.
-    std::deque<StatusOr<Request>> queue GUARDED_BY(mu);
-    /// No further requests will ever be queued (peer EOF or poisoned
-    /// framing): the worker drains and exits.
-    bool input_done GUARDED_BY(mu) = false;
-    /// Server shutdown: the worker abandons queued requests and exits.
-    bool abort GUARDED_BY(mu) = false;
-    /// Encoded response frames not yet moved to `wbuf`.
-    std::string outbox GUARDED_BY(mu);
-    bool worker_done GUARDED_BY(mu) = false;
-
-    // --- Worker-thread-only state ---
-    std::thread worker;
-    std::unique_ptr<sql::StatementExecutor> session;
-    /// Client-chosen wire statement ids mapped to the executor's own
-    /// handles; re-PREPARE on a wire id replaces (and closes) the old one.
-    std::map<uint32_t, sql::PreparedHandle> prepared;
+    int fd = -1;
+    std::thread thread;
+    std::atomic<bool> done{false};  ///< Set as `thread` returns.
   };
 
   NetServer(SessionFactory factory, NetServerOptions options);
 
   Status Listen();
-  void LoopThread();
-  void WorkerThread(Connection* conn);
-  /// Executes one decoded request, appending the response frame to `*out`.
-  void HandleRequest(Connection* conn, const StatusOr<Request>& req,
-                     std::string* out);
-  void AcceptReady();
-  /// Reads available bytes, frames them, queues decoded requests.
-  void ReadReady(Connection* conn);
-  /// Writes as much of `wbuf` as the socket accepts.
-  void WriteReady(Connection* conn);
-  void CloseConnection(Connection* conn);
-  void WakeLoop();
+  void AcceptLoop();
+  /// The connection's read → execute → write loop; owns its executor.
+  void Serve(Connection* conn,
+             std::unique_ptr<sql::StatementExecutor> session);
+  /// Joins and closes every connection whose loop has returned.
+  void ReapFinished();
 
   SessionFactory factory_;
   NetServerOptions options_;
   uint16_t port_ = 0;
   int listen_fd_ = -1;
-  int wake_rd_ = -1;  ///< Self-pipe: workers & Shutdown wake the poll loop.
-  int wake_wr_ = -1;
   std::atomic<bool> stop_{false};
-  std::thread loop_;
-  /// Owned by the loop thread after Start (only the loop touches it).
+  /// Touched only by the accept thread while it runs, and by `Shutdown`
+  /// after joining it.
   std::vector<std::unique_ptr<Connection>> conns_;
+  std::thread acceptor_;
   /// Serializes Shutdown against itself (dtor + explicit call).
   common::Mutex shutdown_mu_;
   bool shut_down_ GUARDED_BY(shutdown_mu_) = false;

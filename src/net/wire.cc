@@ -1,5 +1,10 @@
 #include "net/wire.h"
 
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 #include <utility>
 
@@ -227,6 +232,60 @@ FrameScan ScanFrame(const std::string& buf, size_t* offset,
   body->assign(buf, *offset + 4, len);
   *offset += 4 + static_cast<size_t>(len);
   return FrameScan::kFrame;
+}
+
+// --- Blocking socket I/O -------------------------------------------------
+
+Status SendAll(int fd, const void* data, size_t size) {
+  const char* p = static_cast<const char*>(data);
+  while (size > 0) {
+    const ssize_t w = send(fd, p, size, MSG_NOSIGNAL);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError(std::string("send: ") + std::strerror(errno));
+    }
+    p += w;
+    size -= static_cast<size_t>(w);
+  }
+  return Status::OK();
+}
+
+Status FrameReader::Next(std::string* body, int timeout_ms) {
+  for (;;) {
+    const FrameScan scan = ScanFrame(buf_, &off_, body, max_frame_);
+    if (scan == FrameScan::kFrame) return Status::OK();
+    if (scan == FrameScan::kOversize) {
+      return Status::InvalidArgument("frame exceeds max_frame_bytes (" +
+                                     std::to_string(max_frame_) + ")");
+    }
+    buf_.erase(0, off_);
+    off_ = 0;
+    if (timeout_ms > 0) {
+      // Bounds the wait for the next byte, not for the whole frame: what
+      // the deadline guards against is a peer that stops sending.
+      pollfd pfd{fd_, POLLIN, 0};
+      int ready = 0;
+      do {
+        ready = poll(&pfd, 1, timeout_ms);
+      } while (ready < 0 && errno == EINTR);
+      if (ready == 0) {
+        return Status::IOError("receive timeout after " +
+                               std::to_string(timeout_ms) + "ms");
+      }
+      if (ready < 0) {
+        return Status::IOError(std::string("poll: ") + std::strerror(errno));
+      }
+    }
+    char chunk[16 * 1024];
+    const ssize_t r = read(fd_, chunk, sizeof(chunk));
+    if (r > 0) {
+      buf_.append(chunk, static_cast<size_t>(r));
+    } else if (r == 0) {
+      return Status::IOError("connection closed by peer");
+    } else if (errno != EINTR) {
+      return Status::IOError(std::string("read: ") + std::strerror(errno));
+    }
+  }
 }
 
 // --- Decoding ------------------------------------------------------------

@@ -117,6 +117,37 @@ enum class FrameScan {
 FrameScan ScanFrame(const std::string& buf, size_t* offset,
                     std::string* body, uint32_t max_frame = kMaxFrameBytes);
 
+// --- Blocking socket I/O (one reader and one writer for both sides) ------
+
+/// Writes all `size` bytes to the connected socket `fd`, resuming short
+/// writes. A vanished peer is an IOError, never a SIGPIPE.
+Status SendAll(int fd, const void* data, size_t size);
+
+/// \brief Reads whole frames from a blocking socket: the frame reader of
+/// both `Client::ReadResponse` and every server connection.
+///
+/// Bytes past a returned frame stay buffered for the next call, so a
+/// pipelining peer's frames come out one at a time. Consumed bytes are
+/// compacted before each read, so the buffer holds at most one partial
+/// frame plus one read's worth.
+class FrameReader {
+ public:
+  FrameReader(int fd, uint32_t max_frame) : fd_(fd), max_frame_(max_frame) {}
+
+  /// Blocks for the next frame and sets `*body` to it (opcode + payload).
+  /// With `timeout_ms > 0`, every wait for more bytes is bounded by a
+  /// `poll` of that length. Returns InvalidArgument when the declared
+  /// length breaks the cap (the stream can never be framed again, so stop
+  /// reading it) and IOError on peer EOF, timeout or a failed read.
+  Status Next(std::string* body, int timeout_ms);
+
+ private:
+  int fd_;
+  uint32_t max_frame_;
+  std::string buf_;
+  size_t off_ = 0;  ///< Bytes of `buf_` before this offset are consumed.
+};
+
 // --- Decoding (frame body: opcode + payload, no length prefix) -----------
 
 /// Decodes a request frame body. Unknown opcodes and truncated / trailing

@@ -1,8 +1,6 @@
 #include "service/server.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <utility>
 
 #include "service/client_session.h"
@@ -32,27 +30,11 @@ Status ValidateServerOptions(const ServerOptions& options) {
   if (options.threads > 1024) {
     return Status::InvalidArgument("ServerOptions.threads out of range");
   }
-  // Session defaults bypass the Set-path validators (Settings::Register
-  // only checks non-null), so enforce the same domains here — otherwise
-  // every session would silently run with values SET would reject.
-  const sql::HermesSettingDefaults& d = options.session_defaults;
-  if (d.threads < 1 || d.threads > 1024) {
-    return Status::InvalidArgument(
-        "session_defaults.threads must be in [1, 1024]");
-  }
-  if (!std::isfinite(d.sigma) || d.sigma <= 0.0 ||
-      !std::isfinite(d.epsilon) || d.epsilon <= 0.0) {
-    return Status::InvalidArgument(
-        "session_defaults.sigma/epsilon must be finite and > 0");
-  }
-  if (d.use_index != 0 && d.use_index != 1) {
-    return Status::InvalidArgument("session_defaults.use_index must be 0/1");
-  }
-  if (d.hot_index_budget < 0) {
-    return Status::InvalidArgument(
-        "session_defaults.hot_index_budget must be >= 0 bytes");
-  }
-  return Status::OK();
+  // Registering the session defaults runs the same validators every SET
+  // does, so a session can never start with a value SET would reject.
+  sql::Settings scratch;
+  return sql::RegisterHermesSettings(&scratch, options.session_defaults,
+                                     nullptr);
 }
 
 StatusOr<std::unique_ptr<Server>> Server::Start(ServerOptions options,

@@ -25,6 +25,7 @@ Status Settings::Register(std::string name, Value default_value,
   if (settings_.count(key) > 0) {
     return Status::AlreadyExists("setting " + key + " already registered");
   }
+  if (validate) HERMES_RETURN_NOT_OK(validate(default_value));
   Setting s;
   s.name = key;
   s.description = std::move(description);

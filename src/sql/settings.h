@@ -45,7 +45,9 @@ class Settings {
   };
 
   /// Registers a setting at its default. Fails with `AlreadyExists` on a
-  /// duplicate name and `InvalidArgument` on a null default.
+  /// duplicate name, `InvalidArgument` on a null default, and with
+  /// `validate`'s error when the default is outside the setting's domain
+  /// (so a default can never hold a value `Set` would reject).
   Status Register(std::string name, Value default_value,
                   std::string description, Validator validate = nullptr,
                   OnChange on_change = nullptr);

@@ -1,17 +1,22 @@
-// Wire-protocol front end: framing, the poll-based event loop, and the
-// per-connection session workers.
+// Wire-protocol front end: framing, the shared blocking frame reader and
+// writer, and the per-connection read -> execute -> write loops.
 //
-// The headline test is the PR's acceptance criterion: socket clients —
-// including pipelined and prepared ($N) statements — receive responses
-// *bit-identical* to the same statements through an in-process
-// `ClientSession`. The file also tortures the framing layer (malformed
-// frames, oversize frames, a deliberately dribbling client writing a few
-// bytes at a time) and runs under the TSan CI leg, making it the
-// data-race gate for the loop/worker seam.
+// The headline test: socket clients — including pipelined and prepared
+// ($N) statements — receive responses *bit-identical* to the same
+// statements through an in-process `ClientSession`. The file also
+// tortures the framing layer (malformed frames, oversize requests and
+// responses, a dribbling client writing a few bytes at a time, a
+// pipelined burst spanning several reads), checks that finished
+// connections release their threads and descriptors, and runs under the
+// TSan and ASan/UBSan CI legs, making it the race and memory gate for the
+// connection loops and the shutdown path.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -50,11 +55,11 @@ struct Rig {
   std::unique_ptr<Server> server;
   std::unique_ptr<NetServer> net;
 
-  explicit Rig(NetServerOptions net_opts = {}) {
+  // 6 ships keeps the S2T-heavy statements affordable under TSan while
+  // still producing multi-cluster, multi-row results to compare.
+  explicit Rig(NetServerOptions net_opts = {}, size_t num_ships = 6) {
     server = std::move(Server::Start(ServerOptions{})).value();
-    // 6 ships keeps the S2T-heavy statements affordable under TSan while
-    // still producing multi-cluster, multi-row results to compare.
-    EXPECT_TRUE(server->RegisterStore("ships", MakeShips(6)).ok());
+    EXPECT_TRUE(server->RegisterStore("ships", MakeShips(num_ships)).ok());
     net = std::move(NetServer::Start(server.get(), net_opts)).value();
   }
 
@@ -447,6 +452,125 @@ TEST(NetServerTest, HalfCloseDrainsPipelinedRequests) {
   EXPECT_FALSE(eof.ok());
 }
 
+/// One burst of mixed frames — EXECUTE (padded so the burst crosses
+/// several 16 KiB reads), PING, a bad-opcode frame, PREPARE and
+/// BIND_EXECUTE — then a half-close. The responses are a few KiB, well
+/// under the socket buffers, so the burst never waits on backpressure.
+TEST(NetServerTest, PipelinedBurstSpansSeveralReads) {
+  Rig rig;
+  auto client = rig.Connect();
+  constexpr int kGroups = 8;
+  const std::string padded_stats =
+      std::string(6000, ' ') + "SELECT STATS(SHIPS);";
+  std::string burst;
+  for (int g = 0; g < kGroups; ++g) {
+    AppendExecuteFrame(padded_stats, &burst);
+    AppendPingFrame(&burst);
+    PutFixed32(&burst, 1);
+    burst.push_back('\x7f');
+    AppendPrepareFrame(static_cast<uint32_t>(g), "SELECT STATS($1);", &burst);
+    AppendBindExecuteFrame(static_cast<uint32_t>(g), {Value::Str("ships")},
+                           &burst);
+  }
+  ASSERT_GT(burst.size(), 2u * 16 * 1024);
+  ASSERT_TRUE(client->SendRaw(burst.data(), burst.size()).ok());
+  client->CloseWrite();
+
+  auto want = rig.server->Connect()->Execute("SELECT STATS(SHIPS);");
+  ASSERT_TRUE(want.ok());
+  for (int g = 0; g < kGroups; ++g) {
+    auto stats = client->ReadTable();
+    ASSERT_TRUE(stats.ok()) << "group " << g;
+    ExpectSameTable(*stats, *want);
+    auto pong = client->ReadResponse();
+    ASSERT_TRUE(pong.ok());
+    EXPECT_EQ(pong->op, Opcode::kPong);
+    auto bad = client->ReadResponse();
+    ASSERT_TRUE(bad.ok());
+    EXPECT_EQ(bad->op, Opcode::kError);
+    EXPECT_EQ(bad->code, StatusCode::kInvalidArgument);
+    auto prepared = client->ReadResponse();
+    ASSERT_TRUE(prepared.ok());
+    EXPECT_EQ(prepared->op, Opcode::kPrepared);
+    EXPECT_EQ(prepared->stmt_id, static_cast<uint32_t>(g));
+    auto bound = client->ReadTable();
+    ASSERT_TRUE(bound.ok()) << "group " << g;
+    ExpectSameTable(*bound, *want);
+  }
+  auto eof = client->ReadResponse();
+  EXPECT_FALSE(eof.ok());
+}
+
+/// A response the cap cannot carry becomes an in-order ERROR: the client
+/// would otherwise reject the frame and lose the stream's framing.
+TEST(NetServerTest, OversizeResponseGetsErrorAndConnectionSurvives) {
+  NetServerOptions opts;
+  opts.max_frame_bytes = 1024;
+  Rig rig(opts, /*num_ships=*/80);
+  const std::string range = "SELECT RANGE(SHIPS, 0, 100000);";
+  auto want = rig.server->Connect()->Execute(range);
+  ASSERT_TRUE(want.ok());
+  std::string encoded;
+  AppendTableFrame(*want, &encoded);
+  ASSERT_GT(encoded.size(), 4u + opts.max_frame_bytes);
+
+  auto client = rig.Connect();
+  auto got = client->Execute(range);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(got.status().message().find("max_frame_bytes (1024)"),
+            std::string::npos)
+      << got.status().ToString();
+  EXPECT_TRUE(client->Ping().ok());
+}
+
+TEST(NetServerTest, ZeroMaxFrameBytesMeansProtocolDefault) {
+  NetServerOptions opts;
+  opts.max_frame_bytes = 0;
+  Rig rig(opts);
+  auto client = rig.Connect();
+  EXPECT_TRUE(client->Execute("SELECT STATS(SHIPS);").ok());
+}
+
+/// This process's thread count, from /proc/self/status.
+int ThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  int threads = -1;
+  while (std::getline(status, line)) {
+    if (std::sscanf(line.c_str(), "Threads: %d", &threads) == 1) break;
+  }
+  return threads;
+}
+
+/// This process's open descriptor count.
+int FdCount() {
+  int n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+/// Connection threads return when their peer leaves, and the accept
+/// thread joins them and closes their sockets on each later accept: 200
+/// short connections leave neither threads nor descriptors behind.
+TEST(NetServerTest, FinishedConnectionsAreReaped) {
+  Rig rig;
+  ASSERT_TRUE(rig.Connect()->Ping().ok());
+  const int threads_before = ThreadCount();
+  const int fds_before = FdCount();
+  ASSERT_GT(threads_before, 0);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(rig.Connect()->Ping().ok()) << "cycle " << i;
+  }
+  // Only the last few connections can still be winding down.
+  EXPECT_LE(ThreadCount(), threads_before + 4);
+  EXPECT_LE(FdCount(), fds_before + 4);
+}
+
 // ---------------------------------------------------------------------------
 // Deadlines (both default-off: opt-in per rig / per client)
 // ---------------------------------------------------------------------------
@@ -493,6 +617,33 @@ TEST(NetServerTest, ShutdownWithLiveConnections) {
   ASSERT_TRUE(b->Execute("SELECT STATS(SHIPS);").ok());
   rig.net->Shutdown();   // idempotent; the Rig dtor calls it again
   rig.net->Shutdown();
+}
+
+/// Shutdown while a connection is executing a pipeline of slow
+/// statements: the statement in progress may finish, the rest is
+/// abandoned, and the client sees its answered prefix, then EOF.
+TEST(NetServerTest, ShutdownAbandonsPipelinedStatements) {
+  // 40 ships make each S2T take milliseconds, so the pipeline cannot
+  // drain in the moment between the first answer and Shutdown().
+  Rig rig(NetServerOptions{}, /*num_ships=*/40);
+  auto client = rig.Connect();
+  constexpr int kPipelined = 64;
+  for (int i = 0; i < kPipelined; ++i) {
+    ASSERT_TRUE(client->SendExecute("SELECT S2T(SHIPS);").ok());
+  }
+  // Once the first answer is back, the loop is executing the second.
+  ASSERT_TRUE(client->ReadTable().ok());
+  rig.net->Shutdown();
+  int answered = 1;
+  for (;;) {
+    auto resp = client->ReadTable();
+    if (!resp.ok()) {
+      EXPECT_TRUE(resp.status().IsIOError()) << resp.status().ToString();
+      break;
+    }
+    ++answered;
+  }
+  EXPECT_LT(answered, kPipelined);
 }
 
 }  // namespace

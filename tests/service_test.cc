@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,6 +23,7 @@
 #include "service/client_session.h"
 #include "service/ingest_queue.h"
 #include "service/server.h"
+#include "service/service_config.h"
 #include "sql/executor.h"
 #include "sql/value.h"
 
@@ -324,6 +327,41 @@ TEST(ServiceTest, ServiceStatsExposeHotTierCounters) {
   ServerOptions bad;
   bad.session_defaults.hot_index_budget = -5;
   EXPECT_TRUE(Server::Start(std::move(bad)).status().IsInvalidArgument());
+}
+
+/// Session defaults outside a `hermes.*` domain fail start-up with the
+/// same validator `SET` runs, through both entry points.
+TEST(ServiceTest, OutOfDomainSessionDefaultsAreRejected) {
+  using Defaults = sql::HermesSettingDefaults;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<std::string, std::function<void(Defaults*)>>>
+      cases = {
+          {"hermes.threads", [](Defaults* d) { d->threads = 0; }},
+          {"hermes.threads", [](Defaults* d) { d->threads = 1025; }},
+          {"hermes.sigma", [nan](Defaults* d) { d->sigma = nan; }},
+          {"hermes.sigma", [inf](Defaults* d) { d->sigma = inf; }},
+          {"hermes.sigma", [](Defaults* d) { d->sigma = 0.0; }},
+          {"hermes.epsilon", [](Defaults* d) { d->epsilon = -1.0; }},
+          {"hermes.use_index", [](Defaults* d) { d->use_index = 2; }},
+          {"hermes.hot_index_budget",
+           [](Defaults* d) { d->hot_index_budget = -1; }},
+      };
+  for (const auto& [setting, corrupt] : cases) {
+    ServerOptions opts;
+    corrupt(&opts.session_defaults);
+    const Status started = Server::Start(std::move(opts)).status();
+    EXPECT_TRUE(started.IsInvalidArgument()) << started.ToString();
+    EXPECT_NE(started.message().find(setting), std::string::npos)
+        << started.ToString();
+
+    ServiceConfig config;
+    corrupt(&config.session_defaults);
+    const Status validated = config.Validate();
+    EXPECT_TRUE(validated.IsInvalidArgument()) << validated.ToString();
+    EXPECT_NE(validated.message().find(setting), std::string::npos)
+        << validated.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------
