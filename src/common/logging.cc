@@ -40,7 +40,9 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
   stream_ << "[" << LevelName(level) << " " << file << ":" << line << "] ";
 }
 
-LogMessage::~LogMessage() {
+LogMessage::~LogMessage() { Emit(); }
+
+void LogMessage::Emit() {
   if (static_cast<int>(level_) >=
       g_min_level.load(std::memory_order_relaxed)) {
     std::fprintf(stderr, "%s\n", stream_.str().c_str());

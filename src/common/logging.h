@@ -32,6 +32,10 @@ class LogMessage {
     return *this;
   }
 
+ protected:
+  /// Writes the message to stderr if its level passes the threshold.
+  void Emit();
+
  private:
   LogLevel level_;
   std::ostringstream stream_;
@@ -42,7 +46,12 @@ class FatalLogMessage : public LogMessage {
  public:
   FatalLogMessage(const char* file, int line)
       : LogMessage(LogLevel::kFatal, file, line) {}
-  [[noreturn]] ~FatalLogMessage() { std::abort(); }
+  /// Emits before aborting: the base destructor, which emits otherwise,
+  /// never runs after `abort()`.
+  [[noreturn]] ~FatalLogMessage() {
+    Emit();
+    std::abort();
+  }
 
   template <typename T>
   FatalLogMessage& operator<<(const T& v) {

@@ -6,9 +6,9 @@ namespace hermes::core {
 
 namespace {
 
-/// Deletes every file directly under `dir` (a tree keeps its catalog,
-/// partitions and indexes flat in its directory). Best effort: a file
-/// that will not go only leaks space.
+/// Deletes every file directly under `dir` (a tree keeps its partitions
+/// and their indexes flat in its directory). Best effort: a file that
+/// will not go only leaks space.
 void DeleteTreeFiles(storage::Env* env, const std::string& dir) {
   auto names = env->ListDir(dir);
   if (!names.ok()) return;
@@ -47,13 +47,50 @@ QutTreeSlot::QutTreeSlot(storage::Env* env, std::string dir_prefix)
 
 QutTreeSlot::~QutTreeSlot() { Drop(); }
 
+StatusOr<QuTResult> QutTreeSlot::Query(const std::vector<double>& tree_params,
+                                       const traj::TrajectoryStore& store,
+                                       exec::ExecContext* exec,
+                                       size_t hot_budget, double wi, double we,
+                                       exec::ExecStats* archive,
+                                       QutTreeWork* work) {
+  if (work != nullptr) *work = QutTreeWork::kNone;
+  {
+    common::ReaderMutexLock rlock(&mu_);
+    if (FreshLocked(tree_params, store.NumTrajectories()) &&
+        tree_->hot_index_budget() == hot_budget) {
+      return QuTClustering(tree_.get()).Query(wi, we);
+    }
+  }
+  // Answered before the lock goes, or readers with different parameters
+  // could rebuild the tree under each other forever.
+  common::WriterMutexLock wlock(&mu_);
+  HERMES_ASSIGN_OR_RETURN(
+      QutTreeWork done,
+      RefreshLocked(tree_params, store, exec, hot_budget, archive));
+  if (work != nullptr) *work = done;
+  return QuTClustering(tree_.get()).Query(wi, we);
+}
+
 bool QutTreeSlot::Fresh(const std::vector<double>& tree_params,
                         size_t num_trajectories) const {
+  common::ReaderMutexLock rlock(&mu_);
+  return FreshLocked(tree_params, num_trajectories);
+}
+
+bool QutTreeSlot::FreshLocked(const std::vector<double>& tree_params,
+                              size_t num_trajectories) const {
   return tree_ != nullptr && params_ == tree_params &&
-         consumed_ == num_trajectories;
+         consumed_ >= num_trajectories;
 }
 
 StatusOr<QutTreeWork> QutTreeSlot::Refresh(
+    const std::vector<double>& tree_params, const traj::TrajectoryStore& store,
+    exec::ExecContext* exec, size_t hot_budget, exec::ExecStats* archive) {
+  common::WriterMutexLock wlock(&mu_);
+  return RefreshLocked(tree_params, store, exec, hot_budget, archive);
+}
+
+StatusOr<QutTreeWork> QutTreeSlot::RefreshLocked(
     const std::vector<double>& tree_params, const traj::TrajectoryStore& store,
     exec::ExecContext* exec, size_t hot_budget, exec::ExecStats* archive) {
   if (tree_params.size() != 5) {
@@ -63,7 +100,7 @@ StatusOr<QutTreeWork> QutTreeSlot::Refresh(
   }
   bool rebuilt = false;
   if (tree_ == nullptr || params_ != tree_params) {
-    Drop();
+    DropLocked();
     dir_ = dir_prefix_ + std::to_string(seq_++);
     // A crashed process may have left files under this name.
     DeleteTreeFiles(env_, dir_);
@@ -72,14 +109,15 @@ StatusOr<QutTreeWork> QutTreeSlot::Refresh(
     auto tree =
         ReTraTree::Open(env_, dir_, MakeQutTreeParams(tree_params), nullptr);
     if (!tree.ok()) {
-      Drop();
+      DropLocked();
       return tree.status();
     }
     tree_ = std::move(tree).value();
     params_ = tree_params;
     rebuilt = true;
   }
-  HERMES_ASSIGN_OR_RETURN(QutTreeWork work, CatchUp(store, exec, archive));
+  HERMES_ASSIGN_OR_RETURN(QutTreeWork work,
+                          CatchUpLocked(store, exec, archive));
   // Applied on every refresh, not just at build time, so lowering the
   // budget (to 0: cold only) takes effect on a live tree.
   tree_->SetHotIndexBudget(hot_budget);
@@ -89,6 +127,13 @@ StatusOr<QutTreeWork> QutTreeSlot::Refresh(
 StatusOr<QutTreeWork> QutTreeSlot::CatchUp(const traj::TrajectoryStore& store,
                                            exec::ExecContext* exec,
                                            exec::ExecStats* archive) {
+  common::WriterMutexLock wlock(&mu_);
+  return CatchUpLocked(store, exec, archive);
+}
+
+StatusOr<QutTreeWork> QutTreeSlot::CatchUpLocked(
+    const traj::TrajectoryStore& store, exec::ExecContext* exec,
+    exec::ExecStats* archive) {
   const size_t n = store.NumTrajectories();
   if (tree_ == nullptr || consumed_ >= n) return QutTreeWork::kNone;
   const ReTraTreeStats before = tree_->stats();
@@ -101,7 +146,7 @@ StatusOr<QutTreeWork> QutTreeSlot::CatchUp(const traj::TrajectoryStore& store,
     if (end > first) {
       Status st = tree_->InsertBatch(store, exec, first, end - first);
       if (!st.ok()) {
-        Drop();
+        DropLocked();
         return st;
       }
     }
@@ -115,12 +160,27 @@ StatusOr<QutTreeWork> QutTreeSlot::CatchUp(const traj::TrajectoryStore& store,
 }
 
 void QutTreeSlot::Drop() {
+  common::WriterMutexLock wlock(&mu_);
+  DropLocked();
+}
+
+void QutTreeSlot::DropLocked() {
   // Close every partition and index before their files go.
   tree_.reset();
   if (!dir_.empty()) DeleteTreeFiles(env_, dir_);
   dir_.clear();
   params_.clear();
   consumed_ = 0;
+}
+
+HotTierStats QutTreeSlot::hot_stats() const {
+  common::ReaderMutexLock rlock(&mu_);
+  return tree_ == nullptr ? HotTierStats{} : tree_->hot_stats();
+}
+
+ReTraTree* QutTreeSlot::tree() const {
+  common::ReaderMutexLock rlock(&mu_);
+  return tree_.get();
 }
 
 }  // namespace hermes::core

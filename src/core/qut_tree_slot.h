@@ -6,7 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/statusor.h"
+#include "common/thread_annotations.h"
+#include "core/qut_clustering.h"
 #include "core/retratree.h"
 #include "exec/exec_context.h"
 #include "storage/env.h"
@@ -22,9 +25,10 @@ ReTraTreeParams MakeQutTreeParams(const std::vector<double>& tree_params);
 /// What one `QutTreeSlot::Refresh` / `CatchUp` call had to do.
 enum class QutTreeWork { kNone, kCaughtUp, kRebuilt };
 
-/// \brief The one lifecycle of a QUT ReTraTree over a growing store,
-/// shared by the embedded session, the service server (query path and
-/// ingest worker) and the shard coordinator's merged view.
+/// \brief The one lifecycle, lock and read path of a QUT ReTraTree over a
+/// growing store, shared by the embedded session, the service server
+/// (query path and ingest worker) and the shard coordinator's merged
+/// view.
 ///
 /// The slot owns the tree, its raw `(tau, delta, t, d, gamma)`, how many
 /// store trajectories the tree has consumed, and the sequence naming its
@@ -37,12 +41,15 @@ enum class QutTreeWork { kNone, kCaughtUp, kRebuilt };
 /// directory instead of re-applying into a half-mutated one.
 ///
 /// A tree is a cache of its store: nothing persists or reopens it, and a
-/// retired tree's files are deleted. The store handed to `Refresh` /
-/// `CatchUp` must be the one the tree was built over (append-only since);
-/// an owner whose store is replaced calls `Drop`.
+/// retired tree's files are deleted. Every store handed to `Query` /
+/// `Refresh` / `CatchUp` must be a prefix or an append-only extension of
+/// the trajectory sequence the tree consumed — the same store, or a
+/// snapshot of it; an owner whose store is replaced calls `Drop`.
 ///
-/// Not internally synchronized: owners guard the slot with the lock that
-/// guards its store.
+/// Thread-safe: queries on a fresh tree share the slot's lock; refreshes,
+/// catch-ups and drops take it exclusive. The owner keeps the store it
+/// passes from changing during a call (an immutable snapshot, or its own
+/// lock held), so the slot's lock is always the inner one.
 class QutTreeSlot {
  public:
   QutTreeSlot(storage::Env* env, std::string dir_prefix);
@@ -52,8 +59,19 @@ class QutTreeSlot {
   QutTreeSlot(const QutTreeSlot&) = delete;
   QutTreeSlot& operator=(const QutTreeSlot&) = delete;
 
-  /// True when the tree was built with `tree_params` and has consumed all
-  /// `num_trajectories` of its store — QUT can run without `Refresh`.
+  /// The QUT read path over `store`: a fresh tree (built with
+  /// `tree_params`, covering `store`, budget `hot_budget`) answers under
+  /// the shared lock; otherwise `Refresh` runs and the window is answered
+  /// under the exclusive lock. `work` (optional) gets what it took.
+  StatusOr<QuTResult> Query(const std::vector<double>& tree_params,
+                            const traj::TrajectoryStore& store,
+                            exec::ExecContext* exec, size_t hot_budget,
+                            double wi, double we,
+                            exec::ExecStats* archive = nullptr,
+                            QutTreeWork* work = nullptr);
+
+  /// True when the tree was built with `tree_params` and has consumed at
+  /// least `num_trajectories` of its store's trajectories.
   bool Fresh(const std::vector<double>& tree_params,
              size_t num_trajectories) const;
 
@@ -78,17 +96,34 @@ class QutTreeSlot {
   /// Retires the tree and deletes its files; the next `Refresh` rebuilds.
   void Drop();
 
-  /// The current tree, or nullptr.
-  ReTraTree* tree() const { return tree_.get(); }
+  /// The tree's hot-tier counters; zeros when there is no tree.
+  HotTierStats hot_stats() const;
+
+  /// The current tree, or nullptr (for tests: the pointer dies with the
+  /// next rebuild or `Drop`).
+  ReTraTree* tree() const;
 
  private:
-  storage::Env* env_;
-  std::string dir_prefix_;
-  std::unique_ptr<ReTraTree> tree_;
-  std::string dir_;
-  std::vector<double> params_;
-  size_t consumed_ = 0;
-  uint64_t seq_ = 0;
+  bool FreshLocked(const std::vector<double>& tree_params,
+                   size_t num_trajectories) const REQUIRES_SHARED(mu_);
+  StatusOr<QutTreeWork> RefreshLocked(const std::vector<double>& tree_params,
+                                      const traj::TrajectoryStore& store,
+                                      exec::ExecContext* exec,
+                                      size_t hot_budget,
+                                      exec::ExecStats* archive) REQUIRES(mu_);
+  StatusOr<QutTreeWork> CatchUpLocked(const traj::TrajectoryStore& store,
+                                      exec::ExecContext* exec,
+                                      exec::ExecStats* archive) REQUIRES(mu_);
+  void DropLocked() REQUIRES(mu_);
+
+  storage::Env* const env_;
+  const std::string dir_prefix_;
+  mutable common::SharedMutex mu_;
+  std::unique_ptr<ReTraTree> tree_ GUARDED_BY(mu_);
+  std::string dir_ GUARDED_BY(mu_);
+  std::vector<double> params_ GUARDED_BY(mu_);
+  size_t consumed_ GUARDED_BY(mu_) = 0;
+  uint64_t seq_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace hermes::core

@@ -93,163 +93,8 @@ StatusOr<std::unique_ptr<ReTraTree>> ReTraTree::Open(storage::Env* env,
 
   HERMES_ASSIGN_OR_RETURN(std::unique_ptr<storage::PartitionManager> pm,
                           storage::PartitionManager::Open(env, dir));
-  auto tree = std::unique_ptr<ReTraTree>(
+  return std::unique_ptr<ReTraTree>(
       new ReTraTree(env, dir, std::move(params), std::move(pm), exec));
-  if (env->FileExists(tree->CatalogPath())) {
-    HERMES_RETURN_NOT_OK(tree->LoadCatalog());
-  }
-  return tree;
-}
-
-std::string ReTraTree::CatalogPath() const {
-  return dir_ + "/" + kReTraTreeCatalog;
-}
-
-namespace {
-constexpr uint32_t kCatalogMagic = 0x52545243u;  // "RTRC"
-// v2: per-sub-chunk derived_seq/rep_seq replace the global partition
-// sequence (the per-sub-chunk id scheme behind batch/sequential parity).
-constexpr uint32_t kCatalogVersion = 2;
-
-void PutString(std::string* dst, const std::string& s) {
-  PutFixed32(dst, static_cast<uint32_t>(s.size()));
-  dst->append(s);
-}
-}  // namespace
-
-Status ReTraTree::Save() {
-  HERMES_RETURN_NOT_OK(Flush());
-  std::string buf;
-  PutFixed32(&buf, kCatalogMagic);
-  PutFixed32(&buf, kCatalogVersion);
-  PutDouble(&buf, params_.tau);
-  PutDouble(&buf, params_.delta);
-  PutDouble(&buf, params_.t_align);
-  PutDouble(&buf, params_.d_assign);
-  PutFixed64(&buf, params_.gamma);
-  PutDouble(&buf, params_.origin);
-  PutFixed64(&buf, next_sub_id_);
-
-  uint64_t num_subchunks = 0;
-  for (const auto& [ci, chunk] : chunks_) {
-    num_subchunks += chunk.sub_chunks.size();
-  }
-  PutFixed64(&buf, num_subchunks);
-  for (const auto& [ci, chunk] : chunks_) {
-    for (const auto& [si, sc] : chunk.sub_chunks) {
-      PutFixed64(&buf, static_cast<uint64_t>(sc.global_index));
-      PutString(&buf, sc.outlier_partition);
-      PutFixed64(&buf, sc.outlier_count);
-      PutFixed64(&buf, sc.recluster_watermark);
-      PutFixed64(&buf, sc.derived_seq);
-      PutFixed64(&buf, sc.rep_seq);
-      PutFixed64(&buf, sc.representatives.size());
-      for (const auto& entry : sc.representatives) {
-        PutString(&buf, entry->partition_name);
-        PutFixed64(&buf, entry->member_count);
-        PutString(&buf, EncodeSubTrajectory(entry->representative));
-      }
-    }
-  }
-
-  // Rewrite from scratch: WriteAt never truncates, and a shrinking
-  // catalog must not leave stale trailing bytes.
-  if (env_->FileExists(CatalogPath())) {
-    HERMES_RETURN_NOT_OK(env_->DeleteFile(CatalogPath()));
-  }
-  HERMES_ASSIGN_OR_RETURN(std::unique_ptr<storage::RandomRWFile> file,
-                          env_->NewRWFile(CatalogPath()));
-  HERMES_RETURN_NOT_OK(file->WriteAt(0, buf.size(), buf.data()));
-  return file->Sync();
-}
-
-Status ReTraTree::LoadCatalog() {
-  HERMES_ASSIGN_OR_RETURN(std::unique_ptr<storage::RandomRWFile> file,
-                          env_->NewRWFile(CatalogPath()));
-  HERMES_ASSIGN_OR_RETURN(uint64_t size, file->Size());
-  std::string buf;
-  buf.resize(size);
-  HERMES_RETURN_NOT_OK(file->ReadAt(0, size, buf.data()));
-
-  Decoder dec(buf);
-  if (dec.remaining() < 8 || dec.ReadFixed32() != kCatalogMagic) {
-    return Status::Corruption("bad ReTraTree catalog magic");
-  }
-  if (dec.ReadFixed32() != kCatalogVersion) {
-    return Status::Corruption("unsupported catalog version");
-  }
-  const double tau = dec.ReadDouble();
-  const double delta = dec.ReadDouble();
-  const double t_align = dec.ReadDouble();
-  const double d_assign = dec.ReadDouble();
-  const uint64_t gamma = dec.ReadFixed64();
-  const double origin = dec.ReadDouble();
-  if (std::fabs(tau - params_.tau) > 1e-9 ||
-      std::fabs(delta - params_.delta) > 1e-9 ||
-      std::fabs(origin - params_.origin) > 1e-9) {
-    return Status::InvalidArgument(
-        "ReTraTree catalog was built with different structural parameters");
-  }
-  params_.t_align = t_align;
-  params_.d_assign = d_assign;
-  params_.gamma = gamma;
-  next_sub_id_ = dec.ReadFixed64();
-
-  // Parse the variable-length remainder with a raw cursor (the fixed-width
-  // Decoder has no bytes reader). Header: magic, version, 5 doubles + gamma
-  // (6 x 8), next_sub_id.
-  size_t off = 4 + 4 + 8 * 6 + 8;
-  auto need = [&](size_t n) -> Status {
-    if (off + n > buf.size()) return Status::Corruption("catalog truncated");
-    return Status::OK();
-  };
-  auto get_u64 = [&](uint64_t* v) -> Status {
-    HERMES_RETURN_NOT_OK(need(8));
-    *v = GetFixed64(buf.data() + off);
-    off += 8;
-    return Status::OK();
-  };
-  auto get_str = [&](std::string* s) -> Status {
-    HERMES_RETURN_NOT_OK(need(4));
-    const uint32_t n = GetFixed32(buf.data() + off);
-    off += 4;
-    HERMES_RETURN_NOT_OK(need(n));
-    s->assign(buf.data() + off, n);
-    off += n;
-    return Status::OK();
-  };
-
-  uint64_t num_subchunks = 0;
-  HERMES_RETURN_NOT_OK(get_u64(&num_subchunks));
-  chunks_.clear();
-  for (uint64_t k = 0; k < num_subchunks; ++k) {
-    uint64_t raw_index = 0;
-    HERMES_RETURN_NOT_OK(get_u64(&raw_index));
-    const int64_t si = static_cast<int64_t>(raw_index);
-    SubChunk* sc = GetOrCreateSubChunkByIndex(si);
-    HERMES_RETURN_NOT_OK(get_str(&sc->outlier_partition));
-    HERMES_RETURN_NOT_OK(get_u64(&sc->outlier_count));
-    HERMES_RETURN_NOT_OK(get_u64(&sc->recluster_watermark));
-    HERMES_RETURN_NOT_OK(get_u64(&sc->derived_seq));
-    HERMES_RETURN_NOT_OK(get_u64(&sc->rep_seq));
-    uint64_t num_reps = 0;
-    HERMES_RETURN_NOT_OK(get_u64(&num_reps));
-    for (uint64_t r = 0; r < num_reps; ++r) {
-      auto entry = std::make_unique<RepresentativeEntry>();
-      HERMES_RETURN_NOT_OK(get_str(&entry->partition_name));
-      HERMES_RETURN_NOT_OK(get_u64(&entry->member_count));
-      std::string rep_bytes;
-      HERMES_RETURN_NOT_OK(get_str(&rep_bytes));
-      HERMES_ASSIGN_OR_RETURN(entry->representative,
-                              DecodeSubTrajectory(rep_bytes));
-      HERMES_ASSIGN_OR_RETURN(
-          entry->index,
-          rtree::RTree3D::Open(env_, dir_ + "/" + entry->partition_name +
-                                         ".idx"));
-      sc->representatives.push_back(std::move(entry));
-    }
-  }
-  return Status::OK();
 }
 
 int64_t ReTraTree::ChunkIndexOf(double t) const {
@@ -259,10 +104,6 @@ int64_t ReTraTree::ChunkIndexOf(double t) const {
 int64_t ReTraTree::SubChunkIndexOf(double t) const {
   return static_cast<int64_t>(
       std::floor((t - params_.origin) / params_.delta));
-}
-
-SubChunk* ReTraTree::GetOrCreateSubChunk(double t) {
-  return GetOrCreateSubChunkByIndex(SubChunkIndexOf(t));
 }
 
 SubChunk* ReTraTree::GetOrCreateSubChunkByIndex(int64_t si) {

@@ -116,6 +116,18 @@ struct HotTierStats {
   /// fully released — a demoted snapshot a reader still holds counts).
   uint64_t hot_partitions = 0;
   uint64_t hot_pins_total = 0;
+
+  /// Field-wise sum (the stats surfaces total every tree's counters).
+  HotTierStats& operator+=(const HotTierStats& o) {
+    qut_hot_probes += o.qut_hot_probes;
+    qut_cold_probes += o.qut_cold_probes;
+    hot_promotions += o.hot_promotions;
+    hot_demotions += o.hot_demotions;
+    hot_index_bytes += o.hot_index_bytes;
+    hot_partitions += o.hot_partitions;
+    hot_pins_total += o.hot_pins_total;
+    return *this;
+  }
 };
 
 /// \brief Cold-tier work aggregated across every open partition and
@@ -193,10 +205,6 @@ struct Chunk {
 std::string EncodeSubTrajectory(const traj::SubTrajectory& st);
 StatusOr<traj::SubTrajectory> DecodeSubTrajectory(const std::string& bytes);
 
-/// Name of the catalog file a persistent ReTraTree keeps under its
-/// directory (in-memory levels L1–L3; L4 lives in the partitions).
-inline constexpr char kReTraTreeCatalog[] = "retratree.catalog";
-
 /// \brief The ReTraTree: a 4-level structure for time-aware sub-trajectory
 /// clustering (DMKD 2017).
 ///
@@ -210,22 +218,21 @@ inline constexpr char kReTraTreeCatalog[] = "retratree.catalog";
 /// or to the sub-chunk's outlier partition; when the partition exceeds γ,
 /// S2T-Clustering runs on it and its discovered representatives are
 /// back-propagated into L3 (the architecture loop of Fig. 2).
+///
+/// The tree is a cache of the store it was fed: L1–L3 live only in
+/// memory, and nothing saves or reopens a tree. An owner that needs the
+/// tree again after a restart rebuilds it from its store
+/// (`core::QutTreeSlot`).
 class ReTraTree {
  public:
-  /// Opens a tree storing partitions under `dir` of `env`. When a catalog
-  /// written by `Save` exists there, the in-memory levels are restored
-  /// from it (the passed structural parameters must match the persisted
-  /// ones). `exec` (optional, not owned, must outlive the tree) is handed
-  /// to the S2T re-clustering runs of the maintenance loop so their
-  /// arena build, index build, and vote kernel fan out.
+  /// Opens an empty tree storing its partitions under `dir` of `env`
+  /// (the directory should hold no files of an earlier tree). `exec`
+  /// (optional, not owned, must outlive the tree) is handed to the S2T
+  /// re-clustering runs of the maintenance loop so their arena build,
+  /// index build, and vote kernel fan out.
   static StatusOr<std::unique_ptr<ReTraTree>> Open(
       storage::Env* env, const std::string& dir, ReTraTreeParams params,
       exec::ExecContext* exec = nullptr);
-
-  /// Persists the in-memory levels (L1–L3) to the catalog file and flushes
-  /// every partition and index. After `Save`, `Open` on the same dir
-  /// restores an equivalent tree.
-  Status Save();
 
   /// Inserts a whole trajectory (id used for provenance only).
   Status Insert(const traj::Trajectory& trajectory,
@@ -322,6 +329,7 @@ class ReTraTree {
   /// index consistency).
   Status Validate() const;
 
+  /// Writes every partition's and index's dirty pages back to the env.
   Status Flush();
 
  private:
@@ -339,13 +347,9 @@ class ReTraTree {
   int64_t ChunkIndexOf(double t) const;
   int64_t SubChunkIndexOf(double t) const;
 
-  std::string CatalogPath() const;
-  Status LoadCatalog();
-
-  /// Returns (creating on demand) the sub-chunk containing time `t`.
-  SubChunk* GetOrCreateSubChunk(double t);
-  /// Same, addressed by global sub-chunk index (the batch path's bucket
-  /// key, so bucketing and lookup cannot disagree on boundary times).
+  /// Returns (creating on demand) the sub-chunk with global index `si`
+  /// (the batch path's bucket key, so bucketing and lookup cannot
+  /// disagree on boundary times).
   SubChunk* GetOrCreateSubChunkByIndex(int64_t si);
 
   /// Splits a trajectory at sub-chunk boundaries and the record-size bound

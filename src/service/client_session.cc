@@ -55,10 +55,10 @@ StatusOr<sql::Table> ClientSession::ServiceStats() {
   return table;
 }
 
-StatusOr<std::unique_ptr<sql::RowCursor>> ClientSession::Qut(
+StatusOr<core::QuTResult> ClientSession::Qut(
     const std::string& mod, double wi, double we,
     const std::vector<double>& tree_params) {
-  return server_->QutQuery(mod, wi, we, tree_params, mutable_stats());
+  return server_->QutQuery(mod, wi, we, tree_params);
 }
 
 StatusOr<std::shared_ptr<const traj::TrajectoryStore>>

@@ -55,7 +55,7 @@ class ClientSession : public sql::FrontEnd {
   Status Flush(const sql::Statement& stmt) override;
   Status Checkpoint(const sql::Statement& stmt) override;
   StatusOr<sql::Table> ServiceStats() override;
-  StatusOr<std::unique_ptr<sql::RowCursor>> Qut(
+  StatusOr<core::QuTResult> Qut(
       const std::string& mod, double wi, double we,
       const std::vector<double>& tree_params) override;
   StatusOr<std::shared_ptr<const traj::TrajectoryStore>> Snapshot(

@@ -391,8 +391,8 @@ Status Server::RecoverOrInit() {
       Decoder dec(blob);
       HERMES_ASSIGN_OR_RETURN(traj::TrajectoryStore store,
                               traj::DecodeStore(&dec));
-      // No tree is reopened: its directory may hold appends made after
-      // the checkpoint. The first QUT rebuilds from the store.
+      // Trees are caches, never saved: the first QUT rebuilds one from
+      // the store.
       auto mod = NewMod(meta.name, std::move(store));
       common::MutexLock lock(&catalog_mu_);
       mods_[meta.name] = std::move(mod);

@@ -212,16 +212,19 @@ StatusOr<std::pair<size_t, size_t>> Server::LoadMod(
 
 StatusOr<std::shared_ptr<const traj::TrajectoryStore>> Server::SnapshotMod(
     const std::string& name) const {
-  auto mod = FindMod(Canonical(name));
-  if (mod == nullptr) {
-    return Status::NotFound("no MOD named " + Canonical(name));
-  }
+  const std::string key = Canonical(name);
+  auto mod = FindMod(key);
+  if (mod == nullptr) return Status::NotFound("no MOD named " + key);
+  return PublishedStore(mod.get(), key);
+}
+
+StatusOr<std::shared_ptr<const traj::TrajectoryStore>> Server::PublishedStore(
+    SharedMod* mod, const std::string& key) {
   common::MutexLock lock(&mod->published_mu);
   if (mod->published == nullptr) {
     // Every creation path republishes before catalog insertion; this
     // guards the invariant instead of dereferencing null.
-    return Status::Internal("MOD " + Canonical(name) +
-                            " has no published snapshot");
+    return Status::Internal("MOD " + key + " has no published snapshot");
   }
   // Aliased: the handle keeps the whole published snapshot — store plus
   // pinned arena epoch — alive for as long as any cursor holds it.
@@ -367,34 +370,29 @@ void Server::WorkerLoop() {
 // QUT over the shared tree
 // ---------------------------------------------------------------------------
 
-StatusOr<std::unique_ptr<sql::RowCursor>> Server::QutQuery(
+StatusOr<core::QuTResult> Server::QutQuery(
     const std::string& name, double wi, double we,
-    const std::vector<double>& tree_params, exec::ExecStats* session_stats) {
-  auto mod = FindMod(Canonical(name));
-  if (mod == nullptr) {
-    return Status::NotFound("no MOD named " + Canonical(name));
-  }
-  {
-    // Fast path: fresh tree, query under the shared lock — concurrent
-    // QUT readers proceed in parallel (HeapFile/Gist are internally
-    // locked), while the ingest worker waits its turn.
-    common::ReaderMutexLock rlock(&mod->mu);
-    if (mod->tree.Fresh(tree_params, mod->store.NumTrajectories())) {
-      return sql::QutQuery(mod->tree.tree(), wi, we, session_stats);
-    }
-  }
-  common::WriterMutexLock wlock(&mod->mu);
+    const std::vector<double>& tree_params) {
+  const std::string key = Canonical(name);
+  auto mod = FindMod(key);
+  if (mod == nullptr) return Status::NotFound("no MOD named " + key);
+  // Over the published snapshot, a prefix of the live store, so QUT takes
+  // no MOD lock: readers rebuilding the tree never keep the ingest worker
+  // out. The worker catches the tree up as it appends, so the tree may
+  // run ahead of the snapshot; it then answers as it stands.
+  HERMES_ASSIGN_OR_RETURN(std::shared_ptr<const traj::TrajectoryStore> snap,
+                          PublishedStore(mod.get(), key));
+  core::QutTreeWork work = core::QutTreeWork::kNone;
   // Shared trees are server-scoped resources, so the server's configured
   // default governs their hot-tier budget.
-  HERMES_ASSIGN_OR_RETURN(
-      core::QutTreeWork work,
-      mod->tree.Refresh(
-          tree_params, mod->store, exec_.get(),
-          static_cast<size_t>(options_.session_defaults.hot_index_budget)));
+  StatusOr<core::QuTResult> result = mod->tree.Query(
+      tree_params, *snap, exec_.get(),
+      static_cast<size_t>(options_.session_defaults.hot_index_budget), wi, we,
+      nullptr, &work);
   if (work == core::QutTreeWork::kCaughtUp) {
     tree_catchups_.fetch_add(1, std::memory_order_relaxed);
   }
-  return sql::QutQuery(mod->tree.tree(), wi, we, session_stats);
+  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -426,20 +424,7 @@ ServiceStats Server::Stats() const {
     const traj::SegmentArenaCounters c = mod->store.arena_counters();
     s.epochs_pinned += c.epochs_pinned;
     s.epoch_pins += c.epoch_pins;
-    // The tree pointer itself mutates under the MOD's writer lock
-    // (rebuilds, catch-up failures), so read it shared; the hot-tier
-    // counters behind it are atomics.
-    common::ReaderMutexLock rlock(&mod->mu);
-    if (mod->tree.tree() != nullptr) {
-      const core::HotTierStats h = mod->tree.tree()->hot_stats();
-      s.qut_hot_probes += h.qut_hot_probes;
-      s.qut_cold_probes += h.qut_cold_probes;
-      s.hot_promotions += h.hot_promotions;
-      s.hot_demotions += h.hot_demotions;
-      s.hot_index_bytes += h.hot_index_bytes;
-      s.hot_partitions += h.hot_partitions;
-      s.hot_pins_total += h.hot_pins_total;
-    }
+    s += mod->tree.hot_stats();
   }
   s.ingest_split_us = exec_->stats().PhaseUs("ingest_split");
   s.ingest_apply_us = exec_->stats().PhaseUs("ingest_apply");
@@ -474,13 +459,7 @@ void AccumulateServiceStats(const ServiceStats& s, ServiceStats* total) {
   total->epoch_pins += s.epoch_pins;
   total->ingest_split_us += s.ingest_split_us;
   total->ingest_apply_us += s.ingest_apply_us;
-  total->qut_hot_probes += s.qut_hot_probes;
-  total->qut_cold_probes += s.qut_cold_probes;
-  total->hot_promotions += s.hot_promotions;
-  total->hot_demotions += s.hot_demotions;
-  total->hot_index_bytes += s.hot_index_bytes;
-  total->hot_partitions += s.hot_partitions;
-  total->hot_pins_total += s.hot_pins_total;
+  static_cast<core::HotTierStats&>(*total) += s;
   total->wal_records_appended += s.wal_records_appended;
   total->wal_bytes_appended += s.wal_bytes_appended;
   total->wal_syncs += s.wal_syncs;

@@ -49,7 +49,10 @@ struct ServerOptions {
 };
 
 /// \brief Monotonic service counters, surfaced as `SHOW SERVICE STATS`.
-struct ServiceStats {
+/// The inherited hot-tier counters (`core::HotTierStats`: QUT probes
+/// served hot vs cold, promote/demote churn, resident bytes) are summed
+/// over every shared tree.
+struct ServiceStats : core::HotTierStats {
   uint64_t sessions_opened = 0;
   uint64_t sessions_active = 0;
   uint64_t mods = 0;
@@ -71,16 +74,6 @@ struct ServiceStats {
   /// catch-ups, which run the same `InsertBatch` pipeline.
   int64_t ingest_split_us = 0;
   int64_t ingest_apply_us = 0;
-  /// Hot in-memory index tier, summed over every shared tree (see
-  /// `core::HotTierStats`): QUT probes served from hot snapshots vs the
-  /// on-disk heap+Gist cold path, promote/demote churn, resident bytes.
-  uint64_t qut_hot_probes = 0;
-  uint64_t qut_cold_probes = 0;
-  uint64_t hot_promotions = 0;
-  uint64_t hot_demotions = 0;
-  uint64_t hot_index_bytes = 0;
-  uint64_t hot_partitions = 0;
-  uint64_t hot_pins_total = 0;
   /// Durability counters (all zero on a non-WAL server). `wal_errors`
   /// counting up means the server went read-only: a WAL append or fsync
   /// failed, so mutations are rejected rather than applied undurably.
@@ -123,10 +116,11 @@ void AppendServiceStatsRows(const ServiceStats& s, const std::string& prefix,
 ///    `ClientSession` it connects.
 ///  - Each MOD holds the writable store (touched only by the ingest
 ///    worker and DDL, under the MOD's writer lock), the shared ReTraTree
-///    (readers take the lock shared for QUT; the worker takes it
-///    exclusive to append), and an immutable *published snapshot* swapped
-///    in after every drain. Query sessions read published snapshots only
-///    and therefore never block on — or race with — ingest.
+///    (locked by its slot; QUT reads it over the published snapshot, the
+///    worker catches it up as it appends), and an immutable *published
+///    snapshot* swapped in after every drain. Query sessions read
+///    published snapshots only and therefore never race with ingest; the
+///    only wait they share with it is a QUT on a tree being caught up.
 ///  - `INSERT` statements from sessions enqueue; the worker drains them
 ///    through `ReTraTree::InsertBatch` on the server context, then
 ///    republishes. `FLUSH` blocks until every batch enqueued before it is
@@ -191,15 +185,15 @@ class Server {
   /// old checkpoint + a longer tail — never from a half-written one).
   Status Checkpoint();
 
-  /// QUT over the MOD's *shared* tree. The tree is refreshed (built, or
-  /// caught up with trajectories ingested since — `core::QutTreeSlot`)
-  /// under the MOD's exclusive lock when stale; fresh-tree queries run
-  /// under a shared lock, so concurrent QUT readers proceed in parallel
-  /// (the storage read path is internally locked). `tree_params` is
-  /// (tau, delta, t, d, gamma).
-  StatusOr<std::unique_ptr<sql::RowCursor>> QutQuery(
-      const std::string& name, double wi, double we,
-      const std::vector<double>& tree_params, exec::ExecStats* session_stats);
+  /// QUT over the MOD's *shared* tree, through `core::QutTreeSlot::Query`
+  /// over the published snapshot, holding no MOD lock: a fresh tree
+  /// answers concurrent readers in parallel (the storage read path is
+  /// internally locked); a stale one is refreshed (built, or caught up
+  /// with trajectories published since) under the slot's own exclusive
+  /// lock. `tree_params` is (tau, delta, t, d, gamma).
+  StatusOr<core::QuTResult> QutQuery(const std::string& name, double wi,
+                                     double we,
+                                     const std::vector<double>& tree_params);
 
   /// Point-in-time service counters.
   ServiceStats Stats() const;
@@ -218,9 +212,12 @@ class Server {
     /// Snapshot readers never take it.
     common::SharedMutex mu;
     traj::TrajectoryStore store GUARDED_BY(mu);
-    /// The shared QUT tree: kept caught up by the ingest worker once a
-    /// query built it, rebuilt by the query path on new parameters.
-    core::QutTreeSlot tree GUARDED_BY(mu);
+    /// The shared QUT tree: kept caught up by the ingest worker (under
+    /// `mu`, with `store`) once a query built it, and built or caught up
+    /// by the query path over the published snapshot — a prefix of
+    /// `store`, so both feed it one append-only sequence. The slot locks
+    /// itself.
+    core::QutTreeSlot tree;
 
     /// One published snapshot: the store copy plus one pinned arena
     /// epoch, so `epochs_pinned` reflects it (and every cursor-held
@@ -245,6 +242,9 @@ class Server {
   /// with a re-created one.
   std::shared_ptr<SharedMod> NewMod(const std::string& key,
                                     traj::TrajectoryStore store);
+  /// The MOD's published store, aliasing (and so pinning) its snapshot.
+  static StatusOr<std::shared_ptr<const traj::TrajectoryStore>>
+  PublishedStore(SharedMod* mod, const std::string& key);
   /// Re-publishes the MOD's snapshot from its current store state.
   void Republish(SharedMod* mod) REQUIRES(mod->mu);
   void WorkerLoop();

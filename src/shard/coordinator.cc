@@ -231,30 +231,20 @@ Coordinator::GatherSnapshot(const std::string& name) {
 // QUT over the merged tree
 // ---------------------------------------------------------------------------
 
-StatusOr<std::unique_ptr<sql::RowCursor>> Coordinator::QutQuery(
+StatusOr<core::QuTResult> Coordinator::QutQuery(
     const std::string& name, double wi, double we,
-    const std::vector<double>& tree_params, exec::ExecStats* session_stats) {
+    const std::vector<double>& tree_params) {
   // Refreshes the merged cache as a side effect (dropping a stale tree),
-  // so the freshness check below is against the *current* merge.
-  HERMES_ASSIGN_OR_RETURN(std::shared_ptr<const traj::TrajectoryStore> snap,
-                          GatherSnapshot(name));
-  (void)snap;  // Pinned so the gathered merge outlives the checks below.
+  // so the query below reads the current merge.
+  HERMES_RETURN_NOT_OK(GatherSnapshot(name).status());
   std::shared_ptr<MergedMod> mm =
       FindOrCreateMerged(sql::CanonicalModName(name));
-  {
-    common::ReaderMutexLock rlock(&mm->mu);
-    if (mm->tree.Fresh(tree_params, mm->merged->NumTrajectories())) {
-      return sql::QutQuery(mm->tree.tree(), wi, we, session_stats);
-    }
-  }
-  common::WriterMutexLock wlock(&mm->mu);
-  HERMES_RETURN_NOT_OK(
-      mm->tree
-          .Refresh(tree_params, *mm->merged, exec_.get(),
-                   static_cast<size_t>(
-                       config_.session_defaults.hot_index_budget))
-          .status());
-  return sql::QutQuery(mm->tree.tree(), wi, we, session_stats);
+  // Shared: the merge stays put while concurrent QUT readers proceed in
+  // parallel; the slot takes its own lock exclusive to rebuild.
+  common::ReaderMutexLock rlock(&mm->mu);
+  return mm->tree.Query(
+      tree_params, *mm->merged, exec_.get(),
+      static_cast<size_t>(config_.session_defaults.hot_index_budget), wi, we);
 }
 
 // ---------------------------------------------------------------------------
@@ -371,10 +361,10 @@ class CoordinatorSession final : public sql::FrontEnd {
     return table;
   }
 
-  StatusOr<std::unique_ptr<sql::RowCursor>> Qut(
+  StatusOr<core::QuTResult> Qut(
       const std::string& mod, double wi, double we,
       const std::vector<double>& tree_params) override {
-    return coord_->QutQuery(mod, wi, we, tree_params, mutable_stats());
+    return coord_->QutQuery(mod, wi, we, tree_params);
   }
 
   /// Clustering analytics (S2T, S2T_MEMBERS, TRACLUS, TOPTICS, CONVOYS)

@@ -109,12 +109,12 @@ class Coordinator {
       const std::string& name);
 
   /// QUT over the MOD's merged tree (built from the merged snapshot,
-  /// cached until the merge moves). Same locking shape as
-  /// `service::Server::QutQuery`: fresh-tree queries run under a shared
-  /// lock, rebuilds take it exclusive.
-  StatusOr<std::unique_ptr<sql::RowCursor>> QutQuery(
-      const std::string& name, double wi, double we,
-      const std::vector<double>& tree_params, exec::ExecStats* session_stats);
+  /// cached until the merge moves), through `core::QutTreeSlot::Query`
+  /// under the merged view's shared lock — the same path as
+  /// `service::Server::QutQuery`.
+  StatusOr<core::QuTResult> QutQuery(const std::string& name, double wi,
+                                     double we,
+                                     const std::vector<double>& tree_params);
 
   size_t num_shards() const { return shards_.size(); }
   const service::ServiceConfig& config() const { return config_; }
@@ -132,13 +132,16 @@ class Coordinator {
     MergedMod(storage::Env* env, std::string tree_prefix)
         : tree(env, std::move(tree_prefix)) {}
 
-    /// Writers rebuild the merge/tree; QUT readers on a fresh cache take
-    /// it shared, so concurrent queries proceed in parallel.
+    /// Writers rebuild the merge (dropping the tree); QUT readers and
+    /// snapshot reads of a current merge take it shared, so concurrent
+    /// queries proceed in parallel.
     common::SharedMutex mu;
     std::vector<std::shared_ptr<const traj::TrajectoryStore>> sources
         GUARDED_BY(mu);
     std::shared_ptr<const traj::TrajectoryStore> merged GUARDED_BY(mu);
-    core::QutTreeSlot tree GUARDED_BY(mu);
+    /// The merged tree over `merged`. The slot locks itself; QUT calls
+    /// it under `mu` shared so `merged` stays put.
+    core::QutTreeSlot tree;
   };
 
   Coordinator(service::ServiceConfig config, storage::Env* env,

@@ -107,17 +107,7 @@ void Session::AppendStats(Table* table) {
   // Hot/cold tier counters, summed over every built tree (counter value
   // in the total_us column).
   core::HotTierStats tier;
-  for (const auto& [name, entry] : mods_) {
-    if (entry.tree.tree() == nullptr) continue;
-    const core::HotTierStats s = entry.tree.tree()->hot_stats();
-    tier.qut_hot_probes += s.qut_hot_probes;
-    tier.qut_cold_probes += s.qut_cold_probes;
-    tier.hot_promotions += s.hot_promotions;
-    tier.hot_demotions += s.hot_demotions;
-    tier.hot_index_bytes += s.hot_index_bytes;
-    tier.hot_partitions += s.hot_partitions;
-    tier.hot_pins_total += s.hot_pins_total;
-  }
+  for (const auto& [name, entry] : mods_) tier += entry.tree.hot_stats();
   auto row = [table](const char* name, uint64_t v) {
     table->rows.push_back(
         {Value::Str(name), Value::Int(static_cast<int64_t>(v))});
@@ -131,19 +121,16 @@ void Session::AppendStats(Table* table) {
   row("hot_pins_total", tier.hot_pins_total);
 }
 
-StatusOr<std::unique_ptr<RowCursor>> Session::Qut(
-    const std::string& mod, double wi, double we,
-    const std::vector<double>& tree_params) {
+StatusOr<core::QuTResult> Session::Qut(const std::string& mod, double wi,
+                                       double we,
+                                       const std::vector<double>& tree_params) {
   HERMES_ASSIGN_OR_RETURN(ModEntry * entry, FindMod(mod));
   // Catches the tree up with rows inserted since the last QUT; the
   // session's own budget applies on every query.
   const auto budget = static_cast<size_t>(
       settings().Get("hermes.hot_index_budget")->AsInt());
-  HERMES_RETURN_NOT_OK(entry->tree
-                           .Refresh(tree_params, entry->store, exec_context(),
-                                    budget, mutable_stats())
-                           .status());
-  return QutQuery(entry->tree.tree(), wi, we, mutable_stats());
+  return entry->tree.Query(tree_params, entry->store, exec_context(), budget,
+                           wi, we, mutable_stats());
 }
 
 StatusOr<std::shared_ptr<const traj::TrajectoryStore>> Session::Snapshot(

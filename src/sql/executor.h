@@ -54,7 +54,7 @@ class Session : public FrontEnd {
   Status Checkpoint(const Statement& stmt) override;
   StatusOr<Table> ServiceStats() override;
   void AppendStats(Table* table) override;
-  StatusOr<std::unique_ptr<RowCursor>> Qut(
+  StatusOr<core::QuTResult> Qut(
       const std::string& mod, double wi, double we,
       const std::vector<double>& tree_params) override;
   StatusOr<std::shared_ptr<const traj::TrajectoryStore>> Snapshot(

@@ -229,8 +229,11 @@ StatusOr<std::unique_ptr<RowCursor>> FrontEnd::ExecuteSelect(
           "QUT(D, Wi, We, tau, delta, t, d, gamma) takes 7 numbers" +
           ErrorLocation(stmt.function_pos, stmt.function));
     }
-    return Qut(mod, args[0], args[1],
-               std::vector<double>(args.begin() + 2, args.end()));
+    HERMES_ASSIGN_OR_RETURN(
+        core::QuTResult result,
+        Qut(mod, args[0], args[1],
+            std::vector<double>(args.begin() + 2, args.end())));
+    return MakeQutCursor(result, args[0], args[1], &session_stats_);
   }
   return Select(stmt, mod, args, binds);
 }

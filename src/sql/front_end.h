@@ -98,8 +98,9 @@ class FrontEnd {
   virtual StatusOr<Table> ServiceStats() = 0;
   /// Rows `SHOW STATS` appends after the phase timings.
   virtual void AppendStats(Table* /*table*/) {}
-  /// `QUT` over the MOD's tree; `tree_params` is (tau, delta, t, d, gamma).
-  virtual StatusOr<std::unique_ptr<RowCursor>> Qut(
+  /// `QUT` over the MOD's tree (`core::QutTreeSlot::Query`);
+  /// `tree_params` is (tau, delta, t, d, gamma).
+  virtual StatusOr<core::QuTResult> Qut(
       const std::string& mod, double wi, double we,
       const std::vector<double>& tree_params) = 0;
   /// The store a SELECT function reads; the handle keeps it alive for

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <utility>
@@ -14,16 +13,6 @@
 #include "core/s2t_clustering.h"
 
 namespace hermes::sql {
-
-namespace {
-
-int64_t NowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 std::shared_ptr<const traj::TrajectoryStore> BorrowStore(
     const traj::TrajectoryStore* store) {
@@ -409,14 +398,11 @@ StatusOr<std::unique_ptr<RowCursor>> EvalSelectFunction(
   return Status::NotSupported("unknown function " + function + at);
 }
 
-StatusOr<std::unique_ptr<RowCursor>> QutQuery(core::ReTraTree* tree,
-                                              double wi, double we,
-                                              exec::ExecStats* session_stats) {
-  core::QuTClustering qut(tree);
-  const int64_t t0 = NowUs();
-  HERMES_ASSIGN_OR_RETURN(core::QuTResult result, qut.Query(wi, we));
+std::unique_ptr<RowCursor> MakeQutCursor(const core::QuTResult& result,
+                                         double wi, double we,
+                                         exec::ExecStats* session_stats) {
   if (session_stats != nullptr) {
-    session_stats->RecordPhaseUs("qut_query", NowUs() - t0);
+    session_stats->RecordPhaseUs("qut_query", result.stats.elapsed_us);
   }
   Table table;
   table.columns = {{"cluster_id", ValueType::kInt},

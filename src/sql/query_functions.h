@@ -100,16 +100,17 @@ std::string CanonicalModName(const std::string& name);
 /// S2T_MEMBERS / TRACLUS / TOPTICS / CONVOYS — against `env`. `at` is the
 /// error-location suffix anchored at the function token. `QUT` is *not*
 /// handled here: it reads a backend's `core::QutTreeSlot` (see
-/// `QutQuery`).
+/// `MakeQutCursor`).
 StatusOr<std::unique_ptr<RowCursor>> EvalSelectFunction(
     const std::string& function, const std::vector<double>& args,
     const QueryEnv& env, const std::string& at);
 
-/// Runs a QUT window query against an already-built tree, recording the
-/// `qut_query` wall time into `session_stats` (optional).
-StatusOr<std::unique_ptr<RowCursor>> QutQuery(core::ReTraTree* tree,
-                                              double wi, double we,
-                                              exec::ExecStats* session_stats);
+/// The QUT table of a window answer (`core::QutTreeSlot::Query` over
+/// [wi, we)): one row per cluster, then the outliers row. Records the
+/// query's `qut_query` wall time into `session_stats` (optional).
+std::unique_ptr<RowCursor> MakeQutCursor(const core::QuTResult& result,
+                                         double wi, double we,
+                                         exec::ExecStats* session_stats);
 
 /// The QUT tree-parameter mapping (see `core::MakeQutTreeParams`).
 using core::MakeQutTreeParams;

@@ -60,6 +60,8 @@ class Pager {
                                                const std::string& fname,
                                                size_t cache_pages = 256);
 
+  /// Flushes best-effort: a failure is logged at `Error`, not raised
+  /// (call `Flush` first to see its `Status`).
   ~Pager();
 
   Pager(const Pager&) = delete;

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/coding.h"
+#include "common/logging.h"
 #include "common/mathutil.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -274,6 +275,20 @@ TEST(CodingTest, DoubleSpecialValues) {
   EXPECT_EQ(dec.ReadDouble(), 0.0);
   EXPECT_EQ(dec.ReadDouble(), -0.0);
   EXPECT_EQ(dec.ReadDouble(), 1e308);
+}
+
+// ---------------------------------------------------------------------------
+// Logging
+// ---------------------------------------------------------------------------
+
+// A failed check must say why before it aborts: the condition and the
+// streamed text both reach stderr.
+TEST(LoggingDeathTest, FailedCheckPrintsItsMessage) {
+  const int answer = 42;
+  EXPECT_DEATH(HERMES_CHECK(answer == 41) << "streamed " << answer,
+               "Check failed: answer == 41 streamed 42");
+  EXPECT_DEATH(HERMES_CHECK_OK(Status::IOError("disk full")),
+               "Check failed: _st.ok\\(\\) IOError: disk full");
 }
 
 // Parameterized sweep: PutFixed64/GetFixed64 round-trips assorted patterns.

@@ -298,25 +298,6 @@ TEST_F(QuTTest, HotSnapshotsReleaseTheirPins) {
   EXPECT_EQ(pins->live.load(), 0u);
 }
 
-TEST_F(QuTTest, SurvivesSaveAndReopen) {
-  // Persist the tree, reopen it, and ask the same question: the answer
-  // must match the pre-restart one.
-  QuTClustering before(tree_.get());
-  auto expected = before.Query(0, 800);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(tree_->Save().ok());
-  tree_.reset();
-
-  auto reopened = ReTraTree::Open(env_.get(), "qut_tree", TreeParams());
-  ASSERT_TRUE(reopened.ok());
-  QuTClustering after(reopened->get());
-  auto result = after.Query(0, 800);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->clusters.size(), expected->clusters.size());
-  EXPECT_EQ(result->TotalMembers(), expected->TotalMembers());
-  EXPECT_EQ(result->outliers.size(), expected->outliers.size());
-}
-
 // Window-size sweep: QuT never reads more members than exist, and the
 // boundary work scales with the boundary, not the window.
 class QuTWindowSweep : public ::testing::TestWithParam<double> {};

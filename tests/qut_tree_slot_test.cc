@@ -1,8 +1,9 @@
-// core::QutTreeSlot: the one QUT-tree lifecycle the embedded session, the
-// service server and the shard coordinator share. Rebuild on new
-// parameters or after Drop, otherwise catch up with InsertBatch — and a
-// caught-up tree answers bit-identically to one built over the whole
-// store. Retired trees leave no files behind.
+// core::QutTreeSlot: the one QUT-tree lifecycle, lock and read path the
+// embedded session, the service server and the shard coordinator share.
+// Rebuild on new parameters or after Drop, otherwise catch up with
+// InsertBatch — and a caught-up tree answers bit-identically to one built
+// over the whole store. Retired trees leave no files behind, and storage
+// that refuses writes yields a Status, never an abort.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +12,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "core/qut_tree_slot.h"
 #include "datagen/maritime.h"
 #include "sql/query_functions.h"
 #include "storage/env.h"
+#include "storage/fault_env.h"
 #include "traj/trajectory_store.h"
 
 namespace hermes::core {
@@ -36,13 +39,14 @@ std::vector<double> TreeParams(const traj::TrajectoryStore& store) {
   return {tau, tau / 4, tau / 4, 1600, 4};
 }
 
-/// The QUT table over the whole time domain of `store`.
+/// The QUT table over the whole time domain of `store`, read from the
+/// slot's current tree.
 sql::Table Qut(const QutTreeSlot& slot, const traj::TrajectoryStore& store) {
   const auto [t0, t1] = store.TimeDomain();
-  auto cursor = sql::QutQuery(slot.tree(), t0, t1 + 1, nullptr);
-  EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
-  if (!cursor.ok()) return sql::Table{};
-  auto table = (*cursor)->ToTable();
+  auto result = QuTClustering(slot.tree()).Query(t0, t1 + 1);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return sql::Table{};
+  auto table = sql::MakeQutCursor(*result, t0, t1 + 1, nullptr)->ToTable();
   EXPECT_TRUE(table.ok());
   return table.ok() ? std::move(*table) : sql::Table{};
 }
@@ -146,6 +150,78 @@ TEST(QutTreeSlotTest, OneSampleTrajectoriesAreLeftOut) {
   QutTreeSlot plain(env.get(), "q_");
   ASSERT_TRUE(plain.Refresh(params, ships, nullptr, 0).ok());
   EXPECT_EQ(Qut(slot, ships).rows, Qut(plain, ships).rows);
+}
+
+// The hot-tier budget is part of freshness: a query with a new budget
+// applies it to the live tree (0: demote everything, probe cold) without
+// rebuilding, and answers the same.
+TEST(QutTreeSlotTest, QueryAppliesANewHotBudgetWithoutRebuilding) {
+  const traj::TrajectoryStore ships = MakeShips(6);
+  const std::vector<double> params = TreeParams(ships);
+  const auto [t0, t1] = ships.TimeDomain();
+  auto env = storage::Env::NewMemEnv();
+  QutTreeSlot slot(env.get(), "t_");
+  EXPECT_EQ(slot.hot_stats().qut_cold_probes, 0u);  // No tree: zeros.
+
+  QutTreeWork work = QutTreeWork::kNone;
+  auto hot = slot.Query(params, ships, nullptr, kDefaultHotIndexBudget, t0,
+                        t1 + 1, nullptr, &work);
+  ASSERT_TRUE(hot.ok()) << hot.status().ToString();
+  EXPECT_EQ(work, QutTreeWork::kRebuilt);
+  EXPECT_GT(slot.hot_stats().hot_index_bytes, 0u);
+
+  auto cold = slot.Query(params, ships, nullptr, 0, t0, t1 + 1, nullptr,
+                         &work);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(work, QutTreeWork::kNone);
+  EXPECT_EQ(slot.hot_stats().hot_index_bytes, 0u);
+  const uint64_t hot_probes = slot.hot_stats().qut_hot_probes;
+  ASSERT_TRUE(
+      slot.Query(params, ships, nullptr, 0, t0, t1 + 1, nullptr, &work).ok());
+  EXPECT_EQ(slot.hot_stats().qut_hot_probes, hot_probes);
+  EXPECT_EQ(sql::MakeQutCursor(*cold, t0, t1 + 1, nullptr)->ToTable()->rows,
+            sql::MakeQutCursor(*hot, t0, t1 + 1, nullptr)->ToTable()->rows);
+}
+
+// A tree is a cache: when the env refuses every write, building,
+// dropping and destroying one returns a Status or succeeds (pages may
+// stay cached) but never aborts. Once writes work again the next refresh
+// rebuilds, and answers exactly like a slot that never saw a failure.
+TEST(QutTreeSlotTest, RefusedWritesNeverAbortAndTheNextRefreshRebuilds) {
+  const traj::TrajectoryStore ships = MakeShips(12);
+  const std::vector<double> params = TreeParams(ships);
+  auto base = storage::Env::NewMemEnv();
+  storage::FaultInjectionEnv env(base.get());
+  env.set_write_budget(0);
+  // Each refused close logs an Error line; keep the test output readable.
+  const LogLevel level = GetLogLevel();
+  SetLogLevel(LogLevel::kFatal);
+
+  QutTreeSlot slot(&env, "t_");
+  auto built = slot.Refresh(params, ships, nullptr, kDefaultHotIndexBudget);
+  if (!built.ok()) {
+    EXPECT_EQ(slot.tree(), nullptr);  // Failure drops.
+  }
+  // Re-clustering closes and deletes outlier partitions mid-build, so
+  // the failpoint fires even when every live page stays cached.
+  const uint64_t refused = env.writes_failed();
+  EXPECT_GT(refused, 0u);
+  slot.Drop();
+  {
+    QutTreeSlot doomed(&env, "doomed_");
+    (void)doomed.Refresh(params, ships, nullptr, kDefaultHotIndexBudget);
+  }  // Destroyed holding whatever it built.
+  EXPECT_GT(env.writes_failed(), refused);
+  SetLogLevel(level);
+
+  env.set_write_budget(-1);
+  auto w = slot.Refresh(params, ships, nullptr, kDefaultHotIndexBudget);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  EXPECT_EQ(*w, QutTreeWork::kRebuilt);
+  QutTreeSlot fresh(base.get(), "fresh_");
+  ASSERT_TRUE(
+      fresh.Refresh(params, ships, nullptr, kDefaultHotIndexBudget).ok());
+  EXPECT_EQ(Qut(slot, ships).rows, Qut(fresh, ships).rows);
 }
 
 TEST(QutTreeSlotTest, RejectsWrongParameterCount) {

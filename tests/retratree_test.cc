@@ -363,65 +363,6 @@ TEST_F(ReTraTreeTest, ReclusterFiresInsideParallelApply) {
   }
 }
 
-TEST_F(ReTraTreeTest, SaveAndReopenRestoresStructure) {
-  for (int k = 0; k < 12; ++k) {
-    ASSERT_TRUE(tree_->Insert(Line(k, k * 10.0, 0, 95), k).ok());
-  }
-  ASSERT_GE(tree_->TotalRepresentatives(), 1u);
-  const size_t reps_before = tree_->TotalRepresentatives();
-  const auto chunks_before = tree_->chunks().size();
-  ASSERT_TRUE(tree_->Save().ok());
-  tree_.reset();  // Close everything.
-
-  auto reopened = ReTraTree::Open(env_.get(), "tree", SmallTreeParams());
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->TotalRepresentatives(), reps_before);
-  EXPECT_EQ((*reopened)->chunks().size(), chunks_before);
-  ASSERT_TRUE((*reopened)->Validate().ok());
-
-  // The restored tree keeps serving: members readable, assignment works.
-  for (const auto& [ci, chunk] : (*reopened)->chunks()) {
-    for (const auto& [si, sc] : chunk.sub_chunks) {
-      for (const auto& entry : sc.representatives) {
-        auto members = (*reopened)->ReadMembers(*entry);
-        ASSERT_TRUE(members.ok());
-        EXPECT_EQ(members->size(), entry->member_count);
-      }
-    }
-  }
-  ASSERT_TRUE((*reopened)->Insert(Line(70, 55.0, 0, 95), 70).ok());
-  EXPECT_GE((*reopened)->stats().assigned_to_existing, 1u);
-}
-
-TEST_F(ReTraTreeTest, ReopenWithDifferentStructuralParamsFails) {
-  for (int k = 0; k < 12; ++k) {
-    ASSERT_TRUE(tree_->Insert(Line(k, k * 10.0, 0, 95), k).ok());
-  }
-  ASSERT_TRUE(tree_->Save().ok());
-  tree_.reset();
-
-  ReTraTreeParams other = SmallTreeParams();
-  other.tau = 800.0;  // Different chunking: the catalog must refuse.
-  EXPECT_TRUE(
-      ReTraTree::Open(env_.get(), "tree", other).status()
-          .IsInvalidArgument());
-}
-
-TEST_F(ReTraTreeTest, SaveIsIdempotentAcrossReopens) {
-  for (int k = 0; k < 12; ++k) {
-    ASSERT_TRUE(tree_->Insert(Line(k, k * 10.0, 0, 95), k).ok());
-  }
-  ASSERT_TRUE(tree_->Save().ok());
-  const size_t reps = tree_->TotalRepresentatives();
-  tree_.reset();
-  for (int round = 0; round < 3; ++round) {
-    auto reopened = ReTraTree::Open(env_.get(), "tree", SmallTreeParams());
-    ASSERT_TRUE(reopened.ok());
-    EXPECT_EQ((*reopened)->TotalRepresentatives(), reps);
-    ASSERT_TRUE((*reopened)->Save().ok());
-  }
-}
-
 TEST_F(ReTraTreeTest, RepresentativeAssignmentRespectsDistance) {
   for (int k = 0; k < 12; ++k) {
     ASSERT_TRUE(tree_->Insert(Line(k, k * 10.0, 0, 95), k).ok());

@@ -485,6 +485,131 @@ TEST(ServiceTest, ConcurrentReadersMatchQuiescedSequentialPrefixes) {
   EXPECT_GE(stats.batches_applied, 1u);
 }
 
+// The QUT counterpart: four sessions alternate two tree parameter sets,
+// so shared-tree rebuilds race the worker's catch-ups, while a fifth
+// polls SHOW SERVICE STATS (hot-tier counters read through the slot).
+// Every answer must equal the quiesced answer over some published prefix.
+TEST(ServiceTest, ConcurrentQutMatchesQuiescedSequentialPrefixes) {
+  constexpr size_t kTotal = 16;
+  constexpr size_t kInitial = 8;
+  constexpr size_t kBatch = 2;
+  const traj::TrajectoryStore ships = MakeShips(kTotal);
+  const auto [t0, t1] = ships.TimeDomain();
+  auto qut_sql = [&](double tau, int gamma) {
+    return "SELECT QUT(ships, " + std::to_string(t0) + ", " +
+           std::to_string(t1 + 1) + ", " + std::to_string(tau) + ", " +
+           std::to_string(tau / 4) + ", " + std::to_string(tau / 4) +
+           ", 900, " + std::to_string(gamma) + ");";
+  };
+  const std::vector<std::string> quts = {qut_sql((t1 - t0) / 2, 6),
+                                         qut_sql((t1 - t0) / 4, 4)};
+
+  std::vector<size_t> prefixes;
+  for (size_t k = kInitial; k <= kTotal; k += kBatch) prefixes.push_back(k);
+  // expected[p][i]: QUT parameter set p over prefix i.
+  std::vector<std::vector<Table>> expected(quts.size());
+  for (size_t k : prefixes) {
+    sql::Session quiesced;
+    ASSERT_TRUE(quiesced.RegisterStore("ships", Prefix(ships, k)).ok());
+    for (size_t p = 0; p < quts.size(); ++p) {
+      auto q = quiesced.Execute(quts[p]);
+      ASSERT_TRUE(q.ok()) << q.status().ToString();
+      expected[p].push_back(std::move(*q));
+    }
+  }
+  // Prefixes must answer differently, or a stale tree would pass.
+  EXPECT_NE(expected[0].front().rows, expected[0].back().rows);
+  EXPECT_NE(expected[1].front().rows, expected[1].back().rows);
+
+  ServerOptions opts;
+  opts.threads = 2;
+  auto server = std::move(Server::Start(std::move(opts))).value();
+  ASSERT_TRUE(server->RegisterStore("ships", Prefix(ships, kInitial)).ok());
+
+  // Readers are paced by the writer — query q waits for batch q / 2 to
+  // be queued — so their queries spread over every drain.
+  constexpr size_t kBatches = (kTotal - kInitial) / kBatch;
+  constexpr size_t kReaders = 4;
+  constexpr size_t kQueriesPerReader = 2 * (kBatches + 1);
+  struct QutResult {
+    size_t params = 0;
+    Table table;
+  };
+  std::vector<std::vector<QutResult>> results(kReaders);
+  std::vector<std::string> failures(kReaders + 1);
+  std::atomic<size_t> enqueued{0};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> threads;
+  for (size_t rix = 0; rix < kReaders; ++rix) {
+    threads.emplace_back([&, rix] {
+      auto session = server->Connect();
+      for (size_t q = 0; q < kQueriesPerReader; ++q) {
+        while (enqueued.load() < q / 2) std::this_thread::yield();
+        // Neighbouring readers start on different sets, so every round
+        // asks for both trees at once.
+        const size_t p = (q + rix) % quts.size();
+        auto table = session->Execute(quts[p]);
+        if (!table.ok()) {
+          failures[rix] = table.status().ToString();
+          return;
+        }
+        results[rix].push_back({p, std::move(*table)});
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    auto session = server->Connect();
+    while (!done.load()) {
+      auto stats = session->Execute("SHOW SERVICE STATS;");
+      if (!stats.ok()) {
+        failures[kReaders] = stats.status().ToString();
+        return;
+      }
+    }
+  });
+
+  for (size_t next = kInitial; next < kTotal; next += kBatch) {
+    std::vector<traj::Trajectory> batch;
+    for (size_t tid = next; tid < next + kBatch; ++tid) {
+      batch.push_back(ships.Get(tid));
+    }
+    ASSERT_TRUE(server->EnqueueInsert("ships", std::move(batch)).ok());
+    enqueued.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(server->Flush().ok());
+  for (size_t rix = 0; rix < kReaders; ++rix) threads[rix].join();
+  done.store(true);
+  threads.back().join();
+
+  for (size_t f = 0; f <= kReaders; ++f) EXPECT_EQ(failures[f], "") << f;
+  for (size_t rix = 0; rix < kReaders; ++rix) {
+    ASSERT_EQ(results[rix].size(), kQueriesPerReader);
+    for (size_t q = 0; q < results[rix].size(); ++q) {
+      const QutResult& got = results[rix][q];
+      bool matched = false;
+      for (const Table& e : expected[got.params]) {
+        matched = matched || got.table.rows == e.rows;
+      }
+      EXPECT_TRUE(matched)
+          << "reader " << rix << " query " << q << " (parameter set "
+          << got.params << ") matches no quiesced prefix:\n"
+          << got.table.ToString();
+    }
+  }
+
+  // After FLUSH both parameter sets answer over the full store.
+  auto session = server->Connect();
+  for (size_t p = 0; p < quts.size(); ++p) {
+    auto final_qut = session->Execute(quts[p]);
+    ASSERT_TRUE(final_qut.ok()) << final_qut.status().ToString();
+    EXPECT_EQ(final_qut->rows, expected[p].back().rows) << p;
+  }
+  const ServiceStats stats = server->Stats();
+  EXPECT_EQ(stats.trajectories_ingested, kTotal - kInitial);
+  EXPECT_EQ(stats.ingest_errors, 0u);
+}
+
 TEST(ServiceTest, SingleSampleInsertIsRejectedBeforeQueueing) {
   auto server = std::move(Server::Start(ServerOptions{})).value();
   auto session = server->Connect();
