@@ -1,9 +1,10 @@
 #ifndef HERMES_COMMON_MUTEX_H_
 #define HERMES_COMMON_MUTEX_H_
 
+#include <pthread.h>
+
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/thread_annotations.h"
 
@@ -34,28 +35,36 @@ class CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// \brief `std::shared_mutex` as a capability: exclusive for writers,
-/// shared for readers. `GUARDED_BY(mu)` fields may be *read* under either
-/// mode and written only under exclusive — exactly the reader/writer
-/// contract of the storage and service layers.
+/// \brief A writer-preferring reader/writer lock as a capability:
+/// exclusive for writers, shared for readers. `GUARDED_BY(mu)` fields may
+/// be *read* under either mode and written only under exclusive — exactly
+/// the reader/writer contract of the storage and service layers.
+///
+/// A `pthread_rwlock_t` of kind `PREFER_WRITER_NONRECURSIVE`: once a
+/// writer waits, new readers queue behind it, so overlapping QUT readers
+/// cannot hold off the ingest worker's tree catch-up (glibc's default,
+/// behind `std::shared_mutex`, prefers readers). So a thread must never
+/// take the same lock shared twice: the second `lock_shared` would queue
+/// behind a writer that waits for the first.
 class CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;
+  ~SharedMutex() { pthread_rwlock_destroy(&mu_); }
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
-  void lock() ACQUIRE() { mu_.lock(); }
-  void unlock() RELEASE() { mu_.unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
+  void lock() ACQUIRE() { pthread_rwlock_wrlock(&mu_); }
+  void unlock() RELEASE() { pthread_rwlock_unlock(&mu_); }
+  bool try_lock() TRY_ACQUIRE(true) { return !pthread_rwlock_trywrlock(&mu_); }
 
-  void lock_shared() ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() RELEASE_SHARED() { mu_.unlock_shared(); }
+  void lock_shared() ACQUIRE_SHARED() { pthread_rwlock_rdlock(&mu_); }
+  void unlock_shared() RELEASE_SHARED() { pthread_rwlock_unlock(&mu_); }
   bool try_lock_shared() TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
+    return !pthread_rwlock_tryrdlock(&mu_);
   }
 
  private:
-  std::shared_mutex mu_;
+  pthread_rwlock_t mu_ = PTHREAD_RWLOCK_WRITER_NONRECURSIVE_INITIALIZER_NP;
 };
 
 /// \brief RAII exclusive guard over `Mutex` (the annotated

@@ -130,21 +130,33 @@ SubChunk* ReTraTree::GetOrCreateSubChunkByIndex(int64_t si) {
   return &sc;
 }
 
-uint64_t ReTraTree::NextDerivedId(SubChunk* sc) {
+StatusOr<uint64_t> ReTraTree::NextDerivedId(SubChunk* sc) {
+  // `SplitTrajectory` keeps every sub-chunk index inside the key space.
   const int64_t si = sc->global_index;
   const uint64_t key = si >= 0
                            ? (static_cast<uint64_t>(si) << 1)
                            : ((static_cast<uint64_t>(-(si + 1)) << 1) | 1);
-  HERMES_CHECK(key < (uint64_t{1} << 39))
-      << "sub-chunk index " << si << " outside the derived-id key space";
-  HERMES_CHECK(sc->derived_seq < (uint64_t{1} << 24))
-      << "derived-id space of sub-chunk " << si << " exhausted";
+  if (sc->derived_seq >= (uint64_t{1} << 24)) {
+    return Status::ResourceExhausted("derived-id space of sub-chunk " +
+                                     std::to_string(si) + " exhausted");
+  }
   return (uint64_t{1} << 63) | (key << 24) | sc->derived_seq++;
 }
 
 Status ReTraTree::SplitTrajectory(const traj::Trajectory& trajectory,
                                   traj::TrajectoryId source_id,
                                   std::vector<PendingPiece>* out) const {
+  // Rejected before the batch touches any tree state: a sub-chunk index
+  // outside [-2^38, 2^38), which a derived id's 39-bit zig-zagged key
+  // cannot hold (e.g. epoch-ms data under a small delta).
+  for (const double t : {trajectory.StartTime(), trajectory.EndTime()}) {
+    const double si = std::floor((t - params_.origin) / params_.delta);
+    if (!(si >= -0x1p38 && si < 0x1p38)) {
+      return Status::InvalidArgument(
+          "sub-chunk index " + std::to_string(si) +
+          " outside the derived-id key space [-2^38, 2^38); raise delta");
+    }
+  }
   // Split at sub-chunk boundaries (which include chunk boundaries).
   const int64_t first = SubChunkIndexOf(trajectory.StartTime());
   const int64_t last = SubChunkIndexOf(trajectory.EndTime());
@@ -414,7 +426,7 @@ Status ReTraTree::ReclusterOutliers(SubChunk* sc,
     // Restore provenance from the buffered piece the rep came from.
     const size_t buf_idx =
         temp_to_buffered[rep.source_trajectory];
-    rep.id = NextDerivedId(sc);
+    HERMES_ASSIGN_OR_RETURN(rep.id, NextDerivedId(sc));
     rep.source_trajectory = buffered[buf_idx].source_trajectory;
     entry->representative = rep;
     char buf[64];
@@ -436,7 +448,7 @@ Status ReTraTree::ReclusterOutliers(SubChunk* sc,
     for (size_t m : cluster.members) {
       traj::SubTrajectory member = result.sub_trajectories[m];
       const size_t mbuf = temp_to_buffered[member.source_trajectory];
-      member.id = NextDerivedId(sc);
+      HERMES_ASSIGN_OR_RETURN(member.id, NextDerivedId(sc));
       member.source_trajectory = buffered[mbuf].source_trajectory;
       member.object_id = buffered[mbuf].object_id;
       HERMES_RETURN_NOT_OK(AppendMember(raw, member));
@@ -453,7 +465,7 @@ Status ReTraTree::ReclusterOutliers(SubChunk* sc,
     if (archived[o]) continue;
     traj::SubTrajectory residue = result.sub_trajectories[o];
     const size_t rbuf = temp_to_buffered[residue.source_trajectory];
-    residue.id = NextDerivedId(sc);
+    HERMES_ASSIGN_OR_RETURN(residue.id, NextDerivedId(sc));
     residue.source_trajectory = buffered[rbuf].source_trajectory;
     residue.object_id = buffered[rbuf].object_id;
     {
@@ -468,7 +480,7 @@ Status ReTraTree::ReclusterOutliers(SubChunk* sc,
     for (size_t m : cluster.members) {
       traj::SubTrajectory residue = result.sub_trajectories[m];
       const size_t rbuf = temp_to_buffered[residue.source_trajectory];
-      residue.id = NextDerivedId(sc);
+      HERMES_ASSIGN_OR_RETURN(residue.id, NextDerivedId(sc));
       residue.source_trajectory = buffered[rbuf].source_trajectory;
       residue.object_id = buffered[rbuf].object_id;
       {

@@ -436,8 +436,9 @@ class ReTraTree {
   /// zig-zagged sub-chunk index in bits [62:24], and the sub-chunk's own
   /// sequence in bits [23:0]. Disjoint from the piece-id space
   /// (`next_sub_id_`), so pre-assigning piece ids by prefix sum stays
-  /// exact no matter how many ids re-clustering consumes.
-  uint64_t NextDerivedId(SubChunk* sc);
+  /// exact no matter how many ids re-clustering consumes. Fails once the
+  /// sub-chunk's sequence is exhausted.
+  StatusOr<uint64_t> NextDerivedId(SubChunk* sc);
 
   storage::Env* env_;
   std::string dir_;

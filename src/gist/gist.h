@@ -145,7 +145,6 @@ class Gist {
   }
   storage::PagerStats io_stats() const { return pager_->stats(); }
   storage::LockStats lock_stats() const { return lock_counters_.Snapshot(); }
-  void ResetLockStats() { lock_counters_.Reset(); }
 
   Status Flush();
 

@@ -24,19 +24,10 @@ StatusOr<std::pair<size_t, size_t>> ClientSession::LoadMod(
 
 StatusOr<sql::Table> ClientSession::Insert(
     const sql::Statement& stmt, std::vector<traj::Trajectory> batch) {
-  const auto queued = static_cast<int64_t>(batch.size());
+  const size_t queued = batch.size();
   HERMES_ASSIGN_OR_RETURN(uint64_t ticket,
                           server_->EnqueueInsert(stmt.mod, std::move(batch)));
-  // Asynchronous ack: the rows are queued, not yet query-visible; FLUSH
-  // (or time) makes them so. The ticket orders against FLUSH.
-  sql::Table table;
-  table.columns = {{"status", sql::ValueType::kString},
-                   {"trajectories_queued", sql::ValueType::kInt},
-                   {"ticket", sql::ValueType::kInt}};
-  table.rows = {{sql::Value::Str("QUEUE INSERT " + stmt.mod),
-                 sql::Value::Int(queued),
-                 sql::Value::Int(static_cast<int64_t>(ticket))}};
-  return table;
+  return QueuedInsertAck(stmt.mod, queued, ticket);
 }
 
 Status ClientSession::Flush(const sql::Statement& /*stmt*/) {
@@ -48,11 +39,7 @@ Status ClientSession::Checkpoint(const sql::Statement& /*stmt*/) {
 }
 
 StatusOr<sql::Table> ClientSession::ServiceStats() {
-  sql::Table table;
-  table.columns = {{"counter", sql::ValueType::kString},
-                   {"value", sql::ValueType::kInt}};
-  AppendServiceStatsRows(server_->Stats(), "", &table);
-  return table;
+  return ServiceStatsTable(server_->Stats());
 }
 
 StatusOr<core::QuTResult> ClientSession::Qut(
@@ -66,6 +53,18 @@ ClientSession::Snapshot(const std::string& mod) {
   // Statement-level snapshot isolation: one published snapshot per
   // statement, owned by any cursor the statement returns.
   return server_->SnapshotMod(mod);
+}
+
+sql::Table QueuedInsertAck(const std::string& mod, size_t queued,
+                           uint64_t ticket) {
+  sql::Table table;
+  table.columns = {{"status", sql::ValueType::kString},
+                   {"trajectories_queued", sql::ValueType::kInt},
+                   {"ticket", sql::ValueType::kInt}};
+  table.rows = {{sql::Value::Str("QUEUE INSERT " + mod),
+                 sql::Value::Int(static_cast<int64_t>(queued)),
+                 sql::Value::Int(static_cast<int64_t>(ticket))}};
+  return table;
 }
 
 std::unique_ptr<sql::StatementExecutor> MakeStatementExecutor(

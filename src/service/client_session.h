@@ -1,6 +1,7 @@
 #ifndef HERMES_SERVICE_CLIENT_SESSION_H_
 #define HERMES_SERVICE_CLIENT_SESSION_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -68,9 +69,15 @@ class ClientSession : public sql::FrontEnd {
   Server* server_;
 };
 
+/// The ack of a queued INSERT: (status "QUEUE INSERT <mod>",
+/// trajectories_queued, ticket). The rows are queued, not yet
+/// query-visible; the ticket orders against FLUSH.
+sql::Table QueuedInsertAck(const std::string& mod, size_t queued,
+                           uint64_t ticket);
+
 /// Wraps a connected service session in the backend-neutral
 /// `sql::StatementExecutor` interface (owning the session), so callers —
-/// the shard coordinator, examples, benches — speak one statement API
+/// the net server, examples, benches — speak one statement API
 /// whether the backend is embedded, in-process service, or remote.
 std::unique_ptr<sql::StatementExecutor> MakeStatementExecutor(
     std::unique_ptr<ClientSession> session);

@@ -469,41 +469,56 @@ void AccumulateServiceStats(const ServiceStats& s, ServiceStats* total) {
   total->wal_torn_bytes_dropped += s.wal_torn_bytes_dropped;
 }
 
-void AppendServiceStatsRows(const ServiceStats& s, const std::string& prefix,
-                            sql::Table* table) {
-  auto row = [table, &prefix](const char* name, uint64_t v) {
-    table->rows.push_back({sql::Value::Str(prefix + name),
-                           sql::Value::Int(static_cast<int64_t>(v))});
-  };
-  row("sessions_opened", s.sessions_opened);
-  row("sessions_active", s.sessions_active);
-  row("mods", s.mods);
-  row("ingest_queue_depth", s.ingest_queue_depth);
-  row("batches_enqueued", s.batches_enqueued);
-  row("batches_applied", s.batches_applied);
-  row("trajectories_ingested", s.trajectories_ingested);
-  row("ingest_errors", s.ingest_errors);
-  row("flushes", s.flushes);
-  row("snapshots_published", s.snapshots_published);
-  row("tree_catchups", s.tree_catchups);
-  row("arena_epochs_pinned", s.epochs_pinned);
-  row("arena_epoch_pins", s.epoch_pins);
-  row("ingest_split_us", static_cast<uint64_t>(s.ingest_split_us));
-  row("ingest_apply_us", static_cast<uint64_t>(s.ingest_apply_us));
-  row("qut_hot_probes", s.qut_hot_probes);
-  row("qut_cold_probes", s.qut_cold_probes);
-  row("hot_promotions", s.hot_promotions);
-  row("hot_demotions", s.hot_demotions);
-  row("hot_index_bytes", s.hot_index_bytes);
-  row("hot_partitions", s.hot_partitions);
-  row("hot_pins_total", s.hot_pins_total);
-  row("wal_records_appended", s.wal_records_appended);
-  row("wal_bytes_appended", s.wal_bytes_appended);
-  row("wal_syncs", s.wal_syncs);
-  row("wal_errors", s.wal_errors);
-  row("checkpoints_taken", s.checkpoints_taken);
-  row("wal_records_replayed", s.wal_records_replayed);
-  row("wal_torn_bytes_dropped", s.wal_torn_bytes_dropped);
+sql::Table ServiceStatsTable(const ServiceStats& total,
+                             const std::vector<ServiceStats>& per_shard) {
+  sql::Table table;
+  table.columns = {{"counter", sql::ValueType::kString},
+                   {"value", sql::ValueType::kInt}};
+  if (!per_shard.empty()) {
+    table.rows.push_back(
+        {sql::Value::Str("shards"),
+         sql::Value::Int(static_cast<int64_t>(per_shard.size()))});
+  }
+  // The total's rows, then each shard's under its `shard<k>.` prefix.
+  for (size_t k = 0; k <= per_shard.size(); ++k) {
+    const ServiceStats& s = k == 0 ? total : per_shard[k - 1];
+    const std::string prefix =
+        k == 0 ? "" : "shard" + std::to_string(k - 1) + ".";
+    auto row = [&](const char* name, uint64_t v) {
+      table.rows.push_back({sql::Value::Str(prefix + name),
+                            sql::Value::Int(static_cast<int64_t>(v))});
+    };
+    row("sessions_opened", s.sessions_opened);
+    row("sessions_active", s.sessions_active);
+    row("mods", s.mods);
+    row("ingest_queue_depth", s.ingest_queue_depth);
+    row("batches_enqueued", s.batches_enqueued);
+    row("batches_applied", s.batches_applied);
+    row("trajectories_ingested", s.trajectories_ingested);
+    row("ingest_errors", s.ingest_errors);
+    row("flushes", s.flushes);
+    row("snapshots_published", s.snapshots_published);
+    row("tree_catchups", s.tree_catchups);
+    row("arena_epochs_pinned", s.epochs_pinned);
+    row("arena_epoch_pins", s.epoch_pins);
+    row("ingest_split_us", static_cast<uint64_t>(s.ingest_split_us));
+    row("ingest_apply_us", static_cast<uint64_t>(s.ingest_apply_us));
+    row("qut_hot_probes", s.qut_hot_probes);
+    row("qut_cold_probes", s.qut_cold_probes);
+    row("hot_promotions", s.hot_promotions);
+    row("hot_demotions", s.hot_demotions);
+    row("hot_index_bytes", s.hot_index_bytes);
+    row("hot_partitions", s.hot_partitions);
+    row("hot_pins_total", s.hot_pins_total);
+    row("wal_records_appended", s.wal_records_appended);
+    row("wal_bytes_appended", s.wal_bytes_appended);
+    row("wal_syncs", s.wal_syncs);
+    row("wal_errors", s.wal_errors);
+    row("checkpoints_taken", s.checkpoints_taken);
+    row("wal_records_replayed", s.wal_records_replayed);
+    row("wal_torn_bytes_dropped", s.wal_torn_bytes_dropped);
+  }
+  return table;
 }
 
 }  // namespace hermes::service

@@ -100,11 +100,11 @@ Status ValidateServerOptions(const ServerOptions& options);
 /// sum too: the total is "pending anywhere").
 void AccumulateServiceStats(const ServiceStats& s, ServiceStats* total);
 
-/// Appends the `SHOW SERVICE STATS` counter rows to a (counter, value)
-/// table, each name prefixed with `prefix` ("" for the flat unsharded
-/// listing, "shard0." etc. for per-shard breakdown rows).
-void AppendServiceStatsRows(const ServiceStats& s, const std::string& prefix,
-                            sql::Table* table);
+/// The `SHOW SERVICE STATS` (counter, value) table of `s`. With
+/// `per_shard` (a coordinator's), a `(shards, N)` row comes first and
+/// each shard's counters follow, prefixed `shard<k>.`.
+sql::Table ServiceStatsTable(const ServiceStats& s,
+                             const std::vector<ServiceStats>& per_shard = {});
 
 /// \brief The multi-session service: a shared catalog of MODs, a
 /// background ingest worker, and a factory for `ClientSession`s.
@@ -199,7 +199,6 @@ class Server {
   ServiceStats Stats() const;
 
   const ServerOptions& options() const { return options_; }
-  exec::ExecContext* exec() { return exec_.get(); }
 
  private:
   friend class ClientSession;

@@ -1,6 +1,8 @@
 #ifndef HERMES_SHARD_COORDINATOR_H_
 #define HERMES_SHARD_COORDINATOR_H_
 
+#include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,7 +17,6 @@
 #include "service/server.h"
 #include "service/service_config.h"
 #include "shard/partitioner.h"
-#include "sql/cursor.h"
 #include "sql/statement_executor.h"
 #include "storage/env.h"
 #include "traj/trajectory_store.h"
@@ -30,6 +31,8 @@ struct CoordinatorStats {
   std::vector<service::ServiceStats> per_shard;
 };
 
+class CoordinatorSession;
+
 /// \brief Scatter–gather front end over N single-writer `service::Server`
 /// shards, speaking the same SQL dialect through the same
 /// `sql::StatementExecutor` interface as every other backend.
@@ -39,13 +42,14 @@ struct CoordinatorStats {
 ///  - The coordinator owns the env (shared by all shards, each under its
 ///    own `data_dir/shard<k>` subtree), one `ExecContext` for merges and
 ///    merged-tree builds, the partitioner, and the N shard servers. It
-///    must outlive every session it connects.
+///    must outlive every session it connects. A session's hooks call
+///    the methods below, which call the shards' `service::Server` API.
 ///  - Statement routing (see docs/SQL.md "Sharded execution"):
-///    DDL (`CREATE`/`DROP` MOD), `FLUSH`, and `CHECKPOINT` broadcast to
-///    every shard; `INSERT` routes each row to the owning shard by the
-///    partitioner (object-id hash); `RANGE` and `STATS` scatter to all
-///    shards and gather — `RANGE` merges row-wise with a stable sort on
-///    the object-id key (never arrival order), `STATS` folds the
+///    DDL (`CREATE`/`DROP` MOD), `FLUSH`, and `CHECKPOINT` run on every
+///    shard; `INSERT` routes each trajectory to the owning shard by the
+///    partitioner (object-id hash); `RANGE` and `STATS` evaluate on each
+///    shard's published snapshot and gather — `RANGE` merges row-wise
+///    with a stable sort on the object-id key, `STATS` folds the
 ///    per-shard aggregates exactly (sums for counts, min/max for
 ///    domains). Clustering analytics (`S2T`, `S2T_MEMBERS`, `QUT`,
 ///    `TRACLUS`, ...) are *not* shard-decomposable — a cluster may span
@@ -78,10 +82,17 @@ class Coordinator {
   /// Shuts every shard down (drains their ingest queues). Idempotent.
   void Shutdown();
 
-  /// Opens an independent coordinator session: its own settings, exec
-  /// context, and one statement session per shard. The coordinator must
-  /// outlive it.
+  /// Opens an independent coordinator session: its own settings and
+  /// exec context. The coordinator must outlive it.
   std::unique_ptr<sql::StatementExecutor> Connect();
+
+  // ---- DDL and CHECKPOINT: the `service::Server` call on every shard in
+  // shard order; the first error wins, unprefixed (lockstep catalogs
+  // fail alike).
+  Status CreateMod(const std::string& name);
+  /// Also retires the MOD's merged store and QUT tree.
+  Status DropMod(const std::string& name);
+  Status Checkpoint();
 
   /// Splits `store` by the partitioner and registers each piece on its
   /// owning shard (every shard gets the MOD, possibly empty) — the bulk
@@ -96,11 +107,21 @@ class Coordinator {
   StatusOr<std::pair<size_t, size_t>> LoadMod(const std::string& name,
                                               traj::TrajectoryStore parsed);
 
+  /// Checks the whole batch (`sql::CheckIngestable`), then queues each
+  /// trajectory on its owning shard; returns the largest shard ticket.
+  StatusOr<uint64_t> EnqueueInsert(const std::string& name,
+                                   std::vector<traj::Trajectory> batch);
+
   /// Blocks until every shard's queued ingest is applied and visible.
   Status Flush();
 
-  /// Point-in-time counters: aggregate + per-shard breakdown.
+  /// Point-in-time counters: aggregate (with this coordinator's own
+  /// sessions) + per-shard breakdown.
   CoordinatorStats Stats() const;
+
+  /// Per-shard published snapshots of the MOD, in shard order.
+  StatusOr<std::vector<std::shared_ptr<const traj::TrajectoryStore>>>
+  ShardSnapshots(const std::string& name) const;
 
   /// The MOD's merged snapshot across all shards (cached; rebuilt only
   /// when a shard republished). Canonical object-id order — see the
@@ -144,17 +165,23 @@ class Coordinator {
     core::QutTreeSlot tree;
   };
 
+  friend class CoordinatorSession;
+
   Coordinator(service::ServiceConfig config, storage::Env* env,
               std::unique_ptr<Partitioner> partitioner);
 
-  std::shared_ptr<MergedMod> FindOrCreateMerged(const std::string& canonical);
+  /// `batch` split by owning shard, in batch order within each shard.
+  std::vector<std::vector<traj::Trajectory>> SplitByShard(
+      std::vector<traj::Trajectory> batch) const;
+  /// Runs `call` on every shard in shard order; the first error wins.
+  Status OnEveryShard(const std::function<Status(service::Server*)>& call);
+  /// The MOD's merged view, refreshed to the shards' current snapshots.
+  StatusOr<std::shared_ptr<MergedMod>> CurrentMerged(const std::string& name);
   /// Rebuilds `mm->merged` from `snaps` (dropping the stale tree).
   Status RebuildMerged(MergedMod* mm,
                        std::vector<std::shared_ptr<const traj::TrajectoryStore>>
                            snaps) REQUIRES(mm->mu);
-  /// Per-shard published snapshots of the MOD, in shard order.
-  StatusOr<std::vector<std::shared_ptr<const traj::TrajectoryStore>>>
-  ShardSnapshots(const std::string& canonical) const;
+  void OnSessionClosed();
 
   service::ServiceConfig config_;
   std::unique_ptr<storage::Env> owned_env_;
@@ -171,6 +198,10 @@ class Coordinator {
   /// Serializes Shutdown against itself (dtor + explicit call).
   common::Mutex shutdown_mu_;
   bool shut_down_ GUARDED_BY(shutdown_mu_) = false;
+
+  // Counters of this coordinator's sessions (relaxed).
+  std::atomic<uint64_t> sessions_opened_{0};
+  std::atomic<uint64_t> sessions_active_{0};
 };
 
 }  // namespace hermes::shard

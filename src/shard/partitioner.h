@@ -14,8 +14,8 @@ namespace hermes::shard {
 /// that per-object point order — which the clustering pipeline depends
 /// on — is a purely shard-local property. The mapping must be a pure
 /// function of (object id, shard count): routing is deterministic and
-/// stateless, so any coordinator instance (today's in-process one or a
-/// future remote router) agrees on ownership without coordination.
+/// stateless, so a coordinator restarted over the same shard directories
+/// agrees with where their rows already live.
 class Partitioner {
  public:
   virtual ~Partitioner() = default;

@@ -235,14 +235,21 @@ StatusOr<std::unique_ptr<RowCursor>> FrontEnd::ExecuteSelect(
             std::vector<double>(args.begin() + 2, args.end())));
     return MakeQutCursor(result, args[0], args[1], &session_stats_);
   }
-  return Select(stmt, mod, args, binds);
+  return Select(stmt, mod, args);
 }
 
 StatusOr<std::unique_ptr<RowCursor>> FrontEnd::Select(
     const Statement& stmt, const std::string& mod,
-    const std::vector<double>& args, const std::vector<Value>& /*binds*/) {
+    const std::vector<double>& args) {
+  HERMES_ASSIGN_OR_RETURN(auto store, Snapshot(mod));
+  return EvalOn(std::move(store), stmt, args);
+}
+
+StatusOr<std::unique_ptr<RowCursor>> FrontEnd::EvalOn(
+    std::shared_ptr<const traj::TrajectoryStore> store, const Statement& stmt,
+    const std::vector<double>& args) {
   QueryEnv env;
-  HERMES_ASSIGN_OR_RETURN(env.store, Snapshot(mod));
+  env.store = std::move(store);
   env.exec = exec_.get();
   env.session_stats = &session_stats_;
   env.default_sigma = settings_.Get("hermes.sigma")->AsDouble();

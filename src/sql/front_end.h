@@ -80,6 +80,12 @@ class FrontEnd {
 
   exec::ExecStats* mutable_stats() { return &session_stats_; }
 
+  /// Evaluates a SELECT function (not `QUT`) over `store` with this
+  /// session's settings.
+  StatusOr<std::unique_ptr<RowCursor>> EvalOn(
+      std::shared_ptr<const traj::TrajectoryStore> store,
+      const Statement& stmt, const std::vector<double>& args);
+
   // ---- Backend hooks: what a statement does to this backend's data ----
 
   virtual Status CreateMod(const Statement& stmt) = 0;
@@ -111,7 +117,7 @@ class FrontEnd {
   /// default evaluates it over `Snapshot(mod)`.
   virtual StatusOr<std::unique_ptr<RowCursor>> Select(
       const Statement& stmt, const std::string& mod,
-      const std::vector<double>& args, const std::vector<Value>& binds);
+      const std::vector<double>& args);
 
  private:
   StatusOr<std::unique_ptr<RowCursor>> ExecuteStatement(

@@ -219,7 +219,6 @@ StatusOr<Statement> ParseStatement(const std::string& sql) {
     return Status::InvalidArgument("trailing input after statement" +
                                    At(cur.Peek()));
   }
-  stmt.text = sql;
   return stmt;
 }
 
@@ -230,9 +229,7 @@ StatusOr<std::vector<Statement>> ParseScript(const std::string& sql) {
   while (!cur.AtEnd()) {
     // Empty statements (";;", trailing ';') are skipped, per psql.
     if (cur.Accept(TokenKind::kSemicolon)) continue;
-    const size_t begin = cur.Peek().position;
     HERMES_ASSIGN_OR_RETURN(Statement stmt, ParseOne(&cur));
-    stmt.text = sql.substr(begin, cur.Peek().position - begin);
     cur.Accept(TokenKind::kSemicolon);
     out.push_back(std::move(stmt));
   }

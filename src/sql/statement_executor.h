@@ -29,10 +29,8 @@ struct PreparedHandle {
 /// A `StatementExecutor` hides *where* a statement runs: against the
 /// embedded `sql::Session`, an in-process `service::ClientSession`, a
 /// remote server through `net::Client`, or a `shard::Coordinator`
-/// fanning it across shards. Coordinators, examples, benches, and tests
-/// address every backend through this interface, so swapping an
-/// in-process shard for a remote one is a construction-time decision,
-/// not a call-site rewrite.
+/// spreading it across shards. The net server, examples, benches, and
+/// tests address every backend through this interface.
 ///
 /// Prepared statements are id-keyed (the wire protocol's model): the
 /// executor chooses the id, `BindExecute` binds `$1..$n` positionally

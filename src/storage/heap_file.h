@@ -88,7 +88,6 @@ class HeapFile {
   /// Point-in-time counter snapshots (by value: they mutate concurrently).
   PagerStats io_stats() const;
   LockStats lock_stats() const { return lock_counters_.Snapshot(); }
-  void ResetLockStats() { lock_counters_.Reset(); }
 
  private:
   explicit HeapFile(std::unique_ptr<Pager> pager);

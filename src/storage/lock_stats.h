@@ -38,13 +38,6 @@ struct LockStatsCounters {
         exclusive_contended.load(std::memory_order_relaxed);
     return s;
   }
-
-  void Reset() {
-    shared_acquisitions.store(0, std::memory_order_relaxed);
-    shared_contended.store(0, std::memory_order_relaxed);
-    exclusive_acquisitions.store(0, std::memory_order_relaxed);
-    exclusive_contended.store(0, std::memory_order_relaxed);
-  }
 };
 
 /// \brief RAII shared guard over an annotated `SharedMutex`, counting the

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <thread>
 
 #include "common/coding.h"
 #include "common/logging.h"
 #include "common/mathutil.h"
+#include "common/mutex.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/statusor.h"
@@ -289,6 +293,51 @@ TEST(LoggingDeathTest, FailedCheckPrintsItsMessage) {
                "Check failed: answer == 41 streamed 42");
   EXPECT_DEATH(HERMES_CHECK_OK(Status::IOError("disk full")),
                "Check failed: _st.ok\\(\\) IOError: disk full");
+}
+
+// ---------------------------------------------------------------------------
+// SharedMutex
+// ---------------------------------------------------------------------------
+
+// Writer preference: once a writer waits in lock(), a new shared
+// acquisition queues behind it, so readers that keep overlapping cannot
+// hold a writer off. (A reader-preferring lock never fails the probe.)
+TEST(SharedMutexTest, WaitingWriterBlocksNewReaders) {
+  using Clock = std::chrono::steady_clock;
+  common::SharedMutex mu;
+  std::atomic<bool> reading{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> wrote{false};
+  std::thread reader([&] {
+    mu.lock_shared();
+    reading = true;
+    while (!release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    mu.unlock_shared();
+  });
+  while (!reading) std::this_thread::yield();
+  std::thread writer([&] {
+    mu.lock();
+    wrote = true;
+    mu.unlock();
+  });
+  // The writer blocks behind the reader; poll, bounded, until a new
+  // shared acquisition is refused because the writer waits.
+  bool refused = false;
+  for (const auto deadline = Clock::now() + std::chrono::seconds(10);
+       !refused && Clock::now() < deadline;) {
+    if (mu.try_lock_shared()) {
+      mu.unlock_shared();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } else {
+      refused = true;
+    }
+  }
+  EXPECT_TRUE(refused);
+  EXPECT_FALSE(wrote);
+  release = true;
+  reader.join();
+  writer.join();
+  EXPECT_TRUE(wrote);
 }
 
 // Parameterized sweep: PutFixed64/GetFixed64 round-trips assorted patterns.

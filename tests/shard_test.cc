@@ -526,6 +526,79 @@ TEST(ShardRoutingTest, ShowServiceStatsAggregatesWithBreakdown) {
   coord->Shutdown();
 }
 
+TEST(ShardRoutingTest, LongLiteralInsertMatchesUnsharded) {
+  // One object of 300 points: 1200 values, more than the 999 `$N`
+  // placeholders one statement can carry.
+  std::string insert = "INSERT INTO m VALUES ";
+  for (int i = 0; i < 300; ++i) {
+    if (i > 0) insert += ", ";
+    insert += "(7, " + std::to_string(i * 10) + ", " +
+              std::to_string(i * 3.25) + ", " + std::to_string(100.5 - i) +
+              ")";
+  }
+  insert += ";";
+  const std::vector<std::string> reads = {"SELECT RANGE(m, 0, 3000);",
+                                          "SELECT STATS(m);"};
+  auto load = [&](sql::StatementExecutor* db) {
+    EXPECT_TRUE(db->Execute("CREATE MOD m;").ok());
+    auto ack = db->Execute(insert);
+    EXPECT_TRUE(ack.ok()) << ack.status().ToString();
+    EXPECT_TRUE(db->Flush().ok());
+    return RunSuite(db, reads);
+  };
+
+  auto server =
+      std::move(service::Server::Start(service::ServerOptions{})).value();
+  auto single = service::MakeStatementExecutor(server->Connect());
+  const std::vector<Table> want = load(single.get());
+  ASSERT_EQ(want[0].rows.size(), 1u);
+
+  service::ServiceConfig config;
+  config.shards = 2;
+  auto coord = std::move(Coordinator::Start(config)).value();
+  auto coord_db = coord->Connect();
+  auto net = std::move(net::NetServer::Start(
+                           [raw = coord.get()] { return raw->Connect(); },
+                           net::NetServerOptions{}))
+                 .value();
+  auto wire_db = net::MakeStatementExecutor(
+      std::move(net::Client::Connect("127.0.0.1", net->port())).value());
+  for (sql::StatementExecutor* db : {coord_db.get(), wire_db.get()}) {
+    const std::vector<Table> got = load(db);
+    for (size_t q = 0; q < reads.size(); ++q) {
+      ExpectTablesEqual(want[q], got[q], reads[q]);
+    }
+    ASSERT_TRUE(db->Execute("DROP MOD m;").ok());
+  }
+  net->Shutdown();
+  coord->Shutdown();
+  server->Shutdown();
+}
+
+TEST(ShardRoutingTest, SessionCountersCountCoordinatorSessions) {
+  service::ServiceConfig config;
+  config.shards = 2;
+  auto coord = std::move(Coordinator::Start(config)).value();
+  std::vector<std::unique_ptr<sql::StatementExecutor>> sessions;
+  for (int i = 0; i < 3; ++i) sessions.push_back(coord->Connect());
+  auto table = sessions[0]->Execute("SHOW SERVICE STATS;");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  int64_t opened = -1, active = -1, shard0_active = -1;
+  for (const auto& row : table->rows) {
+    const std::string& name = row[0].AsString();
+    if (name == "sessions_opened") opened = row[1].AsInt();
+    if (name == "sessions_active") active = row[1].AsInt();
+    if (name == "shard0.sessions_active") shard0_active = row[1].AsInt();
+  }
+  EXPECT_EQ(opened, 3);
+  EXPECT_EQ(active, 3);
+  EXPECT_EQ(shard0_active, 0);
+  sessions.pop_back();
+  EXPECT_EQ(coord->Stats().total.sessions_active, 2u);
+  sessions.clear();
+  coord->Shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // One API, every backend
 // ---------------------------------------------------------------------------
@@ -797,6 +870,45 @@ TEST(StatementExecutorParityTest, OneSampleObjectsChangeNothing) {
   std::filesystem::remove(csv);
 }
 
+TEST(StatementExecutorParityTest, EpochScaleQutFailsWithoutAbort) {
+  // Epoch-millisecond timestamps with a 1-unit delta put the sub-chunk
+  // index near 1e12, outside the tree's derived-id key space: the QUT
+  // must fail with a Status on every backend, and the backend must go on
+  // answering.
+  const std::vector<std::string> setup = {
+      "CREATE MOD epoch;",
+      "INSERT INTO epoch VALUES (1, 1000000000000, 0, 0), "
+      "(1, 1000000000001, 10, 0), (2, 1000000000000, 0, 5), "
+      "(2, 1000000000001, 10, 5);"};
+  const std::string bad =
+      "SELECT QUT(epoch, 1e12, 1000000000002, 10, 1, 225, 1600, 2);";
+  const std::string good =
+      "SELECT QUT(epoch, 1e12, 1000000000002, 1e6, 1e5, 225, 1600, 2);";
+  Backends b;
+  for (sql::StatementExecutor* db :
+       {b.embedded_db.get(), b.service_db.get(), b.coord_db.get()}) {
+    for (const std::string& q : setup) ASSERT_TRUE(db->Execute(q).ok()) << q;
+    ASSERT_TRUE(db->Flush().ok());
+    auto t = db->Execute(bad);
+    ASSERT_FALSE(t.ok());
+    EXPECT_TRUE(t.status().IsInvalidArgument()) << t.status().ToString();
+    auto ok = db->Execute(good);
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_GE(ok->rows.size(), 1u);
+  }
+  auto wire =
+      std::move(net::Client::Connect("127.0.0.1", b.net->port())).value();
+  for (const std::string& q : setup) ASSERT_TRUE(wire->Execute(q).ok()) << q;
+  ASSERT_TRUE(wire->Flush().ok());
+  auto t = wire->Execute(bad);
+  ASSERT_FALSE(t.ok());
+  EXPECT_TRUE(t.status().IsInvalidArgument()) << t.status().ToString();
+  EXPECT_TRUE(wire->Ping().ok());
+  auto ok = wire->Execute(good);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_GE(ok->rows.size(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // QUT tree lifecycle: retired trees leave no files behind
 // ---------------------------------------------------------------------------
@@ -905,6 +1017,29 @@ TEST(QutTreeLifecycleTest, RetiredTreesLeaveOneTreeOfFilesPerMod) {
     db.reset();
     coord->Shutdown();
   }
+}
+
+TEST(QutTreeLifecycleTest, CoordinatorDropModRetiresMergedTree) {
+  const auto store = MakeMaritime();
+  TrackingEnv env;
+  service::ServiceConfig config;
+  config.shards = 2;
+  auto coord = std::move(Coordinator::Start(config, &env)).value();
+  auto db = coord->Connect();
+  ASSERT_TRUE(db->Execute("CREATE MOD ships;").ok());
+  for (traj::TrajectoryId i = 0; i < store.NumTrajectories(); ++i) {
+    ASSERT_TRUE(InsertTrajectory(db.get(), "ships", store.Get(i)).ok());
+  }
+  ASSERT_TRUE(db->Flush().ok());
+  auto q = db->Execute(ClusteringQut("ships", store, 8.0));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_FALSE(env.DirsWith("coord_").empty());  // The merged tree.
+
+  ASSERT_TRUE(db->Execute("DROP MOD ships;").ok());
+  EXPECT_TRUE(env.DirsWith("tree_").empty());
+  EXPECT_FALSE(db->Execute("SELECT STATS(ships);").ok());
+  db.reset();
+  coord->Shutdown();
 }
 
 }  // namespace
