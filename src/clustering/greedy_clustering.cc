@@ -1,5 +1,6 @@
 #include "clustering/greedy_clustering.h"
 
+#include <algorithm>
 #include <limits>
 #include <unordered_set>
 
@@ -36,14 +37,24 @@ ClusteringResult ClusterAroundRepresentatives(
     out.clusters.push_back(std::move(c));
   }
 
+  std::vector<geom::Mbb3D> rep_boxes;
+  rep_boxes.reserve(representative_indices.size());
+  for (size_t rep : representative_indices) {
+    rep_boxes.push_back(subs[rep].Bounds());
+  }
+
   for (size_t i = 0; i < subs.size(); ++i) {
     if (rep_set.count(i) > 0) continue;
+    const geom::Mbb3D box = subs[i].Bounds();
     double best_dist = std::numeric_limits<double>::infinity();
     size_t best_cluster = out.clusters.size();
     for (size_t ci = 0; ci < out.clusters.size(); ++ci) {
       const size_t rep = out.clusters[ci].representative;
+      // A representative farther than epsilon or than the best so far
+      // cannot win, so its distance is only needed up to that cut-off.
       const double d = traj::ClusteringDistance(
-          subs[i].points, subs[rep].points, params.min_overlap_ratio);
+          subs[i].points, box, subs[rep].points, rep_boxes[ci],
+          params.min_overlap_ratio, std::min(best_dist, params.epsilon));
       if (d < best_dist) {
         best_dist = d;
         best_cluster = ci;

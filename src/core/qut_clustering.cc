@@ -103,6 +103,7 @@ StatusOr<QuTResult> QuTClustering::Query(double wi, double we,
         piece.representative =
             traj::TrimToWindow(entry->representative, lo, hi);
         if (piece.representative.points.size() < 2) continue;
+        const geom::Mbb3D rep_box = piece.representative.Bounds();
         HERMES_ASSIGN_OR_RETURN(
             std::vector<traj::SubTrajectory> members,
             tree_->ReadMembersInWindow(*entry, lo, hi));
@@ -114,8 +115,8 @@ StatusOr<QuTResult> QuTClustering::Query(double wi, double we,
             continue;
           }
           const double d = traj::ClusteringDistance(
-              trimmed.points, piece.representative.points,
-              tp.min_overlap_ratio);
+              trimmed.points, trimmed.Bounds(), piece.representative.points,
+              rep_box, tp.min_overlap_ratio, tp.d_assign);
           if (d <= tp.d_assign) {
             piece.members.push_back(std::move(trimmed));
           } else {

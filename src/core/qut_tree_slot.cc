@@ -1,5 +1,8 @@
 #include "core/qut_tree_slot.h"
 
+#include <cmath>
+#include <cstdio>
+#include <string>
 #include <utility>
 
 namespace hermes::core {
@@ -27,6 +30,35 @@ void ArchiveTreeWork(const ReTraTreeStats& before, const ReTraTreeStats& after,
                          after.ingest_split_us - before.ingest_split_us);
   archive->RecordPhaseUs("ingest_apply",
                          after.ingest_apply_us - before.ingest_apply_us);
+}
+
+/// Rejects `(tau, delta, t, d, gamma)` outside the tree's domains before
+/// any tree is built: `tau`, `delta` and `d` finite and > 0, `t` finite
+/// and >= 0, `gamma` finite and in [0, 2^32) (a fractional `gamma` is
+/// truncated by `MakeQutTreeParams`).
+Status CheckTreeParams(const std::vector<double>& p) {
+  if (p.size() != 5) {
+    return Status::InvalidArgument(
+        "QUT tree params must be (tau, delta, t, d, gamma), got " +
+        std::to_string(p.size()) + " value(s)");
+  }
+  auto reject = [](const char* name, const char* domain, double v) {
+    char got[32];
+    std::snprintf(got, sizeof(got), "%g", v);
+    return Status::InvalidArgument(std::string("QUT ") + name + " must be " +
+                                   domain + ", got " + got);
+  };
+  auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  if (!positive(p[0])) return reject("tau", "finite and > 0", p[0]);
+  if (!positive(p[1])) return reject("delta", "finite and > 0", p[1]);
+  if (!(std::isfinite(p[2]) && p[2] >= 0.0)) {
+    return reject("t", "finite and >= 0", p[2]);
+  }
+  if (!positive(p[3])) return reject("d", "finite and > 0", p[3]);
+  if (!(p[4] >= 0.0 && p[4] < 4294967296.0)) {
+    return reject("gamma", "finite and in [0, 2^32)", p[4]);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -93,11 +125,7 @@ StatusOr<QutTreeWork> QutTreeSlot::Refresh(
 StatusOr<QutTreeWork> QutTreeSlot::RefreshLocked(
     const std::vector<double>& tree_params, const traj::TrajectoryStore& store,
     exec::ExecContext* exec, size_t hot_budget, exec::ExecStats* archive) {
-  if (tree_params.size() != 5) {
-    return Status::InvalidArgument(
-        "QUT tree params must be (tau, delta, t, d, gamma), got " +
-        std::to_string(tree_params.size()) + " value(s)");
-  }
+  HERMES_RETURN_NOT_OK(CheckTreeParams(tree_params));
   bool rebuilt = false;
   if (tree_ == nullptr || params_ != tree_params) {
     DropLocked();

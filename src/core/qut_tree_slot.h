@@ -20,6 +20,8 @@ namespace hermes::core {
 /// Maps the SQL `QUT(D, Wi, We, tau, delta, t, d, gamma)` tail — the 5
 /// tree parameters — onto `ReTraTreeParams`, including the
 /// sigma = epsilon = d convention for the buffer re-clustering runs.
+/// Expects values inside the domains `QutTreeSlot` checks (a fractional
+/// `gamma` is truncated).
 ReTraTreeParams MakeQutTreeParams(const std::vector<double>& tree_params);
 
 /// What one `QutTreeSlot::Refresh` / `CatchUp` call had to do.
@@ -80,7 +82,10 @@ class QutTreeSlot {
   /// (nullptr = sequential); a live context records its own phase
   /// timings, so only a sequential refresh archives the work it did —
   /// the S2T re-clustering phases and the ingest split — into `archive`
-  /// (optional). `tree_params` must hold exactly 5 values.
+  /// (optional). `tree_params` must hold exactly 5 values inside their
+  /// domains — `tau`, `delta`, `d` finite and > 0, `t` finite and >= 0,
+  /// `gamma` in [0, 2^32) — else `InvalidArgument` naming the first bad
+  /// one, with any existing tree left as it was.
   StatusOr<QutTreeWork> Refresh(const std::vector<double>& tree_params,
                                 const traj::TrajectoryStore& store,
                                 exec::ExecContext* exec, size_t hot_budget,

@@ -318,14 +318,18 @@ Status ReTraTree::InsertPiece(SubChunk* sc, traj::SubTrajectory piece,
   // L3 assignment: closest representative within (d, t).
   RepresentativeEntry* best = nullptr;
   double best_dist = params_.d_assign;
+  const geom::Mbb3D piece_box = piece.Bounds();
   for (auto& entry : sc->representatives) {
     const traj::SubTrajectory& rep = entry->representative;
     const double mismatch =
         std::max(std::fabs(piece.StartTime() - rep.StartTime()),
                  std::fabs(piece.EndTime() - rep.EndTime()));
     if (mismatch > params_.t_align) continue;
-    const double d = traj::ClusteringDistance(piece.points, rep.points,
-                                              params_.min_overlap_ratio);
+    // Cut off at the best so far: the prune is strict, so a tie still
+    // gets its exact distance and the `<=` rule below keeps the last one.
+    const double d = traj::ClusteringDistance(
+        piece.points, piece_box, rep.points, entry->representative_box,
+        params_.min_overlap_ratio, best_dist);
     if (d <= best_dist) {
       best_dist = d;
       best = entry.get();
@@ -429,6 +433,7 @@ Status ReTraTree::ReclusterOutliers(SubChunk* sc,
     HERMES_ASSIGN_OR_RETURN(rep.id, NextDerivedId(sc));
     rep.source_trajectory = buffered[buf_idx].source_trajectory;
     entry->representative = rep;
+    entry->representative_box = rep.Bounds();
     char buf[64];
     std::snprintf(buf, sizeof(buf), "sc%lld_r%llu",
                   static_cast<long long>(sc->global_index),

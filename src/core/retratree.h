@@ -12,6 +12,7 @@
 #include "common/statusor.h"
 #include "common/thread_annotations.h"
 #include "core/s2t_clustering.h"
+#include "geom/mbb.h"
 #include "rtree/mem_rtree3d.h"
 #include "rtree/rtree3d.h"
 #include "storage/env.h"
@@ -147,6 +148,8 @@ struct ColdIoStats {
 /// partition ("pg3D-Rtree-k" in Fig. 2: heap file + 3D R-tree).
 struct RepresentativeEntry {
   traj::SubTrajectory representative;
+  /// `representative.Bounds()`, for the L3 assignment's distance cut-off.
+  geom::Mbb3D representative_box;
   std::string partition_name;
   size_t member_count = 0;
   /// Per-partition member index over (x, y, t) bounds -> heap RecordId.

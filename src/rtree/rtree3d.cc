@@ -138,40 +138,55 @@ std::vector<std::pair<geom::Mbb3D, uint64_t>> StrOrder(
   const size_t s1 = static_cast<size_t>(std::ceil(std::cbrt(leaves)));
   const size_t s2 = s1;
 
-  // Comparators tie-break on the datum so the order (and hence the tree
-  // layout) is a pure function of the item set, independent of the sort
-  // algorithm and thread count.
-  auto center = [](const geom::Mbb3D& b) { return b.Center(); };
-  auto by_axis = [&](auto axis) {
-    return [&, axis](const auto& a, const auto& b) {
-      const double ca = axis(center(a.first));
-      const double cb = axis(center(b.first));
-      if (ca != cb) return ca < cb;
-      return a.second < b.second;
-    };
+  // The phases sort compact records on a key precomputed from each box's
+  // center, then permute the items once. Comparisons tie-break on the
+  // datum so the order (and hence the tree layout) is a pure function of
+  // the item set, independent of the sort algorithm and thread count.
+  struct Keyed {
+    double key;
+    uint64_t datum;
+    size_t index;
   };
-  exec::ParallelSort(ctx, items.begin(), items.end(),
-                     by_axis([](const geom::Point3D& p) { return p.x; }));
+  auto by_key = [](const Keyed& a, const Keyed& b) {
+    if (a.key != b.key) return a.key < b.key;
+    return a.datum < b.datum;
+  };
+  constexpr size_t kGrain = 4096;
+  std::vector<geom::Point3D> centers(items.size());
+  std::vector<Keyed> recs(items.size());
+  exec::ParallelFor(ctx, items.size(), kGrain,
+                    [&](size_t begin, size_t end, size_t /*chunk*/) {
+    for (size_t i = begin; i < end; ++i) {
+      centers[i] = items[i].first.Center();
+      recs[i] = {centers[i].x, items[i].second, i};
+    }
+  });
+  exec::ParallelSort(ctx, recs.begin(), recs.end(), by_key);
   const size_t slab =
-      (items.size() + s1 - 1) / s1;  // Items per x-slab (ceil).
-  const size_t num_slabs = (items.size() + slab - 1) / slab;
+      (recs.size() + s1 - 1) / s1;  // Items per x-slab (ceil).
+  const size_t num_slabs = (recs.size() + slab - 1) / slab;
   // Slabs are disjoint ranges; sorting them is embarrassingly parallel.
   exec::ParallelFor(ctx, num_slabs, /*grain=*/1,
                     [&](size_t sbegin, size_t send, size_t /*chunk*/) {
     for (size_t s = sbegin; s < send; ++s) {
       const size_t i = s * slab;
-      const size_t end = std::min(i + slab, items.size());
-      std::sort(items.begin() + i, items.begin() + end,
-                by_axis([](const geom::Point3D& p) { return p.y; }));
+      const size_t end = std::min(i + slab, recs.size());
+      for (size_t r = i; r < end; ++r) recs[r].key = centers[recs[r].index].y;
+      std::sort(recs.begin() + i, recs.begin() + end, by_key);
+      for (size_t r = i; r < end; ++r) recs[r].key = centers[recs[r].index].t;
       const size_t run = (end - i + s2 - 1) / s2;
       for (size_t j = i; j < end; j += run) {
         const size_t rend = std::min(j + run, end);
-        std::sort(items.begin() + j, items.begin() + rend,
-                  by_axis([](const geom::Point3D& p) { return p.t; }));
+        std::sort(recs.begin() + j, recs.begin() + rend, by_key);
       }
     }
   });
-  return items;
+  std::vector<std::pair<geom::Mbb3D, uint64_t>> ordered(items.size());
+  exec::ParallelFor(ctx, recs.size(), kGrain,
+                    [&](size_t begin, size_t end, size_t /*chunk*/) {
+    for (size_t r = begin; r < end; ++r) ordered[r] = items[recs[r].index];
+  });
+  return ordered;
 }
 
 }  // namespace hermes::rtree

@@ -252,10 +252,14 @@ Status Coordinator::RebuildMerged(
 StatusOr<std::shared_ptr<Coordinator::MergedMod>> Coordinator::CurrentMerged(
     const std::string& name) {
   const std::string canonical = sql::CanonicalModName(name);
-  HERMES_ASSIGN_OR_RETURN(auto snaps, ShardSnapshots(canonical));
+  std::vector<std::shared_ptr<const traj::TrajectoryStore>> snaps;
   std::shared_ptr<MergedMod> mm;
   {
+    // Snapshots and slot lookup under one lock: a racing DropMod either
+    // drops the shards first (the snapshot fails) or erases the slot
+    // after this lookup, so a dropped MOD never gets its view back.
     common::MutexLock lock(&merged_mu_);
+    HERMES_ASSIGN_OR_RETURN(snaps, ShardSnapshots(canonical));
     std::shared_ptr<MergedMod>& slot = merged_[canonical];
     if (slot == nullptr) {
       slot = std::make_shared<MergedMod>(

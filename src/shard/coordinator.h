@@ -191,6 +191,8 @@ class Coordinator {
   /// Started once in `Start`, immutable afterwards.
   std::vector<std::unique_ptr<service::Server>> shards_;
 
+  /// Also held across `ShardSnapshots` in `CurrentMerged`, so it is
+  /// acquired before a shard's catalog and snapshot locks.
   mutable common::Mutex merged_mu_;
   std::map<std::string, std::shared_ptr<MergedMod>> merged_
       GUARDED_BY(merged_mu_);

@@ -13,6 +13,14 @@ namespace hermes::traj {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Breakpoints closer than `AlmostEqual` with this absolute and relative
+/// tolerance are merged.
+constexpr double kBreakpointTol = 1e-9;
+
+/// Slack of the cut-off's gap bound (see `SeparationLowerBound`).
+constexpr double kRelSlack = 1e-6;
+constexpr double kAbsSlack = 1e-6;
+
 /// Positions of `t` at the sample times of both trajectories restricted to
 /// [t0, t1], merged and deduplicated, including both boundaries.
 std::vector<double> MergeBreakpoints(const Trajectory& a, const Trajectory& b,
@@ -28,7 +36,10 @@ std::vector<double> MergeBreakpoints(const Trajectory& a, const Trajectory& b,
   ts.push_back(t1);
   std::sort(ts.begin(), ts.end());
   ts.erase(std::unique(ts.begin(), ts.end(),
-                       [](double x, double y) { return AlmostEqual(x, y); }),
+                       [](double x, double y) {
+                         return AlmostEqual(x, y, kBreakpointTol,
+                                            kBreakpointTol);
+                       }),
            ts.end());
   return ts;
 }
@@ -38,27 +49,37 @@ geom::Point3D SampleAt(const Trajectory& t, double time) {
   // Callers only ask inside the lifespan.
   return {p->x, p->y, time};
 }
-}  // namespace
 
-TimeAwareDistance ComputeTimeAwareDistance(const Trajectory& a,
-                                           const Trajectory& b) {
-  TimeAwareDistance out;
-  if (a.size() < 2 || b.size() < 2) {
-    out.avg = out.min = kInf;
-    return out;
+/// The common lifespan [t0, t1] of two polylines; `overlap` stays 0 when
+/// they do not co-exist (or either has no segment).
+struct Lifespan {
+  double t0 = 0.0;
+  double t1 = 0.0;
+  double overlap = 0.0;
+  double overlap_ratio = 0.0;
+
+  /// The clustering distance is finite (the similarity non-zero).
+  bool Admits(double min_overlap_ratio) const {
+    return overlap > 0.0 && !(overlap_ratio < min_overlap_ratio);
   }
-  const double t0 = std::max(a.StartTime(), b.StartTime());
-  const double t1 = std::min(a.EndTime(), b.EndTime());
-  if (t0 >= t1) {
-    out.avg = out.min = kInf;
-    out.overlap = 0.0;
-    return out;
-  }
-  out.overlap = t1 - t0;
+};
+
+Lifespan CommonLifespan(const Trajectory& a, const Trajectory& b) {
+  Lifespan s;
+  if (a.size() < 2 || b.size() < 2) return s;
+  s.t0 = std::max(a.StartTime(), b.StartTime());
+  s.t1 = std::min(a.EndTime(), b.EndTime());
+  if (s.t0 >= s.t1) return s;
+  s.overlap = s.t1 - s.t0;
   const double min_dur = std::min(a.Duration(), b.Duration());
-  out.overlap_ratio = min_dur > 0.0 ? out.overlap / min_dur : 0.0;
+  s.overlap_ratio = min_dur > 0.0 ? s.overlap / min_dur : 0.0;
+  return s;
+}
 
-  const std::vector<double> ts = MergeBreakpoints(a, b, t0, t1);
+/// Average and minimum synchronized separation over a non-empty `span`.
+void Separation(const Trajectory& a, const Trajectory& b, const Lifespan& span,
+                TimeAwareDistance* out) {
+  const std::vector<double> ts = MergeBreakpoints(a, b, span.t0, span.t1);
   double integral = 0.0;
   double min_d = kInf;
   for (size_t i = 0; i + 1 < ts.size(); ++i) {
@@ -73,8 +94,62 @@ TimeAwareDistance ComputeTimeAwareDistance(const Trajectory& a,
     integral += md.avg_dist * (hi - lo);
     min_d = std::min(min_d, md.min_dist);
   }
-  out.avg = integral / out.overlap;
-  out.min = min_d;
+  out->avg = integral / span.overlap;
+  out->min = min_d;
+}
+
+/// A lower bound on what `Separation` computes as the average over `span`
+/// of two polylines inside `box_a` and `box_b`.
+///
+/// Every separation the integral samples is between two positions
+/// interpolated inside the boxes, so in exact arithmetic it is at least
+/// the 2-D gap between the boxes. The computed value can fall below that
+/// gap in three ways, and the bound gives each up:
+/// - Rounding relative to the gap (the Simpson weights, the interval
+///   lengths, the final division): `kRelSlack * gap`.
+/// - Rounding of the coordinates themselves. An interpolated position can
+///   leave its box by an ulp of the coordinate, and the separation is the
+///   square root of a quadratic that cancels, which loses up to about
+///   sqrt(machine epsilon) of the boxes' extent. This does not shrink
+///   with the gap, so near-zero gaps need `kAbsSlack * scale`, where
+///   `scale` is the boxes' largest |coordinate|.
+/// - Merged breakpoints. A tail of the lifespan shorter than the merge
+///   tolerance can drop out of the integral while the division still
+///   uses the whole overlap, so the bound scales by the share of the
+///   overlap that is surely integrated.
+double SeparationLowerBound(const geom::Mbb3D& box_a, const geom::Mbb3D& box_b,
+                            const Lifespan& span) {
+  const double dx =
+      std::max({0.0, box_a.min_x - box_b.max_x, box_b.min_x - box_a.max_x});
+  const double dy =
+      std::max({0.0, box_a.min_y - box_b.max_y, box_b.min_y - box_a.max_y});
+  const double gap = std::sqrt(dx * dx + dy * dy);
+  const double scale =
+      std::max({std::fabs(box_a.min_x), std::fabs(box_a.max_x),
+                std::fabs(box_a.min_y), std::fabs(box_a.max_y),
+                std::fabs(box_b.min_x), std::fabs(box_b.max_x),
+                std::fabs(box_b.min_y), std::fabs(box_b.max_y)});
+  const double sure_gap = gap * (1.0 - kRelSlack) - kAbsSlack * scale;
+  const double merge_tol =
+      kBreakpointTol +
+      kBreakpointTol * std::max(std::fabs(span.t0), std::fabs(span.t1));
+  const double covered = 1.0 - merge_tol / span.overlap;
+  if (!(sure_gap > 0.0) || !(covered > 0.0)) return 0.0;
+  return sure_gap * covered;
+}
+}  // namespace
+
+TimeAwareDistance ComputeTimeAwareDistance(const Trajectory& a,
+                                           const Trajectory& b) {
+  TimeAwareDistance out;
+  const Lifespan span = CommonLifespan(a, b);
+  out.overlap = span.overlap;
+  out.overlap_ratio = span.overlap_ratio;
+  if (!out.Coexist()) {
+    out.avg = out.min = kInf;
+    return out;
+  }
+  Separation(a, b, span, &out);
   return out;
 }
 
@@ -85,16 +160,31 @@ TimeAwareDistance ComputeTimeAwareDistance(const SubTrajectory& a,
 
 double ClusteringDistance(const Trajectory& a, const Trajectory& b,
                           double min_overlap_ratio) {
-  const TimeAwareDistance d = ComputeTimeAwareDistance(a, b);
-  if (!d.Coexist() || d.overlap_ratio < min_overlap_ratio) return kInf;
+  const Lifespan span = CommonLifespan(a, b);
+  if (!span.Admits(min_overlap_ratio)) return kInf;
+  TimeAwareDistance d;
+  Separation(a, b, span, &d);
+  return d.avg;
+}
+
+double ClusteringDistance(const Trajectory& a, const geom::Mbb3D& box_a,
+                          const Trajectory& b, const geom::Mbb3D& box_b,
+                          double min_overlap_ratio, double limit) {
+  const Lifespan span = CommonLifespan(a, b);
+  if (!span.Admits(min_overlap_ratio)) return kInf;
+  if (SeparationLowerBound(box_a, box_b, span) > limit) return kInf;
+  TimeAwareDistance d;
+  Separation(a, b, span, &d);
   return d.avg;
 }
 
 double TimeAwareSimilarity(const Trajectory& a, const Trajectory& b,
                            double sigma, double min_overlap_ratio) {
-  const TimeAwareDistance d = ComputeTimeAwareDistance(a, b);
-  if (!d.Coexist() || d.overlap_ratio < min_overlap_ratio) return 0.0;
-  return GaussianKernel(d.avg, sigma) * Clamp(d.overlap_ratio, 0.0, 1.0);
+  const Lifespan span = CommonLifespan(a, b);
+  if (!span.Admits(min_overlap_ratio)) return 0.0;
+  TimeAwareDistance d;
+  Separation(a, b, span, &d);
+  return GaussianKernel(d.avg, sigma) * Clamp(span.overlap_ratio, 0.0, 1.0);
 }
 
 }  // namespace hermes::traj

@@ -1,6 +1,7 @@
 #ifndef HERMES_TRAJ_DISTANCE_H_
 #define HERMES_TRAJ_DISTANCE_H_
 
+#include "geom/mbb.h"
 #include "traj/sub_trajectory.h"
 #include "traj/trajectory.h"
 
@@ -36,6 +37,21 @@ TimeAwareDistance ComputeTimeAwareDistance(const SubTrajectory& a,
 /// below `min_overlap_ratio`.
 double ClusteringDistance(const Trajectory& a, const Trajectory& b,
                           double min_overlap_ratio = 0.5);
+
+/// \brief `ClusteringDistance` with a cut-off, for loops that only need
+/// distances up to `limit`: returns exactly `ClusteringDistance(a, b,
+/// min_overlap_ratio)` whenever that is <= `limit`, and some value >
+/// `limit` otherwise (+inf when the integral was skipped).
+///
+/// `box_a` and `box_b` must be `a.Bounds()` and `b.Bounds()`; callers
+/// compute each box once. The average separation is never below the 2-D
+/// gap between the boxes, so the integral is skipped when that gap, less
+/// a slack for rounding, exceeds `limit` (strictly). The slack has a part
+/// relative to the gap and an absolute part scaled to the boxes' largest
+/// coordinate (see distance.cc for why both are needed).
+double ClusteringDistance(const Trajectory& a, const geom::Mbb3D& box_a,
+                          const Trajectory& b, const geom::Mbb3D& box_b,
+                          double min_overlap_ratio, double limit);
 
 /// \brief Similarity in [0, 1]: Gaussian kernel of the clustering distance
 /// with bandwidth `sigma`, scaled by the temporal overlap ratio. 0 when the

@@ -909,6 +909,54 @@ TEST(StatementExecutorParityTest, EpochScaleQutFailsWithoutAbort) {
   EXPECT_GE(ok->rows.size(), 1u);
 }
 
+TEST(StatementExecutorParityTest, OutOfDomainQutTreeParamsFailOnEveryBackend) {
+  // Each bad tree parameter fails with InvalidArgument naming it, before
+  // any tree is built, and the live tree keeps answering afterwards.
+  const std::vector<std::string> setup = {
+      "CREATE MOD qp;",
+      "INSERT INTO qp VALUES (1, 0, 0, 0), (1, 10, 10, 0), (2, 0, 0, 5), "
+      "(2, 10, 10, 5);"};
+  const std::string good = "SELECT QUT(qp, 0, 20, 10, 5, 5, 100, 2);";
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"SELECT QUT(qp, 0, 20, 10, 5, 5, 100, -1);", "gamma"},
+      {"SELECT QUT(qp, 0, 20, 10, 5, 5, 100, 1e30);", "gamma"},
+      {"SELECT QUT(qp, 0, 20, 10, 5, 5, 100, 4294967296);", "gamma"},
+      {"SELECT QUT(qp, 0, 20, 10, 5, -5, -100, 2);", "QUT t "},
+      {"SELECT QUT(qp, 0, 20, 1e999, 5, 5, 100, 2);", "tau"},
+      {"SELECT QUT(qp, 0, 20, 10, 0, 5, 100, 2);", "delta"},
+      {"SELECT QUT(qp, 0, 20, 10, 5, 5, 0, 2);", "QUT d "}};
+  auto expect_rejected = [](const StatusOr<Table>& t, const std::string& name,
+                            const std::string& what) {
+    ASSERT_FALSE(t.ok()) << what;
+    EXPECT_TRUE(t.status().IsInvalidArgument()) << t.status().ToString();
+    EXPECT_NE(t.status().ToString().find(name), std::string::npos)
+        << t.status().ToString();
+  };
+  Backends b;
+  for (sql::StatementExecutor* db : b.All()) {
+    for (const std::string& q : setup) ASSERT_TRUE(db->Execute(q).ok()) << q;
+    ASSERT_TRUE(db->Flush().ok());
+    auto before = db->Execute(good);
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
+    for (const auto& [q, name] : bad) expect_rejected(db->Execute(q), name, q);
+    auto prepared =
+        db->Prepare("SELECT QUT(qp, 0, 20, 10, 5, 5, 100, $1);");
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    expect_rejected(db->BindExecute(prepared->id, {Value::Double(nan)}),
+                    "gamma", "NaN bind");
+    EXPECT_TRUE(db->ClosePrepared(prepared->id).ok());
+    auto after = db->Execute(good);
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EXPECT_EQ(after->ToString(), before->ToString());
+  }
+  auto wire =
+      std::move(net::Client::Connect("127.0.0.1", b.net->port())).value();
+  expect_rejected(wire->Execute(bad[0].first), "gamma", bad[0].first);
+  EXPECT_TRUE(wire->Ping().ok());
+  EXPECT_TRUE(wire->Execute(good).ok());
+}
+
 // ---------------------------------------------------------------------------
 // QUT tree lifecycle: retired trees leave no files behind
 // ---------------------------------------------------------------------------
@@ -1038,6 +1086,64 @@ TEST(QutTreeLifecycleTest, CoordinatorDropModRetiresMergedTree) {
   ASSERT_TRUE(db->Execute("DROP MOD ships;").ok());
   EXPECT_TRUE(env.DirsWith("tree_").empty());
   EXPECT_FALSE(db->Execute("SELECT STATS(ships);").ok());
+  db.reset();
+  coord->Shutdown();
+}
+
+TEST(QutTreeLifecycleTest, QutRacingDropModLeavesNoMergedTree) {
+  // A QUT that snapshots the shards just before DROP MOD must not put
+  // the MOD's merged view (and a tree built for it) back after the drop
+  // retired it. Each round races readers looping QUT on several MODs
+  // against their drops; once the readers are joined no merged tree of a
+  // dropped MOD may hold a file.
+  const auto store = MakeMaritime();
+  const auto [t0, t1] = store.TimeDomain();
+  const double tau = (t1 - t0) / 6.0;
+  const std::vector<double> tree_params = {tau, tau / 4, tau / 4, 1600, 4};
+  TrackingEnv env;
+  service::ServiceConfig config;
+  config.shards = 2;
+  auto coord = std::move(Coordinator::Start(config, &env)).value();
+  auto db = coord->Connect();
+  constexpr int kRounds = 100;
+  constexpr int kMods = 8;
+  constexpr int kReadersPerMod = 4;
+  for (int r = 0; r < kRounds; ++r) {
+    std::vector<std::string> mods;
+    for (int m = 0; m < kMods; ++m) {
+      mods.push_back("RACE" + std::to_string(r) + "_" + std::to_string(m));
+      ASSERT_TRUE(db->Execute("CREATE MOD " + mods.back() + ";").ok());
+      for (traj::TrajectoryId i = 0; i < 3; ++i) {
+        const auto& t = store.Get((r + m + i) % store.NumTrajectories());
+        ASSERT_TRUE(InsertTrajectory(db.get(), mods.back(), t).ok());
+      }
+    }
+    ASSERT_TRUE(db->Flush().ok());
+    std::atomic<int> answered{0};
+    std::vector<std::thread> readers;
+    for (const std::string& mod : mods) {
+      for (int k = 0; k < kReadersPerMod; ++k) {
+        readers.emplace_back([&, mod] {
+          while (coord->QutQuery(mod, t0, t1 + 1, tree_params).ok()) {
+            answered.fetch_add(1, std::memory_order_relaxed);
+          }
+        });
+      }
+    }
+    // Let a first (building) query finish on odd rounds, so the drops
+    // meet both builds and the fast path.
+    while (r % 2 == 1 && answered.load(std::memory_order_relaxed) == 0) {
+      std::this_thread::yield();
+    }
+    for (const std::string& mod : mods) {
+      ASSERT_TRUE(db->Execute("DROP MOD " + mod + ";").ok());
+    }
+    for (std::thread& t : readers) t.join();
+    for (const std::string& mod : mods) {
+      EXPECT_TRUE(env.DirsWith("coord_" + mod + "_tree_").empty())
+          << "round " << r << " " << mod;
+    }
+  }
   db.reset();
   coord->Shutdown();
 }

@@ -2,8 +2,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 
+#include "common/mathutil.h"
+#include "common/rng.h"
 #include "traj/distance.h"
 #include "traj/simplify.h"
 #include "traj/sub_trajectory.h"
@@ -355,6 +359,171 @@ TEST(DistanceTest, CloserLanesMoreSimilar) {
   Trajectory far = Line(3, 0, 60, 0, 100, 60, 100, 11);
   EXPECT_GT(TimeAwareSimilarity(a, near, 30.0),
             TimeAwareSimilarity(a, far, 30.0));
+}
+
+// ---------------------------------------------------------------------------
+// Cut-off clustering distance: exact up to the limit
+// ---------------------------------------------------------------------------
+
+/// A random polyline of 2..8 samples starting at (x0, y0, t0): steps of up
+/// to `step` in x and y, time steps in (0, dt].
+Trajectory RandomWalk(Rng* rng, double x0, double y0, double t0, double step,
+                      double dt) {
+  Trajectory t(1);
+  const int n = 2 + static_cast<int>(rng->NextBelow(7));
+  double x = x0, y = y0, time = t0;
+  for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(t.Append({x, y, time}).ok());
+    x += rng->Uniform(-step, step);
+    y += rng->Uniform(-step, step);
+    time += dt * (1.0 - rng->NextDouble());
+  }
+  return t;
+}
+
+/// `t` moved by (dx, dy, dt).
+Trajectory Moved(const Trajectory& t, double dx, double dy, double dt) {
+  std::vector<geom::Point3D> pts;
+  for (const auto& p : t.samples()) {
+    pts.push_back({p.x + dx, p.y + dy, p.t + dt});
+  }
+  return Trajectory(2, std::move(pts));
+}
+
+/// The pre-cut-off definition: the average of the full time-aware distance.
+double ReferenceClusteringDistance(const Trajectory& a, const Trajectory& b,
+                                   double min_overlap_ratio) {
+  const TimeAwareDistance d = ComputeTimeAwareDistance(a, b);
+  if (!d.Coexist() || d.overlap_ratio < min_overlap_ratio) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return d.avg;
+}
+
+double ReferenceSimilarity(const Trajectory& a, const Trajectory& b,
+                           double sigma, double min_overlap_ratio) {
+  const TimeAwareDistance d = ComputeTimeAwareDistance(a, b);
+  if (!d.Coexist() || d.overlap_ratio < min_overlap_ratio) return 0.0;
+  return GaussianKernel(d.avg, sigma) * Clamp(d.overlap_ratio, 0.0, 1.0);
+}
+
+bool SameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+TEST(DistanceTest, CutOffDistanceIsExactUpToTheLimit) {
+  // About 10k seeded pairs in five families, at coordinates offset by 0
+  // or 1e7 and times offset by 0 or 1e9: free random pairs; pairs whose
+  // boxes touch or sit a few ulps apart (the second piece starts just
+  // past where the first ends, in space and in time); translated copies;
+  // copies shifted by a box width; and zero-crossing pieces that meet for
+  // a sliver of time, where interpolating between coordinates of
+  // different magnitude errs by ulps of the extent — more than the gap.
+  Rng rng(20181);
+  size_t pairs = 0, pruned = 0, exact_at_limit = 0;
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (int round = 0; round < 5000; ++round) {
+    const int family = round % 5;
+    const double off = (round / 5) % 2 == 0 ? 0.0 : 1e7;
+    const double toff = (round / 10) % 2 == 0 ? 0.0 : 1e9;
+    const double step = std::pow(10.0, rng.Uniform(-3.0, 3.0));
+    const double dt = std::pow(10.0, rng.Uniform(-3.0, 2.0));
+    Trajectory a = RandomWalk(&rng, off, off, toff, step, dt);
+    std::vector<Trajectory> others;
+    switch (family) {
+      case 0:
+        others.push_back(RandomWalk(&rng, off + rng.Uniform(-4, 4) * step,
+                                    off + rng.Uniform(-4, 4) * step,
+                                    toff + rng.Uniform(-2, 2) * dt, step, dt));
+        break;
+      case 1: {
+        // Starts k ulps right of a's box, at a's end time less a sliver.
+        const int k = static_cast<int>(rng.NextBelow(4));
+        double x = a.Bounds().max_x;
+        for (int i = 0; i < k; ++i) x = std::nextafter(x, kInf);
+        const double sliver =
+            a.Duration() * std::pow(10.0, rng.Uniform(-9, 0));
+        Trajectory b(2);
+        double bx = x, by = a.back().y, bt = a.EndTime() - sliver;
+        const int n = 2 + static_cast<int>(rng.NextBelow(4));
+        for (int i = 0; i < n; ++i) {
+          EXPECT_TRUE(b.Append({bx, by, bt}).ok());
+          bx += step * rng.NextDouble();
+          by += rng.Uniform(-step, step);
+          bt += dt * (1.0 - rng.NextDouble());
+        }
+        others.push_back(std::move(b));
+        break;
+      }
+      case 2:
+        others.push_back(Moved(a, step * std::pow(10.0, rng.Uniform(-12, 1)),
+                               0.0, dt * rng.Uniform(-0.5, 0.5)));
+        break;
+      case 3: {
+        const geom::Mbb3D box = a.Bounds();
+        const double width = box.max_x - box.min_x;
+        others.push_back(Moved(
+            a, width * (1.0 + std::pow(10.0, rng.Uniform(-12, 0))), 0.0, 0.0));
+        others.push_back(a);
+        break;
+      }
+      default: {
+        // a runs slowly from x = -step up to e near 0 (its box's max) and
+        // b from e + gap on; they co-exist for 1e-8 to 1e-6 time units.
+        const double e = step * std::pow(10.0, rng.Uniform(-18, -15)) *
+                         (rng.NextBool(0.5) ? 1.0 : -1.0);
+        const double gap = step * std::pow(10.0, rng.Uniform(-17, -13));
+        const double dur = std::pow(10.0, rng.Uniform(8, 11));
+        const double sliver = std::pow(10.0, rng.Uniform(-8, -6));
+        const double y = rng.Uniform(-step, step);
+        a = Trajectory(1, {{-step, y, -dur}, {e, y, 0.0}});
+        others.push_back(Trajectory(
+            2, {{e + gap, y, -sliver}, {step, y + step * 1e-3, dur}}));
+        break;
+      }
+    }
+    const geom::Mbb3D ba = a.Bounds();
+    for (const Trajectory& b : others) {
+      const geom::Mbb3D bb = b.Bounds();
+      for (double ratio : {0.0, 0.5}) {
+        const double exact = ClusteringDistance(a, b, ratio);
+        ASSERT_TRUE(SameBits(exact, ReferenceClusteringDistance(a, b, ratio)));
+        ASSERT_TRUE(SameBits(TimeAwareSimilarity(a, b, step, ratio),
+                             ReferenceSimilarity(a, b, step, ratio)));
+        ++pairs;
+        const double limits[] = {exact,
+                                 std::nextafter(exact, kInf),
+                                 std::nextafter(exact, -kInf),
+                                 exact * 0.5,
+                                 exact * rng.Uniform(0.9, 1.1),
+                                 0.0,
+                                 kInf};
+        for (double limit : limits) {
+          const double got = ClusteringDistance(a, ba, b, bb, ratio, limit);
+          const double swapped = ClusteringDistance(b, bb, a, ba, ratio, limit);
+          if (exact <= limit) {
+            ASSERT_TRUE(SameBits(got, exact))
+                << "round " << round << " limit " << limit << " exact "
+                << exact << " got " << got;
+            exact_at_limit += limit == exact;
+          } else {
+            ASSERT_GT(got, limit) << "round " << round;
+            pruned += std::isinf(got) && std::isfinite(exact);
+          }
+          const double exact_ba = ClusteringDistance(b, a, ratio);
+          if (exact_ba <= limit) {
+            ASSERT_TRUE(SameBits(swapped, exact_ba)) << "round " << round;
+          } else {
+            ASSERT_GT(swapped, limit) << "round " << round;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(pairs, 10000u);
+  // The bound does work, and the boundary case is exercised.
+  EXPECT_GT(pruned, 1000u);
+  EXPECT_GT(exact_at_limit, 1000u);
 }
 
 // ---------------------------------------------------------------------------
