@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <deque>
+#include <memory>
 #include <numeric>
 
 #include "common/logging.h"
@@ -39,24 +41,17 @@ class DisjointSet {
 /// One cluster piece gathered from a sub-chunk before stitching.
 struct Piece {
   int64_t sub_chunk = 0;
-  traj::SubTrajectory representative;
-  std::vector<traj::SubTrajectory> members;
+  /// The stored representative of a fully covered sub-chunk, read in
+  /// place; null when `trimmed` holds the boundary-trimmed one.
+  const traj::SubTrajectory* stored = nullptr;
+  traj::SubTrajectory trimmed;
+  traj::SubTrajectoryRefs members;
+
+  const traj::SubTrajectory& representative() const {
+    return stored != nullptr ? *stored : trimmed;
+  }
 };
 }  // namespace
-
-double QuTCluster::StartTime() const {
-  double t = std::numeric_limits<double>::infinity();
-  for (const auto& r : representatives) t = std::min(t, r.StartTime());
-  for (const auto& m : members) t = std::min(t, m.StartTime());
-  return t;
-}
-
-double QuTCluster::EndTime() const {
-  double t = -std::numeric_limits<double>::infinity();
-  for (const auto& r : representatives) t = std::max(t, r.EndTime());
-  for (const auto& m : members) t = std::max(t, m.EndTime());
-  return t;
-}
 
 size_t QuTResult::TotalMembers() const {
   size_t n = 0;
@@ -78,6 +73,17 @@ StatusOr<QuTResult> QuTClustering::Query(double wi, double we,
 
   QuTResult result;
   std::vector<Piece> pieces;
+  // Window-trimmed members and outliers; a deque, so the result's lists
+  // can point at them while more are added.
+  std::shared_ptr<std::deque<traj::SubTrajectory>> trimmed_store;
+  auto keep = [&](traj::SubTrajectory st) -> const traj::SubTrajectory& {
+    if (trimmed_store == nullptr) {
+      trimmed_store = std::make_shared<std::deque<traj::SubTrajectory>>();
+      result.storage.push_back(trimmed_store);
+    }
+    trimmed_store->push_back(std::move(st));
+    return trimmed_store->back();
+  };
 
   for (const SubChunk* sc : tree_->SubChunksIn(wi, we)) {
     ++result.stats.sub_chunks_visited;
@@ -94,34 +100,36 @@ StatusOr<QuTResult> QuTClustering::Query(double wi, double we,
       Piece piece;
       piece.sub_chunk = sc->global_index;
       if (full) {
-        // The progressive fast path: stored clusters are the answer.
-        piece.representative = entry->representative;
-        HERMES_ASSIGN_OR_RETURN(piece.members, tree_->ReadMembers(*entry));
-        result.stats.members_read += piece.members.size();
+        // The progressive fast path: stored clusters are the answer,
+        // served in place from the storage the read shares.
+        piece.stored = &entry->representative;
+        HERMES_ASSIGN_OR_RETURN(PartitionRead read,
+                                tree_->ReadMembers(*entry));
+        result.stats.members_read += read.size();
+        if (!read.empty()) result.storage.push_back(std::move(read.storage));
+        piece.members = std::move(read.members);
       } else {
         // Boundary sub-chunk: trim to W and re-validate membership.
-        piece.representative =
-            traj::TrimToWindow(entry->representative, lo, hi);
-        if (piece.representative.points.size() < 2) continue;
-        const geom::Mbb3D rep_box = piece.representative.Bounds();
-        HERMES_ASSIGN_OR_RETURN(
-            std::vector<traj::SubTrajectory> members,
-            tree_->ReadMembersInWindow(*entry, lo, hi));
-        result.stats.members_read += members.size();
-        for (auto& m : members) {
+        piece.trimmed = traj::TrimToWindow(entry->representative, lo, hi);
+        if (piece.trimmed.points.size() < 2) continue;
+        const geom::Mbb3D rep_box = piece.trimmed.Bounds();
+        HERMES_ASSIGN_OR_RETURN(PartitionRead read,
+                                tree_->ReadMembersInWindow(*entry, lo, hi));
+        result.stats.members_read += read.size();
+        for (const traj::SubTrajectory& m : read) {
           traj::SubTrajectory trimmed = traj::TrimToWindow(m, lo, hi);
           if (trimmed.points.size() < 2 ||
               trimmed.Duration() < params.min_member_duration) {
             continue;
           }
           const double d = traj::ClusteringDistance(
-              trimmed.points, trimmed.Bounds(), piece.representative.points,
+              trimmed.points, trimmed.Bounds(), piece.trimmed.points,
               rep_box, tp.min_overlap_ratio, tp.d_assign);
           if (d <= tp.d_assign) {
-            piece.members.push_back(std::move(trimmed));
+            piece.members.push_back(keep(std::move(trimmed)));
           } else {
             ++result.stats.members_reassigned;
-            result.outliers.push_back(std::move(trimmed));
+            result.outliers.push_back(keep(std::move(trimmed)));
           }
         }
       }
@@ -129,52 +137,103 @@ StatusOr<QuTResult> QuTClustering::Query(double wi, double we,
     }
 
     // Outliers of this sub-chunk, trimmed to the window.
-    HERMES_ASSIGN_OR_RETURN(std::vector<traj::SubTrajectory> outs,
-                            tree_->ReadOutliers(*sc));
-    for (auto& o : outs) {
-      traj::SubTrajectory trimmed = full ? o : traj::TrimToWindow(o, lo, hi);
-      if (trimmed.points.size() < 2) continue;
-      result.outliers.push_back(std::move(trimmed));
+    HERMES_ASSIGN_OR_RETURN(PartitionRead outs, tree_->ReadOutliers(*sc));
+    bool shared = false;
+    for (const traj::SubTrajectory& o : outs) {
+      if (full) {
+        if (o.points.size() < 2) continue;
+        result.outliers.push_back(o);
+        shared = true;
+      } else {
+        traj::SubTrajectory trimmed = traj::TrimToWindow(o, lo, hi);
+        if (trimmed.points.size() < 2) continue;
+        result.outliers.push_back(keep(std::move(trimmed)));
+      }
     }
+    if (shared) result.storage.push_back(std::move(outs.storage));
   }
 
+  // Each piece's representative ends, read once into a compact array.
+  struct Ends {
+    double start, end;
+    geom::Point2D first, last;
+  };
+  std::vector<Ends> ends;
+  ends.reserve(pieces.size());
+  for (const Piece& piece : pieces) {
+    const traj::Trajectory& rep = piece.representative().points;
+    ends.push_back(
+        {rep.StartTime(), rep.EndTime(), rep.front().xy(), rep.back().xy()});
+  }
   // Stitch cluster pieces of consecutive sub-chunks whose representatives
-  // are continuous at the shared boundary.
+  // are continuous at the shared boundary. Pieces arrive grouped by
+  // sub-chunk in ascending order, so the only partners of sub-chunk s's
+  // run are those in the run right after it, when that run is s + 1.
+  // Visiting (i, j) in ascending order over those two runs unites the
+  // same pairs, in the same order, as scanning all pairs — which keeps
+  // the union-find roots, and with them the cluster order, unchanged.
   DisjointSet ds(pieces.size());
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    for (size_t j = 0; j < pieces.size(); ++j) {
-      if (i == j) continue;
-      const auto& a = pieces[i].representative;
-      const auto& b = pieces[j].representative;
-      // a must end where b starts (adjacent sub-chunks).
-      if (pieces[j].sub_chunk != pieces[i].sub_chunk + 1) continue;
-      const double tgap = std::fabs(b.StartTime() - a.EndTime());
-      if (tgap > stitch_gap + 1e-9) continue;
-      const double sgap =
-          geom::Distance(a.points.back().xy(), b.points.front().xy());
-      if (sgap > stitch_d) continue;
-      ds.Union(i, j);
-      ++result.stats.stitches;
+  for (size_t run = 0; run < pieces.size();) {
+    const int64_t s = pieces[run].sub_chunk;
+    size_t next = run;
+    while (next < pieces.size() && pieces[next].sub_chunk == s) ++next;
+    size_t next_end = next;
+    while (next_end < pieces.size() && pieces[next_end].sub_chunk == s + 1) {
+      ++next_end;
     }
+    for (size_t i = run; i < next; ++i) {
+      for (size_t j = next; j < next_end; ++j) {
+        // i must end where j starts (adjacent sub-chunks).
+        const double tgap = std::fabs(ends[j].start - ends[i].end);
+        if (tgap > stitch_gap + 1e-9) continue;
+        const double sgap = geom::Distance(ends[i].last, ends[j].first);
+        if (sgap > stitch_d) continue;
+        ds.Union(i, j);
+        ++result.stats.stitches;
+      }
+    }
+    run = next;
   }
 
-  std::map<size_t, QuTCluster> merged;
+  // One cluster per root, in ascending root order, each filled in piece
+  // order.
+  std::vector<size_t> cluster_of(pieces.size());
+  size_t roots = 0;
   for (size_t i = 0; i < pieces.size(); ++i) {
-    QuTCluster& c = merged[ds.Find(i)];
-    c.representatives.push_back(pieces[i].representative);
-    for (auto& m : pieces[i].members) c.members.push_back(std::move(m));
+    if (ds.Find(i) == i) cluster_of[i] = roots++;
   }
-  result.clusters.reserve(merged.size());
-  for (auto& [root, cluster] : merged) {
-    std::sort(cluster.representatives.begin(), cluster.representatives.end(),
+  result.clusters.resize(roots);
+  for (size_t i = 0; i < pieces.size(); ++i) {
+    Piece& piece = pieces[i];
+    QuTCluster& c = result.clusters[cluster_of[ds.Find(i)]];
+    if (piece.stored != nullptr) {
+      c.representatives.push_back(*piece.stored);
+    } else {
+      c.representatives.push_back(std::move(piece.trimmed));
+    }
+    if (c.members.empty()) {
+      c.members = std::move(piece.members);
+    } else {
+      c.members.Append(piece.members);
+    }
+  }
+  for (QuTCluster& c : result.clusters) {
+    std::sort(c.representatives.begin(), c.representatives.end(),
               [](const traj::SubTrajectory& a, const traj::SubTrajectory& b) {
                 return a.StartTime() < b.StartTime();
               });
-    result.clusters.push_back(std::move(cluster));
+    for (const auto& r : c.representatives) {
+      c.start_time = std::min(c.start_time, r.StartTime());
+      c.end_time = std::max(c.end_time, r.EndTime());
+    }
+    for (const auto& m : c.members) {
+      c.start_time = std::min(c.start_time, m.StartTime());
+      c.end_time = std::max(c.end_time, m.EndTime());
+    }
   }
   std::sort(result.clusters.begin(), result.clusters.end(),
             [](const QuTCluster& a, const QuTCluster& b) {
-              return a.StartTime() < b.StartTime();
+              return a.start_time < b.start_time;
             });
 
   result.stats.elapsed_us = NowUs() - t_start;

@@ -1,6 +1,8 @@
 #ifndef HERMES_CORE_QUT_CLUSTERING_H_
 #define HERMES_CORE_QUT_CLUSTERING_H_
 
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/statusor.h"
@@ -23,12 +25,18 @@ struct QuTParams {
 /// \brief One answer cluster: a chain of representative pieces across
 /// consecutive sub-chunks plus all (window-trimmed) member
 /// sub-trajectories.
+///
+/// `members` refer into storage the owning `QuTResult` keeps alive.
 struct QuTCluster {
   std::vector<traj::SubTrajectory> representatives;
-  std::vector<traj::SubTrajectory> members;
+  traj::SubTrajectoryRefs members;
+  /// Earliest start / latest end over representatives and members,
+  /// computed once when the cluster is assembled.
+  double start_time = std::numeric_limits<double>::infinity();
+  double end_time = -std::numeric_limits<double>::infinity();
 
-  double StartTime() const;
-  double EndTime() const;
+  double StartTime() const { return start_time; }
+  double EndTime() const { return end_time; }
 };
 
 /// \brief Work counters proving the progressive property (boundary-only
@@ -44,10 +52,20 @@ struct QuTStats {
 };
 
 /// \brief Result of a QuT query: clusters and outliers restricted to W.
+///
+/// Members and outliers are read in place: they point into the hot-tier
+/// snapshots and cold-decoded records the query read, and into the
+/// window-trimmed pieces it made, all of which `storage` owns. A held
+/// result therefore pins its snapshots — they stay alive, and count in
+/// `HotTierStats::hot_partitions`, until the result is released — and it
+/// stays valid after its tree re-clusters, demotes or is dropped. Copies
+/// share that storage.
 struct QuTResult {
   std::vector<QuTCluster> clusters;
-  std::vector<traj::SubTrajectory> outliers;
+  traj::SubTrajectoryRefs outliers;
   QuTStats stats;
+  /// What `members` and `outliers` point into.
+  std::vector<std::shared_ptr<const void>> storage;
 
   size_t TotalMembers() const;
 };

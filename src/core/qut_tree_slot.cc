@@ -7,11 +7,6 @@
 
 namespace hermes::core {
 
-namespace {
-
-/// Deletes every file directly under `dir` (a tree keeps its partitions
-/// and their indexes flat in its directory). Best effort: a file that
-/// will not go only leaks space.
 void DeleteTreeFiles(storage::Env* env, const std::string& dir) {
   auto names = env->ListDir(dir);
   if (!names.ok()) return;
@@ -19,6 +14,8 @@ void DeleteTreeFiles(storage::Env* env, const std::string& dir) {
     (void)env->DeleteFile(dir + "/" + name);
   }
 }
+
+namespace {
 
 /// Records the tree work between two stats snapshots into `archive`.
 void ArchiveTreeWork(const ReTraTreeStats& before, const ReTraTreeStats& after,

@@ -24,6 +24,11 @@ namespace hermes::core {
 /// `gamma` is truncated).
 ReTraTreeParams MakeQutTreeParams(const std::vector<double>& tree_params);
 
+/// Deletes every file directly under `dir` (a tree keeps its partitions
+/// and their indexes flat in its directory). Best effort: a file that
+/// will not go only leaks space.
+void DeleteTreeFiles(storage::Env* env, const std::string& dir);
+
 /// What one `QutTreeSlot::Refresh` / `CatchUp` call had to do.
 enum class QutTreeWork { kNone, kCaughtUp, kRebuilt };
 

@@ -541,21 +541,42 @@ StatusOr<std::vector<traj::SubTrajectory>> ReTraTree::ScanPartition(
   return out;
 }
 
-StatusOr<std::vector<traj::SubTrajectory>> ReTraTree::ReadMembers(
+namespace {
+/// Shares every element of `items` (held by `storage`) in order.
+PartitionRead ShareAll(std::shared_ptr<const void> storage,
+                       const std::vector<traj::SubTrajectory>& items) {
+  PartitionRead read;
+  read.members.reserve(items.size());
+  for (const auto& st : items) read.members.push_back(st);
+  read.storage = std::move(storage);
+  return read;
+}
+
+/// Takes ownership of cold-decoded records and shares them in order.
+PartitionRead ShareDecoded(std::vector<traj::SubTrajectory> decoded) {
+  auto owned = std::make_shared<const std::vector<traj::SubTrajectory>>(
+      std::move(decoded));
+  const std::vector<traj::SubTrajectory>& items = *owned;
+  return ShareAll(std::move(owned), items);
+}
+}  // namespace
+
+StatusOr<PartitionRead> ReTraTree::ReadMembers(
     const RepresentativeEntry& entry) const {
   if (HotSlot hot = std::atomic_load(&entry.hot)) {
     qut_hot_probes_.fetch_add(1, std::memory_order_relaxed);
     TouchHot(*hot);
-    return hot->members;
+    const std::vector<traj::SubTrajectory>& members = hot->members;
+    return ShareAll(std::move(hot), members);
   }
   qut_cold_probes_.fetch_add(1, std::memory_order_relaxed);
   HERMES_ASSIGN_OR_RETURN(std::vector<traj::SubTrajectory> out,
                           ScanPartition(entry.partition_name));
   MaybePromote(&entry.hot, &entry.hot_unfit_budget, out, /*with_index=*/true);
-  return out;
+  return ShareDecoded(std::move(out));
 }
 
-StatusOr<std::vector<traj::SubTrajectory>> ReTraTree::ReadMembersInWindow(
+StatusOr<PartitionRead> ReTraTree::ReadMembersInWindow(
     const RepresentativeEntry& entry, double t0, double t1) const {
   // Time-only range: unbounded spatial extent.
   const double kBig = 1e18;
@@ -582,12 +603,13 @@ StatusOr<std::vector<traj::SubTrajectory>> ReTraTree::ReadMembersInWindow(
     // packed RecordIds produces — so hot and cold window reads return
     // the same members in the same order.
     std::sort(ordinals.begin(), ordinals.end());
-    std::vector<traj::SubTrajectory> out;
-    out.reserve(ordinals.size());
+    PartitionRead read;
+    read.members.reserve(ordinals.size());
     for (uint64_t o : ordinals) {
-      out.push_back(hot->members[static_cast<size_t>(o)]);
+      read.members.push_back(hot->members[static_cast<size_t>(o)]);
     }
-    return out;
+    read.storage = std::move(hot);
+    return read;
   }
 
   qut_cold_probes_.fetch_add(1, std::memory_order_relaxed);
@@ -608,31 +630,30 @@ StatusOr<std::vector<traj::SubTrajectory>> ReTraTree::ReadMembersInWindow(
     common::MutexLock lock(&stats_mu_);
     stats_.records_read += out.size();
   }
-  return out;
+  return ShareDecoded(std::move(out));
 }
 
-StatusOr<std::vector<traj::SubTrajectory>> ReTraTree::ReadOutliers(
-    const SubChunk& sc) const {
+StatusOr<PartitionRead> ReTraTree::ReadOutliers(const SubChunk& sc) const {
   if (HotSlot hot = std::atomic_load(&sc.hot_outliers)) {
     qut_hot_probes_.fetch_add(1, std::memory_order_relaxed);
     TouchHot(*hot);
-    return hot->members;
+    const std::vector<traj::SubTrajectory>& members = hot->members;
+    return ShareAll(std::move(hot), members);
   }
   qut_cold_probes_.fetch_add(1, std::memory_order_relaxed);
   if (!partitions_->Exists(sc.outlier_partition)) {
     // Promote the empty snapshot too, or every query re-counts this
     // sub-chunk as a cold probe; a later outlier insert extends it in
     // the same order the (then-created) heap partition would produce.
-    std::vector<traj::SubTrajectory> none;
-    MaybePromote(&sc.hot_outliers, &sc.hot_outliers_unfit_budget, none,
+    MaybePromote(&sc.hot_outliers, &sc.hot_outliers_unfit_budget, {},
                  /*with_index=*/false);
-    return none;
+    return PartitionRead{};
   }
   HERMES_ASSIGN_OR_RETURN(std::vector<traj::SubTrajectory> out,
                           ScanPartition(sc.outlier_partition));
   MaybePromote(&sc.hot_outliers, &sc.hot_outliers_unfit_budget, out,
                /*with_index=*/false);
-  return out;
+  return ShareDecoded(std::move(out));
 }
 
 namespace {

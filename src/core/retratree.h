@@ -204,6 +204,24 @@ struct Chunk {
   std::map<int64_t, SubChunk> sub_chunks;  // Keyed by global sub-chunk index.
 };
 
+/// \brief Sub-trajectories read from one partition, sharing ownership of
+/// the storage they sit in: the hot snapshot the read was served from
+/// (pinned, not copied) or the records a cold read decoded. The elements
+/// stay valid while `storage`, or a copy of it, lives; a held hot read
+/// keeps its snapshot counted in `HotTierStats::hot_partitions`.
+struct PartitionRead {
+  std::shared_ptr<const void> storage;
+  traj::SubTrajectoryRefs members;
+
+  size_t size() const { return members.size(); }
+  bool empty() const { return members.empty(); }
+  const traj::SubTrajectory& operator[](size_t i) const { return members[i]; }
+  traj::SubTrajectoryRefs::const_iterator begin() const {
+    return members.begin();
+  }
+  traj::SubTrajectoryRefs::const_iterator end() const { return members.end(); }
+};
+
 /// Binary (de)serialization of sub-trajectories for partition records.
 std::string EncodeSubTrajectory(const traj::SubTrajectory& st);
 StatusOr<traj::SubTrajectory> DecodeSubTrajectory(const std::string& bytes);
@@ -289,24 +307,23 @@ class ReTraTree {
   /// Sub-chunks whose interval intersects [t0, t1), ordered by time.
   std::vector<const SubChunk*> SubChunksIn(double t0, double t1) const;
 
-  /// Reads all members of a representative's partition.
-  StatusOr<std::vector<traj::SubTrajectory>> ReadMembers(
-      const RepresentativeEntry& entry) const;
+  /// Reads all members of a representative's partition, in append order.
+  StatusOr<PartitionRead> ReadMembers(const RepresentativeEntry& entry) const;
 
-  /// Reads members whose lifespan intersects [t0, t1), using the
-  /// partition's pg3D-Rtree to avoid a full scan.
-  StatusOr<std::vector<traj::SubTrajectory>> ReadMembersInWindow(
-      const RepresentativeEntry& entry, double t0, double t1) const;
+  /// Reads members whose lifespan intersects [t0, t1), in append order,
+  /// using the partition's pg3D-Rtree to avoid a full scan.
+  StatusOr<PartitionRead> ReadMembersInWindow(const RepresentativeEntry& entry,
+                                              double t0, double t1) const;
 
-  /// Reads the outlier partition of a sub-chunk.
-  StatusOr<std::vector<traj::SubTrajectory>> ReadOutliers(
-      const SubChunk& sc) const;
+  /// Reads the outlier partition of a sub-chunk, in append order.
+  StatusOr<PartitionRead> ReadOutliers(const SubChunk& sc) const;
 
   // ---- Hot index tier (docs/ARCHITECTURE.md "Hot/cold index tiers") ---
   //
   // The three read methods above transparently serve from an immutable
   // in-memory snapshot when one is published for the partition (probe:
-  // one atomic load, zero locks, zero page I/O) and fall back to the
+  // one atomic load, zero locks, zero page I/O, and the members are
+  // handed out in place under the snapshot's pin) and fall back to the
   // file-backed heap + GiST otherwise, promoting the partition on the
   // way out. Appends keep live snapshots coherent by republishing them;
   // re-clustering drops the outlier snapshot with the buffer. Snapshots

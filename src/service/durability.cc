@@ -20,6 +20,7 @@
 
 #include "common/coding.h"
 #include "common/crc32.h"
+#include "core/qut_tree_slot.h"
 #include "service/server.h"
 #include "service/wal_payloads.h"
 #include "traj/trajectory_io.h"
@@ -117,11 +118,13 @@ StatusOr<std::string> ReadString(Decoder* dec) {
 
 /// Per-MOD checkpoint metadata, as recorded in the manifest. QUT trees
 /// are caches rebuilt on demand, so none is recorded; each entry still
-/// carries the tree fields of older manifests (written as "no tree"),
-/// which the decoder skips.
+/// carries the tree fields of older manifests (written as "no tree").
+/// The decoder keeps only an older manifest's tree directory, whose
+/// files recovery deletes.
 struct ModMeta {
-  std::string name;        ///< Canonical MOD key.
-  std::string store_file;  ///< File name (within wal_dir) of the store.
+  std::string name;          ///< Canonical MOD key.
+  std::string store_file;    ///< File name (within wal_dir) of the store.
+  std::string old_tree_dir;  ///< Saved tree of an older manifest, or "".
 };
 
 struct Manifest {
@@ -166,7 +169,7 @@ StatusOr<Manifest> DecodeManifest(const std::string& payload) {
     dec.Skip(1);
     if (has_tree) {
       // An older manifest's tree: directory, 5 params, consumed count.
-      HERMES_RETURN_NOT_OK(ReadString(&dec).status());
+      HERMES_ASSIGN_OR_RETURN(mod.old_tree_dir, ReadString(&dec));
       if (dec.remaining() < 5 * 8 + 8) {
         return Status::Corruption("manifest truncated (tree meta)");
       }
@@ -392,7 +395,10 @@ Status Server::RecoverOrInit() {
       HERMES_ASSIGN_OR_RETURN(traj::TrajectoryStore store,
                               traj::DecodeStore(&dec));
       // Trees are caches, never saved: the first QUT rebuilds one from
-      // the store.
+      // the store, and a tree an older server saved is only dead files.
+      if (!meta.old_tree_dir.empty()) {
+        core::DeleteTreeFiles(env_, meta.old_tree_dir);
+      }
       auto mod = NewMod(meta.name, std::move(store));
       common::MutexLock lock(&catalog_mu_);
       mods_[meta.name] = std::move(mod);

@@ -16,8 +16,15 @@ std::string SubTrajectory::ToString() const {
 }
 
 SubTrajectory TrimToWindow(const SubTrajectory& st, double t0, double t1) {
-  SubTrajectory out = st;
+  // Field by field, so the source's points are only read by the slice,
+  // never copied whole.
+  SubTrajectory out;
+  out.id = st.id;
+  out.source_trajectory = st.source_trajectory;
+  out.object_id = st.object_id;
+  out.first_sample_index = st.first_sample_index;
   out.points = st.points.Slice(t0, t1);
+  out.mean_voting = st.mean_voting;
   return out;
 }
 

@@ -2,14 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <memory>
+#include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "baselines/range_rebuild.h"
+#include "common/rng.h"
 #include "core/qut_clustering.h"
 #include "core/retratree.h"
+#include "datagen/aircraft.h"
+#include "datagen/maritime.h"
 #include "datagen/noise.h"
+#include "datagen/urban.h"
 #include "rtree/str_bulk_load.h"
+#include "sql/query_functions.h"
 #include "storage/env.h"
+#include "traj/distance.h"
 
 namespace hermes::core {
 namespace {
@@ -296,6 +310,453 @@ TEST_F(QuTTest, HotSnapshotsReleaseTheirPins) {
   EXPECT_GE(pins->total.load(), pins->live.load());
   tree_->SetHotIndexBudget(0);  // Demote: the only owners let go.
   EXPECT_EQ(pins->live.load(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Exactness: the eager assembly as oracle
+//
+// `QuTClustering::Query` reads members and outliers in place, stitches only
+// adjacent sub-chunk runs, and computes each cluster's bounds once. Below
+// is the assembly as it was before — every read deep-copied, the all-pairs
+// stitch scan, a root-keyed std::map merge, and a sort whose comparator
+// rescans every member — frozen as the oracle the new path must equal bit
+// for bit, down to the order of equal-start clusters the unstable sort
+// leaves behind.
+// ---------------------------------------------------------------------------
+
+/// A cluster held by value, with its bounds recomputed on every call.
+struct RefCluster {
+  std::vector<traj::SubTrajectory> representatives;
+  std::vector<traj::SubTrajectory> members;
+
+  double StartTime() const {
+    double t = std::numeric_limits<double>::infinity();
+    for (const auto& r : representatives) t = std::min(t, r.StartTime());
+    for (const auto& m : members) t = std::min(t, m.StartTime());
+    return t;
+  }
+  double EndTime() const {
+    double t = -std::numeric_limits<double>::infinity();
+    for (const auto& r : representatives) t = std::max(t, r.EndTime());
+    for (const auto& m : members) t = std::max(t, m.EndTime());
+    return t;
+  }
+};
+
+struct RefResult {
+  std::vector<RefCluster> clusters;
+  std::vector<traj::SubTrajectory> outliers;
+  QuTStats stats;
+};
+
+/// Trimming as it was: copy the whole source, then overwrite its points.
+traj::SubTrajectory RefTrimToWindow(const traj::SubTrajectory& st, double t0,
+                                    double t1) {
+  traj::SubTrajectory out = st;
+  out.points = st.points.Slice(t0, t1);
+  return out;
+}
+
+/// The eager copy a read used to return.
+std::vector<traj::SubTrajectory> Copied(const PartitionRead& read) {
+  return std::vector<traj::SubTrajectory>(read.begin(), read.end());
+}
+
+class RefDisjointSet {
+ public:
+  explicit RefDisjointSet(size_t n) : parent_(n) {
+    std::iota(parent_.begin(), parent_.end(), 0);
+  }
+  size_t Find(size_t x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];
+      x = parent_[x];
+    }
+    return x;
+  }
+  void Union(size_t a, size_t b) { parent_[Find(a)] = Find(b); }
+
+ private:
+  std::vector<size_t> parent_;
+};
+
+struct RefPiece {
+  int64_t sub_chunk = 0;
+  traj::SubTrajectory representative;
+  std::vector<traj::SubTrajectory> members;
+};
+
+/// `QuTClustering::Query` with default `QuTParams`, as it was.
+StatusOr<RefResult> RefQuery(const ReTraTree& tree, double wi, double we) {
+  const QuTParams params;
+  const ReTraTreeParams& tp = tree.params();
+  const double stitch_d =
+      params.stitch_distance > 0.0 ? params.stitch_distance : tp.d_assign;
+  const double stitch_gap = params.stitch_time_gap >= 0.0
+                                ? params.stitch_time_gap
+                                : tp.delta * 0.01;
+  RefResult result;
+  std::vector<RefPiece> pieces;
+  for (const SubChunk* sc : tree.SubChunksIn(wi, we)) {
+    ++result.stats.sub_chunks_visited;
+    const bool full = sc->start >= wi && sc->end <= we;
+    if (full) {
+      ++result.stats.sub_chunks_full;
+    } else {
+      ++result.stats.sub_chunks_partial;
+    }
+    const double lo = std::max(wi, sc->start);
+    const double hi = std::min(we, sc->end);
+    for (const auto& entry : sc->representatives) {
+      RefPiece piece;
+      piece.sub_chunk = sc->global_index;
+      if (full) {
+        piece.representative = entry->representative;
+        HERMES_ASSIGN_OR_RETURN(PartitionRead read, tree.ReadMembers(*entry));
+        piece.members = Copied(read);
+        result.stats.members_read += piece.members.size();
+      } else {
+        piece.representative =
+            RefTrimToWindow(entry->representative, lo, hi);
+        if (piece.representative.points.size() < 2) continue;
+        const geom::Mbb3D rep_box = piece.representative.Bounds();
+        HERMES_ASSIGN_OR_RETURN(PartitionRead read,
+                                tree.ReadMembersInWindow(*entry, lo, hi));
+        std::vector<traj::SubTrajectory> members = Copied(read);
+        result.stats.members_read += members.size();
+        for (auto& m : members) {
+          traj::SubTrajectory trimmed = RefTrimToWindow(m, lo, hi);
+          if (trimmed.points.size() < 2 ||
+              trimmed.Duration() < params.min_member_duration) {
+            continue;
+          }
+          const double d = traj::ClusteringDistance(
+              trimmed.points, trimmed.Bounds(), piece.representative.points,
+              rep_box, tp.min_overlap_ratio, tp.d_assign);
+          if (d <= tp.d_assign) {
+            piece.members.push_back(std::move(trimmed));
+          } else {
+            ++result.stats.members_reassigned;
+            result.outliers.push_back(std::move(trimmed));
+          }
+        }
+      }
+      if (!piece.members.empty()) pieces.push_back(std::move(piece));
+    }
+    HERMES_ASSIGN_OR_RETURN(PartitionRead read, tree.ReadOutliers(*sc));
+    for (auto& o : Copied(read)) {
+      traj::SubTrajectory trimmed = full ? o : RefTrimToWindow(o, lo, hi);
+      if (trimmed.points.size() < 2) continue;
+      result.outliers.push_back(std::move(trimmed));
+    }
+  }
+
+  RefDisjointSet ds(pieces.size());
+  for (size_t i = 0; i < pieces.size(); ++i) {
+    for (size_t j = 0; j < pieces.size(); ++j) {
+      if (i == j) continue;
+      const auto& a = pieces[i].representative;
+      const auto& b = pieces[j].representative;
+      if (pieces[j].sub_chunk != pieces[i].sub_chunk + 1) continue;
+      const double tgap = std::fabs(b.StartTime() - a.EndTime());
+      if (tgap > stitch_gap + 1e-9) continue;
+      const double sgap =
+          geom::Distance(a.points.back().xy(), b.points.front().xy());
+      if (sgap > stitch_d) continue;
+      ds.Union(i, j);
+      ++result.stats.stitches;
+    }
+  }
+
+  std::map<size_t, RefCluster> merged;
+  for (size_t i = 0; i < pieces.size(); ++i) {
+    RefCluster& c = merged[ds.Find(i)];
+    c.representatives.push_back(pieces[i].representative);
+    for (auto& m : pieces[i].members) c.members.push_back(std::move(m));
+  }
+  for (auto& [root, cluster] : merged) {
+    std::sort(cluster.representatives.begin(), cluster.representatives.end(),
+              [](const traj::SubTrajectory& a, const traj::SubTrajectory& b) {
+                return a.StartTime() < b.StartTime();
+              });
+    result.clusters.push_back(std::move(cluster));
+  }
+  std::sort(result.clusters.begin(), result.clusters.end(),
+            [](const RefCluster& a, const RefCluster& b) {
+              return a.StartTime() < b.StartTime();
+            });
+  return result;
+}
+
+/// The QUT table as `sql::MakeQutCursor` built it from a by-value answer.
+std::vector<std::vector<sql::Value>> RefQutRows(const RefResult& r, double wi,
+                                                double we) {
+  std::vector<std::vector<sql::Value>> rows;
+  for (size_t ci = 0; ci < r.clusters.size(); ++ci) {
+    const RefCluster& c = r.clusters[ci];
+    rows.push_back(
+        {sql::Value::Int(static_cast<int64_t>(ci)),
+         sql::Value::Int(static_cast<int64_t>(c.representatives.size())),
+         sql::Value::Int(static_cast<int64_t>(c.members.size())),
+         sql::Value::Double(c.StartTime()), sql::Value::Double(c.EndTime())});
+  }
+  rows.push_back({sql::Value::Str("outliers"), sql::Value::Null(),
+                  sql::Value::Int(static_cast<int64_t>(r.outliers.size())),
+                  sql::Value::Double(wi), sql::Value::Double(we)});
+  return rows;
+}
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+void ExpectSameSub(const traj::SubTrajectory& got,
+                   const traj::SubTrajectory& want, const std::string& at) {
+  ASSERT_EQ(got.id, want.id) << at;
+  ASSERT_EQ(got.source_trajectory, want.source_trajectory) << at;
+  ASSERT_EQ(got.object_id, want.object_id) << at;
+  ASSERT_EQ(got.first_sample_index, want.first_sample_index) << at;
+  ASSERT_EQ(Bits(got.mean_voting), Bits(want.mean_voting)) << at;
+  ASSERT_EQ(got.points.object_id(), want.points.object_id()) << at;
+  ASSERT_EQ(got.points.size(), want.points.size()) << at;
+  for (size_t s = 0; s < got.points.size(); ++s) {
+    ASSERT_EQ(Bits(got.points[s].x), Bits(want.points[s].x)) << at;
+    ASSERT_EQ(Bits(got.points[s].y), Bits(want.points[s].y)) << at;
+    ASSERT_EQ(Bits(got.points[s].t), Bits(want.points[s].t)) << at;
+  }
+}
+
+/// Every representative, member and outlier, the cluster bounds, the work
+/// counters (wall time aside) and the SQL table.
+void ExpectSameAnswer(const QuTResult& got, const RefResult& want, double wi,
+                      double we, const std::string& what) {
+  ASSERT_EQ(got.clusters.size(), want.clusters.size()) << what;
+  for (size_t c = 0; c < got.clusters.size(); ++c) {
+    const std::string at = what + " cluster=" + std::to_string(c);
+    const QuTCluster& g = got.clusters[c];
+    const RefCluster& w = want.clusters[c];
+    ASSERT_EQ(g.representatives.size(), w.representatives.size()) << at;
+    for (size_t r = 0; r < g.representatives.size(); ++r) {
+      ExpectSameSub(g.representatives[r], w.representatives[r],
+                    at + " rep=" + std::to_string(r));
+    }
+    ASSERT_EQ(g.members.size(), w.members.size()) << at;
+    for (size_t m = 0; m < g.members.size(); ++m) {
+      ExpectSameSub(g.members[m], w.members[m],
+                    at + " member=" + std::to_string(m));
+    }
+    ASSERT_EQ(Bits(g.StartTime()), Bits(w.StartTime())) << at;
+    ASSERT_EQ(Bits(g.EndTime()), Bits(w.EndTime())) << at;
+  }
+  ASSERT_EQ(got.outliers.size(), want.outliers.size()) << what;
+  for (size_t o = 0; o < got.outliers.size(); ++o) {
+    ExpectSameSub(got.outliers[o], want.outliers[o],
+                  what + " outlier=" + std::to_string(o));
+  }
+  EXPECT_EQ(got.stats.sub_chunks_visited, want.stats.sub_chunks_visited);
+  EXPECT_EQ(got.stats.sub_chunks_full, want.stats.sub_chunks_full);
+  EXPECT_EQ(got.stats.sub_chunks_partial, want.stats.sub_chunks_partial);
+  EXPECT_EQ(got.stats.members_read, want.stats.members_read) << what;
+  EXPECT_EQ(got.stats.members_reassigned, want.stats.members_reassigned);
+  EXPECT_EQ(got.stats.stitches, want.stats.stitches) << what;
+  auto table = sql::MakeQutCursor(got, wi, we, nullptr)->ToTable();
+  ASSERT_TRUE(table.ok()) << what;
+  EXPECT_EQ(table->rows, RefQutRows(want, wi, we)) << what;
+}
+
+/// Per slot, in catalog order: the LRU stamp of its resident snapshot
+/// plus one, or 0 when the slot is cold.
+std::vector<uint64_t> HotStamps(const ReTraTree& tree) {
+  auto stamp = [](const std::shared_ptr<const HotPartition>& slot) {
+    auto hot = std::atomic_load(&slot);
+    return hot == nullptr ? uint64_t{0} : hot->last_access.load() + 1;
+  };
+  std::vector<uint64_t> stamps;
+  for (const auto& [ci, chunk] : tree.chunks()) {
+    for (const auto& [si, sc] : chunk.sub_chunks) {
+      stamps.push_back(stamp(sc.hot_outliers));
+      for (const auto& e : sc.representatives) stamps.push_back(stamp(e->hot));
+    }
+  }
+  return stamps;
+}
+
+/// Two trees fed the same store and the same reads hold the same hot
+/// tier: counters, records read, which snapshots are resident, and the
+/// LRU stamp each carries.
+void ExpectSameTier(const ReTraTree& got, const ReTraTree& want,
+                    const std::string& what) {
+  const HotTierStats g = got.hot_stats();
+  const HotTierStats w = want.hot_stats();
+  EXPECT_EQ(g.qut_hot_probes, w.qut_hot_probes) << what;
+  EXPECT_EQ(g.qut_cold_probes, w.qut_cold_probes) << what;
+  EXPECT_EQ(g.hot_promotions, w.hot_promotions) << what;
+  EXPECT_EQ(g.hot_demotions, w.hot_demotions) << what;
+  EXPECT_EQ(g.hot_index_bytes, w.hot_index_bytes) << what;
+  EXPECT_EQ(g.hot_partitions, w.hot_partitions) << what;
+  EXPECT_EQ(g.hot_pins_total, w.hot_pins_total) << what;
+  EXPECT_EQ(got.stats().records_read, want.stats().records_read) << what;
+  EXPECT_EQ(HotStamps(got), HotStamps(want)) << what;
+}
+
+struct OracleScenario {
+  std::string name;
+  traj::TrajectoryStore store;
+  ReTraTreeParams params;
+};
+
+ReTraTreeParams ScenarioTreeParams(const traj::TrajectoryStore& store,
+                                   double sigma, double epsilon) {
+  const auto [t0, t1] = store.TimeDomain();
+  ReTraTreeParams p;
+  p.tau = (t1 - t0) / 2;
+  p.delta = p.tau / 4;
+  p.t_align = p.delta;
+  p.d_assign = epsilon;
+  p.gamma = 6;
+  p.origin = t0;
+  p.s2t.SetSigma(sigma).SetEpsilon(epsilon);
+  p.s2t.segmentation.min_part_length = 3;
+  p.s2t.voting.min_overlap_ratio = 0.3;
+  p.s2t.sampling.min_overlap_ratio = 0.3;
+  p.s2t.clustering.min_overlap_ratio = 0.3;
+  return p;
+}
+
+void MakeOracleScenarios(std::vector<OracleScenario>* out) {
+  {
+    datagen::AircraftScenarioParams p =
+        datagen::AircraftScenarioParams::Default();
+    p.num_flights = 16;
+    p.sample_dt = 40.0;
+    p.seed = 12;
+    traj::TrajectoryStore store =
+        std::move(datagen::GenerateAircraftScenario(p)->store);
+    ReTraTreeParams tp = ScenarioTreeParams(store, 1500.0, 3000.0);
+    out->push_back({"aircraft", std::move(store), tp});
+  }
+  {
+    datagen::MaritimeScenarioParams p;
+    p.num_ships = 14;
+    p.sample_dt = 300.0;
+    p.seed = 13;
+    traj::TrajectoryStore store =
+        std::move(datagen::GenerateMaritimeScenario(p)->store);
+    ReTraTreeParams tp = ScenarioTreeParams(store, 800.0, 1600.0);
+    out->push_back({"maritime", std::move(store), tp});
+  }
+  {
+    datagen::UrbanScenarioParams p;
+    p.num_vehicles = 16;
+    p.sample_dt = 20.0;
+    p.seed = 14;
+    traj::TrajectoryStore store =
+        std::move(datagen::GenerateUrbanScenario(p)->store);
+    ReTraTreeParams tp = ScenarioTreeParams(store, 120.0, 240.0);
+    out->push_back({"urban", std::move(store), tp});
+  }
+  {
+    // 24 lanes 5 km apart, all from t = 0: more chains start together
+    // than the sort's insertion-sort cut-off, so the unstable sort's
+    // permutation shows. Lane k runs through sub-chunk k % 4, so a
+    // chain's union-find root (its last piece) and its first piece sit
+    // in different places in piece order. One more lane ends at t = 100,
+    // where two groups 100 m apart begin; both stitch onto its piece, so
+    // the order of the unions decides that chain's root.
+    traj::TrajectoryStore store;
+    for (int lane = 0; lane < 24; ++lane) {
+      AddLane(&store, lane * 10, 3, lane * 5000.0, 0,
+              95.0 + 100.0 * (lane % 4));
+      if (lane != 12) continue;
+      // The fork, at y = 62.5 km: each later group starts within the
+      // stitch distance of the first group's end, and they stay farther
+      // apart than d_assign, so they form two clusters.
+      for (int k = 0; k < 9; ++k) {
+        const double y = 62500.0 + (k < 3 ? k - 1.0
+                                    : k < 6 ? 50.0 + 5.0 * (k - 3)
+                                            : -50.0 - 5.0 * (k - 6));
+        const double from = k < 3 ? 0.0 : 100.0;
+        const double to = k < 3 ? 100.0 : 395.0;
+        traj::Trajectory t(500 + k);
+        for (double now = from; now <= to + 1e-9; now += 10.0) {
+          ASSERT_TRUE(t.Append({now * 10.0, y, now}).ok());
+        }
+        ASSERT_TRUE(store.Add(std::move(t)).ok());
+      }
+    }
+    out->push_back({"equal_starts", std::move(store), TreeParams()});
+  }
+}
+
+TEST(QuTOracleTest, InPlaceAssemblyMatchesTheEagerOne) {
+  std::vector<OracleScenario> scenarios;
+  MakeOracleScenarios(&scenarios);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  for (OracleScenario& sc : scenarios) {
+    SCOPED_TRACE(sc.name);
+    // `got` answers with Query, `want` with the frozen assembly; both
+    // trees see the same reads in the same order.
+    auto env = storage::Env::NewMemEnv();
+    auto got = std::move(ReTraTree::Open(env.get(), "got", sc.params)).value();
+    auto want =
+        std::move(ReTraTree::Open(env.get(), "want", sc.params)).value();
+    ASSERT_TRUE(got->InsertStore(sc.store).ok());
+    ASSERT_TRUE(want->InsertStore(sc.store).ok());
+    const QuTClustering qut(got.get());
+    const auto [t0, t1] = sc.store.TimeDomain();
+    const double span = t1 - t0;
+    Rng rng(2024);
+
+    auto check = [&](double wi, double we, const std::string& at) {
+      {
+        auto g = qut.Query(wi, we);
+        auto w = RefQuery(*want, wi, we);
+        ASSERT_TRUE(g.ok()) << at << " " << g.status().ToString();
+        ASSERT_TRUE(w.ok()) << at << " " << w.status().ToString();
+        ExpectSameAnswer(*g, *w, wi, we, at);
+      }
+      // The in-place answer is released, so its pins are too.
+      ExpectSameTier(*got, *want, at);
+    };
+
+    if (sc.name == "equal_starts") {
+      // The case has to hold more equal starts than the cut-off.
+      auto w = RefQuery(*want, 0, 400);
+      ASSERT_TRUE(w.ok());
+      size_t at_zero = 0;
+      for (const auto& c : w->clusters) at_zero += c.StartTime() == 0.0;
+      EXPECT_GT(at_zero, 16u);
+      ASSERT_TRUE(qut.Query(0, 400).ok());  // The same reads on `got`.
+    }
+
+    // Seeded 1/5/25/100 % windows, then the whole domain.
+    auto sweep = [&](size_t budget, const std::string& label) {
+      got->SetHotIndexBudget(budget);
+      want->SetHotIndexBudget(budget);
+      for (double fraction : {0.01, 0.05, 0.25, 1.0}) {
+        for (int k = 0; k < 4; ++k) {
+          const double wi = t0 + rng.Uniform(0.0, span * (1.0 - fraction));
+          const double we = wi + span * fraction;
+          check(wi, we, label + " w=" + std::to_string(fraction) + " k=" +
+                            std::to_string(k));
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+      check(t0, t1 + 1, label + " whole");
+    };
+    sweep(kDefaultHotIndexBudget, "full");
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    // A quarter of what the sweep promoted: the LRU demotes as it reads.
+    const size_t quarter =
+        std::max<size_t>(1, want->hot_stats().hot_index_bytes / 4);
+    sweep(0, "zero");
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    sweep(quarter, "quarter");
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    EXPECT_GT(want->hot_stats().hot_demotions, 0u);
+  }
 }
 
 // Window-size sweep: QuT never reads more members than exist, and the

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/logging.h"
 #include "core/qut_tree_slot.h"
 #include "datagen/maritime.h"
@@ -222,6 +223,79 @@ TEST(QutTreeSlotTest, RefusedWritesNeverAbortAndTheNextRefreshRebuilds) {
   ASSERT_TRUE(
       fresh.Refresh(params, ships, nullptr, kDefaultHotIndexBudget).ok());
   EXPECT_EQ(Qut(slot, ships).rows, Qut(fresh, ships).rows);
+}
+
+/// A QUT answer as bytes: per cluster its bounds, then each
+/// representative and member record, then each outlier record.
+std::vector<std::string> DeepCopy(const QuTResult& r) {
+  std::vector<std::string> out;
+  for (const QuTCluster& c : r.clusters) {
+    out.push_back(std::to_string(c.representatives.size()) + " " +
+                  std::to_string(c.members.size()));
+    std::string bounds;
+    PutDouble(&bounds, c.StartTime());
+    PutDouble(&bounds, c.EndTime());
+    out.push_back(bounds);
+    for (const auto& rep : c.representatives) {
+      out.push_back(EncodeSubTrajectory(rep));
+    }
+    for (const auto& m : c.members) out.push_back(EncodeSubTrajectory(m));
+  }
+  for (const auto& o : r.outliers) out.push_back(EncodeSubTrajectory(o));
+  return out;
+}
+
+// An answer reads the tree in place, so it keeps alive what it read: a
+// held result pins its hot snapshots (they count in hot_partitions until
+// it is released) and stays intact while its tree re-clusters, demotes
+// everything and is dropped.
+TEST(QutTreeSlotTest, AHeldAnswerOutlivesReclusteringDemotionAndDrop) {
+  const traj::TrajectoryStore ships = MakeShips(12);
+  const std::vector<double> params = TreeParams(ships);
+  const auto [t0, t1] = ships.TimeDomain();
+  traj::TrajectoryStore store;
+  for (traj::TrajectoryId i = 0; i < 6; ++i) {
+    ASSERT_TRUE(store.Add(ships.Get(i)).ok());
+  }
+  auto env = storage::Env::NewMemEnv();
+  QutTreeSlot slot(env.get(), "t_");
+  // The first query builds and promotes; the second is served hot.
+  ASSERT_TRUE(slot.Query(params, store, nullptr, kDefaultHotIndexBudget, t0,
+                         t1 + 1)
+                  .ok());
+  const uint64_t hot_probes = slot.hot_stats().qut_hot_probes;
+  auto answer = slot.Query(params, store, nullptr, kDefaultHotIndexBudget, t0,
+                           t1 + 1);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_GT(slot.hot_stats().qut_hot_probes, hot_probes);
+  auto held = std::make_unique<QuTResult>(std::move(answer).value());
+  const std::vector<std::string> want = DeepCopy(*held);
+  ASSERT_GT(held->TotalMembers(), 0u);
+  const std::shared_ptr<traj::EpochPinRegistry> pins =
+      slot.tree()->hot_pin_registry();
+  const uint64_t s2t_runs = slot.tree()->stats().s2t_runs;
+
+  // Ingest the rest: catching up re-clusters outlier buffers.
+  for (traj::TrajectoryId i = 6; i < ships.NumTrajectories(); ++i) {
+    ASSERT_TRUE(store.Add(ships.Get(i)).ok());
+  }
+  auto w = slot.Refresh(params, store, nullptr, kDefaultHotIndexBudget);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  EXPECT_EQ(*w, QutTreeWork::kCaughtUp);
+  EXPECT_GT(slot.tree()->stats().s2t_runs, s2t_runs);
+
+  // Budget 0 demotes every snapshot; the held ones stay alive.
+  ASSERT_TRUE(slot.Refresh(params, store, nullptr, 0).ok());
+  EXPECT_EQ(slot.hot_stats().hot_index_bytes, 0u);
+  EXPECT_GT(slot.hot_stats().hot_partitions, 0u);
+
+  slot.Drop();
+  EXPECT_EQ(slot.tree(), nullptr);
+  EXPECT_GT(pins->live.load(), 0u);
+  EXPECT_EQ(DeepCopy(*held), want);
+
+  held.reset();
+  EXPECT_EQ(pins->live.load(), 0u);
 }
 
 TEST(QutTreeSlotTest, RejectsWrongParameterCount) {

@@ -16,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/coding.h"
+#include "common/crc32.h"
 #include "datagen/aircraft.h"
 #include "datagen/maritime.h"
 #include "datagen/urban.h"
@@ -309,6 +311,86 @@ TEST(RecoveryTest, QutAfterCheckpointIngestAndRestartMatchesFreshServer) {
   ASSERT_EQ(after->rows.size(), expected->rows.size());
   EXPECT_EQ(before.rows, expected->rows);
   EXPECT_EQ(after->rows, expected->rows);
+}
+
+std::string ReadAll(storage::Env* env, const std::string& path) {
+  auto file = env->NewRWFile(path);
+  EXPECT_TRUE(file.ok());
+  if (!file.ok()) return "";
+  auto size = (*file)->Size();
+  EXPECT_TRUE(size.ok());
+  if (!size.ok()) return "";
+  std::string data(*size, '\0');
+  EXPECT_TRUE((*file)->ReadAt(0, data.size(), data.data()).ok());
+  return data;
+}
+
+void WriteAll(storage::Env* env, const std::string& path,
+              const std::string& data) {
+  if (env->FileExists(path)) {
+    ASSERT_TRUE(env->DeleteFile(path).ok());
+  }
+  auto file = env->NewRWFile(path);
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*file)->WriteAt(0, data.size(), data.data()).ok());
+  ASSERT_TRUE((*file)->Sync().ok());
+}
+
+// Servers from before QUT trees became caches saved each MOD's tree and
+// named its directory in the manifest. Nothing reopens such a tree now:
+// recovery restores the MOD from its store and deletes the old tree's
+// files.
+TEST(RecoveryTest, OldManifestTreeDirectoryIsEmptiedOnRecovery) {
+  auto env = storage::Env::NewMemEnv();
+  const traj::TrajectoryStore ships = MakeMaritime(6);
+  std::string want;
+  {
+    auto server = StartDurable(env.get());
+    Ingest(server.get(), "ships", ships, 1);
+    ASSERT_TRUE(server->Checkpoint().ok());
+    want = Encoded(server.get(), "ships");
+  }
+
+  // Re-encode the manifest the old way. Its payload: 4 x u64 header, the
+  // u32 MOD count, then per MOD two u16-prefixed strings (name, store
+  // file), the has_tree byte, [tree directory, 5 f64 params, u64
+  // consumed count], and the u64 tree sequence.
+  const std::string manifest = std::string(kWalDir) + "/MANIFEST";
+  const std::string blob = ReadAll(env.get(), manifest);
+  ASSERT_GT(blob.size(), 12u);
+  const std::string payload = blob.substr(12);
+  size_t at = 4 * 8;
+  ASSERT_EQ(GetFixed32(payload.data() + at), 1u);
+  at += 4;
+  for (int field = 0; field < 2; ++field) {
+    at += 2 + GetFixed16(payload.data() + at);
+  }
+  ASSERT_EQ(payload[at], 0);  // Written as "no tree".
+  const std::string tree_dir = "hermes_service/SHIPS_g0_tree_0";
+  std::string old = payload.substr(0, at);
+  old.push_back(1);
+  PutFixed16(&old, static_cast<uint16_t>(tree_dir.size()));
+  old += tree_dir;
+  for (double p : {3000.0, 750.0, 750.0, 1600.0, 4.0}) PutDouble(&old, p);
+  PutFixed64(&old, ships.NumTrajectories());
+  old += payload.substr(at + 1);
+  std::string rewritten = blob.substr(0, 8);  // Magic and version.
+  PutFixed32(&rewritten, common::Crc32(old));
+  rewritten += old;
+  WriteAll(env.get(), manifest, rewritten);
+
+  ASSERT_TRUE(env->CreateDirs(tree_dir).ok());
+  for (const char* name : {"catalog", "sc0_r0.heap", "sc0_r0.idx"}) {
+    WriteAll(env.get(), tree_dir + "/" + name, "saved tree");
+  }
+  ASSERT_EQ(env->ListDir(tree_dir)->size(), 3u);
+
+  auto restarted = StartDurable(env.get());
+  ASSERT_NE(restarted, nullptr);
+  EXPECT_EQ(Encoded(restarted.get(), "ships"), want);
+  auto left = env->ListDir(tree_dir);
+  ASSERT_TRUE(left.ok());
+  EXPECT_TRUE(left->empty());
 }
 
 // ---------------------------------------------------------------------------
