@@ -102,20 +102,6 @@ StatusOr<std::string> ReadBlobFile(storage::Env* env, const std::string& path,
   return payload;
 }
 
-void PutString(std::string* out, const std::string& s) {
-  PutFixed16(out, static_cast<uint16_t>(s.size()));
-  out->append(s);
-}
-
-StatusOr<std::string> ReadString(Decoder* dec) {
-  if (dec->remaining() < 2) return Status::Corruption("truncated string");
-  const uint16_t n = dec->ReadFixed16();
-  if (dec->remaining() < n) return Status::Corruption("truncated string");
-  std::string s(dec->data(), n);
-  dec->Skip(n);
-  return s;
-}
-
 /// Per-MOD checkpoint metadata, as recorded in the manifest. QUT trees
 /// are caches rebuilt on demand, so none is recorded; each entry still
 /// carries the tree fields of older manifests (written as "no tree").
@@ -143,8 +129,8 @@ std::string EncodeManifest(const Manifest& m) {
   PutFixed64(&out, m.gen);
   PutFixed32(&out, static_cast<uint32_t>(m.mods.size()));
   for (const ModMeta& mod : m.mods) {
-    PutString(&out, mod.name);
-    PutString(&out, mod.store_file);
+    EncodeModName(mod.name, &out);
+    EncodeModName(mod.store_file, &out);
     out.push_back(0);     // has_tree
     PutFixed64(&out, 0);  // tree_seq
   }
@@ -162,14 +148,14 @@ StatusOr<Manifest> DecodeManifest(const std::string& payload) {
   const uint32_t nmods = dec.ReadFixed32();
   for (uint32_t i = 0; i < nmods; ++i) {
     ModMeta mod;
-    HERMES_ASSIGN_OR_RETURN(mod.name, ReadString(&dec));
-    HERMES_ASSIGN_OR_RETURN(mod.store_file, ReadString(&dec));
+    HERMES_ASSIGN_OR_RETURN(mod.name, DecodeModName(&dec));
+    HERMES_ASSIGN_OR_RETURN(mod.store_file, DecodeModName(&dec));
     if (dec.remaining() < 1) return Status::Corruption("manifest truncated");
     const bool has_tree = *dec.data() != 0;
     dec.Skip(1);
     if (has_tree) {
       // An older manifest's tree: directory, 5 params, consumed count.
-      HERMES_ASSIGN_OR_RETURN(mod.old_tree_dir, ReadString(&dec));
+      HERMES_ASSIGN_OR_RETURN(mod.old_tree_dir, DecodeModName(&dec));
       if (dec.remaining() < 5 * 8 + 8) {
         return Status::Corruption("manifest truncated (tree meta)");
       }
@@ -188,10 +174,11 @@ StatusOr<Manifest> DecodeManifest(const std::string& payload) {
 // WAL logging
 // ---------------------------------------------------------------------------
 
-Status Server::WalAppend(wal::RecordType type, const std::string& payload) {
+Status Server::WalAppend(const CatalogRecord& rec) {
   if (wal_ == nullptr) return Status::OK();
   HERMES_RETURN_NOT_OK(wal_error_);
-  auto lsn = wal_->Append(type, payload);
+  const std::string payload = EncodePayload(rec);
+  auto lsn = wal_->Append(rec.type, payload);
   if (!lsn.ok()) {
     wal_error_ = lsn.status();
     wal_failed_.store(true, std::memory_order_relaxed);
@@ -221,12 +208,6 @@ Status Server::WalSync() {
   }
   wal_syncs_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
-}
-
-Status Server::WalLogAndSync(wal::RecordType type,
-                             const std::string& payload) {
-  HERMES_RETURN_NOT_OK(WalAppend(type, payload));
-  return WalSync();
 }
 
 // ---------------------------------------------------------------------------
@@ -319,55 +300,13 @@ Status Server::Checkpoint() {
 // ---------------------------------------------------------------------------
 
 Status Server::ReplayRecord(const wal::Record& rec) {
-  Decoder dec(rec.payload);
-  HERMES_ASSIGN_OR_RETURN(std::string key, DecodeModName(&dec));
-  switch (rec.type) {
-    case wal::RecordType::kCreateMod: {
-      common::MutexLock lock(&catalog_mu_);
-      if (mods_.count(key) > 0) return Status::OK();
-      mods_.emplace(key, NewMod(key, traj::TrajectoryStore()));
-      return Status::OK();
-    }
-    case wal::RecordType::kDropMod: {
-      common::MutexLock lock(&catalog_mu_);
-      mods_.erase(key);
-      return Status::OK();
-    }
-    case wal::RecordType::kInsertBatch: {
-      HERMES_ASSIGN_OR_RETURN(std::vector<traj::Trajectory> batch,
-                              traj::DecodeTrajectories(&dec));
-      auto mod = FindMod(key);
-      if (mod == nullptr) {
-        // The MOD was dropped by a later record in the log's own
-        // past... which cannot precede this record; treat as the live
-        // path treats a vanished MOD: an ingest error, not corruption.
-        ingest_errors_.fetch_add(1, std::memory_order_relaxed);
-        return Status::OK();
-      }
-      common::WriterMutexLock wlock(&mod->mu);
-      for (traj::Trajectory& t : batch) {
-        auto r = mod->store.Add(std::move(t));
-        if (!r.ok()) {
-          // Mirror the live apply loop: first failure ends the batch
-          // (already-added trajectories stay), so replay reproduces the
-          // partially-applied state bit for bit.
-          ingest_errors_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-      }
-      return Status::OK();
-    }
-    case wal::RecordType::kSwapStore: {
-      HERMES_ASSIGN_OR_RETURN(traj::TrajectoryStore store,
-                              traj::DecodeStore(&dec));
-      auto mod = NewMod(key, std::move(store));
-      common::MutexLock lock(&catalog_mu_);
-      mods_[key] = std::move(mod);
-      return Status::OK();
-    }
+  HERMES_ASSIGN_OR_RETURN(CatalogRecord change, DecodePayload(rec));
+  // As in the worker, an insert whose MOD is gone, or that a trajectory
+  // cuts short, is an ingest error, not corruption.
+  if (!Apply(std::move(change)).status.ok()) {
+    ingest_errors_.fetch_add(1, std::memory_order_relaxed);
   }
-  return Status::Corruption("unknown WAL record type " +
-                            std::to_string(static_cast<int>(rec.type)));
+  return Status::OK();
 }
 
 Status Server::RecoverOrInit() {
@@ -399,9 +338,8 @@ Status Server::RecoverOrInit() {
       if (!meta.old_tree_dir.empty()) {
         core::DeleteTreeFiles(env_, meta.old_tree_dir);
       }
-      auto mod = NewMod(meta.name, std::move(store));
-      common::MutexLock lock(&catalog_mu_);
-      mods_[meta.name] = std::move(mod);
+      Apply(CatalogRecord(wal::RecordType::kSwapStore, meta.name, {},
+                          std::move(store)));
     }
   }
 

@@ -97,34 +97,71 @@ void Server::Republish(SharedMod* mod) {
   snapshots_published_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::shared_ptr<Server::SharedMod> Server::NewMod(const std::string& key,
-                                                  traj::TrajectoryStore store) {
-  const uint64_t instance =
-      mod_instances_.fetch_add(1, std::memory_order_relaxed);
-  auto mod = std::make_shared<SharedMod>(
-      env_, options_.data_dir + "/" + key + "_g" + std::to_string(gen_) +
-                "_" + std::to_string(instance) + "_tree_");
-  {
-    common::WriterMutexLock wlock(&mod->mu);
-    mod->store = std::move(store);
-    Republish(mod.get());
+Server::Applied Server::Apply(CatalogRecord rec) {
+  Applied applied;
+  if (rec.type == wal::RecordType::kDropMod) {
+    common::MutexLock lock(&catalog_mu_);
+    mods_.erase(rec.mod);
+    return applied;
   }
-  return mod;
+  applied.mod = FindMod(rec.mod);
+  if (rec.type != wal::RecordType::kInsertBatch) {
+    // Creating a MOD that exists changes nothing.
+    if (rec.type == wal::RecordType::kCreateMod && applied.mod != nullptr) {
+      return applied;
+    }
+    // Every MOD instance gets its own tree directory prefix, so a
+    // dropped MOD's tree — retired when its last holder lets go — never
+    // shares files with a re-created one.
+    const uint64_t instance =
+        mod_instances_.fetch_add(1, std::memory_order_relaxed);
+    applied.mod = std::make_shared<SharedMod>(
+        env_, options_.data_dir + "/" + rec.mod + "_g" +
+                  std::to_string(gen_) + "_" + std::to_string(instance) +
+                  "_tree_");
+    {
+      common::WriterMutexLock wlock(&applied.mod->mu);
+      applied.mod->store = std::move(rec.store);
+      // Published before it enters the catalog: a reader racing the
+      // change finds the old MOD or a valid snapshot, never a null one.
+      Republish(applied.mod.get());
+    }
+    common::MutexLock lock(&catalog_mu_);
+    mods_[rec.mod] = applied.mod;
+    return applied;
+  }
+  if (applied.mod == nullptr) {
+    applied.status = Status::NotFound("no MOD named " + rec.mod);
+    return applied;
+  }
+  common::WriterMutexLock wlock(&applied.mod->mu);
+  for (traj::Trajectory& t : rec.trajectories) {
+    // The first failure ends the batch; what it added stays.
+    auto r = applied.mod->store.Add(std::move(t));
+    if (!r.ok()) {
+      applied.status = r.status();
+      break;
+    }
+    ++applied.added;
+  }
+  return applied;
+}
+
+StatusOr<Server::Applied> Server::Commit(CatalogRecord rec) {
+  HERMES_RETURN_NOT_OK(WalAppend(rec));
+  HERMES_RETURN_NOT_OK(WalSync());
+  return Apply(std::move(rec));
 }
 
 Status Server::CreateMod(const std::string& name) {
   const std::string key = Canonical(name);
-  // wal_mu_ spans the whole [check, log+sync, apply] window so the WAL
-  // sees catalog mutations in exactly the order they take effect.
+  // wal_mu_ spans [check, log+sync, apply], and every catalog change
+  // holds it, so the check still holds when the change applies.
   common::MutexLock wal_lock(&wal_mu_);
-  common::MutexLock lock(&catalog_mu_);
-  if (mods_.count(key) > 0) {
+  if (FindMod(key) != nullptr) {
     return Status::AlreadyExists("MOD " + key + " exists");
   }
-  HERMES_RETURN_NOT_OK(WalLogAndSync(wal::RecordType::kCreateMod,
-                                     NamePayload(key)));
-  mods_.emplace(key, NewMod(key, traj::TrajectoryStore()));
-  return Status::OK();
+  return Commit(CatalogRecord(wal::RecordType::kCreateMod, key)).status();
 }
 
 Status Server::DropMod(const std::string& name) {
@@ -135,13 +172,11 @@ Status Server::DropMod(const std::string& name) {
   // being applied to (and silently lost with) the orphaned store.
   {
     common::MutexLock wal_lock(&wal_mu_);
-    common::MutexLock lock(&catalog_mu_);
-    if (mods_.count(key) == 0) {
+    if (FindMod(key) == nullptr) {
       return Status::NotFound("no MOD named " + key);
     }
-    HERMES_RETURN_NOT_OK(WalLogAndSync(wal::RecordType::kDropMod,
-                                       NamePayload(key)));
-    mods_.erase(key);
+    HERMES_RETURN_NOT_OK(
+        Commit(CatalogRecord(wal::RecordType::kDropMod, key)).status());
   }
   // Outside wal_mu_: the worker needs it to drain the queue.
   return Flush();
@@ -149,15 +184,10 @@ Status Server::DropMod(const std::string& name) {
 
 Status Server::RegisterStore(const std::string& name,
                              traj::TrajectoryStore store) {
-  const std::string key = Canonical(name);
-  // Encode before taking the lock; the caller still owns `store`.
-  const std::string payload = durable() ? SwapPayload(key, store) : "";
   common::MutexLock wal_lock(&wal_mu_);
-  HERMES_RETURN_NOT_OK(WalLogAndSync(wal::RecordType::kSwapStore, payload));
-  auto mod = NewMod(key, std::move(store));
-  common::MutexLock lock(&catalog_mu_);
-  mods_[key] = std::move(mod);
-  return Status::OK();
+  return Commit(CatalogRecord(wal::RecordType::kSwapStore, Canonical(name),
+                              {}, std::move(store)))
+      .status();
 }
 
 StatusOr<std::pair<size_t, size_t>> Server::LoadMod(
@@ -168,46 +198,25 @@ StatusOr<std::pair<size_t, size_t>> Server::LoadMod(
   // behind — and the parsed batch is what the WAL records, making replay
   // independent of the CSV file still existing at its old path.
   common::MutexLock wal_lock(&wal_mu_);
-  std::shared_ptr<SharedMod> mod;
-  bool created = false;
-  {
-    common::MutexLock lock(&catalog_mu_);
-    auto it = mods_.find(key);
-    if (it == mods_.end()) {
-      // The (empty) snapshot is published before the MOD becomes visible
-      // in the catalog: a concurrent SELECT racing the load must find a
-      // valid — if still empty — snapshot, never a null one.
-      it = mods_.emplace(key, NewMod(key, traj::TrajectoryStore())).first;
-      created = true;
+  CatalogRecord rec(wal::RecordType::kInsertBatch, key);
+  if (FindMod(key) == nullptr) {
+    // One record creates and fills the MOD, so no crash can leave it
+    // created but empty.
+    rec.type = wal::RecordType::kSwapStore;
+    rec.store = std::move(parsed);
+  } else {
+    for (traj::TrajectoryId id = 0; id < parsed.NumTrajectories(); ++id) {
+      rec.trajectories.push_back(parsed.Get(id));
     }
-    mod = it->second;
   }
-  Status logged = Status::OK();
-  if (created) {
-    logged = WalAppend(wal::RecordType::kCreateMod, NamePayload(key));
-  }
-  if (logged.ok() && parsed.NumTrajectories() > 0) {
-    logged = WalAppend(wal::RecordType::kInsertBatch,
-                       InsertPayloadFromStore(key, parsed));
-  }
-  if (logged.ok()) logged = WalSync();
-  if (!logged.ok()) {
-    if (created) {
-      // An unlogged create must not survive in memory either.
-      common::MutexLock lock(&catalog_mu_);
-      auto it = mods_.find(key);
-      if (it != mods_.end() && it->second == mod) mods_.erase(it);
-    }
-    return logged;
-  }
-  common::WriterMutexLock wlock(&mod->mu);
-  for (traj::TrajectoryId id = 0; id < parsed.NumTrajectories(); ++id) {
-    // Cannot fail: every trajectory already passed `Add` into `parsed`.
-    HERMES_RETURN_NOT_OK(mod->store.Add(parsed.Get(id)).status());
-  }
+  HERMES_ASSIGN_OR_RETURN(Applied applied, Commit(std::move(rec)));
+  if (applied.mod == nullptr) return applied.status;
+  common::WriterMutexLock wlock(&applied.mod->mu);
   // Appended like an INSERT: the next QUT catches the shared tree up.
-  Republish(mod.get());
-  return std::make_pair(mod->store.NumTrajectories(), mod->store.NumPoints());
+  Republish(applied.mod.get());
+  HERMES_RETURN_NOT_OK(applied.status);
+  return std::make_pair(applied.mod->store.NumTrajectories(),
+                        applied.mod->store.NumPoints());
 }
 
 StatusOr<std::shared_ptr<const traj::TrajectoryStore>> Server::SnapshotMod(
@@ -285,52 +294,42 @@ void Server::WorkerLoop() {
     // our apply (WAL order == apply order). A FLUSH ticket therefore
     // completes only after its batch is on disk.
     common::MutexLock wal_lock(&wal_mu_);
-    Status group = Status::OK();
-    if (durable()) {
-      for (const IngestBatch& b : batches) {
-        group = WalAppend(wal::RecordType::kInsertBatch,
-                          InsertPayload(b.mod, b.trajectories));
-        if (!group.ok()) break;
-      }
-      if (group.ok()) group = WalSync();
+    std::vector<CatalogRecord> records;
+    records.reserve(batches.size());
+    for (IngestBatch& b : batches) {
+      records.emplace_back(wal::RecordType::kInsertBatch, std::move(b.mod),
+                           std::move(b.trajectories));
     }
+    Status group = Status::OK();
+    for (const CatalogRecord& rec : records) {
+      group = WalAppend(rec);
+      if (!group.ok()) break;
+    }
+    if (group.ok()) group = WalSync();
     if (!group.ok()) {
       // Not durable ⇒ not applied: the live state keeps matching the
       // durable prefix, the batches surface as ingest errors, and the
       // flush ticket still resolves (Flush must not hang on an error).
-      ingest_errors_.fetch_add(batches.size(), std::memory_order_relaxed);
-      {
-        common::MutexLock lock(&flush_mu_);
-        applied_seq_ = std::max(applied_seq_, max_seq);
-      }
-      flush_cv_.notify_all();
-      continue;
+      ingest_errors_.fetch_add(records.size(), std::memory_order_relaxed);
+      records.clear();
     }
 
     // Dedup in arrival order so republication happens once per MOD per
     // drain, after all of its batches applied.
     std::vector<std::shared_ptr<SharedMod>> touched;
-    for (IngestBatch& b : batches) {
-      auto mod = FindMod(b.mod);
+    for (CatalogRecord& rec : records) {
+      Applied applied = Apply(std::move(rec));
+      SharedMod* mod = applied.mod.get();
       if (mod == nullptr) {
         // Dropped (or never created) while queued.
         ingest_errors_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      common::WriterMutexLock wlock(&mod->mu);
-      size_t added = 0;
-      Status st = Status::OK();
-      for (traj::Trajectory& t : b.trajectories) {
-        auto r = mod->store.Add(std::move(t));
-        if (!r.ok()) {
-          st = r.status();
-          break;
-        }
-        ++added;
-      }
-      if (st.ok() && added > 0) {
+      Status st = applied.status;
+      if (st.ok() && applied.added > 0) {
         // Keep a live shared tree caught up so QUT sees queued inserts
         // right after a FLUSH without a rebuild (a failure drops it).
+        common::WriterMutexLock wlock(&mod->mu);
         StatusOr<core::QutTreeWork> work =
             mod->tree.CatchUp(mod->store, exec_.get());
         if (!work.ok()) {
@@ -342,11 +341,12 @@ void Server::WorkerLoop() {
       if (!st.ok()) {
         ingest_errors_.fetch_add(1, std::memory_order_relaxed);
       }
-      trajectories_ingested_.fetch_add(added, std::memory_order_relaxed);
+      trajectories_ingested_.fetch_add(applied.added,
+                                       std::memory_order_relaxed);
       batches_applied_.fetch_add(1, std::memory_order_relaxed);
       bool seen = false;
-      for (const auto& m : touched) seen = seen || m == mod;
-      if (!seen) touched.push_back(std::move(mod));
+      for (const auto& m : touched) seen = seen || m.get() == mod;
+      if (!seen) touched.push_back(std::move(applied.mod));
     }
     for (const auto& mod : touched) {
       common::WriterMutexLock wlock(&mod->mu);

@@ -16,6 +16,7 @@
 #include "core/qut_tree_slot.h"
 #include "exec/exec_context.h"
 #include "service/ingest_queue.h"
+#include "service/wal_payloads.h"
 #include "sql/cursor.h"
 #include "sql/settings.h"
 #include "storage/env.h"
@@ -114,8 +115,8 @@ sql::Table ServiceStatsTable(const ServiceStats& s,
 ///  - The server owns the env, the catalog, one `ExecContext`, the
 ///    `IngestQueue`, and the worker thread. It must outlive every
 ///    `ClientSession` it connects.
-///  - Each MOD holds the writable store (touched only by the ingest
-///    worker and DDL, under the MOD's writer lock), the shared ReTraTree
+///  - Each MOD holds the writable store (appended to only by `Apply`,
+///    under the MOD's writer lock), the shared ReTraTree
 ///    (locked by its slot; QUT reads it over the published snapshot, the
 ///    worker catches it up as it appends), and an immutable *published
 ///    snapshot* swapped in after every drain. Query sessions read
@@ -145,15 +146,18 @@ class Server {
   std::unique_ptr<ClientSession> Connect();
 
   // ---- Catalog DDL (serialized internally; sessions call these) ----
+  // Each commits one WAL record: validate, log and sync (when durable),
+  // then `Apply`. A failed log or sync changes nothing in memory.
   Status CreateMod(const std::string& name);
   /// Removes the MOD from the catalog, then drains the queue: batches
   /// still queued for it count as ingest errors (a dropped table
   /// discards pending writes). Published snapshots already handed to
   /// readers stay valid (shared ownership).
   Status DropMod(const std::string& name);
-  /// Appends a parsed LOAD file (`sql::ReadLoadFile`) to the MOD,
-  /// creating it if absent; returns (trajectories, points) totals after
-  /// the load.
+  /// Appends a parsed LOAD file (`sql::ReadLoadFile`) to the MOD, or
+  /// creates the MOD holding it (one `kSwapStore` record, so no crash
+  /// leaves it created but empty); returns (trajectories, points)
+  /// totals after the load.
   StatusOr<std::pair<size_t, size_t>> LoadMod(const std::string& name,
                                               traj::TrajectoryStore parsed);
   /// Registers a pre-built store, replacing any existing MOD of that
@@ -207,8 +211,9 @@ class Server {
     SharedMod(storage::Env* env, std::string tree_prefix)
         : tree(env, std::move(tree_prefix)) {}
 
-    /// Writer lock: ingest drains and DDL exclusive; QUT queries shared.
-    /// Snapshot readers never take it.
+    /// Writer lock: `Apply`'s appends, the worker's tree catch-up and
+    /// republication; `Checkpoint` shared. QUT and snapshot readers
+    /// never take it.
     common::SharedMutex mu;
     traj::TrajectoryStore store GUARDED_BY(mu);
     /// The shared QUT tree: kept caught up by the ingest worker (under
@@ -235,17 +240,32 @@ class Server {
 
   static std::string Canonical(const std::string& name);
   std::shared_ptr<SharedMod> FindMod(const std::string& canonical) const;
-  /// A new MOD holding `store`, its snapshot already published. Every
-  /// MOD instance gets its own tree directory prefix, so a dropped MOD's
-  /// tree — retired when its last holder lets go — never shares files
-  /// with a re-created one.
-  std::shared_ptr<SharedMod> NewMod(const std::string& key,
-                                    traj::TrajectoryStore store);
   /// The MOD's published store, aliasing (and so pinning) its snapshot.
   static StatusOr<std::shared_ptr<const traj::TrajectoryStore>>
   PublishedStore(SharedMod* mod, const std::string& key);
   /// Re-publishes the MOD's snapshot from its current store state.
   void Republish(SharedMod* mod) REQUIRES(mod->mu);
+
+  /// What `Apply` did: the MOD the change landed on (null after a drop,
+  /// and for an insert whose MOD is gone), the trajectories an insert
+  /// appended, and the failure that ended it early or found no MOD.
+  struct Applied {
+    std::shared_ptr<SharedMod> mod;
+    size_t added = 0;
+    Status status;
+  };
+  /// The one writer of the catalog: the only code that inserts into or
+  /// erases from `mods_` or appends to a MOD's store. It runs each
+  /// change after it is durable (live), as recovery replays it, and for
+  /// each checkpointed MOD. A created or swapped MOD is published before
+  /// it enters the catalog; an insert is not, as its caller republishes
+  /// once per MOD. It counts nothing.
+  Applied Apply(CatalogRecord rec) REQUIRES(wal_mu_);
+  /// Logs `rec` and syncs (no-ops without a WAL), then applies it: the
+  /// commit of every mutation but the worker's, which logs a whole drain
+  /// under one sync.
+  StatusOr<Applied> Commit(CatalogRecord rec) REQUIRES(wal_mu_);
+
   void WorkerLoop();
   void OnSessionClosed();
 
@@ -254,32 +274,28 @@ class Server {
   /// Recovery at `Start` (before the worker spawns): load the manifest's
   /// checkpoint, replay the WAL tail in LSN order, open a fresh segment.
   Status RecoverOrInit();
-  /// Appends one record; no-op OK on a non-WAL server. After any WAL
-  /// failure the error is sticky (`wal_error_`) and re-returned.
-  Status WalAppend(wal::RecordType type, const std::string& payload)
-      REQUIRES(wal_mu_);
+  /// Encodes and appends one record; no-op OK on a non-WAL server. After
+  /// any WAL failure the error is sticky (`wal_error_`) and re-returned.
+  Status WalAppend(const CatalogRecord& rec) REQUIRES(wal_mu_);
   /// Group-commit barrier: one fsync covering every append since the
   /// last. No-op OK on a non-WAL server.
   Status WalSync() REQUIRES(wal_mu_);
-  /// Append + sync, for single-record DDL commits.
-  Status WalLogAndSync(wal::RecordType type, const std::string& payload)
-      REQUIRES(wal_mu_);
-  /// Applies one replayed record to the catalog during recovery.
-  Status ReplayRecord(const wal::Record& rec);
+  /// Decodes one replayed record and applies it during recovery.
+  Status ReplayRecord(const wal::Record& rec) REQUIRES(wal_mu_);
 
   ServerOptions options_;
   std::unique_ptr<storage::Env> owned_env_;
   storage::Env* env_;
   std::unique_ptr<exec::ExecContext> exec_;
 
-  /// The durability lock. Held across each (WAL append…sync, apply)
-  /// window — the worker holds it for a whole drain, DDL for its single
-  /// commit — which makes WAL order identical to apply order: exactly
-  /// what lets recovery rebuild a bit-identical catalog by replaying in
-  /// LSN order. Taken on every mutation path even without a WAL (then
-  /// uncontended and the log calls no-op), so the locking regime does
-  /// not fork on configuration. Order: wal_mu_ → catalog_mu_ → mod->mu
-  /// → mod->published_mu; never held across `Flush`.
+  /// The durability lock. Held across each (validate, WAL append…sync,
+  /// apply) window — the worker holds it for a whole drain, DDL for its
+  /// single commit — which makes WAL order identical to apply order:
+  /// exactly what lets recovery rebuild a bit-identical catalog by
+  /// replaying in LSN order. Taken on every mutation path even without a
+  /// WAL (then uncontended and the log calls no-op), so the locking
+  /// regime does not fork on configuration. Order: wal_mu_ → catalog_mu_
+  /// → mod->mu → mod->published_mu; never held across `Flush`.
   common::Mutex wal_mu_;
   std::unique_ptr<wal::Writer> wal_ GUARDED_BY(wal_mu_);
   /// Sticky first WAL failure: once an append or sync fails the durable

@@ -21,27 +21,6 @@ Status ServiceConfig::Validate() const {
   if (data_dir.empty()) {
     return Status::InvalidArgument("ServiceConfig.data_dir must be non-empty");
   }
-  if (!shard_wal_dirs.empty() && shard_wal_dirs.size() != shards) {
-    return Status::InvalidArgument(
-        "ServiceConfig.shard_wal_dirs must have exactly one entry per "
-        "shard (" +
-        std::to_string(shard_wal_dirs.size()) + " entries, " +
-        std::to_string(shards) + " shards)");
-  }
-  for (size_t i = 0; i < shard_wal_dirs.size(); ++i) {
-    if (shard_wal_dirs[i].empty()) {
-      return Status::InvalidArgument("ServiceConfig.shard_wal_dirs[" +
-                                     std::to_string(i) + "] is empty");
-    }
-    for (size_t j = i + 1; j < shard_wal_dirs.size(); ++j) {
-      if (shard_wal_dirs[i] == shard_wal_dirs[j]) {
-        return Status::InvalidArgument(
-            "per-shard wal_dir collision: shards " + std::to_string(i) +
-            " and " + std::to_string(j) + " both log to '" +
-            shard_wal_dirs[i] + "'");
-      }
-    }
-  }
   if (backlog < 1) {
     return Status::InvalidArgument("ServiceConfig.backlog must be >= 1");
   }
@@ -64,7 +43,6 @@ std::string ServiceConfig::ShardDataDir(size_t shard) const {
 }
 
 std::string ServiceConfig::ShardWalDir(size_t shard) const {
-  if (!shard_wal_dirs.empty()) return shard_wal_dirs[shard];
   if (wal_dir.empty()) return "";
   if (shards <= 1) return wal_dir;
   return wal_dir + "/shard" + std::to_string(shard);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "service/server.h"
@@ -34,11 +33,6 @@ struct ServiceConfig {
   sql::HermesSettingDefaults session_defaults;
   /// WAL/checkpoint root; empty disables durability on every shard.
   std::string wal_dir;
-  /// Explicit per-shard WAL directories (advanced; overrides the
-  /// derived `<wal_dir>/shard<k>` layout). When non-empty it must hold
-  /// exactly `shards` pairwise-distinct non-empty entries — `Validate`
-  /// rejects collisions, which would interleave two shards' logs.
-  std::vector<std::string> shard_wal_dirs;
 
   // ---- TCP front end (plain scalars; see net::MakeNetServerOptions) ----
   std::string listen_addr = "127.0.0.1";
@@ -49,8 +43,8 @@ struct ServiceConfig {
   uint32_t max_frame_bytes = 0;
 
   /// Rejects invalid configurations up front: `shards < 1` (or absurdly
-  /// large), per-shard `wal_dir` collisions, out-of-domain session
-  /// defaults, and nonsensical network knobs.
+  /// large), out-of-domain session defaults, and nonsensical network
+  /// knobs.
   Status Validate() const;
 
   /// Shard k's ReTraTree partition directory.

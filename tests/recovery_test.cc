@@ -11,6 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -516,6 +520,240 @@ TEST(RecoveryTest, FailedCheckpointLeavesOldManifestInForce) {
   // old manifest + the WAL tail it still covers.
   auto restarted = StartDurable(base.get());
   EXPECT_EQ(Encoded(restarted.get(), "ships"), want);
+}
+
+
+// ---------------------------------------------------------------------------
+// On-disk format: the bytes a WAL and a checkpoint hold
+// ---------------------------------------------------------------------------
+
+std::string Hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+/// "<lsn>:<type>:<payload hex>" of every record in WAL segment `seg`.
+std::vector<std::string> SegmentRecords(storage::Env* env, uint64_t seg) {
+  auto scan = wal::ReadSegment(env, kWalDir, seg);
+  EXPECT_TRUE(scan.ok()) << scan.status().message();
+  std::vector<std::string> out;
+  if (!scan.ok()) return out;
+  EXPECT_EQ(scan->tail_bytes_dropped, 0u);
+  for (const wal::Record& rec : scan->records) {
+    out.push_back(std::to_string(rec.lsn) + ":" +
+                  std::to_string(static_cast<int>(rec.type)) + ":" +
+                  Hex(rec.payload));
+  }
+  return out;
+}
+
+// Pins the payload of each of the four record types, a manifest and a
+// checkpoint store file byte for byte, so a WAL and checkpoint directory
+// written by one version of the server recovers on another.
+TEST(RecoveryTest, WalAndCheckpointBytesAreStable) {
+  auto env = storage::Env::NewMemEnv();
+  auto server = StartDurable(env.get());
+  traj::Trajectory first(7, {{1.5, -2.0, 10.0}, {3.0, 4.25, 20.0}});
+  traj::Trajectory second(9, {{0.5, 0.5, 1.0}, {-1.0, 8.0, 2.5}});
+
+  ASSERT_TRUE(server->CreateMod("g").ok());
+  ASSERT_TRUE(server->EnqueueInsert("g", {first}).ok());
+  ASSERT_TRUE(server->Flush().ok());
+  traj::TrajectoryStore swapped;
+  ASSERT_TRUE(swapped.Add(second).ok());
+  ASSERT_TRUE(server->RegisterStore("g", std::move(swapped)).ok());
+  EXPECT_EQ(
+      SegmentRecords(env.get(), 1),
+      (std::vector<std::string>{
+          "1:1:010047",
+          "2:3:01004701000000070000000000000002000000000000000000f83f00000000"
+          "000000c00000000000002440000000000000084000000000000011400000000000"
+          "003440",
+          "3:4:01004701000000090000000000000002000000000000000000e03f00000000"
+          "0000e03f000000000000f03f000000000000f0bf000000000000204000000000000"
+          "00440"}));
+
+  ASSERT_TRUE(server->Checkpoint().ok());
+  EXPECT_EQ(Hex(ReadAll(env.get(), std::string(kWalDir) + "/MANIFEST")),
+            "4e414d4801000000889434a40100000000000000020000000000000004000000"
+            "000000000000000000000000010000000100471300636b70745f303030303031"
+            "5f472e73746f7265000000000000000000");
+  EXPECT_EQ(Hex(ReadAll(env.get(),
+                        std::string(kWalDir) + "/ckpt_000001_G.store")),
+            "504b434801000000eb4a58a90100000009000000000000000200000000000000"
+            "0000e03f000000000000e03f000000000000f03f000000000000f0bf00000000"
+            "000020400000000000000440");
+
+  ASSERT_TRUE(server->DropMod("g").ok());
+  EXPECT_EQ(SegmentRecords(env.get(), 2),
+            (std::vector<std::string>{"4:2:010047"}));
+}
+
+// A LOAD whose commit fails must leave no MOD behind: not in the live
+// catalog, and after a restart either nothing or the whole file.
+TEST(RecoveryTest, FailedLoadLeavesNoMod) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "hermes_failed_load.csv")
+          .string();
+  {
+    std::ofstream out(path);
+    out << "obj_id,t,x,y\n";
+    for (int obj = 1; obj <= 3; ++obj) {
+      for (int i = 0; i < 4; ++i) {
+        out << obj << "," << i * 10 << "," << obj * 100 + i << "," << i
+            << "\n";
+      }
+    }
+  }
+  traj::TrajectoryStore file;
+  ASSERT_TRUE(file.LoadCsv(path).ok());
+  std::string whole;
+  traj::EncodeStore(file, &whole);
+
+  auto base = storage::Env::NewMemEnv();
+  storage::FaultInjectionEnv faulty(base.get());
+  {
+    auto server = StartDurable(&faulty);
+    faulty.set_fail_syncs(true);
+    EXPECT_FALSE(server->Connect()
+                     ->Execute("LOAD MOD fresh FROM '" + path + "';")
+                     .ok());
+    EXPECT_TRUE(server->SnapshotMod("fresh").status().IsNotFound());
+  }
+  std::filesystem::remove(path);
+
+  auto restarted = StartDurable(base.get());
+  auto snap = restarted->SnapshotMod("fresh");
+  if (snap.ok()) {
+    std::string got;
+    traj::EncodeStore(**snap, &got);
+    EXPECT_EQ(got, whole);
+  } else {
+    EXPECT_TRUE(snap.status().IsNotFound()) << snap.status().message();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Crash-point sweep: a crash after any number of written bytes
+// ---------------------------------------------------------------------------
+
+/// Every MOD of `server`, as name → encoded published store, for the
+/// names a script uses. Also checks that no other MOD exists.
+std::map<std::string, std::string> CatalogState(
+    Server* server, const std::vector<std::string>& names) {
+  std::map<std::string, std::string> state;
+  for (const std::string& name : names) {
+    auto snap = server->SnapshotMod(name);
+    if (!snap.ok()) {
+      EXPECT_TRUE(snap.status().IsNotFound()) << snap.status().message();
+      continue;
+    }
+    traj::EncodeStore(**snap, &state[name]);
+  }
+  EXPECT_EQ(server->Stats().mods, state.size());
+  return state;
+}
+
+/// A small script reaching every write entry point of the server. Each
+/// step returns whether it was acknowledged; an insert counts as acked
+/// when its FLUSH returned and the worker applied it.
+std::vector<std::function<bool(Server*)>> CrashSweepScript() {
+  // Two-sample trajectories keep the whole log near 500 bytes.
+  traj::TrajectoryStore ships;
+  for (int obj = 0; obj < 5; ++obj) {
+    EXPECT_TRUE(
+        ships.Add(traj::Trajectory(obj, {{obj * 1.0, 0.0, 0.0},
+                                         {obj * 1.0, 1.0, 10.0}}))
+            .ok());
+  }
+  auto store_of = [&](size_t lo, size_t hi) {
+    traj::TrajectoryStore out;
+    for (traj::Trajectory& t : Slice(ships, lo, hi)) {
+      EXPECT_TRUE(out.Add(std::move(t)).ok());
+    }
+    return out;
+  };
+  auto insert = [](std::string mod, std::vector<traj::Trajectory> batch) {
+    return [mod, batch](Server* s) {
+      const uint64_t errors = s->Stats().ingest_errors;
+      return s->EnqueueInsert(mod, batch).ok() && s->Flush().ok() &&
+             s->Stats().ingest_errors == errors;
+    };
+  };
+  auto load = [](std::string mod, traj::TrajectoryStore parsed) {
+    return [mod, parsed](Server* s) { return s->LoadMod(mod, parsed).ok(); };
+  };
+  return {
+      [](Server* s) { return s->CreateMod("a").ok(); },
+      insert("a", Slice(ships, 0, 1)),
+      load("b", store_of(1, 3)),  // Creates B.
+      insert("b", Slice(ships, 3, 4)),
+      [store = store_of(4, 5)](Server* s) {
+        return s->RegisterStore("a", store).ok();  // Replaces A.
+      },
+      load("a", store_of(0, 1)),  // Appends to A.
+      [](Server* s) { return s->DropMod("b").ok(); },
+  };
+}
+
+// ROADMAP E.4: for every byte offset the WAL can stop at, recovery
+// yields the state after some prefix of the script that holds every
+// acknowledged step — never a step half-applied — and the live server
+// never applies a step it could not make durable.
+TEST(RecoveryTest, CrashAtEveryWalOffsetRecoversAScriptPrefix) {
+  const auto script = CrashSweepScript();
+  const std::vector<std::string> names = {"A", "B"};
+
+  // The states after each prefix, and the bytes the whole script writes.
+  std::vector<std::map<std::string, std::string>> prefix_states;
+  int64_t total_bytes = 0;
+  {
+    auto base = storage::Env::NewMemEnv();
+    storage::FaultInjectionEnv faulty(base.get());
+    auto server = StartDurable(&faulty);
+    const uint64_t before = faulty.bytes_written();
+    prefix_states.push_back(CatalogState(server.get(), names));
+    for (const auto& step : script) {
+      ASSERT_TRUE(step(server.get()));
+      prefix_states.push_back(CatalogState(server.get(), names));
+    }
+    total_bytes = static_cast<int64_t>(faulty.bytes_written() - before);
+  }
+  ASSERT_GT(total_bytes, 0);
+
+  for (int64_t budget = 0; budget <= total_bytes; ++budget) {
+    SCOPED_TRACE("write budget " + std::to_string(budget));
+    auto base = storage::Env::NewMemEnv();
+    storage::FaultInjectionEnv faulty(base.get());
+    size_t acked = 0;
+    {
+      auto server = StartDurable(&faulty);
+      faulty.set_write_budget(budget);
+      bool failed = false;
+      for (const auto& step : script) {
+        const bool ok = step(server.get());
+        EXPECT_FALSE(ok && failed) << "a step acked after a failed one";
+        failed = failed || !ok;
+        if (!failed) ++acked;
+      }
+      EXPECT_EQ(CatalogState(server.get(), names), prefix_states[acked]);
+    }
+    EXPECT_EQ(acked == script.size(), budget == total_bytes);
+
+    auto restarted = StartDurable(base.get());
+    const auto recovered = CatalogState(restarted.get(), names);
+    bool matches = false;
+    for (size_t k = acked; k < prefix_states.size(); ++k) {
+      matches = matches || recovered == prefix_states[k];
+    }
+    EXPECT_TRUE(matches) << acked << " acked steps";
+    if (HasFailure()) break;
+  }
 }
 
 }  // namespace

@@ -186,25 +186,6 @@ TEST(ServiceConfigTest, RejectsZeroShards) {
       << st.ToString();
 }
 
-TEST(ServiceConfigTest, RejectsWalDirCollision) {
-  service::ServiceConfig config;
-  config.shards = 3;
-  config.shard_wal_dirs = {"wal/a", "wal/b", "wal/a"};
-  auto st = config.Validate();
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("collision"), std::string::npos)
-      << st.ToString();
-  EXPECT_NE(st.message().find("shards 0 and 2"), std::string::npos)
-      << st.ToString();
-}
-
-TEST(ServiceConfigTest, RejectsWrongShardWalDirCount) {
-  service::ServiceConfig config;
-  config.shards = 2;
-  config.shard_wal_dirs = {"wal/a"};
-  EXPECT_FALSE(config.Validate().ok());
-}
-
 TEST(ServiceConfigTest, SingleShardKeepsPlainDirs) {
   service::ServiceConfig config;
   config.wal_dir = "walroot";
