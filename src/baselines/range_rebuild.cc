@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <set>
 
 #include "rtree/str_bulk_load.h"
@@ -20,7 +21,11 @@ int64_t NowUs() {
 StatusOr<RangeRebuildResult> RunRangeRebuild(
     const traj::TrajectoryStore& store, const rtree::RTree3D& global_index,
     double wi, double we, const core::S2TParams& s2t_params) {
-  if (we <= wi) return Status::InvalidArgument("empty window");
+  if (!(wi < we)) {
+    return Status::InvalidArgument(std::isnan(wi) || std::isnan(we)
+                                       ? "non-numeric window bound"
+                                       : "empty window");
+  }
   RangeRebuildResult result;
 
   // (i) Temporal range query: all segments intersecting W, grouped back

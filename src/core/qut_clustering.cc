@@ -61,7 +61,11 @@ size_t QuTResult::TotalMembers() const {
 
 StatusOr<QuTResult> QuTClustering::Query(double wi, double we,
                                          const QuTParams& params) const {
-  if (we <= wi) return Status::InvalidArgument("empty window");
+  if (!(wi < we)) {
+    return Status::InvalidArgument(std::isnan(wi) || std::isnan(we)
+                                       ? "non-numeric window bound"
+                                       : "empty window");
+  }
   const int64_t t_start = NowUs();
 
   const ReTraTreeParams& tp = tree_->params();

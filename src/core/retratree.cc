@@ -164,25 +164,23 @@ Status ReTraTree::SplitTrajectory(const traj::Trajectory& trajectory,
     const double lo = params_.origin + si * params_.delta;
     const double hi = lo + params_.delta;
     traj::Trajectory piece = trajectory.Slice(lo, hi);
-    if (piece.size() < 2) continue;
-
-    // Long pieces are split to honor the record-size bound.
-    size_t offset = 0;
-    while (offset + 1 < piece.size()) {
-      const size_t take = std::min(kMaxSamplesPerPiece, piece.size() - offset);
+    // Long pieces are split to honor the record-size bound, overlapping
+    // one sample to keep continuity; a piece that fits is moved whole.
+    const std::vector<geom::Point3D>& s = piece.samples();
+    const size_t n = s.size();
+    for (size_t offset = 0; offset + 1 < n; offset += kMaxSamplesPerPiece - 1) {
+      const size_t end = std::min(offset + kMaxSamplesPerPiece, n);
       PendingPiece pp;
       pp.sub_chunk = si;
       pp.st.source_trajectory = source_id;
       pp.st.object_id = trajectory.object_id();
       pp.st.first_sample_index = offset;
-      traj::Trajectory part(trajectory.object_id());
-      for (size_t k = offset; k < offset + take; ++k) {
-        HERMES_RETURN_NOT_OK(part.Append(piece[k]));
-      }
-      pp.st.points = std::move(part);
+      pp.st.points =
+          end - offset == n
+              ? std::move(piece)
+              : traj::Trajectory(trajectory.object_id(),
+                                 {s.begin() + offset, s.begin() + end});
       out->push_back(std::move(pp));
-      if (offset + take >= piece.size()) break;
-      offset += take - 1;  // Overlap one sample to keep continuity.
     }
   }
   return Status::OK();

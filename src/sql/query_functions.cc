@@ -184,8 +184,11 @@ StatusOr<std::unique_ptr<RowCursor>> EvalSelectFunction(
     }
     const double wi = args[0];
     const double we = args[1];
-    if (we <= wi) {
-      return Status::InvalidArgument("empty window" + at);
+    if (!(wi < we)) {
+      return Status::InvalidArgument(
+          (std::isnan(wi) || std::isnan(we) ? "non-numeric window bound"
+                                             : "empty window") +
+          at);
     }
     // Streams one row per qualifying trajectory; the slice happens in
     // Next(), so a caller reading k rows slices only ~k trajectories. The

@@ -21,35 +21,6 @@ constexpr double kBreakpointTol = 1e-9;
 constexpr double kRelSlack = 1e-6;
 constexpr double kAbsSlack = 1e-6;
 
-/// Positions of `t` at the sample times of both trajectories restricted to
-/// [t0, t1], merged and deduplicated, including both boundaries.
-std::vector<double> MergeBreakpoints(const Trajectory& a, const Trajectory& b,
-                                     double t0, double t1) {
-  std::vector<double> ts;
-  ts.push_back(t0);
-  for (const auto& p : a.samples()) {
-    if (p.t > t0 && p.t < t1) ts.push_back(p.t);
-  }
-  for (const auto& p : b.samples()) {
-    if (p.t > t0 && p.t < t1) ts.push_back(p.t);
-  }
-  ts.push_back(t1);
-  std::sort(ts.begin(), ts.end());
-  ts.erase(std::unique(ts.begin(), ts.end(),
-                       [](double x, double y) {
-                         return AlmostEqual(x, y, kBreakpointTol,
-                                            kBreakpointTol);
-                       }),
-           ts.end());
-  return ts;
-}
-
-geom::Point3D SampleAt(const Trajectory& t, double time) {
-  auto p = t.PositionAt(time);
-  // Callers only ask inside the lifespan.
-  return {p->x, p->y, time};
-}
-
 /// The common lifespan [t0, t1] of two polylines; `overlap` stays 0 when
 /// they do not co-exist (or either has no segment).
 struct Lifespan {
@@ -76,24 +47,53 @@ Lifespan CommonLifespan(const Trajectory& a, const Trajectory& b) {
   return s;
 }
 
+/// Positions of one polyline at non-decreasing times inside its lifespan,
+/// as `Trajectory::PositionAt` computes them, without a search per time.
+struct PositionCursor {
+  const std::vector<geom::Point3D>& s;
+  size_t i = 0;  // First sample with t >= the last time asked.
+
+  geom::Point3D At(double time) {
+    while (s[i].t < time) ++i;
+    if (i == 0) return {s[0].x, s[0].y, time};
+    const geom::Point2D p = geom::InterpolateAt(s[i - 1], s[i], time);
+    return {p.x, p.y, time};
+  }
+};
+
 /// Average and minimum synchronized separation over a non-empty `span`.
+/// Breakpoints are t0, both polylines' sample times inside (t0, t1) and t1,
+/// merged in one pass. One within `AlmostEqual`'s tolerance of the last
+/// kept breakpoint is dropped, t1 too, so a tail under it drops out.
 void Separation(const Trajectory& a, const Trajectory& b, const Lifespan& span,
                 TimeAwareDistance* out) {
-  const std::vector<double> ts = MergeBreakpoints(a, b, span.t0, span.t1);
+  const auto& sa = a.samples();
+  const auto& sb = b.samples();
+  size_t ia = 0, ib = 0;
+  while (sa[ia].t <= span.t0) ++ia;
+  while (sb[ib].t <= span.t0) ++ib;
+  PositionCursor ca{sa}, cb{sb};
+  double lo = span.t0;
+  geom::Point3D pa = ca.At(lo), pb = cb.At(lo);
   double integral = 0.0;
   double min_d = kInf;
-  for (size_t i = 0; i + 1 < ts.size(); ++i) {
-    const double lo = ts[i];
-    const double hi = ts[i + 1];
-    if (hi <= lo) continue;
+  auto keep = [&](double hi) {
+    if (AlmostEqual(lo, hi, kBreakpointTol, kBreakpointTol)) return;
+    const geom::Point3D qa = ca.At(hi), qb = cb.At(hi);
     // Within (lo, hi) both objects move linearly, so the moving-point
     // analysis is exact for this elementary interval.
-    geom::Segment3D sa(SampleAt(a, lo), SampleAt(a, hi));
-    geom::Segment3D sb(SampleAt(b, lo), SampleAt(b, hi));
-    const geom::MovingDistance md = geom::DistanceBetweenMoving(sa, sb);
+    const geom::MovingDistance md = geom::DistanceBetweenMoving(
+        geom::Segment3D(pa, qa), geom::Segment3D(pb, qb));
     integral += md.avg_dist * (hi - lo);
     min_d = std::min(min_d, md.min_dist);
+    lo = hi;
+    pa = qa;
+    pb = qb;
+  };
+  while (sa[ia].t < span.t1 || sb[ib].t < span.t1) {
+    keep(sb[ib].t < span.t1 && sb[ib].t < sa[ia].t ? sb[ib++].t : sa[ia++].t);
   }
+  keep(span.t1);
   out->avg = integral / span.overlap;
   out->min = min_d;
 }

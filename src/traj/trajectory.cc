@@ -61,19 +61,22 @@ Trajectory Trajectory::Slice(double t0, double t1) const {
   const double lo = std::max(t0, StartTime());
   const double hi = std::min(t1, EndTime());
 
-  // Interpolated entry sample.
-  if (auto p = PositionAt(lo)) {
-    out.samples_.push_back({p->x, p->y, lo});
-  }
   // Interior samples strictly inside (lo, hi).
-  for (const auto& s : samples_) {
-    if (s.t > lo && s.t < hi) out.samples_.push_back(s);
-  }
+  const auto first = std::upper_bound(
+      samples_.begin(), samples_.end(), lo,
+      [](double v, const geom::Point3D& p) { return v < p.t; });
+  const auto last = std::lower_bound(
+      first, samples_.end(), hi,
+      [](const geom::Point3D& p, double v) { return p.t < v; });
+  out.samples_.reserve(static_cast<size_t>(last - first) + 2);
+  // Interpolated entry sample; lo and hi lie inside the lifespan.
+  const geom::Point2D entry = *PositionAt(lo);
+  out.samples_.push_back({entry.x, entry.y, lo});
+  out.samples_.insert(out.samples_.end(), first, last);
   // Interpolated exit sample (skip when the slice is instantaneous).
   if (hi > lo) {
-    if (auto p = PositionAt(hi)) {
-      out.samples_.push_back({p->x, p->y, hi});
-    }
+    const geom::Point2D exit = *PositionAt(hi);
+    out.samples_.push_back({exit.x, exit.y, hi});
   }
   return out;
 }

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -360,6 +361,44 @@ TEST(NetServerTest, PreparedStatementsMatchEmbeddedSession) {
   auto stats_want = session->Execute("SELECT STATS(SHIPS);");
   ASSERT_TRUE(stats_want.ok());
   ExpectSameTable(*stats, *stats_want);
+}
+
+TEST(NetServerTest, NonNumericWindowBindFailsAndConnectionSurvives) {
+  // A NaN window bound in a prepared RANGE or QUT is an InvalidArgument
+  // answer, not a crash of the server: the same connection keeps serving,
+  // and an infinite window still answers over the whole domain.
+  Rig rig;
+  auto client = rig.Connect();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  uint32_t id = 1;
+  for (const char* text :
+       {"SELECT RANGE(ships, $1, $2);",
+        "SELECT QUT(ships, $1, $2, 3000, 750, 750, 10000, 2);"}) {
+    ASSERT_TRUE(client->Prepare(id, text).ok()) << text;
+    auto bad =
+        client->BindExecute(id, {Value::Double(nan), Value::Double(50)});
+    ASSERT_FALSE(bad.ok()) << text;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(bad.status().ToString().find("non-numeric window bound"),
+              std::string::npos)
+        << bad.status().ToString();
+    EXPECT_TRUE(client->Ping().ok());
+    auto whole =
+        client->BindExecute(id, {Value::Double(-inf), Value::Double(inf)});
+    ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+    auto covering =
+        client->BindExecute(id, {Value::Double(-1e12), Value::Double(1e12)});
+    ASSERT_TRUE(covering.ok()) << covering.status().ToString();
+    // QUT's last row echoes the window; every other cell must agree.
+    ASSERT_EQ(whole->rows.size(), covering->rows.size());
+    ASSERT_GE(whole->rows.size(), 2u);
+    for (size_t r = 0; r + 1 < whole->rows.size(); ++r) {
+      EXPECT_TRUE(whole->rows[r] == covering->rows[r]) << text << " row " << r;
+    }
+    EXPECT_TRUE(whole->rows.back()[1] == covering->rows.back()[1]) << text;
+    ++id;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -938,6 +938,53 @@ TEST(StatementExecutorParityTest, OutOfDomainQutTreeParamsFailOnEveryBackend) {
   EXPECT_TRUE(wire->Execute(good).ok());
 }
 
+TEST(StatementExecutorParityTest, NonNumericWindowFailsOnEveryBackend) {
+  // A NaN window bound bound into a prepared RANGE or QUT fails with
+  // InvalidArgument naming it (it used to abort the process), and an
+  // infinite window still answers over the whole domain.
+  const std::vector<std::string> setup = {
+      "CREATE MOD qp;",
+      "INSERT INTO qp VALUES (1, 0, 0, 0), (1, 10, 10, 0), (2, 0, 0, 5), "
+      "(2, 10, 10, 5);"};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Backends b;
+  for (sql::StatementExecutor* db : b.All()) {
+    for (const std::string& q : setup) ASSERT_TRUE(db->Execute(q).ok()) << q;
+    ASSERT_TRUE(db->Flush().ok());
+    for (const std::string text :
+         {"SELECT RANGE(qp, $1, $2);",
+          "SELECT QUT(qp, $1, $2, 10, 5, 5, 100, 2);"}) {
+      auto prepared = db->Prepare(text);
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      for (const auto& [wi, we] : {std::pair{nan, 50.0}, std::pair{0.0, nan},
+                                   std::pair{nan, nan}}) {
+        auto t = db->BindExecute(prepared->id,
+                                 {Value::Double(wi), Value::Double(we)});
+        ASSERT_FALSE(t.ok()) << text;
+        EXPECT_TRUE(t.status().IsInvalidArgument()) << t.status().ToString();
+        EXPECT_NE(t.status().ToString().find("non-numeric window bound"),
+                  std::string::npos)
+            << t.status().ToString();
+      }
+      auto whole = db->BindExecute(prepared->id,
+                                   {Value::Double(-inf), Value::Double(inf)});
+      ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+      auto covering = db->BindExecute(
+          prepared->id, {Value::Double(-1.0), Value::Double(20.0)});
+      ASSERT_TRUE(covering.ok()) << covering.status().ToString();
+      // QUT's last row echoes the window; every other cell must agree.
+      ASSERT_EQ(whole->rows.size(), covering->rows.size()) << text;
+      ASSERT_GE(whole->rows.size(), 2u) << text;
+      for (size_t r = 0; r + 1 < whole->rows.size(); ++r) {
+        EXPECT_EQ(whole->rows[r], covering->rows[r]) << text;
+      }
+      EXPECT_EQ(whole->rows.back()[1], covering->rows.back()[1]) << text;
+      EXPECT_TRUE(db->ClosePrepared(prepared->id).ok());
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // QUT tree lifecycle: retired trees leave no files behind
 // ---------------------------------------------------------------------------

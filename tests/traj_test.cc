@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -8,6 +9,7 @@
 
 #include "common/mathutil.h"
 #include "common/rng.h"
+#include "geom/moving_point.h"
 #include "traj/distance.h"
 #include "traj/simplify.h"
 #include "traj/sub_trajectory.h"
@@ -524,6 +526,257 @@ TEST(DistanceTest, CutOffDistanceIsExactUpToTheLimit) {
   // The bound does work, and the boundary case is exercised.
   EXPECT_GT(pruned, 1000u);
   EXPECT_GT(exact_at_limit, 1000u);
+}
+
+// ---------------------------------------------------------------------------
+// Slice and the time-aware distance against their scan-and-sort versions
+// ---------------------------------------------------------------------------
+
+/// `Trajectory::Slice` as it was before it searched for its interior: a
+/// scan of every sample, growing the output one sample at a time.
+Trajectory ScanSlice(const Trajectory& t, double t0, double t1) {
+  std::vector<geom::Point3D> out;
+  if (t.empty() || t1 < t.StartTime() || t0 > t.EndTime()) {
+    return Trajectory(t.object_id());
+  }
+  const double lo = std::max(t0, t.StartTime());
+  const double hi = std::min(t1, t.EndTime());
+  if (auto p = t.PositionAt(lo)) out.push_back({p->x, p->y, lo});
+  for (const auto& s : t.samples()) {
+    if (s.t > lo && s.t < hi) out.push_back(s);
+  }
+  if (hi > lo) {
+    if (auto p = t.PositionAt(hi)) out.push_back({p->x, p->y, hi});
+  }
+  return Trajectory(t.object_id(), std::move(out));
+}
+
+/// The breakpoints of the time-aware distance as they were built before
+/// the one-pass merge: both polylines' sample times inside (t0, t1) and
+/// the two bounds, sorted, then deduplicated within the merge tolerance.
+/// `candidates` receives the count before deduplication.
+std::vector<double> SortedBreakpoints(const Trajectory& a, const Trajectory& b,
+                                      double t0, double t1,
+                                      size_t* candidates) {
+  std::vector<double> ts;
+  ts.push_back(t0);
+  for (const auto& p : a.samples()) {
+    if (p.t > t0 && p.t < t1) ts.push_back(p.t);
+  }
+  for (const auto& p : b.samples()) {
+    if (p.t > t0 && p.t < t1) ts.push_back(p.t);
+  }
+  ts.push_back(t1);
+  *candidates = ts.size();
+  std::sort(ts.begin(), ts.end());
+  ts.erase(std::unique(ts.begin(), ts.end(),
+                       [](double x, double y) {
+                         return AlmostEqual(x, y, 1e-9, 1e-9);
+                       }),
+           ts.end());
+  return ts;
+}
+
+/// The average and minimum separation as computed before the one-pass
+/// merge, for two polylines that co-exist: one binary search per position.
+std::pair<double, double> SortedSeparation(const Trajectory& a,
+                                           const Trajectory& b,
+                                           std::vector<double>* ts,
+                                           size_t* candidates) {
+  const double t0 = std::max(a.StartTime(), b.StartTime());
+  const double t1 = std::min(a.EndTime(), b.EndTime());
+  *ts = SortedBreakpoints(a, b, t0, t1, candidates);
+  auto sample_at = [](const Trajectory& t, double time) {
+    auto p = t.PositionAt(time);
+    return geom::Point3D{p->x, p->y, time};
+  };
+  double integral = 0.0;
+  double min_d = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i + 1 < ts->size(); ++i) {
+    const double lo = (*ts)[i];
+    const double hi = (*ts)[i + 1];
+    if (hi <= lo) continue;
+    geom::Segment3D sa(sample_at(a, lo), sample_at(a, hi));
+    geom::Segment3D sb(sample_at(b, lo), sample_at(b, hi));
+    const geom::MovingDistance md = geom::DistanceBetweenMoving(sa, sb);
+    integral += md.avg_dist * (hi - lo);
+    min_d = std::min(min_d, md.min_dist);
+  }
+  return {integral / (t1 - t0), min_d};
+}
+
+bool SameSamples(const Trajectory& x, const Trajectory& y) {
+  return x.object_id() == y.object_id() && x.size() == y.size() &&
+         (x.empty() || std::memcmp(x.samples().data(), y.samples().data(),
+                                   x.size() * sizeof(geom::Point3D)) == 0);
+}
+
+/// The breakpoint merge tolerance at time `t`.
+double MergeTol(double t) { return 1e-9 + 1e-9 * std::fabs(t); }
+
+/// A polyline through `times` at random positions near (x0, y0).
+Trajectory AtTimes(Rng* rng, ObjectId id, const std::vector<double>& times,
+                   double x0, double y0, double step) {
+  Trajectory t(id);
+  double x = x0, y = y0;
+  for (double time : times) {
+    EXPECT_TRUE(t.Append({x, y, time}).ok());
+    x += rng->Uniform(-step, step);
+    y += rng->Uniform(-step, step);
+  }
+  return t;
+}
+
+TEST(BoundaryPathTest, SliceAndDistanceMatchScanAndSortVersions) {
+  // Seeded pairs in five families at time offsets 0, 1e9, 1.7e9 and
+  // 1.7e12 (merge tolerances 1e-9 to 1.7e3): free random walks; pairs
+  // sharing some sample times; pairs whose times sit within about one
+  // tolerance of each other, the second often ending within a tolerance
+  // after a sample of the first, which drops the t1 tail; dense
+  // interleaved chains whose steps are below the tolerance, so each kept
+  // breakpoint absorbs several candidates; and spatially moved copies.
+  // Each polyline and each pair is also sliced to windows on sample
+  // times, inside segments, outside the lifespan and of zero length.
+  Rng rng(2018);
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kOffsets[] = {0.0, 1e9, 1.7e9, 1.7e12};
+  size_t slices = 0, distances = 0, merged = 0, dropped_tail = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const int family = round % 5;
+    const double toff = kOffsets[(round / 5) % 4];
+    const double step = std::pow(10.0, rng.Uniform(-3.0, 3.0));
+    const double tol = MergeTol(toff);
+    Trajectory a, b;
+    switch (family) {
+      case 0: {
+        const double dt = std::pow(10.0, rng.Uniform(-3.0, 2.0)) + tol;
+        a = RandomWalk(&rng, 0, 0, toff, step, dt);
+        b = RandomWalk(&rng, step, 0, toff + rng.Uniform(-2, 2) * dt, step,
+                       dt);
+        break;
+      }
+      case 1: {
+        // b keeps about half of a's times and adds its own in between.
+        a = RandomWalk(&rng, 0, 0, toff, step,
+                       tol * std::pow(10.0, rng.Uniform(1, 4)));
+        std::vector<double> ta, tb;
+        for (const auto& p : a.samples()) ta.push_back(p.t);
+        for (size_t i = 0; i < ta.size(); ++i) {
+          if (rng.NextBool(0.5)) tb.push_back(ta[i]);
+          if (i + 1 < ta.size() && rng.NextBool(0.3)) {
+            tb.push_back(ta[i] + (ta[i + 1] - ta[i]) * rng.Uniform(0.1, 0.9));
+          }
+        }
+        if (tb.size() < 2) tb = {ta.front(), ta.back()};
+        b = AtTimes(&rng, 2, tb, 0, step, step);
+        break;
+      }
+      case 2: {
+        // b's times are a's, each moved by up to 1.5 tolerances; b ends a
+        // fraction of a tolerance after one of a's samples (or runs on).
+        std::vector<double> ta, tb;
+        double t = toff;
+        const int n = 3 + static_cast<int>(rng.NextBelow(6));
+        for (int i = 0; i < n; ++i) {
+          ta.push_back(t);
+          t += MergeTol(t) * std::pow(10.0, rng.Uniform(0.7, 2.0));
+        }
+        const size_t end = 1 + rng.NextBelow(ta.size() - 1);
+        for (size_t i = 0; i < end; ++i) {
+          tb.push_back(ta[i] + MergeTol(ta[i]) * rng.Uniform(-1.5, 1.5));
+        }
+        tb.push_back(ta[end] + MergeTol(ta[end]) * rng.Uniform(-0.2, 1.0));
+        if (tb.back() <= tb[tb.size() - 2]) tb.pop_back();
+        if (tb.size() < 2) tb.push_back(ta.back() + 2 * MergeTol(ta.back()));
+        a = AtTimes(&rng, 1, ta, 0, 0, step);
+        b = AtTimes(&rng, 2, tb, step, 0, step);
+        break;
+      }
+      case 3: {
+        // One increasing sequence with steps of 0.2 to 0.9 tolerances,
+        // dealt to a and b at random.
+        std::vector<double> ta, tb;
+        double t = toff;
+        const int n = 6 + static_cast<int>(rng.NextBelow(20));
+        for (int i = 0; i < n; ++i) {
+          (rng.NextBool(0.5) ? ta : tb).push_back(t);
+          t += MergeTol(t) * rng.Uniform(0.2, 0.9);
+        }
+        while (ta.size() < 2) ta.push_back(t += MergeTol(t) * 0.5);
+        while (tb.size() < 2) tb.push_back(t += MergeTol(t) * 0.5);
+        a = AtTimes(&rng, 1, ta, 0, 0, step);
+        b = AtTimes(&rng, 2, tb, 0, step, step);
+        break;
+      }
+      default: {
+        const double dt = tol * std::pow(10.0, rng.Uniform(-1.0, 3.0));
+        a = RandomWalk(&rng, 0, 0, toff, step, dt);
+        b = Moved(a, step * rng.Uniform(-2, 2), step * rng.Uniform(-2, 2),
+                  0.0);
+        break;
+      }
+    }
+    ASSERT_TRUE(a.Validate().ok()) << "round " << round;
+    ASSERT_TRUE(b.Validate().ok()) << "round " << round;
+
+    // Windows over the pair's time domain: on sample times, inside
+    // segments, partly or wholly outside, and instantaneous.
+    const double lo = std::min(a.StartTime(), b.StartTime());
+    const double hi = std::max(a.EndTime(), b.EndTime());
+    const double span = hi - lo;
+    auto sample_time = [&]() {
+      const Trajectory& t = rng.NextBool(0.5) ? a : b;
+      return t[rng.NextBelow(t.size())].t;
+    };
+    auto inside = [&]() { return lo + span * rng.NextDouble(); };
+    std::vector<std::pair<double, double>> windows = {
+        {-kInf, kInf}, {lo - span, lo - span / 2}, {hi + span, hi + 2 * span},
+        {lo - span, hi + span}};
+    for (int k = 0; k < 4; ++k) {
+      double w0 = sample_time(), w1 = sample_time();
+      if (w1 < w0) std::swap(w0, w1);
+      windows.push_back({w0, w1});
+      double v0 = inside(), v1 = inside();
+      if (v1 < v0) std::swap(v0, v1);
+      windows.push_back({v0, v1});
+      const double at = sample_time();
+      windows.push_back({at, at});
+      windows.push_back({v0, v0});
+      windows.push_back({w0, v1 < w0 ? w0 : v1});
+      windows.push_back({lo - span * rng.NextDouble(), v1});
+    }
+
+    auto check_distance = [&](const Trajectory& x, const Trajectory& y) {
+      const TimeAwareDistance d = ComputeTimeAwareDistance(x, y);
+      if (!d.Coexist()) return;
+      std::vector<double> ts;
+      size_t candidates = 0;
+      const auto [avg, min] = SortedSeparation(x, y, &ts, &candidates);
+      ASSERT_TRUE(SameBits(d.avg, avg)) << "round " << round;
+      ASSERT_TRUE(SameBits(d.min, min)) << "round " << round;
+      ++distances;
+      merged += ts.size() < candidates;
+      dropped_tail += ts.back() != std::min(x.EndTime(), y.EndTime());
+    };
+    check_distance(a, b);
+    check_distance(b, a);
+    for (const auto& [w0, w1] : windows) {
+      const Trajectory sa = a.Slice(w0, w1);
+      const Trajectory sb = b.Slice(w0, w1);
+      ASSERT_TRUE(SameSamples(sa, ScanSlice(a, w0, w1)))
+          << "round " << round << " window [" << w0 << ", " << w1 << "]";
+      ASSERT_TRUE(SameSamples(sb, ScanSlice(b, w0, w1)))
+          << "round " << round << " window [" << w0 << ", " << w1 << "]";
+      slices += 2;
+      check_distance(sa, b);
+      check_distance(sa, sb);
+    }
+  }
+  // Every family's feature is exercised, not merely allowed.
+  EXPECT_GE(slices, 200000u);
+  EXPECT_GE(distances, 100000u);
+  EXPECT_GT(merged, 50000u);
+  EXPECT_GT(dropped_tail, 20000u);
 }
 
 // ---------------------------------------------------------------------------
