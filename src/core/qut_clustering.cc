@@ -59,13 +59,16 @@ size_t QuTResult::TotalMembers() const {
   return n;
 }
 
+Status CheckQutWindow(double wi, double we) {
+  if (wi < we) return Status::OK();
+  return Status::InvalidArgument(std::isnan(wi) || std::isnan(we)
+                                     ? "non-numeric window bound"
+                                     : "empty window");
+}
+
 StatusOr<QuTResult> QuTClustering::Query(double wi, double we,
                                          const QuTParams& params) const {
-  if (!(wi < we)) {
-    return Status::InvalidArgument(std::isnan(wi) || std::isnan(we)
-                                       ? "non-numeric window bound"
-                                       : "empty window");
-  }
+  HERMES_RETURN_NOT_OK(CheckQutWindow(wi, we));
   const int64_t t_start = NowUs();
 
   const ReTraTreeParams& tp = tree_->params();

@@ -70,6 +70,11 @@ struct QuTResult {
   size_t TotalMembers() const;
 };
 
+/// The window precondition of every QUT: `InvalidArgument` ("non-numeric
+/// window bound" or "empty window") unless `wi < we`. Checked before any
+/// tree is built or refreshed, so a window no tree can answer costs none.
+Status CheckQutWindow(double wi, double we);
+
 /// \brief QuT-Clustering (DMKD 2017): given a temporal window W, assembles
 /// the sub-trajectory clusters and outliers that temporally intersect W
 /// from the ReTraTree — without re-running the clustering pipeline.

@@ -83,6 +83,7 @@ StatusOr<QuTResult> QutTreeSlot::Query(const std::vector<double>& tree_params,
                                        exec::ExecStats* archive,
                                        QutTreeWork* work) {
   if (work != nullptr) *work = QutTreeWork::kNone;
+  HERMES_RETURN_NOT_OK(CheckQutWindow(wi, we));
   {
     common::ReaderMutexLock rlock(&mu_);
     if (FreshLocked(tree_params, store.NumTrajectories()) &&

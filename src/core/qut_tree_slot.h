@@ -33,9 +33,9 @@ void DeleteTreeFiles(storage::Env* env, const std::string& dir);
 enum class QutTreeWork { kNone, kCaughtUp, kRebuilt };
 
 /// \brief The one lifecycle, lock and read path of a QUT ReTraTree over a
-/// growing store, shared by the embedded session, the service server
-/// (query path and ingest worker) and the shard coordinator's merged
-/// view.
+/// growing store, shared by the service server (query path and ingest
+/// worker; the embedded `sql::Session` runs a private one) and the shard
+/// coordinator's merged view.
 ///
 /// The slot owns the tree, its raw `(tau, delta, t, d, gamma)`, how many
 /// store trajectories the tree has consumed, and the sequence naming its
@@ -69,7 +69,8 @@ class QutTreeSlot {
   /// The QUT read path over `store`: a fresh tree (built with
   /// `tree_params`, covering `store`, budget `hot_budget`) answers under
   /// the shared lock; otherwise `Refresh` runs and the window is answered
-  /// under the exclusive lock. `work` (optional) gets what it took.
+  /// under the exclusive lock. `work` (optional) gets what it took. A
+  /// window `CheckQutWindow` rejects fails first, building nothing.
   StatusOr<QuTResult> Query(const std::vector<double>& tree_params,
                             const traj::TrajectoryStore& store,
                             exec::ExecContext* exec, size_t hot_budget,

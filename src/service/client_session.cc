@@ -5,9 +5,14 @@
 namespace hermes::service {
 
 ClientSession::ClientSession(Server* server)
-    : sql::FrontEnd(server->options().session_defaults), server_(server) {}
+    : sql::FrontEnd(server->options().session_defaults), server_(server) {
+  server_->sessions_opened_.fetch_add(1, std::memory_order_relaxed);
+  server_->sessions_active_.fetch_add(1, std::memory_order_relaxed);
+}
 
-ClientSession::~ClientSession() { server_->OnSessionClosed(); }
+ClientSession::~ClientSession() {
+  server_->sessions_active_.fetch_sub(1, std::memory_order_relaxed);
+}
 
 Status ClientSession::CreateMod(const sql::Statement& stmt) {
   return server_->CreateMod(stmt.mod);
@@ -45,7 +50,13 @@ StatusOr<sql::Table> ClientSession::ServiceStats() {
 StatusOr<core::QuTResult> ClientSession::Qut(
     const std::string& mod, double wi, double we,
     const std::vector<double>& tree_params) {
-  return server_->QutQuery(mod, wi, we, tree_params);
+  // Shared trees are server-scoped resources: the server's context
+  // refreshes them and its configured default governs their budget.
+  return server_->QutQuery(
+      mod, wi, we, tree_params,
+      static_cast<size_t>(
+          server_->options().session_defaults.hot_index_budget),
+      server_->exec_.get(), nullptr);
 }
 
 StatusOr<std::shared_ptr<const traj::TrajectoryStore>>

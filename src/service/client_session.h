@@ -20,7 +20,9 @@ namespace hermes::service {
 /// \brief One client's view of the service: the shared `sql::FrontEnd`
 /// statement plane executed against the server's *shared* catalog.
 ///
-/// Differences from the embedded session, by design:
+/// The embedded `sql::Session` is one of these over a private server; it
+/// overrides only `INSERT` (synchronous), `QUT` (its own budget and
+/// context) and `SHOW STATS`' hot-tier rows. As a client session:
 ///
 ///  - MODs are shared across sessions; DDL is visible to everyone.
 ///  - `SELECT`s run against the MOD's *published snapshot*: immutable,
@@ -47,6 +49,10 @@ class ClientSession : public sql::FrontEnd {
   ~ClientSession() override;
 
  protected:
+  /// Counted in the server's `sessions_opened`/`sessions_active` until
+  /// destroyed.
+  explicit ClientSession(Server* server);
+
   Status CreateMod(const sql::Statement& stmt) override;
   Status DropMod(const sql::Statement& stmt) override;
   StatusOr<std::pair<size_t, size_t>> LoadMod(
@@ -64,7 +70,6 @@ class ClientSession : public sql::FrontEnd {
 
  private:
   friend class Server;
-  explicit ClientSession(Server* server);
 
   Server* server_;
 };

@@ -60,13 +60,7 @@ void Server::Shutdown() {
 }
 
 std::unique_ptr<ClientSession> Server::Connect() {
-  sessions_opened_.fetch_add(1, std::memory_order_relaxed);
-  sessions_active_.fetch_add(1, std::memory_order_relaxed);
   return std::unique_ptr<ClientSession>(new ClientSession(this));
-}
-
-void Server::OnSessionClosed() {
-  sessions_active_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -190,6 +184,42 @@ Status Server::RegisterStore(const std::string& name,
       .status();
 }
 
+StatusOr<Server::Applied> Server::CommitInsert(
+    const std::string& key, std::vector<traj::Trajectory> batch) {
+  HERMES_ASSIGN_OR_RETURN(
+      Applied applied,
+      Commit(CatalogRecord(wal::RecordType::kInsertBatch, key,
+                           std::move(batch))));
+  if (applied.mod == nullptr) return applied.status;
+  {
+    common::WriterMutexLock wlock(&applied.mod->mu);
+    Republish(applied.mod.get());
+  }
+  HERMES_RETURN_NOT_OK(applied.status);
+  return applied;
+}
+
+Status Server::CheckInsert(const std::string& key,
+                           const std::vector<traj::Trajectory>& batch) const {
+  if (FindMod(key) == nullptr) {
+    return Status::NotFound("no MOD named " + key);
+  }
+  for (const traj::Trajectory& t : batch) {
+    HERMES_RETURN_NOT_OK(sql::CheckIngestable(t));
+  }
+  return Status::OK();
+}
+
+StatusOr<size_t> Server::Insert(const std::string& name,
+                                std::vector<traj::Trajectory> batch) {
+  const std::string key = Canonical(name);
+  common::MutexLock wal_lock(&wal_mu_);
+  HERMES_RETURN_NOT_OK(CheckInsert(key, batch));
+  HERMES_ASSIGN_OR_RETURN(Applied applied,
+                          CommitInsert(key, std::move(batch)));
+  return applied.added;
+}
+
 StatusOr<std::pair<size_t, size_t>> Server::LoadMod(
     const std::string& name, traj::TrajectoryStore parsed) {
   const std::string key = Canonical(name);
@@ -198,25 +228,26 @@ StatusOr<std::pair<size_t, size_t>> Server::LoadMod(
   // behind — and the parsed batch is what the WAL records, making replay
   // independent of the CSV file still existing at its old path.
   common::MutexLock wal_lock(&wal_mu_);
-  CatalogRecord rec(wal::RecordType::kInsertBatch, key);
+  std::shared_ptr<SharedMod> mod;
   if (FindMod(key) == nullptr) {
     // One record creates and fills the MOD, so no crash can leave it
     // created but empty.
-    rec.type = wal::RecordType::kSwapStore;
-    rec.store = std::move(parsed);
+    HERMES_ASSIGN_OR_RETURN(
+        Applied applied, Commit(CatalogRecord(wal::RecordType::kSwapStore,
+                                              key, {}, std::move(parsed))));
+    mod = std::move(applied.mod);
   } else {
+    std::vector<traj::Trajectory> batch;
+    batch.reserve(parsed.NumTrajectories());
     for (traj::TrajectoryId id = 0; id < parsed.NumTrajectories(); ++id) {
-      rec.trajectories.push_back(parsed.Get(id));
+      batch.push_back(parsed.Get(id));
     }
+    HERMES_ASSIGN_OR_RETURN(Applied applied,
+                            CommitInsert(key, std::move(batch)));
+    mod = std::move(applied.mod);
   }
-  HERMES_ASSIGN_OR_RETURN(Applied applied, Commit(std::move(rec)));
-  if (applied.mod == nullptr) return applied.status;
-  common::WriterMutexLock wlock(&applied.mod->mu);
-  // Appended like an INSERT: the next QUT catches the shared tree up.
-  Republish(applied.mod.get());
-  HERMES_RETURN_NOT_OK(applied.status);
-  return std::make_pair(applied.mod->store.NumTrajectories(),
-                        applied.mod->store.NumPoints());
+  common::ReaderMutexLock rlock(&mod->mu);
+  return std::make_pair(mod->store.NumTrajectories(), mod->store.NumPoints());
 }
 
 StatusOr<std::shared_ptr<const traj::TrajectoryStore>> Server::SnapshotMod(
@@ -253,15 +284,10 @@ StatusOr<uint64_t> Server::EnqueueInsert(const std::string& name,
         "WAL write failed; server is read-only (restart to recover the "
         "durable prefix)");
   }
-  if (FindMod(key) == nullptr) {
-    return Status::NotFound("no MOD named " + key);
-  }
   // The ack means "queued for ingest", so preconditions the worker would
   // hit asynchronously must fail *here*: a poisoned queue entry would
   // only ever surface as a service-wide ingest_errors count.
-  for (const traj::Trajectory& t : batch) {
-    HERMES_RETURN_NOT_OK(sql::CheckIngestable(t));
-  }
+  HERMES_RETURN_NOT_OK(CheckInsert(key, batch));
   IngestBatch b;
   b.mod = key;
   b.trajectories = std::move(batch);
@@ -372,7 +398,8 @@ void Server::WorkerLoop() {
 
 StatusOr<core::QuTResult> Server::QutQuery(
     const std::string& name, double wi, double we,
-    const std::vector<double>& tree_params) {
+    const std::vector<double>& tree_params, size_t hot_budget,
+    exec::ExecContext* exec, exec::ExecStats* archive) {
   const std::string key = Canonical(name);
   auto mod = FindMod(key);
   if (mod == nullptr) return Status::NotFound("no MOD named " + key);
@@ -383,12 +410,8 @@ StatusOr<core::QuTResult> Server::QutQuery(
   HERMES_ASSIGN_OR_RETURN(std::shared_ptr<const traj::TrajectoryStore> snap,
                           PublishedStore(mod.get(), key));
   core::QutTreeWork work = core::QutTreeWork::kNone;
-  // Shared trees are server-scoped resources, so the server's configured
-  // default governs their hot-tier budget.
   StatusOr<core::QuTResult> result = mod->tree.Query(
-      tree_params, *snap, exec_.get(),
-      static_cast<size_t>(options_.session_defaults.hot_index_budget), wi, we,
-      nullptr, &work);
+      tree_params, *snap, exec, hot_budget, wi, we, archive, &work);
   if (work == core::QutTreeWork::kCaughtUp) {
     tree_catchups_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -503,13 +526,7 @@ sql::Table ServiceStatsTable(const ServiceStats& total,
     row("arena_epoch_pins", s.epoch_pins);
     row("ingest_split_us", static_cast<uint64_t>(s.ingest_split_us));
     row("ingest_apply_us", static_cast<uint64_t>(s.ingest_apply_us));
-    row("qut_hot_probes", s.qut_hot_probes);
-    row("qut_cold_probes", s.qut_cold_probes);
-    row("hot_promotions", s.hot_promotions);
-    row("hot_demotions", s.hot_demotions);
-    row("hot_index_bytes", s.hot_index_bytes);
-    row("hot_partitions", s.hot_partitions);
-    row("hot_pins_total", s.hot_pins_total);
+    AppendHotTierRows(s, prefix, &table);
     row("wal_records_appended", s.wal_records_appended);
     row("wal_bytes_appended", s.wal_bytes_appended);
     row("wal_syncs", s.wal_syncs);
@@ -519,6 +536,21 @@ sql::Table ServiceStatsTable(const ServiceStats& total,
     row("wal_torn_bytes_dropped", s.wal_torn_bytes_dropped);
   }
   return table;
+}
+
+void AppendHotTierRows(const core::HotTierStats& s, const std::string& prefix,
+                       sql::Table* table) {
+  auto row = [&](const char* name, uint64_t v) {
+    table->rows.push_back({sql::Value::Str(prefix + name),
+                           sql::Value::Int(static_cast<int64_t>(v))});
+  };
+  row("qut_hot_probes", s.qut_hot_probes);
+  row("qut_cold_probes", s.qut_cold_probes);
+  row("hot_promotions", s.hot_promotions);
+  row("hot_demotions", s.hot_demotions);
+  row("hot_index_bytes", s.hot_index_bytes);
+  row("hot_partitions", s.hot_partitions);
+  row("hot_pins_total", s.hot_pins_total);
 }
 
 }  // namespace hermes::service

@@ -107,6 +107,12 @@ void AccumulateServiceStats(const ServiceStats& s, ServiceStats* total);
 sql::Table ServiceStatsTable(const ServiceStats& s,
                              const std::vector<ServiceStats>& per_shard = {});
 
+/// Appends the seven hot-tier counter rows of `s` to a (name, value)
+/// table, each name prefixed by `prefix`: the rows `SHOW SERVICE STATS`
+/// and the embedded session's `SHOW STATS` share.
+void AppendHotTierRows(const core::HotTierStats& s, const std::string& prefix,
+                       sql::Table* table);
+
 /// \brief The multi-session service: a shared catalog of MODs, a
 /// background ingest worker, and a factory for `ClientSession`s.
 ///
@@ -125,7 +131,8 @@ sql::Table ServiceStatsTable(const ServiceStats& s,
 ///  - `INSERT` statements from sessions enqueue; the worker drains them
 ///    through `ReTraTree::InsertBatch` on the server context, then
 ///    republishes. `FLUSH` blocks until every batch enqueued before it is
-///    applied and visible.
+///    applied and visible. (The embedded `sql::Session` commits its
+///    INSERTs synchronously through `Insert` instead.)
 class Server {
  public:
   /// Starts the service (spawns the ingest worker). `env` defaults to a
@@ -142,7 +149,8 @@ class Server {
   void Shutdown();
 
   /// Opens an independent client session (its own settings + exec
-  /// context + cursors). The server must outlive it.
+  /// context + cursors), counted in `sessions_opened`/`sessions_active`
+  /// like every `ClientSession`. The server must outlive it.
   std::unique_ptr<ClientSession> Connect();
 
   // ---- Catalog DDL (serialized internally; sessions call these) ----
@@ -161,8 +169,7 @@ class Server {
   StatusOr<std::pair<size_t, size_t>> LoadMod(const std::string& name,
                                               traj::TrajectoryStore parsed);
   /// Registers a pre-built store, replacing any existing MOD of that
-  /// name (mirroring `sql::Session::RegisterStore`; use `CreateMod` for
-  /// the AlreadyExists-checked DDL path).
+  /// name (use `CreateMod` for the AlreadyExists-checked DDL path).
   Status RegisterStore(const std::string& name, traj::TrajectoryStore store);
 
   /// The MOD's current published snapshot: immutable, shared, keeps its
@@ -176,6 +183,12 @@ class Server {
   /// before anything is queued).
   StatusOr<uint64_t> EnqueueInsert(const std::string& name,
                                    std::vector<traj::Trajectory> batch);
+
+  /// Synchronous ingest: checks the batch as `EnqueueInsert` does, then
+  /// commits it as one insert record and republishes before returning
+  /// the number of trajectories appended (the embedded session's INSERT).
+  StatusOr<size_t> Insert(const std::string& name,
+                          std::vector<traj::Trajectory> batch);
 
   /// Blocks until everything enqueued before the call is applied and
   /// republished.
@@ -194,10 +207,15 @@ class Server {
   /// answers concurrent readers in parallel (the storage read path is
   /// internally locked); a stale one is refreshed (built, or caught up
   /// with trajectories published since) under the slot's own exclusive
-  /// lock. `tree_params` is (tau, delta, t, d, gamma).
+  /// lock. `tree_params` is (tau, delta, t, d, gamma). The caller names
+  /// the tree's hot-tier budget, the context that runs a refresh, and
+  /// the archive a sequential refresh records into (optional): a
+  /// `ClientSession` passes the server's, the embedded session its own.
   StatusOr<core::QuTResult> QutQuery(const std::string& name, double wi,
                                      double we,
-                                     const std::vector<double>& tree_params);
+                                     const std::vector<double>& tree_params,
+                                     size_t hot_budget, exec::ExecContext* exec,
+                                     exec::ExecStats* archive);
 
   /// Point-in-time service counters.
   ServiceStats Stats() const;
@@ -265,9 +283,18 @@ class Server {
   /// commit of every mutation but the worker's, which logs a whole drain
   /// under one sync.
   StatusOr<Applied> Commit(CatalogRecord rec) REQUIRES(wal_mu_);
+  /// The checks of every INSERT, queued or not: the MOD `key` exists and
+  /// each trajectory passes `sql::CheckIngestable`.
+  Status CheckInsert(const std::string& key,
+                     const std::vector<traj::Trajectory>& batch) const;
+  /// Commits one insert of `batch` into the existing MOD `key` and
+  /// republishes it: the synchronous appends (`Insert`, `LoadMod`). The
+  /// next QUT catches the shared tree up.
+  StatusOr<Applied> CommitInsert(const std::string& key,
+                                 std::vector<traj::Trajectory> batch)
+      REQUIRES(wal_mu_);
 
   void WorkerLoop();
-  void OnSessionClosed();
 
   // ---- Durability (implemented in durability.cc) ----
   bool durable() const { return !options_.wal_dir.empty(); }

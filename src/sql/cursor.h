@@ -19,9 +19,9 @@ namespace hermes::sql {
 /// in `Next`, so a caller consuming the first k rows never materializes
 /// the rest.
 ///
-/// Lifetime: a cursor may borrow session state (a MOD's trajectory store,
-/// a clustering result). It must not outlive its `Session`, and DDL on the
-/// MOD it reads (`DROP MOD`, `INSERT INTO`, `LOAD MOD`) invalidates it.
+/// Lifetime: a cursor must not outlive its session. It owns the MOD
+/// snapshot its statement read, so later DDL or ingest on that MOD
+/// (`DROP MOD`, `INSERT INTO`, `LOAD MOD`) changes none of its rows.
 class RowCursor {
  public:
   explicit RowCursor(std::vector<Column> columns)

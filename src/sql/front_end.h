@@ -19,9 +19,9 @@
 
 namespace hermes::sql {
 
-/// \brief The statement plane every Hermes session shares: the embedded
-/// `sql::Session`, a `service::ClientSession`, and a shard coordinator
-/// session.
+/// \brief The statement plane every Hermes session shares: a
+/// `service::ClientSession` (the embedded `sql::Session` is one) and a
+/// shard coordinator session.
 ///
 /// A front end owns one session's settings registry, execution context
 /// and `SHOW STATS` archive, and executes statements: parsing

@@ -14,14 +14,6 @@
 
 namespace hermes::sql {
 
-std::shared_ptr<const traj::TrajectoryStore> BorrowStore(
-    const traj::TrajectoryStore* store) {
-  // Aliasing handle: shares no ownership, the embedder guarantees the
-  // store outlives every cursor built over it.
-  return std::shared_ptr<const traj::TrajectoryStore>(
-      std::shared_ptr<const void>(), store);
-}
-
 // ---------------------------------------------------------------------------
 // PreparedStatement
 // ---------------------------------------------------------------------------

@@ -19,13 +19,12 @@
 namespace hermes::sql {
 
 /// \brief Everything a SELECT function evaluation needs, independent of
-/// which frontend issued it — the embedded `sql::Session` or a
-/// `service::ClientSession`.
+/// which front end issued it.
 ///
 /// `store` is shared ownership: streaming cursors (`RANGE`,
-/// `S2T_MEMBERS`) capture it, so a service snapshot — and the arena epoch
-/// it pins — stays alive for the whole life of the cursor even while the
-/// ingest worker keeps publishing newer epochs.
+/// `S2T_MEMBERS`) capture it, so a published snapshot — and the arena
+/// epoch it pins — stays alive for the whole life of the cursor even
+/// while newer epochs are published or the MOD is dropped.
 struct QueryEnv {
   std::shared_ptr<const traj::TrajectoryStore> store;
   /// Parallelism for analytic statements; nullptr = sequential.
@@ -38,15 +37,9 @@ struct QueryEnv {
   bool use_index = true;
 };
 
-/// Non-owning `QueryEnv::store` handle for embedders whose store outlives
-/// every cursor by contract (the embedded `Session`'s MOD catalog).
-std::shared_ptr<const traj::TrajectoryStore> BorrowStore(
-    const traj::TrajectoryStore* store);
-
 /// \brief Executes one parsed statement with its bound `$N` values —
-/// the seam every frontend (embedded `sql::Session`, service
-/// `ClientSession`) exposes so `PreparedStatement` can run against any
-/// of them.
+/// the seam every `FrontEnd` exposes so `PreparedStatement` can run
+/// against any of them.
 using StatementRunner =
     std::function<StatusOr<std::unique_ptr<RowCursor>>(
         const Statement&, const std::vector<Value>&)>;
@@ -92,8 +85,8 @@ class PreparedStatement {
 StatusOr<std::string> ResolveSelectModName(const Statement& stmt,
                                            const std::vector<Value>& binds);
 
-/// Canonical (ASCII upper-case) MOD name — the one catalog key rule the
-/// embedded session's map and the service server's catalog both follow.
+/// Canonical (ASCII upper-case) MOD name — the catalog key rule of the
+/// service server and the shard coordinator.
 std::string CanonicalModName(const std::string& name);
 
 /// \brief Evaluates one SELECT function — STATS / RANGE / S2T /
@@ -126,11 +119,9 @@ StatusOr<std::vector<traj::Trajectory>> BuildInsertTrajectories(
 /// `CheckIngestable` before anything is loaded.
 StatusOr<traj::TrajectoryStore> ReadLoadFile(const std::string& path);
 
-/// The ingest precondition of LOAD files and of queued (service and
-/// sharded) INSERTs: a trajectory needs >= 2 samples, since one sample
-/// forms no segment. `InvalidArgument` otherwise. The embedded session's
-/// synchronous INSERT stores such points anyway; its QUT tree leaves
-/// them out (`core::QutTreeSlot`).
+/// The ingest precondition of every LOAD file and INSERT, on every
+/// backend: a trajectory needs >= 2 samples, since one sample forms no
+/// segment. `InvalidArgument` otherwise.
 Status CheckIngestable(const traj::Trajectory& t);
 
 /// Resolves a scalar: the literal itself, or the bound value of `$N`.

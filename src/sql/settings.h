@@ -90,10 +90,10 @@ struct HermesSettingDefaults {
 /// \brief Registers the standard `hermes.*` knobs (threads / sigma /
 /// epsilon / use_index) into `settings` with the shared validators.
 ///
-/// Every owner — the embedded `sql::Session` and each
-/// `service::ClientSession` — registers into its *own* `Settings`
-/// instance: settings are session-scoped state, never process-global, so
-/// two sessions with different `hermes.threads` or bandwidths cannot
+/// Every owner — each `sql::FrontEnd` (service, embedded and coordinator
+/// sessions alike) — registers into its *own* `Settings` instance:
+/// settings are session-scoped state, never process-global, so two
+/// sessions with different `hermes.threads` or bandwidths cannot
 /// interfere. `on_threads_change` (optional) fires after `hermes.threads`
 /// passes validation, letting the owner swap its `ExecContext`.
 Status RegisterHermesSettings(Settings* settings,

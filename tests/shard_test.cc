@@ -649,9 +649,65 @@ TEST(StatementExecutorParityTest, EmbeddedServiceCoordinatorAndWireAgree) {
   server->Shutdown();
 }
 
+/// Forwards to a MemEnv and tracks which files exist, so a test can see
+/// which tree directories still hold files.
+class TrackingEnv final : public storage::Env {
+ public:
+  StatusOr<std::unique_ptr<storage::RandomRWFile>> NewRWFile(
+      const std::string& fname) override {
+    {
+      common::MutexLock lock(&mu_);
+      files_.insert(fname);
+    }
+    return base_->NewRWFile(fname);
+  }
+  bool FileExists(const std::string& fname) const override {
+    return base_->FileExists(fname);
+  }
+  Status DeleteFile(const std::string& fname) override {
+    Status st = base_->DeleteFile(fname);
+    common::MutexLock lock(&mu_);
+    if (st.ok()) files_.erase(fname);
+    return st;
+  }
+  Status RenameFile(const std::string& src, const std::string& dst) override {
+    Status st = base_->RenameFile(src, dst);
+    common::MutexLock lock(&mu_);
+    if (st.ok()) {
+      files_.erase(src);
+      files_.insert(dst);
+    }
+    return st;
+  }
+  Status CreateDirs(const std::string& dirname) override {
+    return base_->CreateDirs(dirname);
+  }
+  StatusOr<std::vector<std::string>> ListDir(
+      const std::string& dirname) const override {
+    return base_->ListDir(dirname);
+  }
+
+  /// Directories holding at least one file whose directory name contains
+  /// `marker`.
+  std::set<std::string> DirsWith(const std::string& marker) const {
+    common::MutexLock lock(&mu_);
+    std::set<std::string> dirs;
+    for (const std::string& f : files_) {
+      const std::string dir = f.substr(0, f.rfind('/'));
+      if (dir.find(marker) != std::string::npos) dirs.insert(dir);
+    }
+    return dirs;
+  }
+
+ private:
+  std::unique_ptr<storage::Env> base_ = storage::Env::NewMemEnv();
+  mutable common::Mutex mu_;
+  std::set<std::string> files_ GUARDED_BY(mu_);
+};
+
 /// The four backends of the parity tests, each over its own empty
-/// catalog: embedded session, service session, 2-shard coordinator, and
-/// a wire client fronting another service server.
+/// catalog: embedded session, service session, 2-shard coordinator (over
+/// `coord_env`), and a wire client fronting another service server.
 struct Backends {
   Backends() {
     embedded_db = sql::MakeSessionExecutor(&session);
@@ -660,7 +716,7 @@ struct Backends {
     service_db = service::MakeStatementExecutor(server->Connect());
     service::ServiceConfig config;
     config.shards = 2;
-    coord = std::move(Coordinator::Start(config)).value();
+    coord = std::move(Coordinator::Start(config, &coord_env)).value();
     coord_db = coord->Connect();
     wire_server = std::move(service::Server::Start(service::ServerOptions{}))
                       .value();
@@ -686,6 +742,7 @@ struct Backends {
   std::unique_ptr<sql::StatementExecutor> embedded_db;
   std::unique_ptr<service::Server> server;
   std::unique_ptr<sql::StatementExecutor> service_db;
+  TrackingEnv coord_env;
   std::unique_ptr<Coordinator> coord;
   std::unique_ptr<sql::StatementExecutor> coord_db;
   std::unique_ptr<service::Server> wire_server;
@@ -821,15 +878,12 @@ TEST(StatementExecutorParityTest, OneSampleObjectsChangeNothing) {
     EXPECT_EQ(fresh.status().code(), StatusCode::kInvalidArgument);
     EXPECT_FALSE(db->Execute("SELECT STATS(other);").ok());  // No phantom.
 
-    if (db != b.embedded_db.get()) {
-      // Queued ingest rejects the whole statement before any shard
-      // queues its part. (The embedded session applies INSERT
-      // synchronously and stores such points; its QUT tree skips them.)
-      auto ins = db->Execute(insert);
-      ASSERT_FALSE(ins.ok());
-      EXPECT_EQ(ins.status().code(), StatusCode::kInvalidArgument)
-          << ins.status().ToString();
-    }
+    // Every backend rejects the whole statement before any of it is
+    // applied or queued (sharded: before any shard queues its part).
+    auto ins = db->Execute(insert);
+    ASSERT_FALSE(ins.ok());
+    EXPECT_EQ(ins.status().code(), StatusCode::kInvalidArgument)
+        << ins.status().ToString();
     ASSERT_TRUE(db->Flush().ok());
     auto after = db->Execute("SELECT STATS(ships);");
     ASSERT_TRUE(after.ok());
@@ -839,11 +893,6 @@ TEST(StatementExecutorParityTest, OneSampleObjectsChangeNothing) {
     ASSERT_TRUE(q.ok()) << q.status().ToString();
     quts.push_back(std::move(*q));
   }
-  // The embedded session's stored points leave QUT untouched.
-  ASSERT_TRUE(b.embedded_db->Execute(insert).ok());
-  auto q = b.embedded_db->Execute(qut);
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-  quts.push_back(std::move(*q));
   for (size_t k = 1; k < quts.size(); ++k) {
     ExpectTablesEqual(quts[0], quts[k], "QUT " + std::to_string(k));
   }
@@ -948,7 +997,48 @@ TEST(StatementExecutorParityTest, NonNumericWindowFailsOnEveryBackend) {
       "(2, 10, 10, 5);"};
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
+  // An empty window (We <= Wi) fails before any tree is built, so a MOD
+  // no QUT has touched yet gets none.
+  const auto store = MakeMaritime();
+  const auto [t0, t1] = store.TimeDomain();
+  const double tau = (t1 - t0) / 8;
+  const std::string tree = ", " + std::to_string(tau) + ", " +
+                           std::to_string(tau / 4) + ", " +
+                           std::to_string(tau / 4) + ", 1600, 4);";
+  const std::vector<std::string> empty = {
+      "SELECT QUT(fresh, " + std::to_string(t1) + ", " + std::to_string(t0) +
+          tree,
+      "SELECT QUT(fresh, " + std::to_string(t0) + ", " + std::to_string(t0) +
+          tree};
   Backends b;
+  for (sql::StatementExecutor* db : b.All()) {
+    ASSERT_TRUE(db->Execute("CREATE MOD fresh;").ok());
+    for (traj::TrajectoryId i = 0; i < store.NumTrajectories(); ++i) {
+      ASSERT_TRUE(InsertTrajectory(db, "fresh", store.Get(i)).ok());
+    }
+    ASSERT_TRUE(db->Flush().ok());
+    for (const std::string& q : empty) {
+      auto t = db->Execute(q);
+      ASSERT_FALSE(t.ok()) << q;
+      EXPECT_TRUE(t.status().IsInvalidArgument()) << t.status().ToString();
+      EXPECT_NE(t.status().ToString().find("empty window"), std::string::npos)
+          << t.status().ToString();
+    }
+  }
+  auto phases = b.embedded_db->Execute("SHOW STATS;");
+  ASSERT_TRUE(phases.ok()) << phases.status().ToString();
+  for (const auto& row : phases->rows) {
+    EXPECT_NE(row[0], Value::Str("ingest_split"));
+  }
+  auto served = b.service_db->Execute("SHOW SERVICE STATS;");
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  for (const auto& row : served->rows) {
+    if (row[0] == Value::Str("ingest_split_us")) {
+      EXPECT_EQ(row[1], Value::Int(0));
+    }
+  }
+  EXPECT_TRUE(b.coord_env.DirsWith("coord_FRESH_tree_").empty());
+
   for (sql::StatementExecutor* db : b.All()) {
     for (const std::string& q : setup) ASSERT_TRUE(db->Execute(q).ok()) << q;
     ASSERT_TRUE(db->Flush().ok());
@@ -988,62 +1078,6 @@ TEST(StatementExecutorParityTest, NonNumericWindowFailsOnEveryBackend) {
 // ---------------------------------------------------------------------------
 // QUT tree lifecycle: retired trees leave no files behind
 // ---------------------------------------------------------------------------
-
-/// Forwards to a MemEnv and tracks which files exist, so a test can see
-/// which tree directories still hold files.
-class TrackingEnv final : public storage::Env {
- public:
-  StatusOr<std::unique_ptr<storage::RandomRWFile>> NewRWFile(
-      const std::string& fname) override {
-    {
-      common::MutexLock lock(&mu_);
-      files_.insert(fname);
-    }
-    return base_->NewRWFile(fname);
-  }
-  bool FileExists(const std::string& fname) const override {
-    return base_->FileExists(fname);
-  }
-  Status DeleteFile(const std::string& fname) override {
-    Status st = base_->DeleteFile(fname);
-    common::MutexLock lock(&mu_);
-    if (st.ok()) files_.erase(fname);
-    return st;
-  }
-  Status RenameFile(const std::string& src, const std::string& dst) override {
-    Status st = base_->RenameFile(src, dst);
-    common::MutexLock lock(&mu_);
-    if (st.ok()) {
-      files_.erase(src);
-      files_.insert(dst);
-    }
-    return st;
-  }
-  Status CreateDirs(const std::string& dirname) override {
-    return base_->CreateDirs(dirname);
-  }
-  StatusOr<std::vector<std::string>> ListDir(
-      const std::string& dirname) const override {
-    return base_->ListDir(dirname);
-  }
-
-  /// Directories holding at least one file whose directory name contains
-  /// `marker`.
-  std::set<std::string> DirsWith(const std::string& marker) const {
-    common::MutexLock lock(&mu_);
-    std::set<std::string> dirs;
-    for (const std::string& f : files_) {
-      const std::string dir = f.substr(0, f.rfind('/'));
-      if (dir.find(marker) != std::string::npos) dirs.insert(dir);
-    }
-    return dirs;
-  }
-
- private:
-  std::unique_ptr<storage::Env> base_ = storage::Env::NewMemEnv();
-  mutable common::Mutex mu_;
-  std::set<std::string> files_ GUARDED_BY(mu_);
-};
 
 TEST(QutTreeLifecycleTest, RetiredTreesLeaveOneTreeOfFilesPerMod) {
   // Every round ingests, then queries with parameters the tree was not

@@ -3,6 +3,8 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <string>
 #include <utility>
 
 #include "datagen/noise.h"
@@ -996,17 +998,27 @@ TEST_F(SqlSessionTest, PreparedBindingErrors) {
 
 TEST_F(SqlSessionTest, PreparedInsertReusedByMaintenanceLoop) {
   ASSERT_TRUE(session_.Execute("CREATE MOD d;").ok());
-  auto insert = session_.Prepare("INSERT INTO d VALUES ($1, $2, $3, $4);");
+  // Two samples per object: one sample forms no segment.
+  auto insert = session_.Prepare(
+      "INSERT INTO d VALUES ($1, $2, $3, $4), ($1, $5, $6, $4);");
   ASSERT_TRUE(insert.ok());
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(insert->Bind(1, Value::Int(100 + i)).ok());
     ASSERT_TRUE(insert->Bind(2, Value::Double(0)).ok());
     ASSERT_TRUE(insert->Bind(3, Value::Double(i)).ok());
     ASSERT_TRUE(insert->Bind(4, Value::Double(0)).ok());
+    ASSERT_TRUE(insert->Bind(5, Value::Double(10)).ok());
+    ASSERT_TRUE(insert->Bind(6, Value::Double(i + 1)).ok());
     auto ack = insert->Execute();
-    ASSERT_TRUE(ack.ok());
+    ASSERT_TRUE(ack.ok()) << ack.status().ToString();
     EXPECT_EQ(ack->rows[0][1], Value::Int(1));
   }
+  // A one-sample object is rejected, as on every backend, and changes
+  // nothing.
+  auto single = session_.Prepare("INSERT INTO d VALUES ($1, 0, 0, 0);");
+  ASSERT_TRUE(single.ok());
+  ASSERT_TRUE(single->Bind(1, Value::Int(200)).ok());
+  EXPECT_EQ(single->Execute().status().code(), StatusCode::kInvalidArgument);
   auto stats = session_.Execute("SELECT STATS(d);");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->rows[0][0], Value::Int(5));
@@ -1115,6 +1127,50 @@ TEST_F(SqlSessionTest, S2TMembersCursorStreamsEveryMember) {
   EXPECT_EQ(outlier_rows, summary->rows.back()[1].AsInt());
 }
 
+TEST(SessionCursorTest, CursorsKeepTheirSnapshotAcrossDdlAndIngest) {
+  // A streaming cursor reads the snapshot its statement took: dropping,
+  // replacing or appending to the MOD mid-stream changes none of its
+  // rows (nor frees what it reads).
+  const traj::TrajectoryStore lanes = datagen::MakeParallelLanes(
+      2, 4, 2000.0, 800.0, 10.0, 10.0, /*seed=*/3, /*jitter=*/1.0);
+  const std::vector<std::string> queries = {
+      "SELECT RANGE(lanes, 0, 1000);", "SELECT S2T_MEMBERS(lanes, 30, 60);"};
+  const std::vector<std::string> changes = {
+      "DROP MOD lanes;", "REGISTER",
+      "INSERT INTO lanes VALUES (77, 0, 0, 0), (77, 10, 5, 0);"};
+  for (const std::string& change : changes) {
+    Session session;
+    ASSERT_TRUE(session.RegisterStore("lanes", lanes).ok());
+    std::vector<Table> want;
+    std::vector<std::unique_ptr<RowCursor>> cursors;
+    std::vector<std::vector<std::vector<Value>>> got(queries.size());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      auto table = session.Execute(queries[q]);
+      ASSERT_TRUE(table.ok()) << table.status().ToString();
+      ASSERT_GE(table->rows.size(), 2u) << queries[q];
+      want.push_back(std::move(*table));
+      auto cursor = session.ExecuteCursor(queries[q]);
+      ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+      std::vector<Value> row;
+      auto more = (*cursor)->Next(&row);
+      ASSERT_TRUE(more.ok() && *more) << queries[q];
+      got[q].push_back(row);
+      cursors.push_back(std::move(*cursor));
+    }
+    if (change == "REGISTER") {
+      ASSERT_TRUE(session.RegisterStore("lanes", traj::TrajectoryStore()).ok());
+    } else {
+      ASSERT_TRUE(session.Execute(change).ok()) << change;
+    }
+    for (size_t q = 0; q < queries.size(); ++q) {
+      auto rest = cursors[q]->ToTable();
+      ASSERT_TRUE(rest.ok()) << rest.status().ToString();
+      got[q].insert(got[q].end(), rest->rows.begin(), rest->rows.end());
+      EXPECT_EQ(got[q], want[q].rows) << change << " / " << queries[q];
+    }
+  }
+}
+
 TEST_F(SqlSessionTest, MaterializingStatementsStillCursor) {
   ASSERT_TRUE(session_.Execute("CREATE MOD d;").ok());
   auto cursor = session_.ExecuteCursor("SELECT STATS(d);");
@@ -1177,10 +1233,21 @@ TEST(SessionScopingTest, FlushIsANoOpAckAndServiceStatsNeedsAService) {
   auto flush = session.Execute("FLUSH;");
   ASSERT_TRUE(flush.ok());
   EXPECT_EQ(flush->rows[0][0], Value::Str("FLUSH"));
-  // SHOW SERVICE STATS is a service-session statement.
+  // SHOW SERVICE STATS reports the session's private server: one open
+  // session, and the MODs and INSERTs of this session alone.
+  ASSERT_TRUE(session.Execute("CREATE MOD d;").ok());
+  ASSERT_TRUE(session
+                  .Execute("INSERT INTO d VALUES (1, 0, 0, 0), (1, 10, 5, 0);")
+                  .ok());
   auto svc = session.Execute("SHOW SERVICE STATS;");
-  EXPECT_FALSE(svc.ok());
-  EXPECT_EQ(svc.status().code(), StatusCode::kNotSupported);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  std::map<std::string, int64_t> counters;
+  for (const auto& row : svc->rows) counters[row[0].AsString()] = row[1].AsInt();
+  EXPECT_EQ(counters["sessions_opened"], 1);
+  EXPECT_EQ(counters["sessions_active"], 1);
+  EXPECT_EQ(counters["mods"], 1);
+  EXPECT_EQ(counters["ingest_queue_depth"], 0);
+  EXPECT_EQ(counters["wal_records_appended"], 0);
 }
 
 // ---------------------------------------------------------------------------
