@@ -78,7 +78,7 @@ int RunDaemon(const hermes::service::ServiceConfig& config,
   auto coord = std::move(*coord_or);
   // A recovered catalog already holds the acked state — re-seeding the
   // demo fleet would wipe what recovery just restored.
-  const bool recovered = coord->GatherSnapshot("ships").ok();
+  const bool recovered = coord->ShardSnapshots("ships").ok();
   if (!recovered) {
     auto fleet = DemoFleet(num_ships);
     if (!fleet.ok() ||

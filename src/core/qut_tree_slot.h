@@ -33,9 +33,10 @@ void DeleteTreeFiles(storage::Env* env, const std::string& dir);
 enum class QutTreeWork { kNone, kCaughtUp, kRebuilt };
 
 /// \brief The one lifecycle, lock and read path of a QUT ReTraTree over a
-/// growing store, shared by the service server (query path and ingest
-/// worker; the embedded `sql::Session` runs a private one) and the shard
-/// coordinator's merged view.
+/// growing store: each MOD of a `service::Server` owns one, read by the
+/// query path and caught up by the ingest worker. (The embedded
+/// `sql::Session` and the shard coordinator's merged views are MODs of
+/// private servers.)
 ///
 /// The slot owns the tree, its raw `(tau, delta, t, d, gamma)`, how many
 /// store trajectories the tree has consumed, and the sequence naming its
@@ -51,7 +52,8 @@ enum class QutTreeWork { kNone, kCaughtUp, kRebuilt };
 /// retired tree's files are deleted. Every store handed to `Query` /
 /// `Refresh` / `CatchUp` must be a prefix or an append-only extension of
 /// the trajectory sequence the tree consumed — the same store, or a
-/// snapshot of it; an owner whose store is replaced calls `Drop`.
+/// snapshot of it; an owner whose store is replaced calls `Drop` (the
+/// server instead replaces the whole MOD, slot included).
 ///
 /// Thread-safe: queries on a fresh tree share the slot's lock; refreshes,
 /// catch-ups and drops take it exclusive. The owner keeps the store it

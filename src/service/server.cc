@@ -46,7 +46,6 @@ StatusOr<std::unique_ptr<Server>> Server::Start(ServerOptions options,
     // exists: checkpoint load + WAL tail replay, then a fresh segment.
     HERMES_RETURN_NOT_OK(server->RecoverOrInit());
   }
-  server->worker_ = std::thread([s = server.get()] { s->WorkerLoop(); });
   return server;
 }
 
@@ -54,9 +53,10 @@ Server::~Server() { Shutdown(); }
 
 void Server::Shutdown() {
   common::MutexLock lock(&shutdown_mu_);
-  if (!worker_.joinable()) return;  // Already shut down.
+  if (shut_down_) return;
+  shut_down_ = true;
   queue_.Close();
-  worker_.join();
+  if (worker_.joinable()) worker_.join();
 }
 
 std::unique_ptr<ClientSession> Server::Connect() {
@@ -288,6 +288,15 @@ StatusOr<uint64_t> Server::EnqueueInsert(const std::string& name,
   // hit asynchronously must fail *here*: a poisoned queue entry would
   // only ever surface as a service-wide ingest_errors count.
   HERMES_RETURN_NOT_OK(CheckInsert(key, batch));
+  {
+    // The worker starts with the first queued batch, so a server nothing
+    // is ever queued on (an embedded session's, the merge server) runs
+    // no thread. After Shutdown the closed queue rejects the push.
+    common::MutexLock lock(&shutdown_mu_);
+    if (!shut_down_ && !worker_.joinable()) {
+      worker_ = std::thread([this] { WorkerLoop(); });
+    }
+  }
   IngestBatch b;
   b.mod = key;
   b.trajectories = std::move(batch);

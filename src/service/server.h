@@ -119,8 +119,8 @@ void AppendHotTierRows(const core::HotTierStats& s, const std::string& prefix,
 /// Ownership / threading (see docs/ARCHITECTURE.md "Service layer"):
 ///
 ///  - The server owns the env, the catalog, one `ExecContext`, the
-///    `IngestQueue`, and the worker thread. It must outlive every
-///    `ClientSession` it connects.
+///    `IngestQueue`, and the worker thread, which the first queued batch
+///    starts. It must outlive every `ClientSession` it connects.
 ///  - Each MOD holds the writable store (appended to only by `Apply`,
 ///    under the MOD's writer lock), the shared ReTraTree
 ///    (locked by its slot; QUT reads it over the published snapshot, the
@@ -132,10 +132,13 @@ void AppendHotTierRows(const core::HotTierStats& s, const std::string& prefix,
 ///    through `ReTraTree::InsertBatch` on the server context, then
 ///    republishes. `FLUSH` blocks until every batch enqueued before it is
 ///    applied and visible. (The embedded `sql::Session` commits its
-///    INSERTs synchronously through `Insert` instead.)
+///    INSERTs synchronously through `Insert` instead, and the shard
+///    coordinator's merge server only registers stores, so neither ever
+///    starts the worker.)
 class Server {
  public:
-  /// Starts the service (spawns the ingest worker). `env` defaults to a
+  /// Starts the service (recovering it first when durable); the ingest
+  /// worker spawns with the first `EnqueueInsert`. `env` defaults to a
   /// private in-memory environment; pass a Posix env to persist
   /// partitions under `options.data_dir`.
   static StatusOr<std::unique_ptr<Server>> Start(ServerOptions options,
@@ -143,9 +146,9 @@ class Server {
 
   ~Server();
 
-  /// Closes the queue, drains what is pending, and joins the worker.
-  /// Idempotent. Sessions stay usable for queries; later `INSERT`s fail
-  /// with `Unavailable` ("ingest queue closed").
+  /// Closes the queue, drains what is pending, and joins the worker (if
+  /// one started). Idempotent. Sessions stay usable for queries; later
+  /// `INSERT`s fail with `Unavailable` ("ingest queue closed").
   void Shutdown();
 
   /// Opens an independent client session (its own settings + exec
@@ -332,7 +335,7 @@ class Server {
   std::atomic<bool> wal_failed_{false};
   /// Recovery generation: the manifest's + 1 when `Start` recovers from
   /// one. Baked into shared tree directory names, next to the MOD
-  /// instance number. Written only before the worker spawns.
+  /// instance number. Written only in `Start`, before any session exists.
   uint64_t gen_ = 0;
   std::atomic<uint64_t> mod_instances_{0};
   uint64_t checkpoint_id_ GUARDED_BY(wal_mu_) = 0;
@@ -344,11 +347,13 @@ class Server {
       GUARDED_BY(catalog_mu_);
 
   IngestQueue queue_;
-  /// Spawned once in `Start` (before any concurrent access exists) and
-  /// joined in `Shutdown` under `shutdown_mu_`.
-  std::thread worker_;
-  /// Serializes Shutdown against itself (dtor + explicit call).
+  /// Serializes Shutdown against itself (dtor + explicit call) and
+  /// against the worker's start.
   common::Mutex shutdown_mu_;
+  bool shut_down_ GUARDED_BY(shutdown_mu_) = false;
+  /// Spawned by the first `EnqueueInsert` (never after `Shutdown`) and
+  /// joined in `Shutdown`.
+  std::thread worker_ GUARDED_BY(shutdown_mu_);
 
   common::Mutex flush_mu_;
   std::condition_variable flush_cv_;

@@ -16,15 +16,6 @@ Status ShardError(size_t k, const Status& st) {
                 "shard " + std::to_string(k) + ": " + st.message());
 }
 
-std::vector<traj::Trajectory> Trajectories(const traj::TrajectoryStore& s) {
-  std::vector<traj::Trajectory> out;
-  out.reserve(s.NumTrajectories());
-  for (traj::TrajectoryId i = 0; i < s.NumTrajectories(); ++i) {
-    out.push_back(s.Get(i));
-  }
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -63,6 +54,12 @@ StatusOr<std::unique_ptr<Coordinator>> Coordinator::Start(
     }
     coord->shards_.push_back(std::move(*shard));
   }
+  service::ServerOptions merge_options;
+  merge_options.data_dir = coord->config_.data_dir + "/coord";
+  merge_options.session_defaults = coord->config_.session_defaults;
+  HERMES_ASSIGN_OR_RETURN(
+      coord->merged_,
+      service::Server::Start(std::move(merge_options), coord->env_));
   return coord;
 }
 
@@ -75,6 +72,7 @@ void Coordinator::Shutdown() {
     shut_down_ = true;
   }
   for (auto& shard : shards_) shard->Shutdown();
+  if (merged_ != nullptr) merged_->Shutdown();
 }
 
 void Coordinator::OnSessionClosed() {
@@ -104,10 +102,13 @@ Status Coordinator::CreateMod(const std::string& name) {
 Status Coordinator::DropMod(const std::string& name) {
   Status st =
       OnEveryShard([&](service::Server* s) { return s->DropMod(name); });
-  // The merged view is a cache of the shards, so retiring it is always
-  // safe; its last holder's release deletes the merged tree's files.
+  // The merged MOD is a cache of the shards, so retiring it is always
+  // safe (NotFound: never merged); its last holder's release deletes its
+  // tree's files.
   common::MutexLock lock(&merged_mu_);
-  merged_.erase(sql::CanonicalModName(name));
+  Status retired = merged_->DropMod(name);
+  if (st.ok() && !retired.IsNotFound()) st = std::move(retired);
+  sources_.erase(sql::CanonicalModName(name));
   return st;
 }
 
@@ -125,35 +126,46 @@ std::vector<std::vector<traj::Trajectory>> Coordinator::SplitByShard(
   return parts;
 }
 
+StatusOr<std::vector<traj::TrajectoryStore>> Coordinator::SplitStore(
+    const traj::TrajectoryStore& store) const {
+  std::vector<traj::TrajectoryStore> pieces(shards_.size());
+  for (traj::TrajectoryId i = 0; i < store.NumTrajectories(); ++i) {
+    const traj::Trajectory& t = store.Get(i);
+    const size_t k = partitioner_->ShardOf(t.object_id(), shards_.size());
+    HERMES_RETURN_NOT_OK(pieces[k].Add(t).status());
+  }
+  return pieces;
+}
+
 Status Coordinator::RegisterStore(const std::string& name,
                                   traj::TrajectoryStore store) {
-  std::vector<std::vector<traj::Trajectory>> parts =
-      SplitByShard(Trajectories(store));
+  HERMES_ASSIGN_OR_RETURN(std::vector<traj::TrajectoryStore> pieces,
+                          SplitStore(store));
   // Every shard gets the MOD — possibly empty — so DDL and scattered
   // queries never see a partial catalog.
   for (size_t k = 0; k < shards_.size(); ++k) {
-    traj::TrajectoryStore piece;
-    for (traj::Trajectory& t : parts[k]) {
-      HERMES_RETURN_NOT_OK(piece.Add(std::move(t)).status());
-    }
-    Status st = shards_[k]->RegisterStore(name, std::move(piece));
+    Status st = shards_[k]->RegisterStore(name, std::move(pieces[k]));
     if (!st.ok()) return ShardError(k, st);
   }
   return Status::OK();
 }
 
 StatusOr<std::pair<size_t, size_t>> Coordinator::LoadMod(
-    const std::string& name, traj::TrajectoryStore loaded) {
-  // Create-if-absent, in lockstep: the MOD exists on all shards or none.
-  if (!shards_[0]->SnapshotMod(name).ok()) {
-    HERMES_RETURN_NOT_OK(CreateMod(name));
+    const std::string& name, traj::TrajectoryStore parsed) {
+  HERMES_ASSIGN_OR_RETURN(std::vector<traj::TrajectoryStore> pieces,
+                          SplitStore(parsed));
+  // Every shard loads, empty pieces included, so each creates the MOD if
+  // absent (with its rows, in one record) and the catalogs stay in
+  // lockstep.
+  std::pair<size_t, size_t> totals(0, 0);
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    StatusOr<std::pair<size_t, size_t>> loaded =
+        shards_[k]->LoadMod(name, std::move(pieces[k]));
+    if (!loaded.ok()) return ShardError(k, loaded.status());
+    totals.first += loaded->first;
+    totals.second += loaded->second;
   }
-  HERMES_RETURN_NOT_OK(EnqueueInsert(name, Trajectories(loaded)).status());
-  // LOAD acks with post-load totals, so make the rows visible first.
-  HERMES_RETURN_NOT_OK(Flush());
-  HERMES_ASSIGN_OR_RETURN(std::shared_ptr<const traj::TrajectoryStore> snap,
-                          GatherSnapshot(name));
-  return std::make_pair(snap->NumTrajectories(), snap->NumPoints());
+  return totals;
 }
 
 StatusOr<uint64_t> Coordinator::EnqueueInsert(
@@ -187,6 +199,9 @@ CoordinatorStats Coordinator::Stats() const {
     cs.per_shard.push_back(shard->Stats());
     service::AccumulateServiceStats(cs.per_shard.back(), &cs.total);
   }
+  // Coordinator QUTs run on the merged trees, so their hot tier is the
+  // one the total reports (coordinator statements build no shard tree).
+  static_cast<core::HotTierStats&>(cs.total) += merged_->Stats();
   cs.total.sessions_opened += sessions_opened_.load(std::memory_order_relaxed);
   cs.total.sessions_active += sessions_active_.load(std::memory_order_relaxed);
   return cs;
@@ -210,9 +225,20 @@ Coordinator::ShardSnapshots(const std::string& name) const {
   return snaps;
 }
 
-Status Coordinator::RebuildMerged(
-    MergedMod* mm,
-    std::vector<std::shared_ptr<const traj::TrajectoryStore>> snaps) {
+Status Coordinator::Merge(const std::string& name) {
+  const std::string canonical = sql::CanonicalModName(name);
+  // The snapshots and the registration under one lock: a racing DropMod
+  // either drops the shards first (the snapshot fails) or retires the
+  // merged MOD after this registers it, so a dropped MOD never gets its
+  // merge back.
+  common::MutexLock lock(&merged_mu_);
+  HERMES_ASSIGN_OR_RETURN(
+      std::vector<std::shared_ptr<const traj::TrajectoryStore>> snaps,
+      ShardSnapshots(canonical));
+  // Every shard still publishes the snapshot the merge was built from
+  // (pointer identity; `sources_` holds them shared).
+  auto it = sources_.find(canonical);
+  if (it != sources_.end() && it->second == snaps) return Status::OK();
   // Canonical order: ascending object id, stable within an object. An
   // object lives entirely on one shard (the partitioner is a pure
   // function of its id), so the stable sort preserves each object's
@@ -235,73 +261,29 @@ Status Coordinator::RebuildMerged(
                    });
   traj::TrajectoryStore merged;
   for (const Entry& e : entries) {
-    StatusOr<traj::TrajectoryId> added =
-        merged.Add(snaps[e.shard]->Get(e.idx));
-    if (!added.ok()) return added.status();
+    HERMES_RETURN_NOT_OK(merged.Add(snaps[e.shard]->Get(e.idx)).status());
   }
-  mm->merged =
-      std::make_shared<const traj::TrajectoryStore>(std::move(merged));
-  mm->sources = std::move(snaps);
-  // The old tree indexed the old merge; drop it so QUT rebuilds. There
-  // is no catch-up here: a moved merge can interleave *earlier* object
-  // ids, so it is not an append to what the tree consumed.
-  mm->tree.Drop();
+  // A replaced MOD starts without a tree: a moved merge can interleave
+  // *earlier* object ids, so it is not an append to what a tree consumed.
+  HERMES_RETURN_NOT_OK(merged_->RegisterStore(canonical, std::move(merged)));
+  sources_[canonical] = std::move(snaps);
   return Status::OK();
-}
-
-StatusOr<std::shared_ptr<Coordinator::MergedMod>> Coordinator::CurrentMerged(
-    const std::string& name) {
-  const std::string canonical = sql::CanonicalModName(name);
-  std::vector<std::shared_ptr<const traj::TrajectoryStore>> snaps;
-  std::shared_ptr<MergedMod> mm;
-  {
-    // Snapshots and slot lookup under one lock: a racing DropMod either
-    // drops the shards first (the snapshot fails) or erases the slot
-    // after this lookup, so a dropped MOD never gets its view back.
-    common::MutexLock lock(&merged_mu_);
-    HERMES_ASSIGN_OR_RETURN(snaps, ShardSnapshots(canonical));
-    std::shared_ptr<MergedMod>& slot = merged_[canonical];
-    if (slot == nullptr) {
-      slot = std::make_shared<MergedMod>(
-          env_, config_.data_dir + "/coord_" + canonical + "_tree_");
-    }
-    mm = slot;
-  }
-  {
-    // Fast path: every shard still publishes the snapshot the cache was
-    // merged from (pointer identity; `sources` holds them shared, so a
-    // pointer can never be recycled while we compare against it).
-    common::ReaderMutexLock rlock(&mm->mu);
-    if (mm->sources == snaps) return mm;
-  }
-  common::WriterMutexLock wlock(&mm->mu);
-  if (mm->sources != snaps) {
-    HERMES_RETURN_NOT_OK(RebuildMerged(mm.get(), std::move(snaps)));
-  }
-  return mm;
 }
 
 StatusOr<std::shared_ptr<const traj::TrajectoryStore>>
 Coordinator::GatherSnapshot(const std::string& name) {
-  HERMES_ASSIGN_OR_RETURN(std::shared_ptr<MergedMod> mm, CurrentMerged(name));
-  common::ReaderMutexLock rlock(&mm->mu);
-  return mm->merged;
+  HERMES_RETURN_NOT_OK(Merge(name));
+  return merged_->SnapshotMod(name);
 }
-
-// ---------------------------------------------------------------------------
-// QUT over the merged tree
-// ---------------------------------------------------------------------------
 
 StatusOr<core::QuTResult> Coordinator::QutQuery(
     const std::string& name, double wi, double we,
     const std::vector<double>& tree_params) {
-  HERMES_ASSIGN_OR_RETURN(std::shared_ptr<MergedMod> mm, CurrentMerged(name));
-  // Shared: the merge stays put while concurrent QUT readers proceed in
-  // parallel; the slot takes its own lock exclusive to rebuild.
-  common::ReaderMutexLock rlock(&mm->mu);
-  return mm->tree.Query(
-      tree_params, *mm->merged, exec_.get(),
-      static_cast<size_t>(config_.session_defaults.hot_index_budget), wi, we);
+  HERMES_RETURN_NOT_OK(Merge(name));
+  return merged_->QutQuery(
+      name, wi, we, tree_params,
+      static_cast<size_t>(config_.session_defaults.hot_index_budget),
+      exec_.get(), nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@
 #include "common/mutex.h"
 #include "common/statusor.h"
 #include "common/thread_annotations.h"
-#include "core/qut_tree_slot.h"
 #include "exec/exec_context.h"
 #include "service/server.h"
 #include "service/service_config.h"
@@ -40,9 +39,10 @@ class CoordinatorSession;
 /// Ownership / threading:
 ///
 ///  - The coordinator owns the env (shared by all shards, each under its
-///    own `data_dir/shard<k>` subtree), one `ExecContext` for merges and
-///    merged-tree builds, the partitioner, and the N shard servers. It
-///    must outlive every session it connects. A session's hooks call
+///    own `data_dir/shard<k>` subtree), one `ExecContext` for merged-tree
+///    builds, the partitioner, the N shard servers, and a private,
+///    WAL-less merge server (`data_dir/coord`) holding the merged views.
+///    It must outlive every session it connects. A session's hooks call
 ///    the methods below, which call the shards' `service::Server` API.
 ///  - Statement routing (see docs/SQL.md "Sharded execution"):
 ///    DDL (`CREATE`/`DROP` MOD), `FLUSH`, and `CHECKPOINT` run on every
@@ -60,10 +60,10 @@ class CoordinatorSession;
 ///    lives entirely on one shard), so the merged store — and therefore
 ///    every analytic result — is bit-identical for any shard count, and
 ///    identical to the unsharded server whenever objects first appear in
-///    ascending id order (the datagen convention). Merged stores are
-///    cached per MOD and rebuilt only when some shard publishes a new
-///    snapshot; a move of the merge drops the MOD's merged QUT tree
-///    (`core::QutTreeSlot::Drop`), and the next QUT rebuilds it.
+///    ascending id order (the datagen convention). Each merge is a MOD of
+///    the merge server, re-registered only when some shard publishes a
+///    new snapshot: like any replaced MOD, the new one starts without a
+///    tree, and the old tree is retired when its last reader lets go.
 ///
 /// Startup is atomic: if shard k fails to recover, `Start` fails with a
 /// `"shard k: ..."`-prefixed Status and every already-started shard is
@@ -79,7 +79,8 @@ class Coordinator {
 
   ~Coordinator();
 
-  /// Shuts every shard down (drains their ingest queues). Idempotent.
+  /// Shuts every shard and the merge server down (drains their ingest
+  /// queues). Idempotent.
   void Shutdown();
 
   /// Opens an independent coordinator session: its own settings and
@@ -90,7 +91,7 @@ class Coordinator {
   // shard order; the first error wins, unprefixed (lockstep catalogs
   // fail alike).
   Status CreateMod(const std::string& name);
-  /// Also retires the MOD's merged store and QUT tree.
+  /// Also retires the MOD's merged MOD (and with it its QUT tree).
   Status DropMod(const std::string& name);
   Status Checkpoint();
 
@@ -99,11 +100,10 @@ class Coordinator {
   /// seeding path mirroring `service::Server::RegisterStore`.
   Status RegisterStore(const std::string& name, traj::TrajectoryStore store);
 
-  /// Routes each trajectory of a parsed LOAD file (`sql::ReadLoadFile`)
-  /// to its owning shard and flushes; returns the MOD's post-load
-  /// (trajectories, points) totals — the sharded counterpart of
-  /// `service::Server::LoadMod` (the MOD is created on every shard if
-  /// absent).
+  /// Splits a parsed LOAD file (`sql::ReadLoadFile`) by the partitioner
+  /// and loads each piece through its shard's `service::Server::LoadMod`
+  /// (every shard, so the MOD exists everywhere); returns the summed
+  /// post-load (trajectories, points) totals.
   StatusOr<std::pair<size_t, size_t>> LoadMod(const std::string& name,
                                               traj::TrajectoryStore parsed);
 
@@ -123,16 +123,9 @@ class Coordinator {
   StatusOr<std::vector<std::shared_ptr<const traj::TrajectoryStore>>>
   ShardSnapshots(const std::string& name) const;
 
-  /// The MOD's merged snapshot across all shards (cached; rebuilt only
-  /// when a shard republished). Canonical object-id order — see the
-  /// class comment for the determinism contract.
-  StatusOr<std::shared_ptr<const traj::TrajectoryStore>> GatherSnapshot(
-      const std::string& name);
-
-  /// QUT over the MOD's merged tree (built from the merged snapshot,
-  /// cached until the merge moves), through `core::QutTreeSlot::Query`
-  /// under the merged view's shared lock — the same path as
-  /// `service::Server::QutQuery`.
+  /// QUT over the MOD's merged tree: the merged MOD's shared tree on the
+  /// merge server, through `service::Server::QutQuery` like every other
+  /// backend's.
   StatusOr<core::QuTResult> QutQuery(const std::string& name, double wi,
                                      double we,
                                      const std::vector<double>& tree_params);
@@ -144,27 +137,6 @@ class Coordinator {
   service::Server* shard(size_t k) { return shards_[k].get(); }
 
  private:
-  /// One MOD's merged view. `sources` records the per-shard snapshot
-  /// identities the cache was built from (held shared so a pointer can
-  /// never be reused while we still compare against it); `merged` is the
-  /// canonical-order merge of exactly those snapshots, and `tree` is
-  /// built over `merged` (dropped whenever `merged` is replaced).
-  struct MergedMod {
-    MergedMod(storage::Env* env, std::string tree_prefix)
-        : tree(env, std::move(tree_prefix)) {}
-
-    /// Writers rebuild the merge (dropping the tree); QUT readers and
-    /// snapshot reads of a current merge take it shared, so concurrent
-    /// queries proceed in parallel.
-    common::SharedMutex mu;
-    std::vector<std::shared_ptr<const traj::TrajectoryStore>> sources
-        GUARDED_BY(mu);
-    std::shared_ptr<const traj::TrajectoryStore> merged GUARDED_BY(mu);
-    /// The merged tree over `merged`. The slot locks itself; QUT calls
-    /// it under `mu` shared so `merged` stays put.
-    core::QutTreeSlot tree;
-  };
-
   friend class CoordinatorSession;
 
   Coordinator(service::ServiceConfig config, storage::Env* env,
@@ -173,14 +145,19 @@ class Coordinator {
   /// `batch` split by owning shard, in batch order within each shard.
   std::vector<std::vector<traj::Trajectory>> SplitByShard(
       std::vector<traj::Trajectory> batch) const;
+  /// `store`'s trajectories split by owning shard, one store per shard.
+  StatusOr<std::vector<traj::TrajectoryStore>> SplitStore(
+      const traj::TrajectoryStore& store) const;
   /// Runs `call` on every shard in shard order; the first error wins.
   Status OnEveryShard(const std::function<Status(service::Server*)>& call);
-  /// The MOD's merged view, refreshed to the shards' current snapshots.
-  StatusOr<std::shared_ptr<MergedMod>> CurrentMerged(const std::string& name);
-  /// Rebuilds `mm->merged` from `snaps` (dropping the stale tree).
-  Status RebuildMerged(MergedMod* mm,
-                       std::vector<std::shared_ptr<const traj::TrajectoryStore>>
-                           snaps) REQUIRES(mm->mu);
+  /// Brings the MOD's merged MOD on `merged_` up to the shards' current
+  /// snapshots: re-registers their canonical-order merge unless they are
+  /// the `sources_` it was merged from.
+  Status Merge(const std::string& name);
+  /// The MOD's merged snapshot (after `Merge`). Canonical object-id
+  /// order — see the class comment for the determinism contract.
+  StatusOr<std::shared_ptr<const traj::TrajectoryStore>> GatherSnapshot(
+      const std::string& name);
   void OnSessionClosed();
 
   service::ServiceConfig config_;
@@ -190,12 +167,19 @@ class Coordinator {
   std::unique_ptr<Partitioner> partitioner_;
   /// Started once in `Start`, immutable afterwards.
   std::vector<std::unique_ptr<service::Server>> shards_;
+  /// The merge server: one MOD per merged view, with its shared QUT tree.
+  /// WAL-less (a merge is a cache of the shards), started in `Start`.
+  std::unique_ptr<service::Server> merged_;
 
-  /// Also held across `ShardSnapshots` in `CurrentMerged`, so it is
-  /// acquired before a shard's catalog and snapshot locks.
-  mutable common::Mutex merged_mu_;
-  std::map<std::string, std::shared_ptr<MergedMod>> merged_
-      GUARDED_BY(merged_mu_);
+  /// Held across a whole `Merge` (including `ShardSnapshots`, so it is
+  /// acquired before a shard's catalog and snapshot locks) and across
+  /// `DropMod`'s retire of the merged MOD.
+  common::Mutex merged_mu_;
+  /// Per MOD, the shard snapshots its merged MOD was merged from (held
+  /// shared, so a pointer can never be reused while we compare to it).
+  std::map<std::string,
+           std::vector<std::shared_ptr<const traj::TrajectoryStore>>>
+      sources_ GUARDED_BY(merged_mu_);
 
   /// Serializes Shutdown against itself (dtor + explicit call).
   common::Mutex shutdown_mu_;

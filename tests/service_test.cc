@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -643,6 +644,67 @@ TEST(ServiceTest, ShutdownRejectsLaterInsertsButKeepsQueries) {
   auto stats = session->Execute("SELECT STATS(ships);");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->rows[0][0], Value::Int(4));
+}
+
+/// Threads of this process: the entries of `/proc/self/task`.
+size_t ProcessThreads() {
+  size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    n += task.is_directory() ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(ServiceTest, IngestWorkerStartsWithTheFirstQueuedBatch) {
+  const std::vector<std::string> setup = {
+      "SET hermes.threads = 1;", "CREATE MOD m;",
+      "INSERT INTO m VALUES (1, 0, 0, 0), (1, 10, 10, 0), (2, 0, 0, 5), "
+      "(2, 10, 10, 5);",
+      "SELECT QUT(m, 0, 20, 10, 5, 5, 100, 2);"};
+  const size_t base = ProcessThreads();
+  {
+    // The embedded session commits its INSERTs synchronously, so its
+    // private server never starts a worker.
+    sql::Session embedded;
+    for (const std::string& q : setup) {
+      auto t = embedded.Execute(q);
+      ASSERT_TRUE(t.ok()) << q << ": " << t.status().ToString();
+    }
+    EXPECT_EQ(ProcessThreads(), base);
+  }
+
+  auto server = std::move(Server::Start(ServerOptions{})).value();
+  auto session = server->Connect();
+  ASSERT_TRUE(session->Execute(setup[0]).ok());
+  ASSERT_TRUE(session->Execute(setup[1]).ok());
+  EXPECT_EQ(ProcessThreads(), base);
+  ASSERT_TRUE(session->Execute(setup[2]).ok());  // Queued: the worker starts.
+  EXPECT_EQ(ProcessThreads(), base + 1);
+  ASSERT_TRUE(session->Execute("FLUSH;").ok());
+  ASSERT_TRUE(session->Execute(setup[3]).ok());
+  ASSERT_TRUE(session->Execute("INSERT INTO m VALUES (3, 0, 0, 9), "
+                               "(3, 10, 10, 9);")
+                  .ok());
+  EXPECT_EQ(ProcessThreads(), base + 1);
+  session.reset();
+  server->Shutdown();
+
+  // Shut down before anything was queued: no worker ever starts, a later
+  // INSERT fails as on any shut-down server, and FLUSH returns at once.
+  auto idle = std::move(Server::Start(ServerOptions{})).value();
+  auto idle_session = idle->Connect();
+  ASSERT_TRUE(idle_session->Execute(setup[1]).ok());
+  idle->Shutdown();
+  auto late = idle_session->Execute(setup[2]);
+  ASSERT_FALSE(late.ok());
+  EXPECT_TRUE(late.status().IsUnavailable()) << late.status().ToString();
+  EXPECT_NE(late.status().ToString().find("ingest queue closed"),
+            std::string::npos)
+      << late.status().ToString();
+  EXPECT_TRUE(idle_session->Execute("FLUSH;").ok());
+  EXPECT_TRUE(idle->Flush().ok());
+  EXPECT_EQ(idle->Stats().batches_enqueued, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1037,7 +1037,7 @@ TEST(StatementExecutorParityTest, NonNumericWindowFailsOnEveryBackend) {
       EXPECT_EQ(row[1], Value::Int(0));
     }
   }
-  EXPECT_TRUE(b.coord_env.DirsWith("coord_FRESH_tree_").empty());
+  EXPECT_TRUE(b.coord_env.DirsWith("coord/FRESH_").empty());
 
   for (sql::StatementExecutor* db : b.All()) {
     for (const std::string& q : setup) ASSERT_TRUE(db->Execute(q).ok()) << q;
@@ -1073,6 +1073,95 @@ TEST(StatementExecutorParityTest, NonNumericWindowFailsOnEveryBackend) {
       EXPECT_TRUE(db->ClosePrepared(prepared->id).ok());
     }
   }
+}
+
+TEST(StatementExecutorParityTest, LoadAgreesAcrossBackends) {
+  // LOAD into a new MOD and into an existing one: every backend acks the
+  // same totals and ends with the same rows.
+  const auto store = MakeMaritime();
+  const std::string csv =
+      (std::filesystem::temp_directory_path() / "hermes_load_parity.csv")
+          .string();
+  {
+    // Several objects, so the file spans both shards.
+    std::ofstream out(csv);
+    out << "obj_id,t,x,y\n";
+    for (int id = 500; id < 508; ++id) {
+      for (int s = 0; s < 3; ++s) {
+        out << id << "," << s * 60 << "," << id + s * 100 << "," << s * 7
+            << "\n";
+      }
+    }
+  }
+  const std::vector<std::string> steps = {
+      "LOAD MOD fresh FROM '" + csv + "';",
+      "SELECT STATS(fresh);",
+      "SELECT RANGE(fresh, 0, 200);",
+      "LOAD MOD ships FROM '" + csv + "';",
+      "SELECT STATS(ships);",
+      "SELECT RANGE(ships, 0, 200);"};
+  Backends b;
+  std::vector<std::vector<Table>> answers;
+  for (sql::StatementExecutor* db : b.All()) {
+    ASSERT_TRUE(db->Execute("CREATE MOD ships;").ok());
+    for (traj::TrajectoryId i = 0; i < 6; ++i) {
+      ASSERT_TRUE(InsertTrajectory(db, "ships", store.Get(i)).ok());
+    }
+    ASSERT_TRUE(db->Flush().ok());
+    std::vector<Table> got;
+    for (const std::string& q : steps) {
+      auto t = db->Execute(q);
+      ASSERT_TRUE(t.ok()) << q << ": " << t.status().ToString();
+      got.push_back(std::move(*t));
+    }
+    answers.push_back(std::move(got));
+  }
+  // The acks' post-load trajectory totals: 8 loaded, then 6 + 8.
+  EXPECT_EQ(answers[0][0].rows[0][1], Value::Int(8));
+  EXPECT_EQ(answers[0][3].rows[0][1], Value::Int(14));
+  for (size_t k = 1; k < answers.size(); ++k) {
+    for (size_t q = 0; q < steps.size(); ++q) {
+      ExpectTablesEqual(answers[0][q], answers[k][q],
+                        "backend " + std::to_string(k) + ": " + steps[q]);
+    }
+  }
+  std::filesystem::remove(csv);
+}
+
+TEST(StatementExecutorParityTest, CoordinatorHotTierRowsCountTheMergedTrees) {
+  // QUT on a coordinator runs on the merged trees, so its total hot-tier
+  // rows must read what a service session over the same data reads.
+  const auto store = MakeMaritime();
+  const std::vector<std::string> names = {
+      "qut_hot_probes", "qut_cold_probes", "hot_promotions", "hot_demotions",
+      "hot_index_bytes", "hot_partitions", "hot_pins_total"};
+  Backends b;
+  std::vector<std::vector<int64_t>> rows;
+  for (sql::StatementExecutor* db : {b.service_db.get(), b.coord_db.get()}) {
+    ASSERT_TRUE(db->Execute("CREATE MOD ships;").ok());
+    for (traj::TrajectoryId i = 0; i < store.NumTrajectories(); ++i) {
+      ASSERT_TRUE(InsertTrajectory(db, "ships", store.Get(i)).ok());
+    }
+    ASSERT_TRUE(db->Flush().ok());
+    for (int r = 0; r < 3; ++r) {
+      auto q = db->Execute(ClusteringQut("ships", store, 8.0));
+      ASSERT_TRUE(q.ok()) << q.status().ToString();
+    }
+    auto stats = db->Execute("SHOW SERVICE STATS;");
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    std::vector<int64_t> hot;
+    for (const std::string& name : names) {
+      for (const auto& row : stats->rows) {
+        if (row[0] == Value::Str(name)) hot.push_back(row[1].AsInt());
+      }
+    }
+    ASSERT_EQ(hot.size(), names.size());
+    rows.push_back(std::move(hot));
+  }
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(rows[0][i], rows[1][i]) << names[i];
+  }
+  EXPECT_GT(rows[1][0], 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -1143,7 +1232,7 @@ TEST(QutTreeLifecycleTest, CoordinatorDropModRetiresMergedTree) {
   ASSERT_TRUE(db->Flush().ok());
   auto q = db->Execute(ClusteringQut("ships", store, 8.0));
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  EXPECT_FALSE(env.DirsWith("coord_").empty());  // The merged tree.
+  EXPECT_FALSE(env.DirsWith("coord/SHIPS_").empty());  // The merged tree.
 
   ASSERT_TRUE(db->Execute("DROP MOD ships;").ok());
   EXPECT_TRUE(env.DirsWith("tree_").empty());
@@ -1202,7 +1291,7 @@ TEST(QutTreeLifecycleTest, QutRacingDropModLeavesNoMergedTree) {
     }
     for (std::thread& t : readers) t.join();
     for (const std::string& mod : mods) {
-      EXPECT_TRUE(env.DirsWith("coord_" + mod + "_tree_").empty())
+      EXPECT_TRUE(env.DirsWith("coord/" + mod + "_").empty())
           << "round " << r << " " << mod;
     }
   }
