@@ -123,16 +123,23 @@ void BM_QuTQuery(benchmark::State& state) {
   const double fraction = static_cast<double>(state.range(0)) / 100.0;
   const auto [wi, we] = f.Window(fraction);
   core::QuTClustering qut(f.tree.get());
-  size_t clusters = 0, members = 0;
+  size_t clusters = 0, members = 0, rechecked = 0, exact = 0;
   for (auto _ : state) {
     auto result = qut.Query(wi, we);
     benchmark::DoNotOptimize(result);
     clusters = result->clusters.size();
     members = result->TotalMembers();
+    rechecked = result->stats.members_rechecked;
+    exact = result->stats.exact_distances;
   }
   state.counters["W_pct"] = static_cast<double>(state.range(0));
   state.counters["clusters"] = static_cast<double>(clusters);
   state.counters["members"] = static_cast<double>(members);
+  // Share of the boundary re-checks that ran the integral; a distance
+  // bound decided the rest.
+  state.counters["exact_share"] =
+      rechecked == 0 ? 0.0
+                     : static_cast<double>(exact) / static_cast<double>(rechecked);
 }
 
 void BM_RangeRebuildS2T(benchmark::State& state) {

@@ -46,6 +46,7 @@ struct Piece {
   const traj::SubTrajectory* stored = nullptr;
   traj::SubTrajectory trimmed;
   traj::SubTrajectoryRefs members;
+  MemberSpan span;  ///< Of `members`.
 
   const traj::SubTrajectory& representative() const {
     return stored != nullptr ? *stored : trimmed;
@@ -115,6 +116,7 @@ StatusOr<QuTResult> QuTClustering::Query(double wi, double we,
         result.stats.members_read += read.size();
         if (!read.empty()) result.storage.push_back(std::move(read.storage));
         piece.members = std::move(read.members);
+        piece.span = read.span;
       } else {
         // Boundary sub-chunk: trim to W and re-validate membership.
         piece.trimmed = traj::TrimToWindow(entry->representative, lo, hi);
@@ -129,10 +131,14 @@ StatusOr<QuTResult> QuTClustering::Query(double wi, double we,
               trimmed.Duration() < params.min_member_duration) {
             continue;
           }
-          const double d = traj::ClusteringDistance(
+          ++result.stats.members_rechecked;
+          bool integrated = false;
+          const bool member = traj::ClusteringDistanceAtMost(
               trimmed.points, trimmed.Bounds(), piece.trimmed.points,
-              rep_box, tp.min_overlap_ratio, tp.d_assign);
-          if (d <= tp.d_assign) {
+              rep_box, tp.min_overlap_ratio, tp.d_assign, &integrated);
+          result.stats.exact_distances += integrated;
+          if (member) {
+            piece.span.Add(trimmed);
             piece.members.push_back(keep(std::move(trimmed)));
           } else {
             ++result.stats.members_reassigned;
@@ -210,9 +216,12 @@ StatusOr<QuTResult> QuTClustering::Query(double wi, double we,
     if (ds.Find(i) == i) cluster_of[i] = roots++;
   }
   result.clusters.resize(roots);
+  std::vector<MemberSpan> member_spans(roots);
   for (size_t i = 0; i < pieces.size(); ++i) {
     Piece& piece = pieces[i];
-    QuTCluster& c = result.clusters[cluster_of[ds.Find(i)]];
+    const size_t ci = cluster_of[ds.Find(i)];
+    QuTCluster& c = result.clusters[ci];
+    member_spans[ci].Add(piece.span);
     if (piece.stored != nullptr) {
       c.representatives.push_back(*piece.stored);
     } else {
@@ -224,19 +233,17 @@ StatusOr<QuTResult> QuTClustering::Query(double wi, double we,
       c.members.Append(piece.members);
     }
   }
-  for (QuTCluster& c : result.clusters) {
+  for (size_t ci = 0; ci < roots; ++ci) {
+    QuTCluster& c = result.clusters[ci];
     std::sort(c.representatives.begin(), c.representatives.end(),
               [](const traj::SubTrajectory& a, const traj::SubTrajectory& b) {
                 return a.StartTime() < b.StartTime();
               });
-    for (const auto& r : c.representatives) {
-      c.start_time = std::min(c.start_time, r.StartTime());
-      c.end_time = std::max(c.end_time, r.EndTime());
-    }
-    for (const auto& m : c.members) {
-      c.start_time = std::min(c.start_time, m.StartTime());
-      c.end_time = std::max(c.end_time, m.EndTime());
-    }
+    MemberSpan span;
+    for (const auto& r : c.representatives) span.Add(r);
+    span.Add(member_spans[ci]);  // The members', folded per piece.
+    c.start_time = span.start;
+    c.end_time = span.end;
   }
   std::sort(result.clusters.begin(), result.clusters.end(),
             [](const QuTCluster& a, const QuTCluster& b) {

@@ -47,6 +47,11 @@ struct QuTStats {
   size_t sub_chunks_partial = 0;   ///< Boundary sub-chunks (trim + recheck).
   size_t members_read = 0;
   size_t members_reassigned = 0;   ///< Boundary members demoted to outliers.
+  /// Trimmed boundary members checked against the trimmed representative.
+  size_t members_rechecked = 0;
+  /// Rechecked members whose check ran the time-aware integral; the rest
+  /// were decided by a distance bound.
+  size_t exact_distances = 0;
   size_t stitches = 0;
   int64_t elapsed_us = 0;
 };

@@ -540,22 +540,39 @@ StatusOr<std::vector<traj::SubTrajectory>> ReTraTree::ScanPartition(
 }
 
 namespace {
-/// Shares every element of `items` (held by `storage`) in order.
+/// Span of every element of `items`.
+MemberSpan SpanOf(const std::vector<traj::SubTrajectory>& items) {
+  MemberSpan span;
+  for (const auto& st : items) span.Add(st);
+  return span;
+}
+
+/// Shares every element of `items` (held by `storage`, spanning `span`)
+/// in order.
 PartitionRead ShareAll(std::shared_ptr<const void> storage,
-                       const std::vector<traj::SubTrajectory>& items) {
+                       const std::vector<traj::SubTrajectory>& items,
+                       const MemberSpan& span) {
   PartitionRead read;
   read.members.reserve(items.size());
   for (const auto& st : items) read.members.push_back(st);
   read.storage = std::move(storage);
+  read.span = span;
   return read;
+}
+
+/// A full hot read: every member of the pinned snapshot.
+PartitionRead ShareSnapshot(std::shared_ptr<const HotPartition> hot) {
+  const HotPartition& snapshot = *hot;
+  return ShareAll(std::move(hot), snapshot.members, snapshot.span);
 }
 
 /// Takes ownership of cold-decoded records and shares them in order.
 PartitionRead ShareDecoded(std::vector<traj::SubTrajectory> decoded) {
+  const MemberSpan span = SpanOf(decoded);
   auto owned = std::make_shared<const std::vector<traj::SubTrajectory>>(
       std::move(decoded));
   const std::vector<traj::SubTrajectory>& items = *owned;
-  return ShareAll(std::move(owned), items);
+  return ShareAll(std::move(owned), items, span);
 }
 }  // namespace
 
@@ -564,8 +581,7 @@ StatusOr<PartitionRead> ReTraTree::ReadMembers(
   if (HotSlot hot = std::atomic_load(&entry.hot)) {
     qut_hot_probes_.fetch_add(1, std::memory_order_relaxed);
     TouchHot(*hot);
-    const std::vector<traj::SubTrajectory>& members = hot->members;
-    return ShareAll(std::move(hot), members);
+    return ShareSnapshot(std::move(hot));
   }
   qut_cold_probes_.fetch_add(1, std::memory_order_relaxed);
   HERMES_ASSIGN_OR_RETURN(std::vector<traj::SubTrajectory> out,
@@ -604,7 +620,9 @@ StatusOr<PartitionRead> ReTraTree::ReadMembersInWindow(
     PartitionRead read;
     read.members.reserve(ordinals.size());
     for (uint64_t o : ordinals) {
-      read.members.push_back(hot->members[static_cast<size_t>(o)]);
+      const traj::SubTrajectory& m = hot->members[static_cast<size_t>(o)];
+      read.members.push_back(m);
+      read.span.Add(m);
     }
     read.storage = std::move(hot);
     return read;
@@ -635,8 +653,7 @@ StatusOr<PartitionRead> ReTraTree::ReadOutliers(const SubChunk& sc) const {
   if (HotSlot hot = std::atomic_load(&sc.hot_outliers)) {
     qut_hot_probes_.fetch_add(1, std::memory_order_relaxed);
     TouchHot(*hot);
-    const std::vector<traj::SubTrajectory>& members = hot->members;
-    return ShareAll(std::move(hot), members);
+    return ShareSnapshot(std::move(hot));
   }
   qut_cold_probes_.fetch_add(1, std::memory_order_relaxed);
   if (!partitions_->Exists(sc.outlier_partition)) {
@@ -704,6 +721,7 @@ void ReTraTree::MaybePromote(HotSlot* slot, std::atomic<size_t>* unfit_budget,
   }
   auto hot = std::make_shared<HotPartition>();
   hot->members = members;
+  hot->span = SpanOf(members);
   if (with_index) hot->index = BuildHotMemberIndex(hot->members);
   hot->bytes = HotBytesOf(*hot);
   if (hot->bytes > budget) {  // Members fit but the index tips it over.
@@ -749,6 +767,8 @@ Status ReTraTree::ExtendHotSnapshot(HotSlot* slot,
   traj::SubTrajectory decoded = std::move(decoded_or).value();
   auto next = std::make_shared<HotPartition>();
   next->members = cur->members;
+  next->span = cur->span;
+  next->span.Add(decoded);
   next->members.push_back(std::move(decoded));
   if (cur->index != nullptr) next->index = BuildHotMemberIndex(next->members);
   next->bytes = HotBytesOf(*next);

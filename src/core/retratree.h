@@ -1,7 +1,9 @@
 #ifndef HERMES_CORE_RETRATREE_H_
 #define HERMES_CORE_RETRATREE_H_
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -79,6 +81,23 @@ struct ReTraTreeStats {
 /// may keep resident before LRU demotion kicks in.
 inline constexpr size_t kDefaultHotIndexBudget = size_t{64} << 20;
 
+/// \brief Earliest start and latest end over a set of sub-trajectories
+/// (+inf and -inf while empty). Each `Add` keeps the first of equal
+/// values, so folding spans gives the bits one fold over their union does.
+struct MemberSpan {
+  double start = std::numeric_limits<double>::infinity();
+  double end = -std::numeric_limits<double>::infinity();
+
+  void Add(const traj::SubTrajectory& st) {
+    start = std::min(start, st.StartTime());
+    end = std::max(end, st.EndTime());
+  }
+  void Add(const MemberSpan& o) {
+    start = std::min(start, o.start);
+    end = std::max(end, o.end);
+  }
+};
+
 /// \brief Immutable hot-tier snapshot of one on-disk partition: its
 /// decoded records in append (RecordId) order plus an in-memory pg3D
 /// R-tree over their bounds keyed by member ordinal.
@@ -93,6 +112,9 @@ struct HotPartition {
   /// stored as the Decode(Encode(...)) record roundtrip so hot and cold
   /// reads are bit-identical.
   std::vector<traj::SubTrajectory> members;
+  /// Span of `members`, computed at promotion and carried forward by each
+  /// copy-on-write extension.
+  MemberSpan span;
   /// Bounds -> member ordinal; null for outlier snapshots (outlier reads
   /// are always full scans).
   std::unique_ptr<rtree::MemRTree3D> index;
@@ -212,6 +234,9 @@ struct Chunk {
 struct PartitionRead {
   std::shared_ptr<const void> storage;
   traj::SubTrajectoryRefs members;
+  /// Span of `members`: a full hot read takes its snapshot's, any other
+  /// read computes it over what it returns.
+  MemberSpan span;
 
   size_t size() const { return members.size(); }
   bool empty() const { return members.empty(); }

@@ -53,6 +53,33 @@ double ClusteringDistance(const Trajectory& a, const geom::Mbb3D& box_a,
                           const Trajectory& b, const geom::Mbb3D& box_b,
                           double min_overlap_ratio, double limit);
 
+/// \brief An upper bound on `ClusteringDistance(a, b, min_overlap_ratio)`
+/// for `box_a == a.Bounds()` and `box_b == b.Bounds()`; +inf when the
+/// pair is not admitted (the distance is +inf too).
+///
+/// Walks the same breakpoints as the integral, but takes the chord
+/// (trapezoid) of the separation on each interval in place of its
+/// integral: the separation of two linearly moving points is convex in
+/// time, so the integral never exceeds the chord. Slack covers rounding
+/// (see distance.cc).
+double ClusteringDistanceUpperBound(const Trajectory& a,
+                                    const geom::Mbb3D& box_a,
+                                    const Trajectory& b,
+                                    const geom::Mbb3D& box_b,
+                                    double min_overlap_ratio);
+
+/// \brief Exactly `ClusteringDistance(a, box_a, b, box_b,
+/// min_overlap_ratio, limit) <= limit`, for loops that only need the
+/// yes/no answer.
+///
+/// Rejects when the box gap bound exceeds `limit`, accepts when
+/// `ClusteringDistanceUpperBound` is within it, and only otherwise runs
+/// the integral. `*integrated`, when given, is set to whether it did.
+bool ClusteringDistanceAtMost(const Trajectory& a, const geom::Mbb3D& box_a,
+                              const Trajectory& b, const geom::Mbb3D& box_b,
+                              double min_overlap_ratio, double limit,
+                              bool* integrated = nullptr);
+
 /// \brief Similarity in [0, 1]: Gaussian kernel of the clustering distance
 /// with bandwidth `sigma`, scaled by the temporal overlap ratio. 0 when the
 /// trajectories never co-exist.

@@ -688,6 +688,25 @@ void MakeOracleScenarios(std::vector<OracleScenario>* out) {
     }
     out->push_back({"equal_starts", std::move(store), TreeParams()});
   }
+  {
+    // A lane of 6 with 10 objects zig-zagging across it, each sample
+    // alternating sides by 1.1 to 2.5 times d_assign: the separation
+    // crosses 0 between samples, so its chord is about twice its average,
+    // and trimmed averages fall on both sides of d_assign.
+    traj::TrajectoryStore store;
+    AddLane(&store, 0, 6, 0.0, 0, 395);
+    const ReTraTreeParams tp = TreeParams();
+    for (int k = 0; k < 10; ++k) {
+      const double amplitude = tp.d_assign * (1.1 + 0.15 * k);
+      traj::Trajectory t(100 + k);
+      int side = k % 2 == 0 ? 1 : -1;
+      for (double now = 0; now <= 395 + 1e-9; now += 10.0, side = -side) {
+        ASSERT_TRUE(t.Append({now * 10.0, 25.0 + side * amplitude, now}).ok());
+      }
+      ASSERT_TRUE(store.Add(std::move(t)).ok());
+    }
+    out->push_back({"zigzag", std::move(store), tp});
+  }
 }
 
 TEST(QuTOracleTest, InPlaceAssemblyMatchesTheEagerOne) {
@@ -757,6 +776,42 @@ TEST(QuTOracleTest, InPlaceAssemblyMatchesTheEagerOne) {
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
     EXPECT_GT(want->hot_stats().hot_demotions, 0u);
   }
+}
+
+// A boundary member's re-check needs only a yes/no answer, so a distance
+// bound decides most of them and the integral runs only near the limit.
+// Over the oracle scenarios' windows both happen; the oracle above holds
+// every decision to the exact comparison.
+TEST(QuTOracleTest, BoundaryChecksUseTheBoundsAndTheIntegral) {
+  std::vector<OracleScenario> scenarios;
+  MakeOracleScenarios(&scenarios);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  size_t rechecked = 0, exact = 0;
+  for (OracleScenario& sc : scenarios) {
+    SCOPED_TRACE(sc.name);
+    auto env = storage::Env::NewMemEnv();
+    auto tree = std::move(ReTraTree::Open(env.get(), "t", sc.params)).value();
+    ASSERT_TRUE(tree->InsertStore(sc.store).ok());
+    const QuTClustering qut(tree.get());
+    const auto [t0, t1] = sc.store.TimeDomain();
+    const double span = t1 - t0;
+    Rng rng(2024);
+    for (double fraction : {0.01, 0.05, 0.25, 1.0}) {
+      for (int k = 0; k < 4; ++k) {
+        const double wi = t0 + rng.Uniform(0.0, span * (1.0 - fraction));
+        auto result = qut.Query(wi, wi + span * fraction);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_LE(result->stats.exact_distances,
+                  result->stats.members_rechecked);
+        EXPECT_LE(result->stats.members_rechecked,
+                  result->stats.members_read);
+        rechecked += result->stats.members_rechecked;
+        exact += result->stats.exact_distances;
+      }
+    }
+  }
+  EXPECT_GT(exact, 0u);
+  EXPECT_GT(rechecked - exact, 0u);
 }
 
 // Window-size sweep: QuT never reads more members than exist, and the

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -296,6 +298,138 @@ TEST(QutTreeSlotTest, AHeldAnswerOutlivesReclusteringDemotionAndDrop) {
 
   held.reset();
   EXPECT_EQ(pins->live.load(), 0u);
+}
+
+/// Member count of each resident member snapshot, by partition.
+std::map<std::string, size_t> HotMemberCounts(const ReTraTree& tree) {
+  std::map<std::string, size_t> counts;
+  for (const auto& [ci, chunk] : tree.chunks()) {
+    for (const auto& [si, sc] : chunk.sub_chunks) {
+      for (const auto& e : sc.representatives) {
+        if (auto hot = std::atomic_load(&e->hot)) {
+          counts[e->partition_name] = hot->members.size();
+        }
+      }
+    }
+  }
+  return counts;
+}
+
+/// Two lanes of 8 co-moving objects along x, 5 km apart, sampled every
+/// 10 s up to t = 795. Object k of a lane starts at 40 + 3k s, so the
+/// members of the first sub-chunk start inside it. A lone object far off
+/// spans all of [0, 795].
+traj::TrajectoryStore MakeLanes() {
+  traj::TrajectoryStore store;
+  auto add = [&](traj::ObjectId id, double y, double from) {
+    traj::Trajectory t(id);
+    for (double now = from; now <= 795 + 1e-9; now += 10.0) {
+      EXPECT_TRUE(t.Append({now * 10.0, y, now}).ok());
+    }
+    EXPECT_TRUE(store.Add(std::move(t)).ok());
+  };
+  for (int lane = 0; lane < 2; ++lane) {
+    for (int k = 0; k < 8; ++k) {
+      add(lane * 100 + k, lane * 5000.0 + k * 10.0, 40.0 + 3.0 * k);
+    }
+  }
+  add(900, 50000.0, 0.0);
+  return store;
+}
+
+// A hot snapshot records its members' span, and each copy-on-write
+// extension carries it forward. After catch-up appends members to hot
+// partitions, answers read from the extended snapshots, cluster bounds
+// included, equal the same windows decoded cold.
+TEST(QutTreeSlotTest, ExtendedSnapshotsAnswerLikeAColdDecode) {
+  traj::TrajectoryStore store = MakeLanes();
+  const std::vector<double> params = {400, 100, 30, 80, 8};
+  const auto [t0, t1] = store.TimeDomain();
+  auto env = storage::Env::NewMemEnv();
+  QutTreeSlot slot(env.get(), "t_");
+  // Builds the tree and promotes every partition it reads.
+  ASSERT_TRUE(slot.Query(params, store, nullptr, kDefaultHotIndexBudget, t0,
+                         t1 + 1)
+                  .ok());
+  const std::map<std::string, size_t> before = HotMemberCounts(*slot.tree());
+  ASSERT_FALSE(before.empty());
+
+  // For each hot partition inside the window whose earliest member starts
+  // after its sub-chunk does, a copy of that member 5 m north that starts
+  // earlier, still inside the sub-chunk: it joins the partition and
+  // starts its cluster piece.
+  std::vector<double> new_starts;
+  for (const auto& [ci, chunk] : slot.tree()->chunks()) {
+    for (const auto& [si, sc] : chunk.sub_chunks) {
+      if (sc.start < t0 || sc.end > t1) continue;
+      for (const auto& e : sc.representatives) {
+        auto snapshot = std::atomic_load(&e->hot);
+        if (snapshot == nullptr || snapshot->members.empty()) continue;
+        const traj::SubTrajectory* first = &snapshot->members[0];
+        for (const auto& m : snapshot->members) {
+          if (m.StartTime() < first->StartTime()) first = &m;
+        }
+        const auto& pts = first->points.samples();
+        const double lead = std::min(60.0, (pts[0].t - sc.start) / 2);
+        if (pts.size() < 2 || !(lead > 1.0)) continue;
+        // Back along the first segment's velocity.
+        const double back = lead / (pts[1].t - pts[0].t);
+        std::vector<geom::Point3D> copy = {
+            {pts[0].x - (pts[1].x - pts[0].x) * back,
+             pts[0].y + 5.0 - (pts[1].y - pts[0].y) * back, pts[0].t - lead}};
+        for (const auto& p : pts) copy.push_back({p.x, p.y + 5.0, p.t});
+        new_starts.push_back(copy[0].t);
+        ASSERT_TRUE(store
+                        .Add(traj::Trajectory(
+                            static_cast<traj::ObjectId>(1000 + new_starts.size()),
+                            std::move(copy)))
+                        .ok());
+      }
+    }
+  }
+  ASSERT_FALSE(new_starts.empty());
+  auto w = slot.Refresh(params, store, nullptr, kDefaultHotIndexBudget);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  ASSERT_EQ(*w, QutTreeWork::kCaughtUp);
+  size_t extended = 0;
+  for (const auto& [name, n] : HotMemberCounts(*slot.tree())) {
+    auto it = before.find(name);
+    extended += it != before.end() && n > it->second;
+  }
+  ASSERT_GT(extended, 0u);
+
+  const double span = t1 - t0;
+  const std::vector<std::pair<double, double>> windows = {
+      {t0, t1 + 1},
+      {t0 + 0.1 * span, t0 + 0.9 * span},
+      {t0 + 0.3 * span, t0 + 0.55 * span}};
+  // Every hot answer first: the budget-0 queries demote the tier.
+  std::vector<std::vector<std::string>> hot;
+  for (const auto& [wi, we] : windows) {
+    const uint64_t hot_probes = slot.hot_stats().qut_hot_probes;
+    auto answer = slot.Query(params, store, nullptr, kDefaultHotIndexBudget,
+                             wi, we);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_GT(slot.hot_stats().qut_hot_probes, hot_probes);
+    EXPECT_FALSE(answer->clusters.empty());
+    if (wi == t0) {
+      // The copies start clusters, so the bounds read their start.
+      size_t started = 0;
+      for (const QuTCluster& c : answer->clusters) {
+        started += std::count(new_starts.begin(), new_starts.end(),
+                              c.StartTime());
+      }
+      EXPECT_GT(started, 0u);
+    }
+    hot.push_back(DeepCopy(*answer));
+  }
+  for (size_t k = 0; k < windows.size(); ++k) {
+    auto cold = slot.Query(params, store, nullptr, 0, windows[k].first,
+                           windows[k].second);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    EXPECT_EQ(DeepCopy(*cold), hot[k]) << "window " << k;
+  }
+  EXPECT_EQ(slot.hot_stats().hot_index_bytes, 0u);
 }
 
 TEST(QutTreeSlotTest, RejectsWrongParameterCount) {

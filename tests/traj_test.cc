@@ -780,6 +780,195 @@ TEST(BoundaryPathTest, SliceAndDistanceMatchScanAndSortVersions) {
 }
 
 // ---------------------------------------------------------------------------
+// The chord upper bound and the yes/no cut-off
+// ---------------------------------------------------------------------------
+
+/// A straight run through (x0, y0) at time `tc`, heading `angle` at
+/// `speed`, sampled at `n` random times in [tc - half, tc + half].
+Trajectory Crossing(Rng* rng, ObjectId id, double x0, double y0, double tc,
+                    double half, double angle, double speed) {
+  std::vector<double> times = {tc - half, tc + half};
+  const int extra = static_cast<int>(rng->NextBelow(4));
+  for (int i = 0; i < extra; ++i) times.push_back(tc + rng->Uniform(-half, half));
+  std::sort(times.begin(), times.end());
+  times.erase(std::unique(times.begin(), times.end()), times.end());
+  Trajectory t(id);
+  for (double time : times) {
+    const double s = (time - tc) * speed;
+    EXPECT_TRUE(
+        t.Append({x0 + s * std::cos(angle), y0 + s * std::sin(angle), time})
+            .ok());
+  }
+  return t;
+}
+
+TEST(DistanceTest, UpperBoundCoversTheIntegralAndAtMostIsExact) {
+  // Seeded pairs in seven families, each at coordinate offsets 0, 1e7 and
+  // 3e8 and time offsets 0, 1e9 and 1.7e12: free random walks; straight
+  // crossing runs whose separation touches 0; one path, copied or
+  // resampled at other times, so the separation is rounding alone;
+  // near-static sub-metre pieces; pairs far apart; pairs sharing some
+  // sample times; and pairs whose times sit within about one merge
+  // tolerance of each other, the second often dropping the t1 tail.
+  Rng rng(20250);
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kOffsets[] = {0.0, 1e7, 3e8};
+  const double kTimeOffsets[] = {0.0, 1e9, 1.7e12};
+  size_t pairs = 0, rejected = 0, accepted = 0, integrated_count = 0;
+  for (int round = 0; round < 3780; ++round) {
+    const int family = round % 7;
+    const double off = kOffsets[(round / 7) % 3];
+    const double toff = kTimeOffsets[(round / 21) % 3];
+    const double tol = MergeTol(toff);
+    const double step = std::pow(10.0, rng.Uniform(-1.0, 3.0));
+    const double dt = tol * std::pow(10.0, rng.Uniform(1.0, 4.0));
+    Trajectory a, b;
+    switch (family) {
+      case 0:
+        a = RandomWalk(&rng, off, off, toff, step, dt);
+        b = RandomWalk(&rng, off + rng.Uniform(-4, 4) * step,
+                       off + rng.Uniform(-4, 4) * step,
+                       toff + rng.Uniform(-2, 2) * dt, step, dt);
+        break;
+      case 1: {
+        // Both pass (off, off) at about the same time.
+        const double half = dt * rng.Uniform(1.0, 5.0);
+        const double speed = step / dt;
+        const double tc = toff + half;
+        a = Crossing(&rng, 1, off, off, tc, half, rng.Uniform(0, 6.3), speed);
+        b = Crossing(&rng, 2, off + step * rng.Uniform(-1e-3, 1e-3), off,
+                     tc + rng.Uniform(-0.01, 0.01) * half, half,
+                     rng.Uniform(0, 6.3), speed * rng.Uniform(0.5, 2.0));
+        break;
+      }
+      case 2: {
+        // One path: a copy of a walk, or a walk or a long straight run
+        // through (off, off) resampled at other times, so the separation
+        // is rounding alone. Near the origin the run's moves are long
+        // next to the ulps of its coordinates: there only the absolute
+        // slack covers the rounding.
+        const uint64_t kind = rng.NextBelow(3);
+        a = RandomWalk(&rng, off, off, toff, step, dt);
+        if (kind == 0) {
+          b = a;
+          break;
+        }
+        if (kind == 2) {
+          const double run = step * rng.Uniform(1, 100);
+          a = Trajectory(1, {{off - run, off - run * rng.Uniform(0.1, 2), toff},
+                             {off + run * rng.Uniform(0.5, 2), off + run,
+                              toff + dt}});
+        }
+        std::vector<double> tb = {a.StartTime(), a.EndTime()};
+        for (int i = 0; i < 6; ++i) {
+          tb.push_back(a.StartTime() + a.Duration() * rng.NextDouble());
+        }
+        std::sort(tb.begin(), tb.end());
+        tb.erase(std::unique(tb.begin(), tb.end()), tb.end());
+        b = Trajectory(2);
+        for (double t : tb) {
+          const geom::Point2D p = *a.PositionAt(t);
+          ASSERT_TRUE(b.Append({p.x, p.y, t}).ok());
+        }
+        break;
+      }
+      case 3: {
+        const double tiny = std::pow(10.0, rng.Uniform(-4.0, -0.5));
+        a = RandomWalk(&rng, off, off, toff, tiny, dt);
+        b = RandomWalk(&rng, off + rng.Uniform(-2, 2) * tiny, off,
+                       toff + rng.Uniform(-1, 1) * dt, tiny, dt);
+        break;
+      }
+      case 4:
+        a = RandomWalk(&rng, off, off, toff, step, dt);
+        b = Moved(a, step * std::pow(10.0, rng.Uniform(1.0, 3.0)),
+                  step * rng.Uniform(-1, 1), dt * rng.Uniform(-0.5, 0.5));
+        break;
+      case 5: {
+        a = RandomWalk(&rng, off, off, toff, step, dt);
+        std::vector<double> ta, tb;
+        for (const auto& p : a.samples()) ta.push_back(p.t);
+        for (size_t i = 0; i < ta.size(); ++i) {
+          if (rng.NextBool(0.6)) tb.push_back(ta[i]);
+          if (i + 1 < ta.size() && rng.NextBool(0.3)) {
+            tb.push_back(ta[i] + (ta[i + 1] - ta[i]) * rng.Uniform(0.1, 0.9));
+          }
+        }
+        if (tb.size() < 2) tb = {ta.front(), ta.back()};
+        b = AtTimes(&rng, 2, tb, off + step * rng.Uniform(-2, 2), off, step);
+        break;
+      }
+      default: {
+        std::vector<double> ta, tb;
+        double t = toff;
+        const int n = 3 + static_cast<int>(rng.NextBelow(6));
+        for (int i = 0; i < n; ++i) {
+          ta.push_back(t);
+          t += MergeTol(t) * std::pow(10.0, rng.Uniform(0.7, 2.0));
+        }
+        const size_t end = 1 + rng.NextBelow(ta.size() - 1);
+        for (size_t i = 0; i < end; ++i) {
+          tb.push_back(ta[i] + MergeTol(ta[i]) * rng.Uniform(-1.5, 1.5));
+        }
+        tb.push_back(ta[end] + MergeTol(ta[end]) * rng.Uniform(-0.2, 1.0));
+        if (tb.back() <= tb[tb.size() - 2]) tb.pop_back();
+        if (tb.size() < 2) tb.push_back(ta.back() + 2 * MergeTol(ta.back()));
+        a = AtTimes(&rng, 1, ta, off, off, step);
+        b = AtTimes(&rng, 2, tb, off + step * rng.Uniform(-1, 1), off, step);
+        break;
+      }
+    }
+    ASSERT_TRUE(a.Validate().ok()) << "round " << round;
+    ASSERT_TRUE(b.Validate().ok()) << "round " << round;
+
+    auto check = [&](const Trajectory& x, const Trajectory& y) {
+      const geom::Mbb3D bx = x.Bounds();
+      const geom::Mbb3D by = y.Bounds();
+      for (double ratio : {0.0, 0.5}) {
+        const double d = ClusteringDistance(x, y, ratio);
+        const double upper = ClusteringDistanceUpperBound(x, bx, y, by, ratio);
+        ASSERT_GE(upper, d) << "round " << round << " ratio " << ratio;
+        ++pairs;
+        const double limits[] = {d,
+                                 std::nextafter(d, kInf),
+                                 std::nextafter(d, -kInf),
+                                 d * (1 + 1e-9),
+                                 d * (1 - 1e-9),
+                                 0.99 * d,
+                                 1.01 * d,
+                                 0.0,
+                                 2 * d};
+        for (double limit : limits) {
+          const bool want =
+              ClusteringDistance(x, bx, y, by, ratio, limit) <= limit;
+          bool integrated = true;
+          const bool got =
+              ClusteringDistanceAtMost(x, bx, y, by, ratio, limit, &integrated);
+          ASSERT_EQ(got, want) << "round " << round << " limit " << limit
+                               << " d " << d << " upper " << upper;
+          if (std::isinf(d)) continue;  // Not admitted: no bound decides.
+          if (integrated) {
+            ++integrated_count;
+          } else if (got) {
+            ++accepted;
+          } else {
+            ++rejected;
+          }
+        }
+      }
+    };
+    check(a, b);
+    check(b, a);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GE(pairs, 15000u);
+  // Each of the three decisions is exercised, not merely allowed.
+  EXPECT_GE(rejected, 1000u);
+  EXPECT_GE(accepted, 1000u);
+  EXPECT_GE(integrated_count, 1000u);
+}
+
+// ---------------------------------------------------------------------------
 // Simplification & motion profiles
 // ---------------------------------------------------------------------------
 
