@@ -57,6 +57,7 @@ StatusOr<traj::SubTrajectory> DecodeSubTrajectory(const std::string& bytes) {
     return Status::Corruption("sub-trajectory size mismatch");
   }
   traj::Trajectory points(st.object_id);
+  points.Reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     const double x = dec.ReadDouble();
     const double y = dec.ReadDouble();
@@ -586,7 +587,9 @@ StatusOr<PartitionRead> ReTraTree::ReadMembers(
   qut_cold_probes_.fetch_add(1, std::memory_order_relaxed);
   HERMES_ASSIGN_OR_RETURN(std::vector<traj::SubTrajectory> out,
                           ScanPartition(entry.partition_name));
-  MaybePromote(&entry.hot, &entry.hot_unfit_budget, out, /*with_index=*/true);
+  if (HotSlot hot = MaybePromote(&entry.hot, &entry.hot_unfit_budget, &out)) {
+    return ShareSnapshot(std::move(hot));
+  }
   return ShareDecoded(std::move(out));
 }
 
@@ -604,23 +607,20 @@ StatusOr<PartitionRead> ReTraTree::ReadMembersInWindow(
     // the full scan just to rediscover the snapshot doesn't fit.
     HERMES_ASSIGN_OR_RETURN(std::vector<traj::SubTrajectory> all,
                             ScanPartition(entry.partition_name));
-    MaybePromote(&entry.hot, &entry.hot_unfit_budget, all,
-                 /*with_index=*/true);
-    hot = std::atomic_load(&entry.hot);
+    hot = MaybePromote(&entry.hot, &entry.hot_unfit_budget, &all);
+    if (hot == nullptr) hot = std::atomic_load(&entry.hot);  // Lost a race.
   }
   if (hot != nullptr) {
     qut_hot_probes_.fetch_add(1, std::memory_order_relaxed);
     TouchHot(*hot);
-    std::vector<uint64_t> ordinals;
-    hot->index->SearchInto(window, rtree::QueryMode::kIntersects, &ordinals);
-    // Ordinals are append order, exactly what sorting the cold path's
-    // packed RecordIds produces — so hot and cold window reads return
-    // the same members in the same order.
-    std::sort(ordinals.begin(), ordinals.end());
+    // The Gist's closed-box leaf test, in member (append) order: exactly
+    // what sorting the cold path's packed RecordIds produces — so hot and
+    // cold window reads return the same members in the same order.
     PartitionRead read;
-    read.members.reserve(ordinals.size());
-    for (uint64_t o : ordinals) {
-      const traj::SubTrajectory& m = hot->members[static_cast<size_t>(o)];
+    read.members.reserve(hot->members.size());
+    for (size_t i = 0; i < hot->boxes.size(); ++i) {
+      if (!hot->boxes[i].Intersects(window)) continue;
+      const traj::SubTrajectory& m = hot->members[i];
       read.members.push_back(m);
       read.span.Add(m);
     }
@@ -660,75 +660,54 @@ StatusOr<PartitionRead> ReTraTree::ReadOutliers(const SubChunk& sc) const {
     // Promote the empty snapshot too, or every query re-counts this
     // sub-chunk as a cold probe; a later outlier insert extends it in
     // the same order the (then-created) heap partition would produce.
-    MaybePromote(&sc.hot_outliers, &sc.hot_outliers_unfit_budget, {},
-                 /*with_index=*/false);
+    std::vector<traj::SubTrajectory> none;
+    MaybePromote(&sc.hot_outliers, &sc.hot_outliers_unfit_budget, &none);
     return PartitionRead{};
   }
   HERMES_ASSIGN_OR_RETURN(std::vector<traj::SubTrajectory> out,
                           ScanPartition(sc.outlier_partition));
-  MaybePromote(&sc.hot_outliers, &sc.hot_outliers_unfit_budget, out,
-               /*with_index=*/false);
+  if (HotSlot hot = MaybePromote(&sc.hot_outliers,
+                                 &sc.hot_outliers_unfit_budget, &out)) {
+    return ShareSnapshot(std::move(hot));
+  }
   return ShareDecoded(std::move(out));
 }
 
-namespace {
-/// Bounds -> member ordinal index over a hot snapshot's members.
-/// Sequential on purpose: promotions run under the hot-tier mutex —
-/// sometimes from inside an apply fan-out task — and partitions are
-/// gamma-bounded small; the STR layout is thread-count independent
-/// either way (the parallel arena bulk load lives in
-/// `rtree::BuildMemSegmentIndex`).
-std::unique_ptr<rtree::MemRTree3D> BuildHotMemberIndex(
+size_t ReTraTree::HotBytesOf(
     const std::vector<traj::SubTrajectory>& members) {
-  std::vector<std::pair<geom::Mbb3D, uint64_t>> items;
-  items.reserve(members.size());
-  for (size_t i = 0; i < members.size(); ++i) {
-    items.emplace_back(members[i].Bounds(), static_cast<uint64_t>(i));
-  }
-  return rtree::MemRTree3D::BulkLoad(std::move(items), /*fill_factor=*/0.9,
-                                     /*ctx=*/nullptr);
-}
-}  // namespace
-
-size_t ReTraTree::MemberBytes(const std::vector<traj::SubTrajectory>& members) {
-  size_t bytes = members.size() * sizeof(traj::SubTrajectory);
+  size_t bytes = sizeof(HotPartition) +
+                 members.size() * (sizeof(traj::SubTrajectory) +
+                                   sizeof(geom::Mbb3D));
   for (const auto& m : members) {
     bytes += m.points.size() * 3 * sizeof(double);
   }
   return bytes;
 }
 
-size_t ReTraTree::HotBytesOf(const HotPartition& hot) {
-  size_t bytes = sizeof(HotPartition) + MemberBytes(hot.members);
-  if (hot.index != nullptr) bytes += hot.index->bytes();
-  return bytes;
-}
-
-void ReTraTree::MaybePromote(HotSlot* slot, std::atomic<size_t>* unfit_budget,
-                             const std::vector<traj::SubTrajectory>& members,
-                             bool with_index) const {
-  if (!PromotionMightFit(*unfit_budget)) return;
+ReTraTree::HotSlot ReTraTree::MaybePromote(
+    HotSlot* slot, std::atomic<size_t>* unfit_budget,
+    std::vector<traj::SubTrajectory>* members) const {
+  if (!PromotionMightFit(*unfit_budget)) return nullptr;
   common::MutexLock lock(&hot_mu_);
   const size_t budget = hot_index_budget_.load(std::memory_order_relaxed);
-  if (budget == 0) return;
-  if (std::atomic_load(slot) != nullptr) return;  // Lost a promote race.
-  // The members alone blow the budget: record the failure (so reads stop
-  // re-scanning and re-measuring until the budget is raised) before
-  // paying for the copy or the index build.
-  if (sizeof(HotPartition) + MemberBytes(members) > budget) {
+  if (budget == 0) return nullptr;
+  if (*slot != nullptr) return nullptr;  // Lost a promote race.
+  const size_t bytes = HotBytesOf(*members);
+  if (bytes > budget) {
+    // Record the failure so reads stop re-scanning and re-measuring until
+    // the budget is raised.
     unfit_budget->store(budget, std::memory_order_relaxed);
-    return;
-  }
-  auto hot = std::make_shared<HotPartition>();
-  hot->members = members;
-  hot->span = SpanOf(members);
-  if (with_index) hot->index = BuildHotMemberIndex(hot->members);
-  hot->bytes = HotBytesOf(*hot);
-  if (hot->bytes > budget) {  // Members fit but the index tips it over.
-    unfit_budget->store(budget, std::memory_order_relaxed);
-    return;
+    return nullptr;
   }
   unfit_budget->store(0, std::memory_order_relaxed);
+  auto hot = std::make_shared<HotPartition>();
+  hot->boxes.reserve(members->size());
+  for (const auto& m : *members) {
+    hot->boxes.push_back(m.Bounds());
+    hot->span.Add(m);
+  }
+  hot->members = std::move(*members);
+  hot->bytes = bytes;
   hot->pin = std::make_unique<traj::EpochPin>(hot_pins_);
   TouchHot(*hot);
   hot_bytes_.fetch_add(hot->bytes, std::memory_order_relaxed);
@@ -736,8 +715,10 @@ void ReTraTree::MaybePromote(HotSlot* slot, std::atomic<size_t>* unfit_budget,
   bool known = false;
   for (HotSlot* s : hot_slots_) known = known || (s == slot);
   if (!known) hot_slots_.push_back(slot);
-  std::atomic_store(slot, HotSlot(std::move(hot)));
+  HotSlot published = std::move(hot);
+  std::atomic_store(slot, published);
   EnforceBudgetLocked();
+  return published;
 }
 
 Status ReTraTree::ExtendHotSnapshot(HotSlot* slot,
@@ -745,10 +726,9 @@ Status ReTraTree::ExtendHotSnapshot(HotSlot* slot,
   common::MutexLock lock(&hot_mu_);
   HotSlot cur = std::atomic_load(slot);
   if (cur == nullptr) return Status::OK();  // Cold: nothing to maintain.
-  // Republishing copies every member and rebuilds the whole index under
-  // hot_mu_; past this size that O(n log n) tax per append serializes
-  // the tier tree-wide, so drop the snapshot and let the next read
-  // re-promote once instead.
+  // Republishing copies every member under hot_mu_; past this size that
+  // tax per append serializes the tier tree-wide, so drop the snapshot
+  // and let the next read re-promote once instead.
   if (cur->members.size() >= kMaxHotExtendMembers) {
     DemoteLocked(slot);
     return Status::OK();
@@ -766,12 +746,15 @@ Status ReTraTree::ExtendHotSnapshot(HotSlot* slot,
   }
   traj::SubTrajectory decoded = std::move(decoded_or).value();
   auto next = std::make_shared<HotPartition>();
-  next->members = cur->members;
+  next->members.reserve(cur->members.size() + 1);
+  next->members.assign(cur->members.begin(), cur->members.end());
+  next->boxes.reserve(cur->boxes.size() + 1);
+  next->boxes.assign(cur->boxes.begin(), cur->boxes.end());
   next->span = cur->span;
   next->span.Add(decoded);
+  next->boxes.push_back(decoded.Bounds());
   next->members.push_back(std::move(decoded));
-  if (cur->index != nullptr) next->index = BuildHotMemberIndex(next->members);
-  next->bytes = HotBytesOf(*next);
+  next->bytes = HotBytesOf(next->members);
   next->pin = std::make_unique<traj::EpochPin>(hot_pins_);
   next->last_access.store(cur->last_access.load(std::memory_order_relaxed),
                           std::memory_order_relaxed);
@@ -783,7 +766,7 @@ Status ReTraTree::ExtendHotSnapshot(HotSlot* slot,
 }
 
 void ReTraTree::DemoteLocked(HotSlot* slot) const {
-  HotSlot cur = std::atomic_load(slot);
+  const HotPartition* cur = slot->get();
   if (cur == nullptr) return;
   hot_bytes_.fetch_sub(cur->bytes, std::memory_order_relaxed);
   hot_demotions_.fetch_add(1, std::memory_order_relaxed);
@@ -796,7 +779,7 @@ void ReTraTree::EnforceBudgetLocked() const {
     HotSlot* victim = nullptr;
     uint64_t victim_access = 0;
     for (HotSlot* s : hot_slots_) {
-      HotSlot cur = std::atomic_load(s);
+      const HotPartition* cur = s->get();
       if (cur == nullptr) continue;
       const uint64_t a = cur->last_access.load(std::memory_order_relaxed);
       if (victim == nullptr || a < victim_access) {

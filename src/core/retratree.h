@@ -15,7 +15,6 @@
 #include "common/thread_annotations.h"
 #include "core/s2t_clustering.h"
 #include "geom/mbb.h"
-#include "rtree/mem_rtree3d.h"
 #include "rtree/rtree3d.h"
 #include "storage/env.h"
 #include "storage/partition_manager.h"
@@ -99,8 +98,9 @@ struct MemberSpan {
 };
 
 /// \brief Immutable hot-tier snapshot of one on-disk partition: its
-/// decoded records in append (RecordId) order plus an in-memory pg3D
-/// R-tree over their bounds keyed by member ordinal.
+/// decoded records in append (RecordId) order plus their bounding boxes.
+/// A window probe scans the boxes in member order; partitions hold a few
+/// members each, so a scan beats any index and costs nothing to build.
 ///
 /// Published with an atomic shared_ptr swap; a reader that loaded a
 /// snapshot keeps it (and its `EpochPin`) alive through its own reference
@@ -115,9 +115,8 @@ struct HotPartition {
   /// Span of `members`, computed at promotion and carried forward by each
   /// copy-on-write extension.
   MemberSpan span;
-  /// Bounds -> member ordinal; null for outlier snapshots (outlier reads
-  /// are always full scans).
-  std::unique_ptr<rtree::MemRTree3D> index;
+  /// `boxes[i]` is `members[i].Bounds()`.
+  std::vector<geom::Mbb3D> boxes;
   /// Budget accounting, fixed at publication time.
   size_t bytes = 0;
   /// Lifecycle accounting in the tree's `EpochPinRegistry` (live = hot
@@ -183,8 +182,8 @@ struct RepresentativeEntry {
   mutable std::shared_ptr<const HotPartition> hot;
   /// Largest hot-tier budget under which this partition's snapshot was
   /// measured not to fit (0 = never failed). Read paths consult it to
-  /// skip the promote-on-read scan + index build — which would fail
-  /// again — until the budget is raised past it.
+  /// skip the promote-on-read scan — which would fail again — until the
+  /// budget is raised past it.
   mutable std::atomic<size_t> hot_unfit_budget{0};
 };
 
@@ -343,7 +342,7 @@ class ReTraTree {
   /// Reads the outlier partition of a sub-chunk, in append order.
   StatusOr<PartitionRead> ReadOutliers(const SubChunk& sc) const;
 
-  // ---- Hot index tier (docs/ARCHITECTURE.md "Hot/cold index tiers") ---
+  // ---- Hot index tier (docs/ARCHITECTURE.md "QUT hot/cold tier") ------
   //
   // The three read methods above transparently serve from an immutable
   // in-memory snapshot when one is published for the partition (probe:
@@ -431,17 +430,19 @@ class ReTraTree {
   using HotSlot = std::shared_ptr<const HotPartition>;
 
   /// Largest snapshot `ExtendHotSnapshot` will republish instead of
-  /// demoting (see its comment).
+  /// demoting: each republish copies every member under the hot-tier
+  /// mutex, so past this size the per-append copy costs more than the
+  /// one cold scan that re-promotes the partition.
   static constexpr size_t kMaxHotExtendMembers = 4096;
 
   /// Publishes a snapshot for `slot` from just-decoded records (a cold
-  /// read's side effect). No-op when the tier is disabled, the slot
-  /// raced hot, or the snapshot alone exceeds the budget — the latter is
-  /// recorded in `unfit_budget` (member bytes are estimated before the
-  /// index is built, so a hopeless promotion never pays the build).
-  void MaybePromote(HotSlot* slot, std::atomic<size_t>* unfit_budget,
-                    const std::vector<traj::SubTrajectory>& members,
-                    bool with_index) const;
+  /// read's side effect), moving them out of `*members`, and returns it.
+  /// Returns null and leaves `*members` as it was when the tier is
+  /// disabled, the slot raced hot, or the snapshot alone exceeds the
+  /// budget — the latter is recorded in `unfit_budget` (the snapshot's
+  /// bytes are known before anything is moved).
+  HotSlot MaybePromote(HotSlot* slot, std::atomic<size_t>* unfit_budget,
+                       std::vector<traj::SubTrajectory>* members) const;
   /// True when promoting this slot could succeed: the tier is enabled
   /// and no failed promotion has been recorded at (or above) the current
   /// budget. Window reads consult this before paying the promote-on-read
@@ -453,10 +454,10 @@ class ReTraTree {
     return failed_at == 0 || budget > failed_at;
   }
   /// Copy-on-write republish of a live snapshot after an append — the
-  /// drain worker's incremental catch-up extends the hot tree the same
+  /// drain worker's incremental catch-up extends the snapshot the same
   /// way it extends the Gist. No-op when the slot is cold. Past
-  /// `kMaxHotExtendMembers` the per-append rebuild tax outweighs the
-  /// tier's benefit, so the slot is demoted instead (the next read
+  /// `kMaxHotExtendMembers` the per-append copy of every member outweighs
+  /// the tier's benefit, so the slot is demoted instead (the next read
   /// re-promotes once); the slot is also demoted if the member fails the
   /// encode/decode roundtrip, because the record is already durable and
   /// a stale snapshot would silently hide it from hot reads.
@@ -471,10 +472,9 @@ class ReTraTree {
         hot_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
         std::memory_order_relaxed);
   }
-  static size_t HotBytesOf(const HotPartition& hot);
-  /// Heap bytes of the decoded members alone (the index-free part of
-  /// `HotBytesOf`) — computable before copying them into a snapshot.
-  static size_t MemberBytes(const std::vector<traj::SubTrajectory>& members);
+  /// Budget bytes of a snapshot of `members`: the snapshot, the members
+  /// with their samples, and one box per member.
+  static size_t HotBytesOf(const std::vector<traj::SubTrajectory>& members);
 
   /// Id for a sub-trajectory derived by a re-clustering run (new
   /// representative, re-labeled member, or residue): bit 63 set, the
@@ -501,7 +501,8 @@ class ReTraTree {
   // ---- Hot tier state. The probe path touches only the atomics and the
   // per-slot shared_ptr (via std::atomic_load); hot_mu_ guards
   // publication, demotion, budget changes, and the slot registry —
-  // it is never taken on a hot hit.
+  // it is never taken on a hot hit. Every store to a slot holds hot_mu_,
+  // so code under it may read a slot plainly.
   mutable common::Mutex hot_mu_;
   /// Every slot that ever published a snapshot (slot addresses are
   /// stable: entries and sub-chunks are never destroyed while the tree

@@ -62,8 +62,7 @@ class MemRTree3D {
   size_t num_entries() const { return num_entries_; }
   uint32_t height() const { return height_; }
   size_t num_nodes() const { return num_nodes_; }
-  /// Heap footprint of the node arena (what `hermes.hot_index_budget`
-  /// accounts against).
+  /// Heap footprint of the node arena.
   size_t bytes() const;
 
   /// FNV-1a hash over the complete node layout (flags, counts, key bit

@@ -54,6 +54,8 @@ class Trajectory {
   /// Appends a sample; returns InvalidArgument when `p.t` does not strictly
   /// increase the time domain.
   Status Append(const geom::Point3D& p);
+  /// Reserves room for `n` samples, so `n` appends never reallocate.
+  void Reserve(size_t n) { samples_.reserve(n); }
 
   /// Number of 3D segments (size()-1, or 0 when fewer than 2 samples).
   size_t NumSegments() const {

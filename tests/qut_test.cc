@@ -10,6 +10,8 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/range_rebuild.h"
@@ -310,6 +312,35 @@ TEST_F(QuTTest, HotSnapshotsReleaseTheirPins) {
   EXPECT_GE(pins->total.load(), pins->live.load());
   tree_->SetHotIndexBudget(0);  // Demote: the only owners let go.
   EXPECT_EQ(pins->live.load(), 0u);
+}
+
+// A snapshot costs its members plus one box per member: a fully promoted
+// tree of small partitions holds a few KiB per resident snapshot.
+TEST_F(QuTTest, HotBytesAreMembersPlusOneBoxEach) {
+  QuTClustering qut(tree_.get());
+  ASSERT_TRUE(qut.Query(0, 800).ok());  // Reads every partition in full.
+  size_t resident = 0;
+  auto check = [&](const std::shared_ptr<const HotPartition>& slot) {
+    auto hot = std::atomic_load(&slot);
+    if (hot == nullptr) return;
+    ++resident;
+    ASSERT_EQ(hot->boxes.size(), hot->members.size());
+    for (size_t i = 0; i < hot->members.size(); ++i) {
+      const geom::Mbb3D want = hot->members[i].Bounds();
+      EXPECT_EQ(std::memcmp(&hot->boxes[i], &want, sizeof(want)), 0);
+    }
+  };
+  for (const auto& [ci, chunk] : tree_->chunks()) {
+    for (const auto& [si, sc] : chunk.sub_chunks) {
+      check(sc.hot_outliers);
+      for (const auto& e : sc.representatives) check(e->hot);
+    }
+  }
+  const HotTierStats s = tree_->hot_stats();
+  ASSERT_GT(resident, 8u);
+  EXPECT_EQ(s.hot_partitions, resident);
+  EXPECT_GT(s.hot_index_bytes, 0u);
+  EXPECT_LT(s.hot_index_bytes, resident * 8192);
 }
 
 // ---------------------------------------------------------------------------
@@ -776,6 +807,63 @@ TEST(QuTOracleTest, InPlaceAssemblyMatchesTheEagerOne) {
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
     EXPECT_GT(want->hot_stats().hot_demotions, 0u);
   }
+}
+
+// Readers racing through a thrashing tier: 4 threads sweep the oracle
+// windows over one tree at a quarter of its promoted size, so reads
+// promote, evict and probe snapshots other threads just published or
+// demoted. Every answer equals the budget-0 answer.
+TEST(QuTOracleTest, ConcurrentReadersOfAThrashingTierAnswerLikeCold) {
+  std::vector<OracleScenario> scenarios;
+  MakeOracleScenarios(&scenarios);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  const OracleScenario& sc = scenarios.front();
+  auto env = storage::Env::NewMemEnv();
+  auto tree = std::move(ReTraTree::Open(env.get(), "t", sc.params)).value();
+  ASSERT_TRUE(tree->InsertStore(sc.store).ok());
+  const QuTClustering qut(tree.get());
+  const auto [t0, t1] = sc.store.TimeDomain();
+  const double span = t1 - t0;
+  Rng rng(2024);
+  std::vector<std::pair<double, double>> windows;
+  for (double fraction : {0.01, 0.05, 0.25, 1.0}) {
+    for (int k = 0; k < 4; ++k) {
+      const double wi = t0 + rng.Uniform(0.0, span * (1.0 - fraction));
+      windows.emplace_back(wi, wi + span * fraction);
+    }
+  }
+  windows.emplace_back(t0, t1 + 1);
+
+  tree->SetHotIndexBudget(0);
+  std::vector<RefResult> cold;
+  for (const auto& [wi, we] : windows) {
+    auto w = RefQuery(*tree, wi, we);
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    cold.push_back(std::move(w).value());
+  }
+  tree->SetHotIndexBudget(kDefaultHotIndexBudget);
+  for (const auto& [wi, we] : windows) ASSERT_TRUE(qut.Query(wi, we).ok());
+  tree->SetHotIndexBudget(
+      std::max<size_t>(1, tree->hot_stats().hot_index_bytes / 4));
+  const uint64_t demotions = tree->hot_stats().hot_demotions;
+
+  constexpr size_t kThreads = 4;
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kThreads; ++r) {
+    readers.emplace_back([&, r] {
+      for (size_t i = 0; i < 2 * windows.size(); ++i) {
+        const size_t k = (i + r * 5) % windows.size();
+        const auto [wi, we] = windows[k];
+        auto g = qut.Query(wi, we);
+        ASSERT_TRUE(g.ok()) << g.status().ToString();
+        ExpectSameAnswer(*g, cold[k], wi, we,
+                         "reader " + std::to_string(r) + " window " +
+                             std::to_string(k));
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_GT(tree->hot_stats().hot_demotions, demotions);
 }
 
 // A boundary member's re-check needs only a yes/no answer, so a distance

@@ -432,6 +432,123 @@ TEST(QutTreeSlotTest, ExtendedSnapshotsAnswerLikeAColdDecode) {
   EXPECT_EQ(slot.hot_stats().hot_index_bytes, 0u);
 }
 
+/// Four convoys of 6 co-moving objects along x, 5 km apart, sampled
+/// every 10 s up to t = 795; object k of a convoy starts at 40 + 3k s.
+/// Unlike `MakeShips`, every sub-chunk of this data holds clusters of
+/// several members (the extension test below asserts it).
+traj::TrajectoryStore MakeConvoys() {
+  traj::TrajectoryStore store;
+  for (int convoy = 0; convoy < 4; ++convoy) {
+    for (int k = 0; k < 6; ++k) {
+      traj::Trajectory t(convoy * 100 + k);
+      for (double now = 40.0 + 3.0 * k; now <= 795 + 1e-9; now += 10.0) {
+        EXPECT_TRUE(t.Append({now * 10.0, convoy * 5000.0 + k * 10.0, now})
+                        .ok());
+      }
+      EXPECT_TRUE(store.Add(std::move(t)).ok());
+    }
+  }
+  return store;
+}
+
+// Catch-up appends to member snapshots of clustered data: three more
+// objects join each convoy, every hot partition they join is extended in
+// place, and windows whose ends cut those partitions read the extended
+// snapshots hot. Every answer equals the same window decoded cold.
+TEST(QutTreeSlotTest, ExtendedClusterSnapshotsAnswerLikeAColdDecode) {
+  traj::TrajectoryStore store = MakeConvoys();
+  const std::vector<double> params = {400, 100, 30, 80, 8};
+  const auto [t0, t1] = store.TimeDomain();
+  auto env = storage::Env::NewMemEnv();
+  QutTreeSlot slot(env.get(), "t_");
+  ASSERT_TRUE(slot.Query(params, store, nullptr, kDefaultHotIndexBudget, t0,
+                         t1 + 1)
+                  .ok());
+  size_t clustered = 0;
+  for (const auto& [ci, chunk] : slot.tree()->chunks()) {
+    for (const auto& [si, sc] : chunk.sub_chunks) {
+      for (const auto& e : sc.representatives) {
+        clustered += e->member_count >= 2;
+      }
+    }
+  }
+  // At least one cluster per convoy in each of the 8 sub-chunks.
+  EXPECT_GE(clustered, 32u);
+  const std::map<std::string, size_t> before = HotMemberCounts(*slot.tree());
+
+  for (int convoy = 0; convoy < 4; ++convoy) {
+    for (int j = 0; j < 3; ++j) {
+      traj::Trajectory t(1000 + convoy * 10 + j);
+      for (double now = 0; now <= 795 + 1e-9; now += 10.0) {
+        ASSERT_TRUE(
+            t.Append({now * 10.0, convoy * 5000.0 + 5.0 + j * 10.0, now})
+                .ok());
+      }
+      ASSERT_TRUE(store.Add(std::move(t)).ok());
+    }
+  }
+  auto w = slot.Refresh(params, store, nullptr, kDefaultHotIndexBudget);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  ASSERT_EQ(*w, QutTreeWork::kCaughtUp);
+
+  // The extended partitions, and a hot window probe of each that returns
+  // an appended member.
+  std::vector<std::pair<double, double>> extended_sub_chunks;
+  for (const auto& [ci, chunk] : slot.tree()->chunks()) {
+    for (const auto& [si, sc] : chunk.sub_chunks) {
+      for (const auto& e : sc.representatives) {
+        auto snapshot = std::atomic_load(&e->hot);
+        auto it = before.find(e->partition_name);
+        if (snapshot == nullptr || it == before.end() ||
+            snapshot->members.size() <= it->second) {
+          continue;
+        }
+        ASSERT_EQ(snapshot->boxes.size(), snapshot->members.size());
+        extended_sub_chunks.emplace_back(sc.start, sc.end);
+        const HotTierStats probes = slot.hot_stats();
+        auto read = slot.tree()->ReadMembersInWindow(*e, sc.start + 30,
+                                                     sc.end - 30);
+        ASSERT_TRUE(read.ok());
+        EXPECT_EQ(slot.hot_stats().qut_hot_probes, probes.qut_hot_probes + 1);
+        EXPECT_EQ(slot.hot_stats().qut_cold_probes, probes.qut_cold_probes);
+        size_t appended = 0;
+        for (const auto& m : *read) appended += m.object_id >= 1000;
+        EXPECT_GT(appended, 0u) << e->partition_name;
+      }
+    }
+  }
+  EXPECT_GE(extended_sub_chunks.size(), 24u);
+
+  // Each window's ends fall inside sub-chunks with extended partitions.
+  const std::vector<std::pair<double, double>> windows = {
+      {150, 650}, {230, 470}, {420, 580}, {t0, t1 + 1}};
+  for (const auto& [wi, we] : windows) {
+    if (wi == t0) continue;
+    size_t cut = 0;
+    for (const auto& [lo, hi] : extended_sub_chunks) {
+      cut += (lo < wi && wi < hi) || (lo < we && we < hi);
+    }
+    EXPECT_GT(cut, 0u) << wi << " " << we;
+  }
+  std::vector<std::vector<std::string>> hot;
+  for (const auto& [wi, we] : windows) {
+    const HotTierStats probes = slot.hot_stats();
+    auto answer = slot.Query(params, store, nullptr, kDefaultHotIndexBudget,
+                             wi, we);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_GT(slot.hot_stats().qut_hot_probes, probes.qut_hot_probes);
+    EXPECT_FALSE(answer->clusters.empty());
+    hot.push_back(DeepCopy(*answer));
+  }
+  for (size_t k = 0; k < windows.size(); ++k) {
+    auto cold = slot.Query(params, store, nullptr, 0, windows[k].first,
+                           windows[k].second);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    EXPECT_EQ(DeepCopy(*cold), hot[k]) << "window " << k;
+  }
+  EXPECT_EQ(slot.hot_stats().hot_index_bytes, 0u);
+}
+
 TEST(QutTreeSlotTest, RejectsWrongParameterCount) {
   const traj::TrajectoryStore ships = MakeShips(2);
   auto env = storage::Env::NewMemEnv();

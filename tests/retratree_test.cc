@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/retratree.h"
 #include "datagen/noise.h"
@@ -156,6 +162,125 @@ TEST_F(ReTraTreeTest, ReadMembersInWindowFiltersByTime) {
   auto empty = (*tree)->ReadMembersInWindow(*entry, 10000.0, 20000.0);
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
+}
+
+// A hot window probe scans its snapshot's boxes with the Gist's
+// closed-box test, in member order. Members whose box ends exactly at
+// the window's start or starts exactly at its end are in, and a partition
+// of more than 64 members (one R-tree node) comes back in the order of
+// the cold read.
+TEST_F(ReTraTreeTest, HotWindowReadsMatchColdOnClosedEdges) {
+  ReTraTreeParams p = SmallTreeParams();
+  p.delta = 400.0;  // One sub-chunk = one chunk for this test.
+  p.t_align = 400.0;
+  auto tree = std::move(ReTraTree::Open(env_.get(), "edges", p)).value();
+  // Co-moving along x = 10 t over [from, to], sampled every 10 s.
+  auto along = [](traj::ObjectId id, double y, double from, double to) {
+    traj::Trajectory t(id);
+    for (double now = from; now <= to + 1e-9; now += 10.0) {
+      EXPECT_TRUE(t.Append({now * 10.0, y, now}).ok());
+    }
+    return t;
+  };
+  // 12 objects found the cluster; 80 more join it, each over its own
+  // stretch, starting at 0..70 s and ending at 330..390 s.
+  for (int k = 0; k < 12; ++k) {
+    ASSERT_TRUE(tree->Insert(along(k, k * 10.0, 0, 390), k).ok());
+  }
+  for (int k = 0; k < 80; ++k) {
+    ASSERT_TRUE(tree->Insert(along(100 + k, 20.0 + (k % 9) * 5.0,
+                                   10.0 * (k % 8), 390.0 - 10.0 * (k % 7)),
+                             100 + k)
+                    .ok());
+  }
+  const RepresentativeEntry* big = nullptr;
+  for (const auto& e :
+       tree->chunks().begin()->second.sub_chunks.begin()->second
+           .representatives) {
+    if (e->member_count > 64) big = e.get();
+  }
+  ASSERT_NE(big, nullptr);
+
+  const std::vector<std::pair<double, double>> windows = {
+      {-50, 0}, {0, 10}, {100, 200}, {380, 390}, {390, 400}};
+  auto records = [](const PartitionRead& read) {
+    std::vector<std::string> out;
+    for (const auto& m : read) out.push_back(EncodeSubTrajectory(m));
+    return out;
+  };
+  // Budget 0: every read goes through the heap file and its Gist.
+  tree->SetHotIndexBudget(0);
+  std::vector<std::vector<std::string>> cold;
+  bool ends_at_start = false, starts_at_end = false;
+  for (const auto& [t0, t1] : windows) {
+    auto read = tree->ReadMembersInWindow(*big, t0, t1);
+    ASSERT_TRUE(read.ok());
+    for (const auto& m : *read) {
+      ends_at_start = ends_at_start || m.Bounds().max_t == t0;
+      starts_at_end = starts_at_end || m.Bounds().min_t == t1;
+    }
+    cold.push_back(records(*read));
+  }
+  EXPECT_TRUE(ends_at_start);
+  EXPECT_TRUE(starts_at_end);
+  EXPECT_LT(cold.back().size(), big->member_count);
+  EXPECT_FALSE(cold.back().empty());
+
+  tree->SetHotIndexBudget(kDefaultHotIndexBudget);
+  ASSERT_TRUE(tree->ReadMembers(*big).ok());  // Promotes.
+  const HotTierStats before = tree->hot_stats();
+  for (size_t k = 0; k < windows.size(); ++k) {
+    auto read =
+        tree->ReadMembersInWindow(*big, windows[k].first, windows[k].second);
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(records(*read), cold[k]) << "window " << k;
+  }
+  const HotTierStats after = tree->hot_stats();
+  EXPECT_EQ(after.qut_cold_probes, before.qut_cold_probes);
+  EXPECT_EQ(after.qut_hot_probes, before.qut_hot_probes + windows.size());
+}
+
+// A cold read that promotes serves its answer from the snapshot it just
+// published: the decoded records move in, so the read pins the snapshot
+// and keeps it counted until it is released.
+TEST_F(ReTraTreeTest, PromotingReadSharesTheSnapshot) {
+  for (int k = 0; k < 12; ++k) {
+    ASSERT_TRUE(tree_->Insert(Line(k, k * 10.0, 0, 95), k).ok());
+  }
+  ASSERT_TRUE(tree_->Insert(Line(99, 90000.0, 0, 95), 99).ok());  // Outlier.
+  const SubChunk& sc = tree_->chunks().begin()->second.sub_chunks.begin()->second;
+  ASSERT_FALSE(sc.representatives.empty());
+  ASSERT_GT(sc.outlier_count, 0u);
+  const RepresentativeEntry& entry = *sc.representatives.front();
+  using Reader = std::function<StatusOr<PartitionRead>()>;
+  const std::vector<std::pair<const std::shared_ptr<const HotPartition>*,
+                              Reader>>
+      reads = {{&entry.hot, [&] { return tree_->ReadMembers(entry); }},
+               {&sc.hot_outliers, [&] { return tree_->ReadOutliers(sc); }}};
+  for (const auto& [slot, read_it] : reads) {
+    tree_->SetHotIndexBudget(kDefaultHotIndexBudget);
+    ASSERT_EQ(std::atomic_load(slot), nullptr);
+    const uint64_t promotions = tree_->hot_stats().hot_promotions;
+    {
+      auto read = read_it();
+      ASSERT_TRUE(read.ok());
+      ASSERT_GT(read->size(), 0u);
+      EXPECT_EQ(tree_->hot_stats().hot_promotions, promotions + 1);
+      {
+        auto hot = std::atomic_load(slot);
+        ASSERT_NE(hot, nullptr);
+        EXPECT_EQ(read->storage.get(), static_cast<const void*>(hot.get()));
+        ASSERT_EQ(read->size(), hot->members.size());
+        for (size_t i = 0; i < read->size(); ++i) {
+          EXPECT_EQ(&(*read)[i], &hot->members[i]);
+        }
+      }
+      tree_->SetHotIndexBudget(0);  // Demotes: the read is the last owner.
+      EXPECT_EQ(std::atomic_load(slot), nullptr);
+      EXPECT_EQ(tree_->hot_stats().hot_partitions, 1u);
+    }
+    EXPECT_EQ(tree_->hot_stats().hot_partitions, 0u);
+  }
 }
 
 TEST_F(ReTraTreeTest, OutliersStayBufferedWhenNoClusterForms) {
@@ -361,6 +486,91 @@ TEST_F(ReTraTreeTest, ReclusterFiresInsideParallelApply) {
       }
     }
   }
+}
+
+// Catch-up into a fully promoted tree: the apply fan-out's tasks extend
+// member and outlier snapshots and re-cluster (dropping outlier
+// snapshots) concurrently. The result matches the sequential loop, and
+// every snapshot still reads like the records on disk.
+TEST_F(ReTraTreeTest, ParallelApplyExtendsHotSnapshots) {
+  traj::TrajectoryStore store;
+  for (int k = 0; k < 12; ++k) {
+    ASSERT_TRUE(store.Add(Line(k, k * 10.0, 0, 395)).ok());
+  }
+  const size_t first_batch = store.NumTrajectories();
+  // Joins the clusters, then enough far-off objects to re-cluster the
+  // outlier buffers.
+  for (int k = 0; k < 6; ++k) {
+    ASSERT_TRUE(store.Add(Line(100 + k, 5.0 + k * 10.0, 0, 395)).ok());
+  }
+  for (int k = 0; k < 10; ++k) {
+    ASSERT_TRUE(store.Add(Line(200 + k, 90000.0 + k * 10.0, 0, 395)).ok());
+  }
+  auto promote_all = [](const ReTraTree& tree) {
+    for (const auto& [ci, chunk] : tree.chunks()) {
+      for (const auto& [si, sc] : chunk.sub_chunks) {
+        EXPECT_TRUE(tree.ReadOutliers(sc).ok());
+        for (const auto& e : sc.representatives) {
+          EXPECT_TRUE(tree.ReadMembers(*e).ok());
+        }
+      }
+    }
+  };
+  auto seq_tree =
+      std::move(ReTraTree::Open(env_.get(), "seqhot", SmallTreeParams()))
+          .value();
+  exec::ExecContext ctx(4);
+  auto batch_tree =
+      std::move(ReTraTree::Open(env_.get(), "batchhot", SmallTreeParams(),
+                                &ctx))
+          .value();
+  for (traj::TrajectoryId tid = 0; tid < first_batch; ++tid) {
+    ASSERT_TRUE(seq_tree->Insert(store.Get(tid), tid).ok());
+  }
+  ASSERT_TRUE(batch_tree->InsertBatch(store, &ctx, 0, first_batch).ok());
+  promote_all(*seq_tree);
+  promote_all(*batch_tree);
+  const HotTierStats promoted = batch_tree->hot_stats();
+  const uint64_t s2t_runs = batch_tree->stats().s2t_runs;
+
+  for (traj::TrajectoryId tid = first_batch; tid < store.NumTrajectories();
+       ++tid) {
+    ASSERT_TRUE(seq_tree->Insert(store.Get(tid), tid).ok());
+  }
+  ASSERT_TRUE(batch_tree
+                  ->InsertBatch(store, &ctx, first_batch,
+                                store.NumTrajectories() - first_batch)
+                  .ok());
+  ExpectSameCatalog(*seq_tree, *batch_tree);
+  ASSERT_TRUE(batch_tree->Validate().ok());
+  const HotTierStats caught_up = batch_tree->hot_stats();
+  EXPECT_GT(batch_tree->stats().s2t_runs, s2t_runs);
+  EXPECT_GT(caught_up.hot_demotions, promoted.hot_demotions);
+  // Every published snapshot is a promotion or an extension.
+  EXPECT_GT(caught_up.hot_pins_total - caught_up.hot_promotions,
+            promoted.hot_pins_total - promoted.hot_promotions);
+
+  std::vector<std::string> hot, cold;
+  auto read_all = [&](std::vector<std::string>* out) {
+    for (const auto& [ci, chunk] : batch_tree->chunks()) {
+      for (const auto& [si, sc] : chunk.sub_chunks) {
+        auto outs = batch_tree->ReadOutliers(sc);
+        ASSERT_TRUE(outs.ok());
+        for (const auto& m : *outs) out->push_back(EncodeSubTrajectory(m));
+        for (const auto& e : sc.representatives) {
+          auto members = batch_tree->ReadMembers(*e);
+          ASSERT_TRUE(members.ok());
+          for (const auto& m : *members) {
+            out->push_back(EncodeSubTrajectory(m));
+          }
+        }
+      }
+    }
+  };
+  read_all(&hot);
+  batch_tree->SetHotIndexBudget(0);
+  read_all(&cold);
+  EXPECT_EQ(hot, cold);
 }
 
 TEST_F(ReTraTreeTest, RepresentativeAssignmentRespectsDistance) {
