@@ -7,8 +7,12 @@
 // grows. ReTraTree construction and the baseline's *global* index are both
 // setup (not measured per query).
 //
+// The W sweep runs on two fixtures: 120 aircraft, and a dense 400
+// whose answers hold more than 64 members each and whose boundary
+// re-checks run the distance integral (it checks both at setup).
+//
 // This file also carries the hot/cold tier sweep: QUT served from the
-// in-memory MemRTree3D snapshots (hot) vs the on-disk heap+Gist path
+// in-memory snapshots (hot) vs the on-disk heap+Gist path
 // (cold, hot tier disabled via a zero budget), plus a concurrent-readers
 // sweep over the lock-free hot probe path. Every tier point is appended
 // to `BENCH_qut.json` (one record per (mode, W, threads)) so successive
@@ -22,6 +26,7 @@
 #include <vector>
 
 #include "baselines/range_rebuild.h"
+#include "common/logging.h"
 #include "core/qut_clustering.h"
 #include "core/retratree.h"
 #include "datagen/aircraft.h"
@@ -102,6 +107,33 @@ Fixture& SharedFixture() {
   return *fixture;
 }
 
+/// The W sweep's windows, in percent of the time domain.
+constexpr int kWindowPcts[] = {5, 10, 25, 50, 100};
+
+/// 400 aircraft over the same span. Checks its shape once: every sweep
+/// window answers with more than 64 members, and every window with
+/// boundary re-checks runs the integral in some of them (the 120-aircraft
+/// fixture reads at most 64 members and never integrates).
+Fixture& DenseFixture() {
+  static Fixture* fixture = [] {
+    auto* f = new Fixture(400);
+    core::QuTClustering qut(f->tree.get());
+    size_t boundary_windows = 0;
+    for (int pct : kWindowPcts) {
+      const auto [wi, we] = f->Window(pct / 100.0);
+      auto result = qut.Query(wi, we);
+      HERMES_CHECK_OK(result.status());
+      HERMES_CHECK(result->TotalMembers() > 64) << "W " << pct << "%";
+      if (result->stats.members_rechecked == 0) continue;
+      ++boundary_windows;
+      HERMES_CHECK(result->stats.exact_distances > 0) << "W " << pct << "%";
+    }
+    HERMES_CHECK(boundary_windows > 0);
+    return f;
+  }();
+  return *fixture;
+}
+
 struct QutRecord {
   std::string mode;  // "cold" / "hot" / "hot_concurrent".
   int w_pct = 0;
@@ -118,8 +150,8 @@ std::vector<QutRecord>& Records() {
   return *records;
 }
 
-void BM_QuTQuery(benchmark::State& state) {
-  Fixture& f = SharedFixture();
+/// The W sweep over `f`: QUT at `state.range(0)` % of the time domain.
+void RunWindowSweep(benchmark::State& state, Fixture& f) {
   const double fraction = static_cast<double>(state.range(0)) / 100.0;
   const auto [wi, we] = f.Window(fraction);
   core::QuTClustering qut(f.tree.get());
@@ -140,6 +172,14 @@ void BM_QuTQuery(benchmark::State& state) {
   state.counters["exact_share"] =
       rechecked == 0 ? 0.0
                      : static_cast<double>(exact) / static_cast<double>(rechecked);
+}
+
+void BM_QuTQuery(benchmark::State& state) {
+  RunWindowSweep(state, SharedFixture());
+}
+
+void BM_QuTQueryDense(benchmark::State& state) {
+  RunWindowSweep(state, DenseFixture());
 }
 
 void BM_RangeRebuildS2T(benchmark::State& state) {
@@ -311,6 +351,8 @@ void WriteJson(const char* path) {
 
 // W sweep: 5% .. 100% of the time domain.
 BENCHMARK(BM_QuTQuery)->Arg(5)->Arg(10)->Arg(25)->Arg(50)->Arg(100)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_QuTQueryDense)->Arg(5)->Arg(10)->Arg(25)->Arg(50)->Arg(100)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RangeRebuildS2T)->Arg(5)->Arg(10)->Arg(25)->Arg(50)->Arg(100)
     ->Unit(benchmark::kMillisecond);

@@ -42,7 +42,9 @@ class CAPABILITY("mutex") Mutex {
 ///
 /// A `pthread_rwlock_t` of kind `PREFER_WRITER_NONRECURSIVE`: once a
 /// writer waits, new readers queue behind it, so overlapping QUT readers
-/// cannot hold off the ingest worker's tree catch-up (glibc's default,
+/// cannot hold off the ingest worker's tree catch-up — its exclusive
+/// hold of the ReTraTree's node map and of each sub-chunk its batch
+/// touches — nor a rebuild or drop of the whole tree (glibc's default,
 /// behind `std::shared_mutex`, prefers readers). So a thread must never
 /// take the same lock shared twice: the second `lock_shared` would queue
 /// behind a writer that waits for the first.
@@ -62,6 +64,13 @@ class CAPABILITY("shared_mutex") SharedMutex {
   bool try_lock_shared() TRY_ACQUIRE_SHARED(true) {
     return !pthread_rwlock_tryrdlock(&mu_);
   }
+
+  /// Tell the analysis the caller holds this lock (exclusive / at least
+  /// shared) where it cannot see the acquisition: a lock set of runtime
+  /// size, taken and released by one owner, such as the sub-chunks a
+  /// ReTraTree batch or QUT view holds. They check nothing at run time.
+  void AssertHeld() ASSERT_CAPABILITY(this) {}
+  void AssertReaderHeld() ASSERT_SHARED_CAPABILITY(this) {}
 
  private:
   pthread_rwlock_t mu_ = PTHREAD_RWLOCK_WRITER_NONRECURSIVE_INITIALIZER_NP;

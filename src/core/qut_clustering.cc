@@ -93,7 +93,16 @@ StatusOr<QuTResult> QuTClustering::Query(double wi, double we,
     return trimmed_store->back();
   };
 
-  for (const SubChunk* sc : tree_->SubChunksIn(wi, we)) {
+  // Held until the answer is built: inside W, every batch is in it
+  // wholly or not at all.
+  const SubChunkView view = tree_->SubChunksIn(wi, we);
+  if (tree_->failed()) {
+    return Status::Unavailable(
+        "the QUT tree failed part-way through a catch-up; the next QUT "
+        "rebuilds it");
+  }
+  for (const SubChunk* sc : view) {
+    sc->mu.AssertReaderHeld();  // By `view`.
     ++result.stats.sub_chunks_visited;
     const bool full = sc->start >= wi && sc->end <= we;
     if (full) {

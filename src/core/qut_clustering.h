@@ -93,7 +93,10 @@ class QuTClustering {
  public:
   explicit QuTClustering(const ReTraTree* tree) : tree_(tree) {}
 
-  /// Runs `SELECT QUT(D, Wi, We, ...)`.
+  /// Runs `SELECT QUT(D, Wi, We, ...)`, holding the window's sub-chunks
+  /// shared (`ReTraTree::SubChunksIn`) until the answer is built, so a
+  /// concurrent batch is in it wholly or not at all. `Unavailable` when
+  /// the tree is `failed()`.
   StatusOr<QuTResult> Query(double wi, double we,
                             const QuTParams& params = QuTParams()) const;
 

@@ -88,7 +88,10 @@ StatusOr<QuTResult> QutTreeSlot::Query(const std::vector<double>& tree_params,
     common::ReaderMutexLock rlock(&mu_);
     if (FreshLocked(tree_params, store.NumTrajectories()) &&
         tree_->hot_index_budget() == hot_budget) {
-      return QuTClustering(tree_.get()).Query(wi, we);
+      StatusOr<QuTResult> result = QuTClustering(tree_.get()).Query(wi, we);
+      // A catch-up that failed on this window's sub-chunks left the tree
+      // failed; the refresh below rebuilds it.
+      if (result.ok() || !tree_->failed()) return result;
     }
   }
   // Answered before the lock goes, or readers with different parameters
@@ -109,8 +112,8 @@ bool QutTreeSlot::Fresh(const std::vector<double>& tree_params,
 
 bool QutTreeSlot::FreshLocked(const std::vector<double>& tree_params,
                               size_t num_trajectories) const {
-  return tree_ != nullptr && params_ == tree_params &&
-         consumed_ >= num_trajectories;
+  return tree_ != nullptr && !tree_->failed() && params_ == tree_params &&
+         consumed_.load(std::memory_order_acquire) >= num_trajectories;
 }
 
 StatusOr<QutTreeWork> QutTreeSlot::Refresh(
@@ -125,7 +128,7 @@ StatusOr<QutTreeWork> QutTreeSlot::RefreshLocked(
     exec::ExecContext* exec, size_t hot_budget, exec::ExecStats* archive) {
   HERMES_RETURN_NOT_OK(CheckTreeParams(tree_params));
   bool rebuilt = false;
-  if (tree_ == nullptr || params_ != tree_params) {
+  if (tree_ == nullptr || params_ != tree_params || tree_->failed()) {
     DropLocked();
     dir_ = dir_prefix_ + std::to_string(seq_++);
     // A crashed process may have left files under this name.
@@ -142,43 +145,63 @@ StatusOr<QutTreeWork> QutTreeSlot::RefreshLocked(
     params_ = tree_params;
     rebuilt = true;
   }
-  HERMES_ASSIGN_OR_RETURN(QutTreeWork work,
-                          CatchUpLocked(store, exec, archive));
+  StatusOr<QutTreeWork> work = QutTreeWork::kNone;
+  {
+    // Uncontended: catch-ups hold mu_ shared, which this exclusive hold
+    // keeps out.
+    common::MutexLock catchup(&catchup_mu_);
+    work = CatchUpLocked(store, exec, archive);
+  }
+  if (!work.ok()) {
+    DropLocked();
+    return work.status();
+  }
   // Applied on every refresh, not just at build time, so lowering the
   // budget (to 0: cold only) takes effect on a live tree.
   tree_->SetHotIndexBudget(hot_budget);
-  return rebuilt ? QutTreeWork::kRebuilt : work;
+  return rebuilt ? QutTreeWork::kRebuilt : *work;
 }
 
 StatusOr<QutTreeWork> QutTreeSlot::CatchUp(const traj::TrajectoryStore& store,
                                            exec::ExecContext* exec,
                                            exec::ExecStats* archive) {
+  uint64_t generation = 0;
+  Status failure;
+  {
+    // Shared: QUTs keep answering from the tree, each waiting only for
+    // the sub-chunks its window shares with the batch.
+    common::ReaderMutexLock rlock(&mu_);
+    common::MutexLock catchup(&catchup_mu_);
+    StatusOr<QutTreeWork> work = CatchUpLocked(store, exec, archive);
+    if (work.ok()) return work;
+    failure = work.status();
+    generation = seq_;
+  }
+  // Any failure drops the tree, unless a QUT already replaced it.
   common::WriterMutexLock wlock(&mu_);
-  return CatchUpLocked(store, exec, archive);
+  if (tree_ != nullptr && seq_ == generation) DropLocked();
+  return failure;
 }
 
 StatusOr<QutTreeWork> QutTreeSlot::CatchUpLocked(
     const traj::TrajectoryStore& store, exec::ExecContext* exec,
     exec::ExecStats* archive) {
   const size_t n = store.NumTrajectories();
-  if (tree_ == nullptr || consumed_ >= n) return QutTreeWork::kNone;
+  const size_t consumed = consumed_.load(std::memory_order_relaxed);
+  if (tree_ == nullptr || consumed >= n) return QutTreeWork::kNone;
   const ReTraTreeStats before = tree_->stats();
   // A one-sample trajectory forms no segment, so the tree leaves it out
   // (the tree rejects it); each run between such points goes in as one
   // batch, which equals the sequential loop over the rest.
-  for (size_t first = consumed_; first < n;) {
+  for (size_t first = consumed; first < n;) {
     size_t end = first;
     while (end < n && store.Get(end).size() >= 2) ++end;
     if (end > first) {
-      Status st = tree_->InsertBatch(store, exec, first, end - first);
-      if (!st.ok()) {
-        DropLocked();
-        return st;
-      }
+      HERMES_RETURN_NOT_OK(tree_->InsertBatch(store, exec, first, end - first));
     }
     first = end + 1;
   }
-  consumed_ = n;
+  consumed_.store(n, std::memory_order_release);
   if (exec == nullptr && archive != nullptr) {
     ArchiveTreeWork(before, tree_->stats(), archive);
   }
@@ -196,7 +219,7 @@ void QutTreeSlot::DropLocked() {
   if (!dir_.empty()) DeleteTreeFiles(env_, dir_);
   dir_.clear();
   params_.clear();
-  consumed_ = 0;
+  consumed_.store(0, std::memory_order_relaxed);
 }
 
 HotTierStats QutTreeSlot::hot_stats() const {

@@ -1,6 +1,7 @@
 #ifndef HERMES_CORE_QUT_TREE_SLOT_H_
 #define HERMES_CORE_QUT_TREE_SLOT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -55,10 +56,15 @@ enum class QutTreeWork { kNone, kCaughtUp, kRebuilt };
 /// snapshot of it; an owner whose store is replaced calls `Drop` (the
 /// server instead replaces the whole MOD, slot included).
 ///
-/// Thread-safe: queries on a fresh tree share the slot's lock; refreshes,
-/// catch-ups and drops take it exclusive. The owner keeps the store it
-/// passes from changing during a call (an immutable snapshot, or its own
-/// lock held), so the slot's lock is always the inner one.
+/// Thread-safe: queries on a fresh tree and catch-ups share the slot's
+/// lock; builds, parameter or budget changes and drops take it
+/// exclusive. Catch-ups run one at a time (`catchup_mu_`), and a QUT
+/// waits for one only on the sub-chunks its window shares with the
+/// batch (`ReTraTree::InsertBatch`). A catch-up that fails part-way
+/// leaves its tree `failed()`, so no QUT answers from it, and any failed
+/// catch-up drops its tree. The owner keeps the store it passes from
+/// changing during a call (an immutable snapshot, or its own lock held),
+/// so the slot's lock is always the inner one.
 class QutTreeSlot {
  public:
   QutTreeSlot(storage::Env* env, std::string dir_prefix);
@@ -69,10 +75,11 @@ class QutTreeSlot {
   QutTreeSlot& operator=(const QutTreeSlot&) = delete;
 
   /// The QUT read path over `store`: a fresh tree (built with
-  /// `tree_params`, covering `store`, budget `hot_budget`) answers under
-  /// the shared lock; otherwise `Refresh` runs and the window is answered
-  /// under the exclusive lock. `work` (optional) gets what it took. A
-  /// window `CheckQutWindow` rejects fails first, building nothing.
+  /// `tree_params`, covering `store`, budget `hot_budget`, not failed)
+  /// answers under the shared lock; otherwise, or when a catch-up fails
+  /// under the answer, `Refresh` runs and the window is answered under
+  /// the exclusive lock. `work` (optional) gets what it took. A window
+  /// `CheckQutWindow` rejects fails first, building nothing.
   StatusOr<QuTResult> Query(const std::vector<double>& tree_params,
                             const traj::TrajectoryStore& store,
                             exec::ExecContext* exec, size_t hot_budget,
@@ -101,7 +108,9 @@ class QutTreeSlot {
 
   /// Catches an existing tree up with `store`; without a tree it does
   /// nothing (the ingest worker keeps a live tree current but never
-  /// builds one).
+  /// builds one). Runs under the shared lock, so QUTs on windows the new
+  /// trajectories do not touch keep answering meanwhile; on failure it
+  /// takes the lock exclusive and drops the tree.
   StatusOr<QutTreeWork> CatchUp(const traj::TrajectoryStore& store,
                                 exec::ExecContext* exec,
                                 exec::ExecStats* archive = nullptr);
@@ -124,18 +133,27 @@ class QutTreeSlot {
                                       exec::ExecContext* exec,
                                       size_t hot_budget,
                                       exec::ExecStats* archive) REQUIRES(mu_);
+  /// Inserts `[consumed_, n)`; on failure the tree holds what it applied
+  /// and the caller drops it.
   StatusOr<QutTreeWork> CatchUpLocked(const traj::TrajectoryStore& store,
                                       exec::ExecContext* exec,
-                                      exec::ExecStats* archive) REQUIRES(mu_);
+                                      exec::ExecStats* archive)
+      REQUIRES_SHARED(mu_) REQUIRES(catchup_mu_);
   void DropLocked() REQUIRES(mu_);
 
   storage::Env* const env_;
   const std::string dir_prefix_;
   mutable common::SharedMutex mu_;
+  /// Serializes catch-ups, which hold `mu_` only shared. Taken after it.
+  common::Mutex catchup_mu_ ACQUIRED_AFTER(mu_);
   std::unique_ptr<ReTraTree> tree_ GUARDED_BY(mu_);
   std::string dir_ GUARDED_BY(mu_);
   std::vector<double> params_ GUARDED_BY(mu_);
-  size_t consumed_ GUARDED_BY(mu_) = 0;
+  /// Store trajectories the tree has consumed. Written under `mu_`
+  /// shared plus `catchup_mu_`, or `mu_` exclusive; read by QUTs under
+  /// `mu_` shared while a catch-up may advance it.
+  std::atomic<size_t> consumed_{0};
+  /// Bumped by each build, so a failed catch-up drops only its own tree.
   uint64_t seq_ GUARDED_BY(mu_) = 0;
 };
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 
 #include "common/coding.h"
 #include "common/logging.h"
@@ -192,14 +193,9 @@ Status ReTraTree::Insert(const traj::Trajectory& trajectory,
   if (trajectory.size() < 2) {
     return Status::InvalidArgument("trajectory needs >= 2 samples");
   }
-  std::vector<PendingPiece> pieces;
-  HERMES_RETURN_NOT_OK(SplitTrajectory(trajectory, source_id, &pieces));
-  for (PendingPiece& pp : pieces) {
-    pp.st.id = next_sub_id_++;
-    SubChunk* sc = GetOrCreateSubChunkByIndex(pp.sub_chunk);
-    HERMES_RETURN_NOT_OK(InsertPiece(sc, std::move(pp.st), true, exec_));
-  }
-  return Status::OK();
+  std::vector<std::vector<PendingPiece>> per_traj(1);
+  HERMES_RETURN_NOT_OK(SplitTrajectory(trajectory, source_id, &per_traj[0]));
+  return ApplyPieces(std::move(per_traj), exec_);
 }
 
 Status ReTraTree::InsertStore(const traj::TrajectoryStore& store,
@@ -225,9 +221,8 @@ Status ReTraTree::InsertBatch(const traj::TrajectoryStore& store,
   const size_t n = count;
   if (n == 0) return Status::OK();
 
-  // ---- Phase 1: split. Pure per-trajectory work fans out; ids are then
-  // pre-assigned by prefix sum in (trajectory, piece) order — the exact
-  // order a sequential Insert loop draws them from next_sub_id_.
+  // ---- Phase 1: split. Pure per-trajectory work fans out, touching no
+  // tree state.
   const int64_t split_start = NowUs();
   std::vector<std::vector<PendingPiece>> per_traj(n);
   std::vector<Status> split_status(exec::NumChunks(n, kSplitGrain),
@@ -252,51 +247,11 @@ Status ReTraTree::InsertBatch(const traj::TrajectoryStore& store,
   for (const Status& st : split_status) {
     HERMES_RETURN_NOT_OK(st);
   }
-
-  // Pre-assign ids in (trajectory, piece) order — the exact order a
-  // sequential Insert loop draws them from next_sub_id_ — while bucketing
-  // pieces per sub-chunk in the same global order. Every L1/L2 node is
-  // created up front so the apply fan-out never mutates the chunk maps.
-  std::map<int64_t, std::vector<traj::SubTrajectory>> buckets;
-  for (size_t tid = 0; tid < n; ++tid) {
-    for (PendingPiece& pp : per_traj[tid]) {
-      pp.st.id = next_sub_id_++;
-      buckets[pp.sub_chunk].push_back(std::move(pp.st));
-    }
-  }
-  struct ApplyTask {
-    SubChunk* sc;
-    std::vector<traj::SubTrajectory> pieces;
-  };
-  std::vector<ApplyTask> tasks;
-  tasks.reserve(buckets.size());
-  for (auto& [si, pieces] : buckets) {
-    tasks.push_back({GetOrCreateSubChunkByIndex(si), std::move(pieces)});
-  }
   const int64_t split_us = NowUs() - split_start;
 
-  // ---- Phase 2: apply, one task per sub-chunk. Each task touches only
-  // its sub-chunk's representatives, partitions, indexes, and id/name
-  // sequences; the partition manager and the stats are the only shared
-  // state, both mutex-guarded.
+  // ---- Phase 2: apply.
   const int64_t apply_start = NowUs();
-  std::vector<Status> apply_status(tasks.size(), Status::OK());
-  exec::ParallelFor(ctx, tasks.size(), /*grain=*/1,
-                    [&](size_t begin, size_t end, size_t /*chunk*/) {
-    for (size_t k = begin; k < end; ++k) {
-      for (traj::SubTrajectory& piece : tasks[k].pieces) {
-        const Status st =
-            InsertPiece(tasks[k].sc, std::move(piece), true, ctx);
-        if (!st.ok()) {
-          apply_status[k] = st;
-          break;
-        }
-      }
-    }
-  });
-  for (const Status& st : apply_status) {
-    HERMES_RETURN_NOT_OK(st);
-  }
+  HERMES_RETURN_NOT_OK(ApplyPieces(std::move(per_traj), ctx));
   const int64_t apply_us = NowUs() - apply_start;
 
   {
@@ -307,6 +262,93 @@ Status ReTraTree::InsertBatch(const traj::TrajectoryStore& store,
   if (ctx != nullptr) {
     ctx->stats().RecordPhaseUs("ingest_split", split_us);
     ctx->stats().RecordPhaseUs("ingest_apply", apply_us);
+  }
+  return Status::OK();
+}
+
+namespace {
+/// A batch's target sub-chunks, held exclusive from construction, where
+/// they are taken in the order given (ascending index), to destruction.
+/// A lock set of runtime size, which the analysis cannot follow: each
+/// apply task states its sub-chunk's hold with `AssertHeld`.
+class ExclusiveSubChunks {
+ public:
+  explicit ExclusiveSubChunks(std::vector<SubChunk*> held)
+      NO_THREAD_SAFETY_ANALYSIS : held_(std::move(held)) {
+    for (SubChunk* sc : held_) sc->mu.lock();
+  }
+  ~ExclusiveSubChunks() NO_THREAD_SAFETY_ANALYSIS {
+    for (SubChunk* sc : held_) sc->mu.unlock();
+  }
+  ExclusiveSubChunks(const ExclusiveSubChunks&) = delete;
+  ExclusiveSubChunks& operator=(const ExclusiveSubChunks&) = delete;
+
+ private:
+  const std::vector<SubChunk*> held_;
+};
+}  // namespace
+
+Status ReTraTree::ApplyPieces(std::vector<std::vector<PendingPiece>> per_traj,
+                              exec::ExecContext* ctx) {
+  struct ApplyTask {
+    SubChunk* sc;
+    std::vector<traj::SubTrajectory> pieces;
+  };
+  std::vector<ApplyTask> tasks;
+  std::optional<ExclusiveSubChunks> held;
+  {
+    common::WriterMutexLock nodes(&nodes_mu_);
+    if (failed()) {
+      return Status::Unavailable("ReTraTree holds half a failed batch");
+    }
+    // Ids in (trajectory, piece) order — the exact order a sequential
+    // Insert loop draws them from next_sub_id_ — while bucketing pieces
+    // per sub-chunk in the same global order. Every L1/L2 node is created
+    // here, so the apply fan-out never changes the chunk maps.
+    std::map<int64_t, std::vector<traj::SubTrajectory>> buckets;
+    for (std::vector<PendingPiece>& pieces : per_traj) {
+      for (PendingPiece& pp : pieces) {
+        pp.st.id = next_sub_id_++;
+        buckets[pp.sub_chunk].push_back(std::move(pp.st));
+      }
+    }
+    tasks.reserve(buckets.size());
+    std::vector<SubChunk*> targets;
+    targets.reserve(buckets.size());
+    for (auto& [si, pieces] : buckets) {
+      tasks.push_back({GetOrCreateSubChunkByIndex(si), std::move(pieces)});
+      targets.push_back(tasks.back().sc);
+    }
+    // In ascending index order (the buckets'), as every reader takes them.
+    held.emplace(std::move(targets));
+  }
+
+  // One task per sub-chunk. Each touches only its sub-chunk's
+  // representatives, partitions, indexes, and id/name sequences; the
+  // partition manager, the hot tier and the stats are the only shared
+  // state, each under its own mutex.
+  std::vector<Status> apply_status(tasks.size(), Status::OK());
+  exec::ParallelFor(ctx, tasks.size(), /*grain=*/1,
+                    [&](size_t begin, size_t end, size_t /*chunk*/) {
+    for (size_t k = begin; k < end; ++k) {
+      SubChunk* sc = tasks[k].sc;
+      sc->mu.AssertHeld();  // By `held`.
+      for (traj::SubTrajectory& piece : tasks[k].pieces) {
+        const Status st = InsertPiece(sc, std::move(piece), true, ctx);
+        if (!st.ok()) {
+          apply_status[k] = st;
+          break;
+        }
+      }
+    }
+  });
+  for (const Status& st : apply_status) {
+    if (!st.ok()) {
+      // Before `held` lets the sub-chunks go, so no reader that waited
+      // for them answers from half a batch.
+      failed_.store(true, std::memory_order_release);
+      return st;
+    }
   }
   return Status::OK();
 }
@@ -340,7 +382,7 @@ Status ReTraTree::InsertPiece(SubChunk* sc, traj::SubTrajectory piece,
       ++stats_.pieces_inserted;
       ++stats_.assigned_to_existing;
     }
-    return AppendMember(best, piece);
+    return AppendMember(sc, best, piece);
   }
 
   // Outlier path.
@@ -365,7 +407,7 @@ Status ReTraTree::InsertPiece(SubChunk* sc, traj::SubTrajectory piece,
   return Status::OK();
 }
 
-Status ReTraTree::AppendMember(RepresentativeEntry* entry,
+Status ReTraTree::AppendMember(SubChunk* /*sc*/, RepresentativeEntry* entry,
                                const traj::SubTrajectory& member) {
   HERMES_ASSIGN_OR_RETURN(storage::HeapFile * hf,
                           partitions_->GetOrCreate(entry->partition_name));
@@ -455,7 +497,7 @@ Status ReTraTree::ReclusterOutliers(SubChunk* sc,
       HERMES_ASSIGN_OR_RETURN(member.id, NextDerivedId(sc));
       member.source_trajectory = buffered[mbuf].source_trajectory;
       member.object_id = buffered[mbuf].object_id;
-      HERMES_RETURN_NOT_OK(AppendMember(raw, member));
+      HERMES_RETURN_NOT_OK(AppendMember(sc, raw, member));
       archived[m] = true;
     }
   }
@@ -499,21 +541,30 @@ Status ReTraTree::ReclusterOutliers(SubChunk* sc,
   return Status::OK();
 }
 
-std::vector<const SubChunk*> ReTraTree::SubChunksIn(double t0,
-                                                    double t1) const {
-  std::vector<const SubChunk*> out;
+void SubChunkView::Acquire() {
+  for (const SubChunk* sc : held_) sc->mu.lock_shared();
+}
+
+void SubChunkView::Release() {
+  for (const SubChunk* sc : held_) sc->mu.unlock_shared();
+  held_.clear();
+}
+
+SubChunkView ReTraTree::SubChunksIn(double t0, double t1) const {
+  SubChunkView view;
+  common::ReaderMutexLock nodes(&nodes_mu_);
+  // Chunks and their sub-chunks are keyed by index, so this visits the
+  // window's sub-chunks in ascending index order, which is time order
+  // and the order a batch takes them in.
   for (const auto& [ci, chunk] : chunks_) {
     if (chunk.end <= t0 || chunk.start >= t1) continue;
     for (const auto& [si, sc] : chunk.sub_chunks) {
       if (sc.end <= t0 || sc.start >= t1) continue;
-      out.push_back(&sc);
+      view.held_.push_back(&sc);
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const SubChunk* a, const SubChunk* b) {
-              return a->start < b->start;
-            });
-  return out;
+  view.Acquire();
+  return view;
 }
 
 StatusOr<std::vector<traj::SubTrajectory>> ReTraTree::ScanPartition(
@@ -819,8 +870,11 @@ ColdIoStats ReTraTree::cold_io_stats() const {
     s.heap_lock_acquisitions +=
         ls.shared_acquisitions + ls.exclusive_acquisitions;
   });
+  common::ReaderMutexLock nodes(&nodes_mu_);
   for (const auto& [ci, chunk] : chunks_) {
-    for (const auto& [si, sc] : chunk.sub_chunks) {
+    for (const auto& sub : chunk.sub_chunks) {
+      const SubChunk& sc = sub.second;
+      common::ReaderMutexLock lock(&sc.mu);
       for (const auto& entry : sc.representatives) {
         s.index_nodes_visited += entry->index->stats().nodes_visited;
         const storage::PagerStats io = entry->index->io_stats();
@@ -836,8 +890,11 @@ ColdIoStats ReTraTree::cold_io_stats() const {
 
 size_t ReTraTree::TotalRepresentatives() const {
   size_t n = 0;
+  common::ReaderMutexLock nodes(&nodes_mu_);
   for (const auto& [ci, chunk] : chunks_) {
-    for (const auto& [si, sc] : chunk.sub_chunks) {
+    for (const auto& sub : chunk.sub_chunks) {
+      const SubChunk& sc = sub.second;
+      common::ReaderMutexLock lock(&sc.mu);
       n += sc.representatives.size();
     }
   }
@@ -845,15 +902,18 @@ size_t ReTraTree::TotalRepresentatives() const {
 }
 
 Status ReTraTree::Validate() const {
+  common::ReaderMutexLock nodes(&nodes_mu_);
   for (const auto& [ci, chunk] : chunks_) {
     if (chunk.index != ci) return Status::Corruption("chunk index mismatch");
-    for (const auto& [si, sc] : chunk.sub_chunks) {
+    for (const auto& [si, sub] : chunk.sub_chunks) {
+      const SubChunk& sc = sub;
       if (sc.global_index != si) {
         return Status::Corruption("sub-chunk index mismatch");
       }
       if (sc.start < chunk.start - 1e-9 || sc.end > chunk.end + 1e-9) {
         return Status::Corruption("sub-chunk outside its chunk");
       }
+      common::ReaderMutexLock lock(&sc.mu);
       for (const auto& entry : sc.representatives) {
         HERMES_RETURN_NOT_OK(entry->index->Validate());
         if (entry->index->num_entries() != entry->member_count) {
@@ -879,9 +939,12 @@ Status ReTraTree::Validate() const {
 
 Status ReTraTree::Flush() {
   HERMES_RETURN_NOT_OK(partitions_->FlushAll());
-  for (auto& [ci, chunk] : chunks_) {
-    for (auto& [si, sc] : chunk.sub_chunks) {
-      for (auto& entry : sc.representatives) {
+  common::ReaderMutexLock nodes(&nodes_mu_);
+  for (const auto& [ci, chunk] : chunks_) {
+    for (const auto& sub : chunk.sub_chunks) {
+      const SubChunk& sc = sub.second;
+      common::ReaderMutexLock lock(&sc.mu);
+      for (const auto& entry : sc.representatives) {
         HERMES_RETURN_NOT_OK(entry->index->Flush());
       }
     }

@@ -189,25 +189,36 @@ struct RepresentativeEntry {
 
 /// \brief L2 node: one sub-chunk of the time domain with its
 /// representatives and its outlier partition.
+///
+/// `mu` guards the sub-chunk's state: a batch holds it exclusive from
+/// before its first change to the sub-chunk until the batch is whole (or
+/// has failed), and a QUT holds it shared until its answer is built (see
+/// `ReTraTree::InsertBatch` and `SubChunksIn`). The representatives'
+/// entries (their member counts, indexes and partitions) are sub-chunk
+/// state too. `global_index`, `start`, `end` and `outlier_partition` are
+/// set when the node is created, under the tree's node lock, and never
+/// change.
 struct SubChunk {
+  mutable common::SharedMutex mu;
   int64_t global_index = 0;
   double start = 0.0;
   double end = 0.0;
-  std::vector<std::unique_ptr<RepresentativeEntry>> representatives;
   std::string outlier_partition;
-  size_t outlier_count = 0;
+  std::vector<std::unique_ptr<RepresentativeEntry>> representatives
+      GUARDED_BY(mu);
+  size_t outlier_count GUARDED_BY(mu) = 0;
   /// Next buffer size that may trigger re-clustering (prevents thrashing
   /// when residues alone still exceed gamma).
-  size_t recluster_watermark = 0;
+  size_t recluster_watermark GUARDED_BY(mu) = 0;
   /// Sequence of derived sub-trajectory ids handed out by this sub-chunk's
   /// re-clustering runs (see `ReTraTree::NextDerivedId`). Per-sub-chunk so
   /// concurrent apply tasks never contend — and so the ids are a pure
   /// function of the sub-chunk's own insertion history, which is what
   /// makes batch and sequential ingest bit-identical.
-  uint64_t derived_seq = 0;
+  uint64_t derived_seq GUARDED_BY(mu) = 0;
   /// Sequence behind this sub-chunk's representative partition names
   /// ("sc<i>_r<seq>"); per-sub-chunk for the same reason.
-  uint64_t rep_seq = 0;
+  uint64_t rep_seq GUARDED_BY(mu) = 0;
   /// Hot-tier snapshot of the outlier partition (see
   /// `RepresentativeEntry::hot`); dropped when re-clustering rebuilds the
   /// buffer.
@@ -215,6 +226,45 @@ struct SubChunk {
   /// Failed-promotion memo for the outlier snapshot (see
   /// `RepresentativeEntry::hot_unfit_budget`).
   mutable std::atomic<size_t> hot_outliers_unfit_budget{0};
+};
+
+/// \brief The sub-chunks whose interval intersects a window, ordered by
+/// time, each held shared (`SubChunk::mu`) until the view is destroyed:
+/// what `ReTraTree::SubChunksIn` returns and a QUT answers from. Code
+/// that reads a held sub-chunk's guarded fields states the hold with
+/// `sc->mu.AssertReaderHeld()`, since the analysis cannot follow a lock
+/// set of runtime size. Move-only.
+class SubChunkView {
+ public:
+  SubChunkView() = default;
+  ~SubChunkView() { Release(); }
+  SubChunkView(SubChunkView&& other) noexcept
+      : held_(std::move(other.held_)) {
+    other.held_.clear();
+  }
+  SubChunkView& operator=(SubChunkView&&) = delete;
+  SubChunkView(const SubChunkView&) = delete;
+  SubChunkView& operator=(const SubChunkView&) = delete;
+
+  size_t size() const { return held_.size(); }
+  bool empty() const { return held_.empty(); }
+  const SubChunk* operator[](size_t i) const { return held_[i]; }
+  const SubChunk* front() const { return held_.front(); }
+  std::vector<const SubChunk*>::const_iterator begin() const {
+    return held_.begin();
+  }
+  std::vector<const SubChunk*>::const_iterator end() const {
+    return held_.end();
+  }
+
+ private:
+  friend class ReTraTree;
+  // Take / let go of every sub-chunk in `held_`: a lock set of runtime
+  // size, which the analysis cannot follow.
+  void Acquire() NO_THREAD_SAFETY_ANALYSIS;
+  void Release() NO_THREAD_SAFETY_ANALYSIS;
+
+  std::vector<const SubChunk*> held_;
 };
 
 /// \brief L1 node: one temporal chunk holding its sub-chunks.
@@ -293,10 +343,10 @@ class ReTraTree {
   /// thread-scalable.
   ///
   /// Phase 1 (split) fans out over trajectories: each is sliced at
-  /// sub-chunk boundaries and bound by `kMaxSamplesPerPiece`, and every
-  /// piece receives its sub-trajectory id up front via a prefix sum over
-  /// per-trajectory piece counts — exactly the ids the sequential
-  /// `Insert` loop's `next_sub_id_++` would hand out. Phase 2 (apply)
+  /// sub-chunk boundaries and bound by `kMaxSamplesPerPiece`, touching no
+  /// tree state. Phase 2 (apply) first hands every piece its
+  /// sub-trajectory id in (trajectory, piece) order — exactly the ids the
+  /// sequential `Insert` loop's `next_sub_id_++` would hand out — then
   /// fans out one task per sub-chunk: L3 assignment, heap-file append,
   /// pg3D-Rtree insert, and outlier re-clustering all run concurrently
   /// because each sub-chunk owns disjoint partitions and per-sub-chunk
@@ -306,6 +356,16 @@ class ReTraTree {
   /// A trajectory with fewer than 2 samples fails the whole batch with
   /// `InvalidArgument` before any mutation (the sequential loop would
   /// abort mid-way instead).
+  ///
+  /// Locking: ids, node creation and the exclusive hold of every target
+  /// sub-chunk, taken in ascending index order, happen under the node
+  /// lock, which is released before the apply fan-out; the sub-chunks are
+  /// released when the batch is whole. So a QUT whose window shares no
+  /// sub-chunk with the batch never waits for it, and one that does sees
+  /// the batch wholly or not at all. A batch that fails once it has
+  /// started changing sub-chunks marks the tree `failed()` before it
+  /// releases them: no reader sees half a batch, and the tree refuses
+  /// further batches and reads.
   Status InsertBatch(const traj::TrajectoryStore& store,
                      exec::ExecContext* exec);
 
@@ -320,7 +380,17 @@ class ReTraTree {
                      size_t count);
 
   const ReTraTreeParams& params() const { return params_; }
-  const std::map<int64_t, Chunk>& chunks() const { return chunks_; }
+  /// L1/L2 as they stand, for a quiescent tree only (tests and tools):
+  /// the map is handed out without the node lock, so no batch may run
+  /// while the caller walks it, and the caller still takes each
+  /// sub-chunk's `mu` to read its guarded fields.
+  const std::map<int64_t, Chunk>& chunks() const NO_THREAD_SAFETY_ANALYSIS {
+    return chunks_;
+  }
+  /// True once a batch failed part-way: the tree holds half a batch, so
+  /// it refuses batches and `QuTClustering` answers from it fail with
+  /// `Unavailable`. Its owner drops it and builds a new one.
+  bool failed() const { return failed_.load(std::memory_order_acquire); }
   /// Snapshot of the ingest/read counters, copied under `stats_mu_` so a
   /// caller never observes a torn update from a concurrent apply task.
   ReTraTreeStats stats() const {
@@ -328,8 +398,15 @@ class ReTraTree {
     return stats_;
   }
 
-  /// Sub-chunks whose interval intersects [t0, t1), ordered by time.
-  std::vector<const SubChunk*> SubChunksIn(double t0, double t1) const;
+  /// Sub-chunks whose interval intersects [t0, t1), ordered by time, as
+  /// one locked view: under the node lock (shared) each is taken shared in
+  /// ascending order, and the view holds them until it is destroyed
+  /// (strict two-phase locking, so a reader sees each batch wholly or
+  /// not at all inside its window). Check `failed()` once the view is
+  /// taken: a failed batch marked the tree before it released any
+  /// sub-chunk. A thread may hold one view of a tree at a time, and no
+  /// batch of that tree.
+  SubChunkView SubChunksIn(double t0, double t1) const;
 
   /// Reads all members of a representative's partition, in append order.
   StatusOr<PartitionRead> ReadMembers(const RepresentativeEntry& entry) const;
@@ -394,7 +471,14 @@ class ReTraTree {
   /// Returns (creating on demand) the sub-chunk with global index `si`
   /// (the batch path's bucket key, so bucketing and lookup cannot
   /// disagree on boundary times).
-  SubChunk* GetOrCreateSubChunkByIndex(int64_t si);
+  SubChunk* GetOrCreateSubChunkByIndex(int64_t si) REQUIRES(nodes_mu_);
+
+  /// Phase 2 of a batch (see `InsertBatch`'s locking): ids, nodes and
+  /// sub-chunk locks under the node lock, then the per-sub-chunk apply
+  /// fan-out over `ctx`. `per_traj` holds each trajectory's pieces in
+  /// batch order.
+  Status ApplyPieces(std::vector<std::vector<PendingPiece>> per_traj,
+                     exec::ExecContext* ctx);
 
   /// Splits a trajectory at sub-chunk boundaries and the record-size bound
   /// into pieces with provenance but *no ids yet* (pure: no tree state is
@@ -410,16 +494,19 @@ class ReTraTree {
   /// apply fan-out safe. `ctx` is handed to any S2T re-clustering run the
   /// piece triggers (a batch's override context, or the tree's own).
   Status InsertPiece(SubChunk* sc, traj::SubTrajectory piece,
-                     bool allow_recluster, exec::ExecContext* ctx);
+                     bool allow_recluster, exec::ExecContext* ctx)
+      REQUIRES(sc->mu);
 
-  /// Appends a member to a representative's partition + index.
-  Status AppendMember(RepresentativeEntry* entry,
-                      const traj::SubTrajectory& member);
+  /// Appends a member to the partition + index of `entry`, one of `sc`'s
+  /// representatives.
+  Status AppendMember(SubChunk* sc, RepresentativeEntry* entry,
+                      const traj::SubTrajectory& member) REQUIRES(sc->mu);
 
   /// The Fig. 2 loop: voting/segmentation/sampling over the outlier buffer,
   /// new representatives back-propagated, members redistributed. The S2T
   /// run fans out over `ctx` (results are bit-identical either way).
-  Status ReclusterOutliers(SubChunk* sc, exec::ExecContext* ctx);
+  Status ReclusterOutliers(SubChunk* sc, exec::ExecContext* ctx)
+      REQUIRES(sc->mu);
 
   /// Full scan + decode of one partition, in append order (the shared
   /// cold-read body of `ReadMembers`/`ReadOutliers` and the re-clustering
@@ -483,7 +570,7 @@ class ReTraTree {
   /// (`next_sub_id_`), so pre-assigning piece ids by prefix sum stays
   /// exact no matter how many ids re-clustering consumes. Fails once the
   /// sub-chunk's sequence is exhausted.
-  StatusOr<uint64_t> NextDerivedId(SubChunk* sc);
+  StatusOr<uint64_t> NextDerivedId(SubChunk* sc) REQUIRES(sc->mu);
 
   storage::Env* env_;
   std::string dir_;
@@ -491,8 +578,15 @@ class ReTraTree {
   std::unique_ptr<storage::PartitionManager> partitions_;
   exec::ExecContext* exec_;  // Not owned; nullptr = sequential.
 
-  std::map<int64_t, Chunk> chunks_;
-  traj::SubTrajectoryId next_sub_id_ = 0;
+  /// The node lock: guards the shape of L1/L2 (`chunks_` and each chunk's
+  /// sub-chunk map) and `next_sub_id_`. Taken before any sub-chunk's
+  /// `mu`; sub-chunks are always taken in ascending index order.
+  mutable common::SharedMutex nodes_mu_;
+  std::map<int64_t, Chunk> chunks_ GUARDED_BY(nodes_mu_);
+  traj::SubTrajectoryId next_sub_id_ GUARDED_BY(nodes_mu_) = 0;
+  /// Set by a batch that failed part-way, before it releases its
+  /// sub-chunks (see `failed()`).
+  std::atomic<bool> failed_{false};
   /// Serializes stats updates from concurrent apply tasks.
   mutable common::Mutex stats_mu_;
   /// Cold read paths count records read.

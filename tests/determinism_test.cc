@@ -254,6 +254,8 @@ void ExpectTreesBitIdentical(const core::ReTraTree& base,
       ASSERT_EQ(bsc->first, rsc->first) << what;
       const core::SubChunk& a = bsc->second;
       const core::SubChunk& b = rsc->second;
+      common::ReaderMutexLock a_lock(&a.mu);
+      common::ReaderMutexLock b_lock(&b.mu);
       ASSERT_EQ(a.outlier_partition, b.outlier_partition) << at;
       ASSERT_EQ(a.outlier_count, b.outlier_count) << at;
       ASSERT_EQ(a.recluster_watermark, b.recluster_watermark) << at;

@@ -268,6 +268,7 @@ TEST_F(QuTTest, OverBudgetPartitionDoesNotRepayPromotionPerWindowRead) {
   const RepresentativeEntry* entry = nullptr;
   for (const auto& [ci, chunk] : tree_->chunks()) {
     for (const auto& [si, sc] : chunk.sub_chunks) {
+      common::ReaderMutexLock lock(&sc.mu);
       for (const auto& e : sc.representatives) {
         if (entry == nullptr && e->member_count > 0) entry = e.get();
       }
@@ -332,6 +333,7 @@ TEST_F(QuTTest, HotBytesAreMembersPlusOneBoxEach) {
   };
   for (const auto& [ci, chunk] : tree_->chunks()) {
     for (const auto& [si, sc] : chunk.sub_chunks) {
+      common::ReaderMutexLock lock(&sc.mu);
       check(sc.hot_outliers);
       for (const auto& e : sc.representatives) check(e->hot);
     }
@@ -429,6 +431,7 @@ StatusOr<RefResult> RefQuery(const ReTraTree& tree, double wi, double we) {
   RefResult result;
   std::vector<RefPiece> pieces;
   for (const SubChunk* sc : tree.SubChunksIn(wi, we)) {
+    sc->mu.AssertReaderHeld();  // By the view.
     ++result.stats.sub_chunks_visited;
     const bool full = sc->start >= wi && sc->end <= we;
     if (full) {
@@ -607,6 +610,7 @@ std::vector<uint64_t> HotStamps(const ReTraTree& tree) {
   std::vector<uint64_t> stamps;
   for (const auto& [ci, chunk] : tree.chunks()) {
     for (const auto& [si, sc] : chunk.sub_chunks) {
+      common::ReaderMutexLock lock(&sc.mu);
       stamps.push_back(stamp(sc.hot_outliers));
       for (const auto& e : sc.representatives) stamps.push_back(stamp(e->hot));
     }

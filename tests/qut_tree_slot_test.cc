@@ -8,9 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -42,6 +47,29 @@ std::vector<double> TreeParams(const traj::TrajectoryStore& store) {
   return {tau, tau / 4, tau / 4, 1600, 4};
 }
 
+/// Four convoys of 6 co-moving objects along x, 5 km apart, sampled
+/// every 10 s up to t = 795; object k of a convoy starts at 40 + 3k s.
+/// Unlike `MakeShips`, every sub-chunk of this data holds clusters of
+/// several members (the extension test below asserts it).
+traj::TrajectoryStore MakeConvoys() {
+  traj::TrajectoryStore store;
+  for (int convoy = 0; convoy < 4; ++convoy) {
+    for (int k = 0; k < 6; ++k) {
+      traj::Trajectory t(convoy * 100 + k);
+      for (double now = 40.0 + 3.0 * k; now <= 795 + 1e-9; now += 10.0) {
+        EXPECT_TRUE(t.Append({now * 10.0, convoy * 5000.0 + k * 10.0, now})
+                        .ok());
+      }
+      EXPECT_TRUE(store.Add(std::move(t)).ok());
+    }
+  }
+  return store;
+}
+
+/// The convoys' (tau, delta, t, d, gamma): 8 sub-chunks of 100 s over
+/// `MakeConvoys`, each holding clusters of several members.
+std::vector<double> ConvoyParams() { return {400, 100, 30, 80, 8}; }
+
 /// The QUT table over the whole time domain of `store`, read from the
 /// slot's current tree.
 sql::Table Qut(const QutTreeSlot& slot, const traj::TrajectoryStore& store) {
@@ -59,18 +87,31 @@ size_t FilesIn(storage::Env* env, const std::string& dir) {
   return names.ok() ? names->size() : 0;
 }
 
-TEST(QutTreeSlotTest, CatchUpAnswersLikeARebuildOverTheWholeStore) {
-  const traj::TrajectoryStore ships = MakeShips(12);
-  const std::vector<double> params = TreeParams(ships);
+/// Clusters in the answer of `slot`'s tree over the whole time domain of
+/// `store`.
+size_t Clusters(const QutTreeSlot& slot, const traj::TrajectoryStore& store) {
+  const auto [t0, t1] = store.TimeDomain();
+  auto result = QuTClustering(slot.tree()).Query(t0, t1 + 1);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? result->clusters.size() : 0;
+}
+
+/// Grows a slot over `all` in appends that end at each of `steps`,
+/// refreshing after each (the first builds, the rest catch up), and
+/// expects it to answer like a slot built over `all` at once. `clusters`
+/// gets the clusters of that answer.
+void ExpectCatchUpAnswersLikeARebuild(const traj::TrajectoryStore& all,
+                                      const std::vector<double>& params,
+                                      const std::vector<size_t>& steps,
+                                      size_t* clusters) {
   auto env = storage::Env::NewMemEnv();
 
-  // Grown in three appends, refreshed after each.
   QutTreeSlot grown(env.get(), "grown_");
   traj::TrajectoryStore store;
   std::vector<QutTreeWork> work;
-  for (size_t k : {4, 9, 12}) {
+  for (size_t k : steps) {
     for (traj::TrajectoryId i = store.NumTrajectories(); i < k; ++i) {
-      ASSERT_TRUE(store.Add(ships.Get(i)).ok());
+      ASSERT_TRUE(store.Add(all.Get(i)).ok());
     }
     EXPECT_FALSE(grown.Fresh(params, store.NumTrajectories()));
     auto w = grown.Refresh(params, store, nullptr, kDefaultHotIndexBudget);
@@ -85,13 +126,31 @@ TEST(QutTreeSlotTest, CatchUpAnswersLikeARebuildOverTheWholeStore) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*again, QutTreeWork::kNone);
 
-  // Built once over all 12.
   QutTreeSlot whole(env.get(), "whole_");
   ASSERT_TRUE(
-      whole.Refresh(params, ships, nullptr, kDefaultHotIndexBudget).ok());
-  const sql::Table want = Qut(whole, ships);
+      whole.Refresh(params, all, nullptr, kDefaultHotIndexBudget).ok());
+  const sql::Table want = Qut(whole, all);
   EXPECT_GE(want.rows.size(), 2u);  // At least one cluster + outliers.
   EXPECT_EQ(Qut(grown, store).rows, want.rows);
+  *clusters = Clusters(whole, all);
+}
+
+TEST(QutTreeSlotTest, CatchUpAnswersLikeARebuildOverTheWholeStore) {
+  size_t clusters = 0;
+  {
+    SCOPED_TRACE("ships");
+    const traj::TrajectoryStore ships = MakeShips(12);
+    ExpectCatchUpAnswersLikeARebuild(ships, TreeParams(ships), {4, 9, 12},
+                                     &clusters);
+  }
+  {
+    // Appends that split convoys, so catch-up adds members to clusters
+    // the tree already holds and re-clusters new lanes' outliers.
+    SCOPED_TRACE("convoys");
+    ExpectCatchUpAnswersLikeARebuild(MakeConvoys(), ConvoyParams(),
+                                     {4, 15, 24}, &clusters);
+    EXPECT_GE(clusters, 4u);  // At least one per convoy.
+  }
 }
 
 TEST(QutTreeSlotTest, NewParamsAndDropRetireTheOldTreeFiles) {
@@ -155,35 +214,54 @@ TEST(QutTreeSlotTest, OneSampleTrajectoriesAreLeftOut) {
   EXPECT_EQ(Qut(slot, ships).rows, Qut(plain, ships).rows);
 }
 
-// The hot-tier budget is part of freshness: a query with a new budget
-// applies it to the live tree (0: demote everything, probe cold) without
-// rebuilding, and answers the same.
-TEST(QutTreeSlotTest, QueryAppliesANewHotBudgetWithoutRebuilding) {
-  const traj::TrajectoryStore ships = MakeShips(6);
-  const std::vector<double> params = TreeParams(ships);
-  const auto [t0, t1] = ships.TimeDomain();
+/// The hot-budget check below over `store`; `clusters` gets the
+/// clusters of its answer.
+void ExpectNewHotBudgetAppliesWithoutRebuilding(
+    const traj::TrajectoryStore& store, const std::vector<double>& params,
+    size_t* clusters) {
+  const auto [t0, t1] = store.TimeDomain();
   auto env = storage::Env::NewMemEnv();
   QutTreeSlot slot(env.get(), "t_");
   EXPECT_EQ(slot.hot_stats().qut_cold_probes, 0u);  // No tree: zeros.
 
   QutTreeWork work = QutTreeWork::kNone;
-  auto hot = slot.Query(params, ships, nullptr, kDefaultHotIndexBudget, t0,
+  auto hot = slot.Query(params, store, nullptr, kDefaultHotIndexBudget, t0,
                         t1 + 1, nullptr, &work);
   ASSERT_TRUE(hot.ok()) << hot.status().ToString();
   EXPECT_EQ(work, QutTreeWork::kRebuilt);
   EXPECT_GT(slot.hot_stats().hot_index_bytes, 0u);
 
-  auto cold = slot.Query(params, ships, nullptr, 0, t0, t1 + 1, nullptr,
+  auto cold = slot.Query(params, store, nullptr, 0, t0, t1 + 1, nullptr,
                          &work);
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(work, QutTreeWork::kNone);
   EXPECT_EQ(slot.hot_stats().hot_index_bytes, 0u);
   const uint64_t hot_probes = slot.hot_stats().qut_hot_probes;
   ASSERT_TRUE(
-      slot.Query(params, ships, nullptr, 0, t0, t1 + 1, nullptr, &work).ok());
+      slot.Query(params, store, nullptr, 0, t0, t1 + 1, nullptr, &work).ok());
   EXPECT_EQ(slot.hot_stats().qut_hot_probes, hot_probes);
   EXPECT_EQ(sql::MakeQutCursor(*cold, t0, t1 + 1, nullptr)->ToTable()->rows,
             sql::MakeQutCursor(*hot, t0, t1 + 1, nullptr)->ToTable()->rows);
+  *clusters = hot->clusters.size();
+}
+
+// The hot-tier budget is part of freshness: a query with a new budget
+// applies it to the live tree (0: demote everything, probe cold) without
+// rebuilding, and answers the same.
+TEST(QutTreeSlotTest, QueryAppliesANewHotBudgetWithoutRebuilding) {
+  size_t clusters = 0;
+  {
+    SCOPED_TRACE("ships");
+    const traj::TrajectoryStore ships = MakeShips(6);
+    ExpectNewHotBudgetAppliesWithoutRebuilding(ships, TreeParams(ships),
+                                               &clusters);
+  }
+  {
+    SCOPED_TRACE("convoys");
+    ExpectNewHotBudgetAppliesWithoutRebuilding(MakeConvoys(), ConvoyParams(),
+                                               &clusters);
+    EXPECT_GE(clusters, 4u);
+  }
 }
 
 // A tree is a cache: when the env refuses every write, building,
@@ -247,17 +325,16 @@ std::vector<std::string> DeepCopy(const QuTResult& r) {
   return out;
 }
 
-// An answer reads the tree in place, so it keeps alive what it read: a
-// held result pins its hot snapshots (they count in hot_partitions until
-// it is released) and stays intact while its tree re-clusters, demotes
-// everything and is dropped.
-TEST(QutTreeSlotTest, AHeldAnswerOutlivesReclusteringDemotionAndDrop) {
-  const traj::TrajectoryStore ships = MakeShips(12);
-  const std::vector<double> params = TreeParams(ships);
-  const auto [t0, t1] = ships.TimeDomain();
+/// The held-answer check below: the first `first` trajectories of `all`
+/// build the tree, and the rest arrive by catch-up while an answer is
+/// held. `clusters` gets the clusters of the held answer.
+void ExpectAHeldAnswerOutlivesReclusteringDemotionAndDrop(
+    const traj::TrajectoryStore& all, const std::vector<double>& params,
+    size_t first, size_t* clusters) {
+  const auto [t0, t1] = all.TimeDomain();
   traj::TrajectoryStore store;
-  for (traj::TrajectoryId i = 0; i < 6; ++i) {
-    ASSERT_TRUE(store.Add(ships.Get(i)).ok());
+  for (traj::TrajectoryId i = 0; i < first; ++i) {
+    ASSERT_TRUE(store.Add(all.Get(i)).ok());
   }
   auto env = storage::Env::NewMemEnv();
   QutTreeSlot slot(env.get(), "t_");
@@ -271,6 +348,7 @@ TEST(QutTreeSlotTest, AHeldAnswerOutlivesReclusteringDemotionAndDrop) {
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   EXPECT_GT(slot.hot_stats().qut_hot_probes, hot_probes);
   auto held = std::make_unique<QuTResult>(std::move(answer).value());
+  *clusters = held->clusters.size();
   const std::vector<std::string> want = DeepCopy(*held);
   ASSERT_GT(held->TotalMembers(), 0u);
   const std::shared_ptr<traj::EpochPinRegistry> pins =
@@ -278,8 +356,8 @@ TEST(QutTreeSlotTest, AHeldAnswerOutlivesReclusteringDemotionAndDrop) {
   const uint64_t s2t_runs = slot.tree()->stats().s2t_runs;
 
   // Ingest the rest: catching up re-clusters outlier buffers.
-  for (traj::TrajectoryId i = 6; i < ships.NumTrajectories(); ++i) {
-    ASSERT_TRUE(store.Add(ships.Get(i)).ok());
+  for (traj::TrajectoryId i = first; i < all.NumTrajectories(); ++i) {
+    ASSERT_TRUE(store.Add(all.Get(i)).ok());
   }
   auto w = slot.Refresh(params, store, nullptr, kDefaultHotIndexBudget);
   ASSERT_TRUE(w.ok()) << w.status().ToString();
@@ -300,11 +378,33 @@ TEST(QutTreeSlotTest, AHeldAnswerOutlivesReclusteringDemotionAndDrop) {
   EXPECT_EQ(pins->live.load(), 0u);
 }
 
+// An answer reads the tree in place, so it keeps alive what it read: a
+// held result pins its hot snapshots (they count in hot_partitions until
+// it is released) and stays intact while its tree re-clusters, demotes
+// everything and is dropped.
+TEST(QutTreeSlotTest, AHeldAnswerOutlivesReclusteringDemotionAndDrop) {
+  size_t clusters = 0;
+  {
+    SCOPED_TRACE("ships");
+    const traj::TrajectoryStore ships = MakeShips(12);
+    ExpectAHeldAnswerOutlivesReclusteringDemotionAndDrop(
+        ships, TreeParams(ships), 6, &clusters);
+  }
+  {
+    // Two convoys held; the other two arrive by catch-up.
+    SCOPED_TRACE("convoys");
+    ExpectAHeldAnswerOutlivesReclusteringDemotionAndDrop(
+        MakeConvoys(), ConvoyParams(), 12, &clusters);
+    EXPECT_GE(clusters, 2u);
+  }
+}
+
 /// Member count of each resident member snapshot, by partition.
 std::map<std::string, size_t> HotMemberCounts(const ReTraTree& tree) {
   std::map<std::string, size_t> counts;
   for (const auto& [ci, chunk] : tree.chunks()) {
     for (const auto& [si, sc] : chunk.sub_chunks) {
+      common::ReaderMutexLock lock(&sc.mu);
       for (const auto& e : sc.representatives) {
         if (auto hot = std::atomic_load(&e->hot)) {
           counts[e->partition_name] = hot->members.size();
@@ -362,6 +462,7 @@ TEST(QutTreeSlotTest, ExtendedSnapshotsAnswerLikeAColdDecode) {
   for (const auto& [ci, chunk] : slot.tree()->chunks()) {
     for (const auto& [si, sc] : chunk.sub_chunks) {
       if (sc.start < t0 || sc.end > t1) continue;
+      common::ReaderMutexLock lock(&sc.mu);
       for (const auto& e : sc.representatives) {
         auto snapshot = std::atomic_load(&e->hot);
         if (snapshot == nullptr || snapshot->members.empty()) continue;
@@ -432,25 +533,6 @@ TEST(QutTreeSlotTest, ExtendedSnapshotsAnswerLikeAColdDecode) {
   EXPECT_EQ(slot.hot_stats().hot_index_bytes, 0u);
 }
 
-/// Four convoys of 6 co-moving objects along x, 5 km apart, sampled
-/// every 10 s up to t = 795; object k of a convoy starts at 40 + 3k s.
-/// Unlike `MakeShips`, every sub-chunk of this data holds clusters of
-/// several members (the extension test below asserts it).
-traj::TrajectoryStore MakeConvoys() {
-  traj::TrajectoryStore store;
-  for (int convoy = 0; convoy < 4; ++convoy) {
-    for (int k = 0; k < 6; ++k) {
-      traj::Trajectory t(convoy * 100 + k);
-      for (double now = 40.0 + 3.0 * k; now <= 795 + 1e-9; now += 10.0) {
-        EXPECT_TRUE(t.Append({now * 10.0, convoy * 5000.0 + k * 10.0, now})
-                        .ok());
-      }
-      EXPECT_TRUE(store.Add(std::move(t)).ok());
-    }
-  }
-  return store;
-}
-
 // Catch-up appends to member snapshots of clustered data: three more
 // objects join each convoy, every hot partition they join is extended in
 // place, and windows whose ends cut those partitions read the extended
@@ -467,6 +549,7 @@ TEST(QutTreeSlotTest, ExtendedClusterSnapshotsAnswerLikeAColdDecode) {
   size_t clustered = 0;
   for (const auto& [ci, chunk] : slot.tree()->chunks()) {
     for (const auto& [si, sc] : chunk.sub_chunks) {
+      common::ReaderMutexLock lock(&sc.mu);
       for (const auto& e : sc.representatives) {
         clustered += e->member_count >= 2;
       }
@@ -494,8 +577,12 @@ TEST(QutTreeSlotTest, ExtendedClusterSnapshotsAnswerLikeAColdDecode) {
   // The extended partitions, and a hot window probe of each that returns
   // an appended member.
   std::vector<std::pair<double, double>> extended_sub_chunks;
-  for (const auto& [ci, chunk] : slot.tree()->chunks()) {
+  // Read through the tree, not the slot: the slot's lock goes before a
+  // sub-chunk's.
+  const ReTraTree* tree = slot.tree();
+  for (const auto& [ci, chunk] : tree->chunks()) {
     for (const auto& [si, sc] : chunk.sub_chunks) {
+      common::ReaderMutexLock lock(&sc.mu);
       for (const auto& e : sc.representatives) {
         auto snapshot = std::atomic_load(&e->hot);
         auto it = before.find(e->partition_name);
@@ -505,12 +592,12 @@ TEST(QutTreeSlotTest, ExtendedClusterSnapshotsAnswerLikeAColdDecode) {
         }
         ASSERT_EQ(snapshot->boxes.size(), snapshot->members.size());
         extended_sub_chunks.emplace_back(sc.start, sc.end);
-        const HotTierStats probes = slot.hot_stats();
-        auto read = slot.tree()->ReadMembersInWindow(*e, sc.start + 30,
-                                                     sc.end - 30);
+        const HotTierStats probes = tree->hot_stats();
+        auto read =
+            tree->ReadMembersInWindow(*e, sc.start + 30, sc.end - 30);
         ASSERT_TRUE(read.ok());
-        EXPECT_EQ(slot.hot_stats().qut_hot_probes, probes.qut_hot_probes + 1);
-        EXPECT_EQ(slot.hot_stats().qut_cold_probes, probes.qut_cold_probes);
+        EXPECT_EQ(tree->hot_stats().qut_hot_probes, probes.qut_hot_probes + 1);
+        EXPECT_EQ(tree->hot_stats().qut_cold_probes, probes.qut_cold_probes);
         size_t appended = 0;
         for (const auto& m : *read) appended += m.object_id >= 1000;
         EXPECT_GT(appended, 0u) << e->partition_name;
@@ -547,6 +634,224 @@ TEST(QutTreeSlotTest, ExtendedClusterSnapshotsAnswerLikeAColdDecode) {
     EXPECT_EQ(DeepCopy(*cold), hot[k]) << "window " << k;
   }
   EXPECT_EQ(slot.hot_stats().hot_index_bytes, 0u);
+}
+
+/// An `Env` over `base` that parks the creation of one file on a latch
+/// and, while "full", refuses every new file, the parked one included
+/// when it is let go.
+class ParkingEnv : public storage::Env {
+ public:
+  explicit ParkingEnv(storage::Env* base) : base_(base) {}
+
+  /// The next file created whose name ends with `suffix` parks.
+  void ParkCreationOf(std::string suffix) {
+    std::lock_guard<std::mutex> lock(mu_);
+    park_suffix_ = std::move(suffix);
+  }
+  /// Blocks until a creation is parked; false after `timeout`.
+  bool WaitParked(std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  void set_full(bool full) {
+    std::lock_guard<std::mutex> lock(mu_);
+    full_ = full;
+  }
+
+  StatusOr<std::unique_ptr<storage::RandomRWFile>> NewRWFile(
+      const std::string& fname) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      const std::string& suffix = park_suffix_;
+      if (!suffix.empty() && fname.size() >= suffix.size() &&
+          fname.compare(fname.size() - suffix.size(), suffix.size(),
+                        suffix) == 0) {
+        park_suffix_.clear();
+        parked_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return released_; });
+      }
+      if (full_) return Status::IOError("no space left for " + fname);
+    }
+    return base_->NewRWFile(fname);
+  }
+  bool FileExists(const std::string& fname) const override {
+    return base_->FileExists(fname);
+  }
+  Status DeleteFile(const std::string& fname) override {
+    return base_->DeleteFile(fname);
+  }
+  Status RenameFile(const std::string& src, const std::string& dst) override {
+    return base_->RenameFile(src, dst);
+  }
+  Status CreateDirs(const std::string& dirname) override {
+    return base_->CreateDirs(dirname);
+  }
+  StatusOr<std::vector<std::string>> ListDir(
+      const std::string& dirname) const override {
+    return base_->ListDir(dirname);
+  }
+
+ private:
+  storage::Env* const base_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::string park_suffix_;
+  bool parked_ = false;
+  bool released_ = false;
+  bool full_ = false;
+};
+
+/// `MakeConvoys` followed by three more objects per convoy, in the same
+/// lanes, sampled every 10 s over [from, 1195]: with `ConvoyParams` they
+/// reach sub-chunks 8-11, which the convoys alone never create.
+traj::TrajectoryStore ConvoysContinuedFrom(double from) {
+  traj::TrajectoryStore store = MakeConvoys();
+  for (int convoy = 0; convoy < 4; ++convoy) {
+    for (int j = 0; j < 3; ++j) {
+      traj::Trajectory t(2000 + convoy * 10 + j);
+      for (double now = from + 3.0 * j; now <= 1195 + 1e-9; now += 10.0) {
+        EXPECT_TRUE(
+            t.Append({now * 10.0, convoy * 5000.0 + 5.0 + j * 10.0, now})
+                .ok());
+      }
+      EXPECT_TRUE(store.Add(std::move(t)).ok());
+    }
+  }
+  return store;
+}
+
+/// `slot.Query` over `store` at the default hot budget, as bytes.
+StatusOr<std::vector<std::string>> Answer(QutTreeSlot* slot,
+                                          const traj::TrajectoryStore& store,
+                                          double wi, double we) {
+  HERMES_ASSIGN_OR_RETURN(
+      QuTResult r, slot->Query(ConvoyParams(), store, nullptr,
+                               kDefaultHotIndexBudget, wi, we));
+  return DeepCopy(r);
+}
+
+// A catch-up holds only the sub-chunks its batch touches. While it is
+// parked inside sub-chunk 10, a QUT over earlier sub-chunks answers, and
+// one whose window reaches the batch waits for the whole batch and
+// answers with it.
+TEST(QutTreeSlotTest, AParkedCatchUpBlocksOnlyTheReadersOfItsSubChunks) {
+  const traj::TrajectoryStore before = MakeConvoys();
+  const traj::TrajectoryStore after = ConvoysContinuedFrom(800);
+  auto base = storage::Env::NewMemEnv();
+  ParkingEnv env(base.get());
+  QutTreeSlot slot(&env, "t_");
+  // Builds over `before` and promotes the disjoint window's partitions;
+  // QUTs pass `before`, as readers of a published snapshot that lags the
+  // catch-up do.
+  auto disjoint_want = Answer(&slot, before, 100, 500);
+  ASSERT_TRUE(disjoint_want.ok()) << disjoint_want.status().ToString();
+  ASSERT_FALSE(disjoint_want->empty());
+  auto overlap_before = Answer(&slot, before, 700, 1100);
+  ASSERT_TRUE(overlap_before.ok());
+
+  env.ParkCreationOf("/sc10_out.part");
+  std::future<StatusOr<QutTreeWork>> catch_up = std::async(
+      std::launch::async, [&] { return slot.CatchUp(after, nullptr); });
+  ASSERT_TRUE(env.WaitParked(std::chrono::seconds(60)));
+
+  std::future<StatusOr<std::vector<std::string>>> disjoint =
+      std::async(std::launch::async,
+                 [&] { return Answer(&slot, before, 100, 500); });
+  const bool disjoint_done =
+      disjoint.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+  std::future<StatusOr<std::vector<std::string>>> overlap =
+      std::async(std::launch::async,
+                 [&] { return Answer(&slot, before, 700, 1100); });
+  const bool overlap_done_early = overlap.wait_for(std::chrono::milliseconds(
+                                      200)) == std::future_status::ready;
+  env.Release();
+
+  EXPECT_TRUE(disjoint_done) << "a disjoint QUT waited for the catch-up";
+  EXPECT_FALSE(overlap_done_early);
+  auto work = catch_up.get();
+  ASSERT_TRUE(work.ok()) << work.status().ToString();
+  EXPECT_EQ(*work, QutTreeWork::kCaughtUp);
+  auto disjoint_got = disjoint.get();
+  ASSERT_TRUE(disjoint_got.ok()) << disjoint_got.status().ToString();
+  EXPECT_EQ(*disjoint_got, *disjoint_want);
+  auto overlap_got = overlap.get();
+  ASSERT_TRUE(overlap_got.ok()) << overlap_got.status().ToString();
+  auto overlap_after = Answer(&slot, after, 700, 1100);
+  ASSERT_TRUE(overlap_after.ok());
+  EXPECT_NE(*overlap_after, *overlap_before);
+  EXPECT_EQ(*overlap_got, *overlap_after);
+}
+
+// A catch-up that fails part-way through its batch is never seen half
+// applied. The batch changes sub-chunks 6-9, then the disk fills (writes
+// refused, no new file) as it creates sub-chunk 10's outlier partition.
+// Readers of sub-chunks 6-10 that waited for it answer as before the
+// batch or fail; the slot ends dropped, and once there is space again the
+// next QUT rebuilds and answers as a tree built over the whole store.
+TEST(QutTreeSlotTest, AFailedCatchUpIsNeverSeenHalfApplied) {
+  const traj::TrajectoryStore before = MakeConvoys();
+  const traj::TrajectoryStore after = ConvoysContinuedFrom(600);
+  const double wi = 650;
+  const double we = 1050;
+  auto base = storage::Env::NewMemEnv();
+  auto want_env = storage::Env::NewMemEnv();
+  QutTreeSlot want_slot(want_env.get(), "w_");
+  auto post = Answer(&want_slot, after, wi, we);
+  ASSERT_TRUE(post.ok()) << post.status().ToString();
+
+  storage::FaultInjectionEnv faults(base.get());
+  ParkingEnv env(&faults);
+  QutTreeSlot slot(&env, "t_");
+  auto pre = Answer(&slot, before, wi, we);
+  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+  ASSERT_NE(*pre, *post);
+  const LogLevel level = GetLogLevel();
+  SetLogLevel(LogLevel::kFatal);  // Refused writes log Error lines.
+
+  env.ParkCreationOf("/sc10_out.part");
+  std::future<StatusOr<QutTreeWork>> catch_up = std::async(
+      std::launch::async, [&] { return slot.CatchUp(after, nullptr); });
+  ASSERT_TRUE(env.WaitParked(std::chrono::seconds(60)));
+  std::vector<std::future<StatusOr<std::vector<std::string>>>> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.push_back(std::async(std::launch::async,
+                                 [&] { return Answer(&slot, before, wi, we); }));
+  }
+  for (auto& reader : readers) {
+    EXPECT_NE(reader.wait_for(std::chrono::milliseconds(50)),
+              std::future_status::ready);
+  }
+  faults.set_write_budget(0);
+  env.set_full(true);
+  env.Release();
+
+  auto work = catch_up.get();
+  EXPECT_FALSE(work.ok());
+  for (auto& reader : readers) {
+    auto got = reader.get();
+    if (got.ok()) {
+      EXPECT_TRUE(*got == *pre || *got == *post);
+    }
+  }
+  // No reader could rebuild on a full disk.
+  EXPECT_EQ(slot.tree(), nullptr);
+  EXPECT_EQ(FilesIn(base.get(), "t_0"), 0u);
+  SetLogLevel(level);
+
+  env.set_full(false);
+  faults.set_write_budget(-1);
+  QutTreeWork rebuilt = QutTreeWork::kNone;
+  auto next = slot.Query(ConvoyParams(), after, nullptr,
+                         kDefaultHotIndexBudget, wi, we, nullptr, &rebuilt);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(rebuilt, QutTreeWork::kRebuilt);
+  EXPECT_EQ(DeepCopy(*next), *post);
 }
 
 TEST(QutTreeSlotTest, RejectsWrongParameterCount) {

@@ -117,6 +117,7 @@ TEST_F(ReTraTreeTest, MembersArePersistedAndReadable) {
   size_t total_members = 0;
   for (const auto& [ci, chunk] : tree_->chunks()) {
     for (const auto& [si, sc] : chunk.sub_chunks) {
+      common::ReaderMutexLock lock(&sc.mu);
       for (const auto& entry : sc.representatives) {
         auto members = tree_->ReadMembers(*entry);
         ASSERT_TRUE(members.ok());
@@ -146,6 +147,7 @@ TEST_F(ReTraTreeTest, ReadMembersInWindowFiltersByTime) {
   ASSERT_GE((*tree)->TotalRepresentatives(), 1u);
   const auto& chunk = (*tree)->chunks().begin()->second;
   const auto& sc = chunk.sub_chunks.begin()->second;
+  common::ReaderMutexLock lock(&sc.mu);
   const auto& entry = sc.representatives.front();
   auto all = (*tree)->ReadMembers(*entry);
   auto windowed = (*tree)->ReadMembersInWindow(*entry, 0.0, 50.0);
@@ -194,9 +196,9 @@ TEST_F(ReTraTreeTest, HotWindowReadsMatchColdOnClosedEdges) {
                     .ok());
   }
   const RepresentativeEntry* big = nullptr;
-  for (const auto& e :
-       tree->chunks().begin()->second.sub_chunks.begin()->second
-           .representatives) {
+  const SubChunk& sc = tree->chunks().begin()->second.sub_chunks.begin()->second;
+  common::ReaderMutexLock lock(&sc.mu);
+  for (const auto& e : sc.representatives) {
     if (e->member_count > 64) big = e.get();
   }
   ASSERT_NE(big, nullptr);
@@ -249,6 +251,7 @@ TEST_F(ReTraTreeTest, PromotingReadSharesTheSnapshot) {
   }
   ASSERT_TRUE(tree_->Insert(Line(99, 90000.0, 0, 95), 99).ok());  // Outlier.
   const SubChunk& sc = tree_->chunks().begin()->second.sub_chunks.begin()->second;
+  common::ReaderMutexLock lock(&sc.mu);
   ASSERT_FALSE(sc.representatives.empty());
   ASSERT_GT(sc.outlier_count, 0u);
   const RepresentativeEntry& entry = *sc.representatives.front();
@@ -377,6 +380,8 @@ void ExpectSameCatalog(const ReTraTree& a, const ReTraTree& b) {
     auto bs = bc->second.sub_chunks.begin();
     for (; as != ac->second.sub_chunks.end(); ++as, ++bs) {
       ASSERT_EQ(as->first, bs->first);
+      common::ReaderMutexLock a_lock(&as->second.mu);
+      common::ReaderMutexLock b_lock(&bs->second.mu);
       ASSERT_EQ(as->second.outlier_count, bs->second.outlier_count);
       auto a_out = a.ReadOutliers(as->second);
       auto b_out = b.ReadOutliers(bs->second);
@@ -481,6 +486,7 @@ TEST_F(ReTraTreeTest, ReclusterFiresInsideParallelApply) {
   // (bit 63) — disjoint from the prefix-sum piece-id space.
   for (const auto& [ci, chunk] : batch_tree->chunks()) {
     for (const auto& [si, sc] : chunk.sub_chunks) {
+      common::ReaderMutexLock lock(&sc.mu);
       for (const auto& entry : sc.representatives) {
         EXPECT_NE(entry->representative.id & (uint64_t{1} << 63), 0u);
       }
@@ -509,6 +515,7 @@ TEST_F(ReTraTreeTest, ParallelApplyExtendsHotSnapshots) {
   auto promote_all = [](const ReTraTree& tree) {
     for (const auto& [ci, chunk] : tree.chunks()) {
       for (const auto& [si, sc] : chunk.sub_chunks) {
+        common::ReaderMutexLock lock(&sc.mu);
         EXPECT_TRUE(tree.ReadOutliers(sc).ok());
         for (const auto& e : sc.representatives) {
           EXPECT_TRUE(tree.ReadMembers(*e).ok());
@@ -554,6 +561,7 @@ TEST_F(ReTraTreeTest, ParallelApplyExtendsHotSnapshots) {
   auto read_all = [&](std::vector<std::string>* out) {
     for (const auto& [ci, chunk] : batch_tree->chunks()) {
       for (const auto& [si, sc] : chunk.sub_chunks) {
+        common::ReaderMutexLock lock(&sc.mu);
         auto outs = batch_tree->ReadOutliers(sc);
         ASSERT_TRUE(outs.ok());
         for (const auto& m : *outs) out->push_back(EncodeSubTrajectory(m));

@@ -4,8 +4,11 @@
 // `-Wthread-safety -Werror` (the analysis finds nothing to flag). If it
 // stops compiling, the gate itself is broken and the negative fixtures
 // prove nothing.
+#include <cstddef>
+
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "core/retratree.h"
 
 namespace {
 
@@ -50,6 +53,12 @@ class SharedGuarded {
   int value_ GUARDED_BY(mu_) = 0;
 };
 
+// The locked twin of unlocked_sub_chunk_read.cc.
+size_t CountRepresentatives(const hermes::core::SubChunk& sc) {
+  hermes::common::ReaderMutexLock lock(&sc.mu);
+  return sc.representatives.size();
+}
+
 }  // namespace
 
 int main() {
@@ -58,5 +67,6 @@ int main() {
   g.Add(2);
   SharedGuarded s;
   s.Set(3);
-  return g.Get() + s.Get() == 6 ? 0 : 1;
+  hermes::core::SubChunk sc;
+  return g.Get() + s.Get() == 6 && CountRepresentatives(sc) == 0 ? 0 : 1;
 }
