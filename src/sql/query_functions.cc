@@ -182,21 +182,25 @@ StatusOr<std::unique_ptr<RowCursor>> EvalSelectFunction(
                                              : "empty window") +
           at);
     }
-    // Streams one row per qualifying trajectory; the slice happens in
-    // Next(), so a caller reading k rows slices only ~k trajectories. The
-    // generator owns the store handle: a service snapshot stays pinned
-    // for the cursor's whole life.
+    // Streams one row per trajectory whose slice of [wi, we] has at
+    // least two points, in id order. The scan happens in Next(), so a
+    // caller reading k rows scans only up to the k-th; it reads the
+    // store's lifespan columns and zone maps, and touches a trajectory
+    // only when its lifespan meets the window. The generator owns the
+    // store handle: a service snapshot stays pinned for the cursor's
+    // whole life.
     std::shared_ptr<const traj::TrajectoryStore> snap = env.store;
-    size_t idx = 0;
+    traj::TrajectoryId idx = 0;
     GeneratorCursor::Generator gen =
         [snap, wi, we, idx](std::vector<Value>* row) mutable
         -> StatusOr<bool> {
-      while (idx < snap->NumTrajectories()) {
+      while ((idx = snap->NextOverlapping(idx, wi, we)) <
+             snap->NumTrajectories()) {
         const traj::Trajectory& t = snap->Get(idx++);
-        const traj::Trajectory sliced = t.Slice(wi, we);
-        if (sliced.size() >= 2) {
+        const size_t points = t.SliceSize(wi, we);
+        if (points >= 2) {
           *row = {Value::Int(static_cast<int64_t>(t.object_id())),
-                  Value::Int(static_cast<int64_t>(sliced.size()))};
+                  Value::Int(static_cast<int64_t>(points))};
           return true;
         }
       }

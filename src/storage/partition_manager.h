@@ -1,6 +1,7 @@
 #ifndef HERMES_STORAGE_PARTITION_MANAGER_H_
 #define HERMES_STORAGE_PARTITION_MANAGER_H_
 
+#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <string>
@@ -25,11 +26,18 @@ namespace hermes::storage {
 /// Concurrency contract: the manager's own catalog (open handles, create,
 /// drop, list) is mutex-guarded, so concurrent ingest tasks may open and
 /// drop *different* partitions freely — the batch apply fan-out relies on
-/// this. The returned `HeapFile*` handles are NOT thread-safe: callers
-/// must ensure each partition is used by at most one task at a time
+/// this. No file I/O runs under that mutex: `GetOrCreate` opens (and may
+/// create) a file, and `Drop` flushes and deletes one, with the
+/// partition's catalog entry marked busy, so only a `GetOrCreate` or
+/// `Drop` of that same partition waits for it; `Exists` (which counts a
+/// busy entry as existing), `List` and `FlushAll` touch the filesystem
+/// after releasing the mutex too. The returned `HeapFile*` handles are
+/// NOT thread-safe: callers must ensure each partition is used by at
+/// most one task at a time
 /// (ReTraTree guarantees it by giving every apply task disjoint
 /// sub-chunks, whose partitions are disjoint by construction), and must
-/// not race a handle's use against `Drop` of the same partition.
+/// not race a handle's use — `FlushAll` uses every open handle — against
+/// `Drop` of the same partition.
 class PartitionManager {
  public:
   /// Creates a manager rooted at `dir` (created if absent).
@@ -65,12 +73,26 @@ class PartitionManager {
 
   std::string FileName(const std::string& name) const;
 
+  /// A catalog entry. `busy` while a `GetOrCreate` opens the file or a
+  /// `Drop` closes and deletes it (`file` is null then); callers naming
+  /// the partition wait on `settled_` until it clears.
+  struct Entry {
+    std::unique_ptr<HeapFile> file;
+    bool busy = false;
+  };
+
+  /// Blocks until `name` has no busy entry; returns its settled entry,
+  /// or `open_.end()` when there is none.
+  std::unordered_map<std::string, Entry>::iterator Settled(
+      common::MutexLock* lock, const std::string& name) REQUIRES(mu_);
+
   Env* env_;
   std::string dir_;
   /// Guards `open_` against concurrent GetOrCreate/Drop from apply tasks.
   mutable common::Mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<HeapFile>> open_
-      GUARDED_BY(mu_);
+  /// Signalled whenever an entry stops being busy.
+  std::condition_variable settled_;
+  std::unordered_map<std::string, Entry> open_ GUARDED_BY(mu_);
 };
 
 }  // namespace hermes::storage

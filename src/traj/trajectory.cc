@@ -53,32 +53,46 @@ geom::Mbb3D Trajectory::Bounds() const {
   return box;
 }
 
+Trajectory::Cut Trajectory::CutAt(double t0, double t1) const {
+  Cut cut;
+  if (samples_.empty() || t1 < StartTime() || t0 > EndTime()) return cut;
+  cut.meets = true;
+  cut.lo = std::max(t0, StartTime());
+  cut.hi = std::min(t1, EndTime());
+  // Interior samples strictly inside (lo, hi).
+  cut.first = std::upper_bound(
+      samples_.begin(), samples_.end(), cut.lo,
+      [](double v, const geom::Point3D& p) { return v < p.t; });
+  cut.last = std::lower_bound(
+      cut.first, samples_.end(), cut.hi,
+      [](const geom::Point3D& p, double v) { return p.t < v; });
+  return cut;
+}
+
 Trajectory Trajectory::Slice(double t0, double t1) const {
   HERMES_CHECK(t0 <= t1) << "Slice requires t0 <= t1";
   Trajectory out(object_id_);
-  if (samples_.empty() || t1 < StartTime() || t0 > EndTime()) return out;
-
-  const double lo = std::max(t0, StartTime());
-  const double hi = std::min(t1, EndTime());
-
-  // Interior samples strictly inside (lo, hi).
-  const auto first = std::upper_bound(
-      samples_.begin(), samples_.end(), lo,
-      [](double v, const geom::Point3D& p) { return v < p.t; });
-  const auto last = std::lower_bound(
-      first, samples_.end(), hi,
-      [](const geom::Point3D& p, double v) { return p.t < v; });
-  out.samples_.reserve(static_cast<size_t>(last - first) + 2);
+  const Cut cut = CutAt(t0, t1);
+  if (!cut.meets) return out;
+  out.samples_.reserve(static_cast<size_t>(cut.last - cut.first) + 2);
   // Interpolated entry sample; lo and hi lie inside the lifespan.
-  const geom::Point2D entry = *PositionAt(lo);
-  out.samples_.push_back({entry.x, entry.y, lo});
-  out.samples_.insert(out.samples_.end(), first, last);
+  const geom::Point2D entry = *PositionAt(cut.lo);
+  out.samples_.push_back({entry.x, entry.y, cut.lo});
+  out.samples_.insert(out.samples_.end(), cut.first, cut.last);
   // Interpolated exit sample (skip when the slice is instantaneous).
-  if (hi > lo) {
-    const geom::Point2D exit = *PositionAt(hi);
-    out.samples_.push_back({exit.x, exit.y, hi});
+  if (cut.hi > cut.lo) {
+    const geom::Point2D exit = *PositionAt(cut.hi);
+    out.samples_.push_back({exit.x, exit.y, cut.hi});
   }
   return out;
+}
+
+size_t Trajectory::SliceSize(double t0, double t1) const {
+  HERMES_CHECK(t0 <= t1) << "SliceSize requires t0 <= t1";
+  const Cut cut = CutAt(t0, t1);
+  if (!cut.meets) return 0;
+  return static_cast<size_t>(cut.last - cut.first) + 1 +
+         (cut.hi > cut.lo ? 1 : 0);
 }
 
 StatusOr<Trajectory> Trajectory::Resample(double dt) const {

@@ -83,6 +83,9 @@ class Trajectory {
   /// Returns an empty trajectory when the lifespan and [t0, t1] are
   /// disjoint. Requires t0 <= t1.
   Trajectory Slice(double t0, double t1) const;
+  /// `Slice(t0, t1).size()`, by the same two binary searches and without
+  /// building the slice. Requires t0 <= t1.
+  size_t SliceSize(double t0, double t1) const;
 
   /// \brief Resamples onto a uniform time grid of step `dt` covering the
   /// lifespan (both endpoints kept). Requires dt > 0 and size() >= 2.
@@ -92,6 +95,18 @@ class Trajectory {
   Status Validate() const;
 
  private:
+  /// Where `Slice(t0, t1)` cuts: the clamped window [lo, hi] and the
+  /// samples strictly inside it, [first, last). `meets` is false when the
+  /// lifespan and the window are disjoint (the other fields are unset).
+  struct Cut {
+    bool meets = false;
+    double lo = 0.0;
+    double hi = 0.0;
+    std::vector<geom::Point3D>::const_iterator first;
+    std::vector<geom::Point3D>::const_iterator last;
+  };
+  Cut CutAt(double t0, double t1) const;
+
   ObjectId object_id_ = 0;
   std::vector<geom::Point3D> samples_;
 };

@@ -1,5 +1,6 @@
 #include "traj/trajectory_store.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -21,11 +22,21 @@ StatusOr<TrajectoryId> TrajectoryStore::Add(Trajectory trajectory) {
   if ((size_ & TrajBlock::kMask) == 0) {
     blocks_.push_back(std::make_shared<TrajBlock>());
   }
+  const double start = trajectory.StartTime();
+  const double end = trajectory.EndTime();
   num_points_ += trajectory.size();
-  auto& slot = blocks_.back()->slots[size_ & TrajBlock::kMask];
-  slot = std::make_shared<const Trajectory>(std::move(trajectory));
+  t_min_ = std::min(t_min_, start);
+  t_max_ = std::max(t_max_, end);
+  bounds_.Extend(trajectory.Bounds());
+  TrajBlock& block = *blocks_.back();
+  const size_t row = size_ & TrajBlock::kMask;
+  block.start[row] = start;
+  block.end[row] = end;
+  block.min_start = std::min(block.min_start, start);
+  block.max_end = std::max(block.max_end, end);
+  block.slots[row] = std::make_shared<const Trajectory>(std::move(trajectory));
   ++size_;
-  arena_.Append(*slot, id);
+  arena_.Append(*block.slots[row], id);
   return id;
 }
 
@@ -34,10 +45,23 @@ const Trajectory& TrajectoryStore::Get(TrajectoryId id) const {
   return At(id);
 }
 
-size_t TrajectoryStore::NumSegments() const {
-  size_t n = 0;
-  for (TrajectoryId id = 0; id < size_; ++id) n += At(id).NumSegments();
-  return n;
+TrajectoryId TrajectoryStore::NextOverlapping(TrajectoryId from, double t0,
+                                              double t1) const {
+  TrajectoryId id = from;
+  while (id < size_) {
+    const TrajBlock& block = *blocks_[id >> TrajBlock::kShift];
+    const TrajectoryId block_end = std::min<TrajectoryId>(
+        size_, (id | TrajBlock::kMask) + 1);
+    if (t1 < block.min_start || t0 > block.max_end) {
+      id = block_end;
+      continue;
+    }
+    for (; id < block_end; ++id) {
+      const size_t row = id & TrajBlock::kMask;
+      if (!(t1 < block.start[row] || t0 > block.end[row])) return id;
+    }
+  }
+  return size_;
 }
 
 void TrajectoryStore::CopyFrom(const TrajectoryStore& o) {
@@ -50,6 +74,9 @@ void TrajectoryStore::CopyFrom(const TrajectoryStore& o) {
   }
   size_ = o.size_;
   num_points_ = o.num_points_;
+  t_min_ = o.t_min_;
+  t_max_ = o.t_max_;
+  bounds_ = o.bounds_;
   arena_ = o.arena_;  // Builder copy shares full blocks (own tail copy).
 }
 
@@ -58,10 +85,16 @@ void TrajectoryStore::MoveFrom(TrajectoryStore&& o) {
   blocks_ = std::move(o.blocks_);
   size_ = o.size_;
   num_points_ = o.num_points_;
+  t_min_ = o.t_min_;
+  t_max_ = o.t_max_;
+  bounds_ = o.bounds_;
   arena_ = std::move(o.arena_);
   o.blocks_.clear();
   o.size_ = 0;
   o.num_points_ = 0;
+  o.t_min_ = std::numeric_limits<double>::infinity();
+  o.t_max_ = -std::numeric_limits<double>::infinity();
+  o.bounds_ = geom::Mbb3D();
 }
 
 std::vector<TrajectoryId> TrajectoryStore::TrajectoriesOf(
@@ -71,23 +104,6 @@ std::vector<TrajectoryId> TrajectoryStore::TrajectoriesOf(
     if (At(id).object_id() == object) ids.push_back(id);
   }
   return ids;
-}
-
-geom::Mbb3D TrajectoryStore::Bounds() const {
-  geom::Mbb3D box;
-  for (TrajectoryId id = 0; id < size_; ++id) box.Extend(At(id).Bounds());
-  return box;
-}
-
-std::pair<double, double> TrajectoryStore::TimeDomain() const {
-  if (size_ == 0) return {0.0, 0.0};
-  double lo = At(0).StartTime();
-  double hi = At(0).EndTime();
-  for (TrajectoryId id = 0; id < size_; ++id) {
-    lo = std::min(lo, At(id).StartTime());
-    hi = std::max(hi, At(id).EndTime());
-  }
-  return {lo, hi};
 }
 
 geom::Segment3D TrajectoryStore::Resolve(const SegmentRef& ref) const {

@@ -2,6 +2,7 @@
 #define HERMES_TRAJ_TRAJECTORY_STORE_H_
 
 #include <array>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,16 +16,28 @@
 
 namespace hermes::traj {
 
-/// \brief One fixed-capacity block of trajectory pointers. Blocks other
-/// than the last are full and immutable, so snapshots share them by
+/// \brief One fixed-capacity block of trajectory pointers, with each
+/// trajectory's lifespan as columns and a zone map over them. Blocks
+/// other than the last are full and immutable, so snapshots share them by
 /// `shared_ptr` instead of copying 512 refcounted pointers each — the
 /// same trick `SegmentBlock` plays for the columnar arena.
+///
+/// The lifespan columns let a time-window scan test a trajectory without
+/// dereferencing it, and the zone map lets it skip the whole block: data
+/// appended roughly in time order (a live feed) leaves most blocks
+/// disjoint from a recent window.
 struct TrajBlock {
   static constexpr size_t kShift = 9;  ///< 512 trajectories per block.
   static constexpr size_t kRows = size_t{1} << kShift;
   static constexpr size_t kMask = kRows - 1;
 
   std::array<std::shared_ptr<const Trajectory>, kRows> slots;
+  /// `slots[r]->StartTime()` / `EndTime()`, for the filled slots.
+  std::array<double, kRows> start{};
+  std::array<double, kRows> end{};
+  /// Zone map: min `start` / max `end` over the filled slots.
+  double min_start = std::numeric_limits<double>::infinity();
+  double max_end = -std::numeric_limits<double>::infinity();
 };
 
 /// \brief The Moving Object Database (MOD): an append-only collection of
@@ -75,7 +88,24 @@ class TrajectoryStore {
   const Trajectory& Get(TrajectoryId id) const NO_THREAD_SAFETY_ANALYSIS;
   size_t NumTrajectories() const NO_THREAD_SAFETY_ANALYSIS { return size_; }
   size_t NumPoints() const NO_THREAD_SAFETY_ANALYSIS { return num_points_; }
-  size_t NumSegments() const NO_THREAD_SAFETY_ANALYSIS;
+  /// Exact: `Add` rejects empty trajectories, so each has size()-1.
+  size_t NumSegments() const NO_THREAD_SAFETY_ANALYSIS {
+    return num_points_ - size_;
+  }
+
+  /// \brief The first id >= `from` whose lifespan meets the closed window
+  /// [t0, t1] (the test `Trajectory::Slice` uses for emptiness), or
+  /// `NumTrajectories()` when none does. Reads only the blocks' lifespan
+  /// columns and skips every block whose zone map misses the window.
+  TrajectoryId NextOverlapping(TrajectoryId from, double t0, double t1) const
+      NO_THREAD_SAFETY_ANALYSIS;
+
+  /// The pointer blocks; `block(b)` holds ids [b*kRows, (b+1)*kRows).
+  /// Diagnostics and tests read the lifespan columns and zone maps here.
+  size_t NumBlocks() const NO_THREAD_SAFETY_ANALYSIS { return blocks_.size(); }
+  const TrajBlock& block(size_t b) const NO_THREAD_SAFETY_ANALYSIS {
+    return *blocks_[b];
+  }
 
   /// \brief An immutable read view for concurrent query execution: readers
   /// sweep the snapshot (full `TrajectoryStore` interface) while the
@@ -91,10 +121,15 @@ class TrajectoryStore {
   std::vector<TrajectoryId> TrajectoriesOf(ObjectId object) const
       NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Bounding box over the whole MOD.
-  geom::Mbb3D Bounds() const NO_THREAD_SAFETY_ANALYSIS;
-  /// [min start time, max end time] over the MOD; (0,0) when empty.
-  std::pair<double, double> TimeDomain() const NO_THREAD_SAFETY_ANALYSIS;
+  /// Bounding box over the whole MOD: every trajectory's `Bounds()`
+  /// folded with `Mbb3D::Extend` in id order, kept as `Add` runs.
+  geom::Mbb3D Bounds() const NO_THREAD_SAFETY_ANALYSIS { return bounds_; }
+  /// [min start time, max end time] over the MOD, folded with `std::min`
+  /// / `std::max` in id order as `Add` runs; (0,0) when empty.
+  std::pair<double, double> TimeDomain() const NO_THREAD_SAFETY_ANALYSIS {
+    if (size_ == 0) return {0.0, 0.0};
+    return {t_min_, t_max_};
+  }
 
   /// Resolves a segment reference to its geometry.
   geom::Segment3D Resolve(const SegmentRef& ref) const;
@@ -143,6 +178,10 @@ class TrajectoryStore {
   std::vector<std::shared_ptr<TrajBlock>> blocks_ GUARDED_BY(mu_);
   size_t size_ GUARDED_BY(mu_) = 0;
   size_t num_points_ GUARDED_BY(mu_) = 0;
+  /// Running aggregates behind `TimeDomain` and `Bounds`.
+  double t_min_ GUARDED_BY(mu_) = std::numeric_limits<double>::infinity();
+  double t_max_ GUARDED_BY(mu_) = -std::numeric_limits<double>::infinity();
+  geom::Mbb3D bounds_ GUARDED_BY(mu_);
   /// Columnar mirror of `trajectories_`, appended to by `Add`. Internally
   /// locked (its own `mu_`); reassigned only by CopyFrom/MoveFrom, which
   /// own `this` exclusively, so it carries no GUARDED_BY.

@@ -726,33 +726,36 @@ traj::TrajectoryStore ConvoysContinuedFrom(double from) {
   return store;
 }
 
-/// `slot.Query` over `store` at the default hot budget, as bytes.
-StatusOr<std::vector<std::string>> Answer(QutTreeSlot* slot,
-                                          const traj::TrajectoryStore& store,
-                                          double wi, double we) {
+/// `slot.Query` over `store` at hot budget `budget` (the default unless
+/// given), as bytes.
+StatusOr<std::vector<std::string>> Answer(
+    QutTreeSlot* slot, const traj::TrajectoryStore& store, double wi,
+    double we, size_t budget = kDefaultHotIndexBudget) {
   HERMES_ASSIGN_OR_RETURN(
-      QuTResult r, slot->Query(ConvoyParams(), store, nullptr,
-                               kDefaultHotIndexBudget, wi, we));
+      QuTResult r,
+      slot->Query(ConvoyParams(), store, nullptr, budget, wi, we));
   return DeepCopy(r);
 }
 
 // A catch-up holds only the sub-chunks its batch touches. While it is
 // parked inside sub-chunk 10, a QUT over earlier sub-chunks answers, and
 // one whose window reaches the batch waits for the whole batch and
-// answers with it.
-TEST(QutTreeSlotTest, AParkedCatchUpBlocksOnlyTheReadersOfItsSubChunks) {
+// answers with it. At hot budget 0 every read is cold, so the disjoint
+// QUT also opens and probes partition files while the parked creation is
+// in flight.
+void ExpectParkedCatchUpBlocksOnlyItsReaders(size_t budget) {
   const traj::TrajectoryStore before = MakeConvoys();
   const traj::TrajectoryStore after = ConvoysContinuedFrom(800);
   auto base = storage::Env::NewMemEnv();
   ParkingEnv env(base.get());
   QutTreeSlot slot(&env, "t_");
-  // Builds over `before` and promotes the disjoint window's partitions;
-  // QUTs pass `before`, as readers of a published snapshot that lags the
-  // catch-up do.
-  auto disjoint_want = Answer(&slot, before, 100, 500);
+  // Builds over `before` and (at a nonzero budget) promotes the disjoint
+  // window's partitions; QUTs pass `before`, as readers of a published
+  // snapshot that lags the catch-up do.
+  auto disjoint_want = Answer(&slot, before, 100, 500, budget);
   ASSERT_TRUE(disjoint_want.ok()) << disjoint_want.status().ToString();
   ASSERT_FALSE(disjoint_want->empty());
-  auto overlap_before = Answer(&slot, before, 700, 1100);
+  auto overlap_before = Answer(&slot, before, 700, 1100, budget);
   ASSERT_TRUE(overlap_before.ok());
 
   env.ParkCreationOf("/sc10_out.part");
@@ -762,12 +765,12 @@ TEST(QutTreeSlotTest, AParkedCatchUpBlocksOnlyTheReadersOfItsSubChunks) {
 
   std::future<StatusOr<std::vector<std::string>>> disjoint =
       std::async(std::launch::async,
-                 [&] { return Answer(&slot, before, 100, 500); });
+                 [&] { return Answer(&slot, before, 100, 500, budget); });
   const bool disjoint_done =
       disjoint.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
   std::future<StatusOr<std::vector<std::string>>> overlap =
       std::async(std::launch::async,
-                 [&] { return Answer(&slot, before, 700, 1100); });
+                 [&] { return Answer(&slot, before, 700, 1100, budget); });
   const bool overlap_done_early = overlap.wait_for(std::chrono::milliseconds(
                                       200)) == std::future_status::ready;
   env.Release();
@@ -782,10 +785,18 @@ TEST(QutTreeSlotTest, AParkedCatchUpBlocksOnlyTheReadersOfItsSubChunks) {
   EXPECT_EQ(*disjoint_got, *disjoint_want);
   auto overlap_got = overlap.get();
   ASSERT_TRUE(overlap_got.ok()) << overlap_got.status().ToString();
-  auto overlap_after = Answer(&slot, after, 700, 1100);
+  auto overlap_after = Answer(&slot, after, 700, 1100, budget);
   ASSERT_TRUE(overlap_after.ok());
   EXPECT_NE(*overlap_after, *overlap_before);
   EXPECT_EQ(*overlap_got, *overlap_after);
+}
+
+TEST(QutTreeSlotTest, AParkedCatchUpBlocksOnlyTheReadersOfItsSubChunks) {
+  ExpectParkedCatchUpBlocksOnlyItsReaders(kDefaultHotIndexBudget);
+}
+
+TEST(QutTreeSlotTest, AParkedCatchUpBlocksOnlyTheColdReadersOfItsSubChunks) {
+  ExpectParkedCatchUpBlocksOnlyItsReaders(0);
 }
 
 // A catch-up that fails part-way through its batch is never seen half

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/rng.h"
 #include "common/thread_annotations.h"
 #include "datagen/aircraft.h"
 #include "datagen/maritime.h"
@@ -1125,6 +1128,150 @@ TEST(StatementExecutorParityTest, LoadAgreesAcrossBackends) {
                         "backend " + std::to_string(k) + ": " + steps[q]);
     }
   }
+  std::filesystem::remove(csv);
+}
+
+TEST(StatementExecutorParityTest, RangeAndStatsMatchScanOraclesOnEveryBackend) {
+  // A MOD of more than 1,024 trajectories: LOAD adds them in object-id
+  // order, which is mostly time order (a live feed) with every 23rd
+  // object out of order, and a few late INSERTs add earlier lifespans
+  // after them. RANGE must return what slicing every trajectory returns
+  // and STATS what scanning it returns, on every backend, for windows
+  // whose ends sit exactly on a block's zone-map bounds — of the whole
+  // store and of each coordinator shard's store — and for windows that
+  // meet no block.
+  constexpr int kObjects = 1400;
+  Rng rng(1029);
+  auto walk = [&rng](traj::ObjectId id, double start) {
+    traj::Trajectory t(id);
+    const int n = 2 + static_cast<int>(rng.NextBelow(5));
+    double x = 1000 + rng.Uniform(0, 500), y = 2000 + rng.Uniform(0, 500);
+    double time = start;
+    for (int i = 0; i < n; ++i) {
+      EXPECT_TRUE(t.Append({x, y, time}).ok());
+      x += rng.Uniform(1, 20);
+      y += rng.Uniform(1, 20);
+      time += rng.Uniform(5, 60);
+    }
+    return t;
+  };
+  traj::TrajectoryStore oracle;
+  for (int id = 0; id < kObjects; ++id) {
+    const double start =
+        id % 23 == 5 ? rng.Uniform(0, 30.0 * kObjects) : 30.0 * id;
+    ASSERT_TRUE(oracle.Add(walk(id, start)).ok());
+  }
+  const std::string csv =
+      (std::filesystem::temp_directory_path() / "hermes_range_oracle.csv")
+          .string();
+  ASSERT_TRUE(oracle.SaveCsv(csv).ok());
+  // SaveCsv rounds to 6 decimals; the oracle reads back what LOAD reads.
+  oracle = traj::TrajectoryStore();
+  ASSERT_TRUE(oracle.LoadCsv(csv).ok());
+  std::vector<traj::Trajectory> late;
+  for (int k = 0; k < 5; ++k) {
+    late.push_back(walk(kObjects + k, rng.Uniform(0, 30.0 * kObjects)));
+    ASSERT_TRUE(oracle.Add(late.back()).ok());
+  }
+  ASSERT_GT(oracle.NumBlocks(), 2u);
+
+  // Window ends: the zone-map bounds of the whole store's blocks and of
+  // each shard's (a shard holds its objects in the same id order).
+  const auto partitioner = MakeHashPartitioner();
+  std::vector<traj::TrajectoryStore> shards(2);
+  for (traj::TrajectoryId id = 0; id < oracle.NumTrajectories(); ++id) {
+    const traj::Trajectory& t = oracle.Get(id);
+    ASSERT_TRUE(shards[partitioner->ShardOf(t.object_id(), 2)].Add(t).ok());
+  }
+  std::vector<std::pair<double, double>> windows;
+  for (const traj::TrajectoryStore* store :
+       {&oracle, &shards[0], &shards[1]}) {
+    for (size_t b = 0; b < store->NumBlocks(); ++b) {
+      const traj::TrajBlock& block = store->block(b);
+      windows.push_back({block.min_start, block.max_end});
+      for (const double end : {block.min_start, block.max_end}) {
+        windows.push_back({end - 7.5, end});
+        windows.push_back({end, end + 7.5});
+      }
+    }
+  }
+  const auto [t_min, t_max] = oracle.TimeDomain();
+  windows.push_back({t_max + 1, t_max + 500});
+  windows.push_back({t_min - 500, t_min - 1});
+  windows.push_back({t_min, t_max});
+
+  std::vector<std::string> steps = {"LOAD MOD feed FROM '" + csv + "';"};
+  for (const auto& [wi, we] : windows) {
+    char q[128];
+    std::snprintf(q, sizeof(q), "SELECT RANGE(feed, %a, %a);", wi, we);
+    steps.push_back(q);
+  }
+  steps.push_back("SELECT STATS(feed);");
+
+  // Brute force: every trajectory sliced, in id order (= object-id order).
+  auto range_oracle = [&oracle](double wi, double we) {
+    std::vector<std::vector<Value>> rows;
+    for (traj::TrajectoryId id = 0; id < oracle.NumTrajectories(); ++id) {
+      const traj::Trajectory& t = oracle.Get(id);
+      const size_t points = t.Slice(wi, we).size();
+      if (points >= 2) {
+        rows.push_back({Value::Int(static_cast<int64_t>(t.object_id())),
+                        Value::Int(static_cast<int64_t>(points))});
+      }
+    }
+    return rows;
+  };
+  size_t segments = 0;
+  geom::Mbb3D box;
+  double lo = oracle.Get(0).StartTime(), hi = oracle.Get(0).EndTime();
+  for (traj::TrajectoryId id = 0; id < oracle.NumTrajectories(); ++id) {
+    const traj::Trajectory& t = oracle.Get(id);
+    segments += t.NumSegments();
+    box.Extend(t.Bounds());
+    lo = std::min(lo, t.StartTime());
+    hi = std::max(hi, t.EndTime());
+  }
+  const std::vector<Value> stats_oracle = {
+      Value::Int(static_cast<int64_t>(oracle.NumTrajectories())),
+      Value::Int(static_cast<int64_t>(oracle.NumPoints())),
+      Value::Int(static_cast<int64_t>(segments)),
+      Value::Double(lo),
+      Value::Double(hi),
+      Value::Double(box.min_x),
+      Value::Double(box.max_x),
+      Value::Double(box.min_y),
+      Value::Double(box.max_y)};
+
+  Backends b;
+  size_t nonempty = 0, empty = 0;
+  for (sql::StatementExecutor* db : b.All()) {
+    std::vector<Table> got;
+    for (size_t q = 0; q < steps.size(); ++q) {
+      if (q == 1) {
+        for (const traj::Trajectory& t : late) {
+          ASSERT_TRUE(InsertTrajectory(db, "feed", t).ok());
+        }
+        ASSERT_TRUE(db->Flush().ok());
+      }
+      auto t = db->Execute(steps[q]);
+      ASSERT_TRUE(t.ok()) << steps[q] << ": " << t.status().ToString();
+      got.push_back(std::move(*t));
+    }
+    for (size_t w = 0; w < windows.size(); ++w) {
+      Table want;
+      want.columns = got[1 + w].columns;
+      want.rows = range_oracle(windows[w].first, windows[w].second);
+      (want.rows.empty() ? empty : nonempty) += 1;
+      ExpectTablesEqual(want, got[1 + w], steps[1 + w]);
+    }
+    ASSERT_EQ(got.back().rows.size(), 1u);
+    Table want_stats;
+    want_stats.columns = got.back().columns;
+    want_stats.rows = {stats_oracle};
+    ExpectTablesEqual(want_stats, got.back(), "STATS");
+  }
+  EXPECT_GE(empty, 2u * 4u);
+  EXPECT_GT(nonempty, windows.size() * 4u / 2u);
   std::filesystem::remove(csv);
 }
 

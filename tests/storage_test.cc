@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <future>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "storage/env.h"
 #include "storage/heap_file.h"
@@ -549,6 +556,147 @@ TEST_F(PartitionTest, DataPersistsViaEnv) {
     ASSERT_TRUE(hf.ok());
     EXPECT_EQ((*hf)->live_records(), 1u);
   }
+}
+
+/// An Env over a MemEnv whose creation of one named file waits until
+/// `Release`, so a test can hold a partition open mid-creation.
+class ParkingEnv : public Env {
+ public:
+  explicit ParkingEnv(std::string park) : park_(std::move(park)) {}
+
+  bool WaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(60),
+                        [&] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  StatusOr<std::unique_ptr<RandomRWFile>> NewRWFile(
+      const std::string& fname) override {
+    if (fname == park_) {
+      std::unique_lock<std::mutex> lock(mu_);
+      parked_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+    }
+    return base_->NewRWFile(fname);
+  }
+  bool FileExists(const std::string& f) const override {
+    return base_->FileExists(f);
+  }
+  Status DeleteFile(const std::string& f) override {
+    return base_->DeleteFile(f);
+  }
+  Status RenameFile(const std::string& src, const std::string& dst) override {
+    return base_->RenameFile(src, dst);
+  }
+  Status CreateDirs(const std::string& d) override {
+    return base_->CreateDirs(d);
+  }
+  StatusOr<std::vector<std::string>> ListDir(
+      const std::string& d) const override {
+    return base_->ListDir(d);
+  }
+
+ private:
+  const std::unique_ptr<Env> base_ = Env::NewMemEnv();
+  const std::string park_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+// A partition file being created holds up only callers naming that
+// partition: other partitions open, probe, list and drop meanwhile, and a
+// second GetOrCreate of the parked name gets the same handle once the
+// creation finishes.
+TEST(PartitionConcurrencyTest, ASlowCreationBlocksOnlyItsOwnPartition) {
+  ParkingEnv env("parts/slow.part");
+  auto pm = PartitionManager::Open(&env, "parts");
+  ASSERT_TRUE(pm.ok());
+  PartitionManager* manager = pm->get();
+  ASSERT_TRUE(manager->GetOrCreate("old").ok());
+  auto slow = std::async(std::launch::async,
+                         [&] { return manager->GetOrCreate("slow"); });
+  ASSERT_TRUE(env.WaitParked());
+  auto same = std::async(std::launch::async,
+                         [&] { return manager->GetOrCreate("slow"); });
+  auto others = std::async(std::launch::async, [&] {
+    Status st = manager->GetOrCreate("fast").status();
+    if (st.ok() && !manager->Exists("old")) st = Status::Corruption("old");
+    if (st.ok() && manager->List().size() != 2) st = Status::Corruption("list");
+    if (st.ok()) st = manager->Drop("old");
+    return st;
+  });
+  const bool others_done = others.wait_for(std::chrono::seconds(20)) ==
+                           std::future_status::ready;
+  const bool same_done_early = same.wait_for(std::chrono::milliseconds(
+                                   100)) == std::future_status::ready;
+  env.Release();
+  EXPECT_TRUE(others_done) << "a creation of another partition blocked "
+                              "the catalog";
+  EXPECT_TRUE(others.get().ok());
+  EXPECT_FALSE(same_done_early);
+  auto first = slow.get();
+  auto second = same.get();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(*first, *second);
+  EXPECT_EQ(manager->List(), (std::vector<std::string>{"fast", "slow"}));
+}
+
+// Tasks open, append to, probe and drop partitions concurrently — each its
+// own, plus one they all share — while another lists and visits the
+// catalog. Run under TSan, this is the catalog's data-race gate.
+TEST(PartitionConcurrencyTest, ConcurrentGetOrCreateDropAndExists) {
+  auto env = Env::NewMemEnv();
+  auto pm = PartitionManager::Open(env.get(), "parts");
+  ASSERT_TRUE(pm.ok());
+  PartitionManager* manager = pm->get();
+  constexpr int kTasks = 4;
+  constexpr int kRounds = 40;
+  std::atomic<bool> done{false};
+  std::thread observer([&] {
+    while (!done.load()) {
+      (void)manager->List();
+      (void)manager->Exists("shared");
+      manager->ForEachOpen([](const std::string&, HeapFile* hf) {
+        (void)hf->live_records();
+      });
+    }
+  });
+  std::vector<HeapFile*> shared(kTasks, nullptr);
+  std::vector<std::future<Status>> tasks;
+  for (int k = 0; k < kTasks; ++k) {
+    tasks.push_back(std::async(std::launch::async, [&, k]() -> Status {
+      HERMES_ASSIGN_OR_RETURN(shared[k], manager->GetOrCreate("shared"));
+      for (int r = 0; r < kRounds; ++r) {
+        const std::string name =
+            "t" + std::to_string(k) + "_" + std::to_string(r % 3);
+        HERMES_ASSIGN_OR_RETURN(HeapFile * hf, manager->GetOrCreate(name));
+        HERMES_RETURN_NOT_OK(hf->Append("row").status());
+        if (!manager->Exists(name)) return Status::Corruption(name);
+        if (r % 2 == 1) HERMES_RETURN_NOT_OK(manager->Drop(name));
+        if (r % 2 == 1 && manager->Exists(name)) {
+          return Status::Corruption("dropped " + name + " still exists");
+        }
+      }
+      return Status::OK();
+    }));
+  }
+  for (auto& task : tasks) {
+    const Status st = task.get();
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  done.store(true);
+  observer.join();
+  for (int k = 1; k < kTasks; ++k) EXPECT_EQ(shared[k], shared[0]);
+  EXPECT_TRUE(manager->FlushAll().ok());
 }
 
 }  // namespace

@@ -6,6 +6,9 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/mathutil.h"
 #include "common/rng.h"
@@ -1079,6 +1082,206 @@ TEST(MotionProfileTest, StraightPathIsNotALoop) {
   Trajectory t = Line(1, 0, 0, 0, 1000, 10, 100, 21);
   EXPECT_NEAR(TotalTurning(t), 0.0, 1e-6);
   EXPECT_FALSE(LooksLikeLoop(t));
+}
+
+// ---------------------------------------------------------------------------
+// Time index: SliceSize, and the store's lifespan columns, zone maps and
+// running aggregates against scans
+// ---------------------------------------------------------------------------
+
+/// A polyline of `n` samples from time `t0`, time steps in
+/// [0.1, 1.1) * `dt` so they stay representable at epoch offsets.
+Trajectory TimedWalk(Rng* rng, ObjectId id, double t0, double dt, int n) {
+  Trajectory t(id);
+  double x = rng->Uniform(-50, 50), y = rng->Uniform(-50, 50), time = t0;
+  for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(t.Append({x, y, time}).ok());
+    x += rng->Uniform(-5, 5);
+    y += rng->Uniform(-5, 5);
+    time += dt * (0.1 + rng->NextDouble());
+  }
+  return t;
+}
+
+TEST(TimeIndexTest, SliceSizeIsTheSizeOfSlice) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(2029);
+  size_t windows = 0;
+  for (const double offset : {0.0, 1e9, 1.7e12}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const int n = 1 + static_cast<int>(rng.NextBelow(9));
+      const Trajectory t = TimedWalk(&rng, 1, offset, 10.0, n);
+      const double start = t.StartTime();
+      const double end = t.EndTime();
+      const double d = 0.5 + rng.NextDouble() * 20;
+      std::vector<std::pair<double, double>> cuts = {
+          {start, end},      {start - d, start}, {start, start + d},
+          {end - d, end},    {end, end + d},     {end + d, end + 2 * d},
+          {start - 2 * d, start - d},            {-inf, inf},
+          {-inf, start},     {end, inf},         {-inf, -inf},
+          {inf, inf},        {start, start},     {end, end},
+          {std::nextafter(end, inf), inf},
+          {-inf, std::nextafter(start, -inf)}};
+      for (int i = 0; i < n; ++i) {
+        const double ti = t[i].t;
+        cuts.push_back({ti, ti});  // Zero length on a sample.
+        for (int j = i; j < n; ++j) cuts.push_back({ti, t[j].t});
+        if (i + 1 < n) {
+          // Inside segment i: zero length, within it, and across others.
+          const double gap = t[i + 1].t - ti;
+          const double u = ti + gap * rng.NextDouble();
+          const double v = u + (t[i + 1].t - u) * rng.NextDouble();
+          cuts.push_back({u, u});
+          cuts.push_back({u, v});
+          cuts.push_back({u, end + gap * rng.NextDouble()});
+          cuts.push_back({start - gap * rng.NextDouble(), v});
+        }
+      }
+      for (const auto& [t0, t1] : cuts) {
+        ASSERT_LE(t0, t1);
+        EXPECT_EQ(t.SliceSize(t0, t1), t.Slice(t0, t1).size())
+            << "offset " << offset << " trial " << trial << " [" << t0
+            << ", " << t1 << "]";
+        ++windows;
+      }
+    }
+  }
+  EXPECT_GT(windows, 3000u);
+}
+
+bool SameBox(const geom::Mbb3D& a, const geom::Mbb3D& b) {
+  return std::memcmp(&a, &b, sizeof(geom::Mbb3D)) == 0;
+}
+
+/// Checks `store`'s time index against scans of its trajectories in id
+/// order: the aggregates as the pre-index store computed them, each
+/// slot's lifespan, each block's zone map, and `NextOverlapping` on
+/// windows that end exactly on zone-map bounds.
+void ExpectIndexMatchesScan(const TrajectoryStore& store,
+                            const std::string& label) {
+  SCOPED_TRACE(label);
+  const size_t n = store.NumTrajectories();
+  size_t segments = 0;
+  geom::Mbb3D box;
+  for (TrajectoryId id = 0; id < n; ++id) {
+    segments += store.Get(id).NumSegments();
+    box.Extend(store.Get(id).Bounds());
+  }
+  std::pair<double, double> domain = {0.0, 0.0};
+  if (n > 0) {
+    domain = {store.Get(0).StartTime(), store.Get(0).EndTime()};
+    for (TrajectoryId id = 0; id < n; ++id) {
+      domain.first = std::min(domain.first, store.Get(id).StartTime());
+      domain.second = std::max(domain.second, store.Get(id).EndTime());
+    }
+  }
+  EXPECT_EQ(store.NumSegments(), segments);
+  EXPECT_TRUE(SameBox(store.Bounds(), box));
+  EXPECT_TRUE(SameBits(store.TimeDomain().first, domain.first));
+  EXPECT_TRUE(SameBits(store.TimeDomain().second, domain.second));
+
+  ASSERT_EQ(store.NumBlocks(), (n + TrajBlock::kMask) / TrajBlock::kRows);
+  std::vector<double> bounds;
+  for (size_t b = 0; b < store.NumBlocks(); ++b) {
+    const TrajBlock& block = store.block(b);
+    double min_start = std::numeric_limits<double>::infinity();
+    double max_end = -std::numeric_limits<double>::infinity();
+    for (TrajectoryId id = b * TrajBlock::kRows;
+         id < std::min<size_t>(n, (b + 1) * TrajBlock::kRows); ++id) {
+      const Trajectory& t = store.Get(id);
+      const size_t row = id & TrajBlock::kMask;
+      EXPECT_EQ(block.slots[row].get(), &t);
+      ASSERT_TRUE(SameBits(block.start[row], t.StartTime())) << id;
+      ASSERT_TRUE(SameBits(block.end[row], t.EndTime())) << id;
+      min_start = std::min(min_start, t.StartTime());
+      max_end = std::max(max_end, t.EndTime());
+    }
+    EXPECT_TRUE(SameBits(block.min_start, min_start)) << "block " << b;
+    EXPECT_TRUE(SameBits(block.max_end, max_end)) << "block " << b;
+    bounds.push_back(min_start);
+    bounds.push_back(max_end);
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<double, double>> windows = {{-inf, inf}, {inf, inf}};
+  for (size_t i = 0; i < bounds.size(); ++i) {
+    windows.push_back({bounds[i], bounds[i]});
+    windows.push_back({bounds[i], bounds[(i + 1) % bounds.size()]});
+    windows.push_back({-inf, bounds[i]});
+    windows.push_back({bounds[i], inf});
+  }
+  for (const auto& [t0, t1] : windows) {
+    if (!(t0 <= t1)) continue;
+    std::vector<TrajectoryId> want, got;
+    for (TrajectoryId id = 0; id < n; ++id) {
+      const Trajectory& t = store.Get(id);
+      if (!t.Slice(t0, t1).empty()) want.push_back(id);
+    }
+    for (TrajectoryId id = store.NextOverlapping(0, t0, t1); id < n;
+         id = store.NextOverlapping(id + 1, t0, t1)) {
+      got.push_back(id);
+    }
+    EXPECT_EQ(got, want) << "[" << t0 << ", " << t1 << "]";
+  }
+}
+
+TEST(TimeIndexTest, StoreIndexMatchesScansAfterEveryAddAndOnSnapshots) {
+  Rng rng(1029);
+  TrajectoryStore store;
+  ExpectIndexMatchesScan(store, "empty");
+  std::vector<std::pair<TrajectoryStore, size_t>> snapshots;
+  const size_t total = 3 * TrajBlock::kRows - 200;  // 3 blocks, > 1,024.
+  for (size_t i = 0; i < total; ++i) {
+    Trajectory t;
+    if (i == 3 || i == 900) {
+      // Signed zeros: times and coordinates at -0.0 and +0.0.
+      const double z = (i == 3) ? -0.0 : 0.0;
+      t = Trajectory(i, {{z, -z, z}, {-z, z, 1.0}});
+    } else if (i == 4 || i == 901) {
+      const double z = (i == 4) ? 0.0 : -0.0;
+      t = Trajectory(i, {{z, z, z}});
+    } else if (rng.NextBool(0.05)) {
+      // Out of order: an early or a late lifespan.
+      t = TimedWalk(&rng, i, rng.Uniform(-500, 20000), 10.0,
+                    1 + static_cast<int>(rng.NextBelow(6)));
+    } else {
+      // Live-feed order: starts advance with the id.
+      t = TimedWalk(&rng, i, 10.0 * static_cast<double>(i), 8.0,
+                    1 + static_cast<int>(rng.NextBelow(6)));
+    }
+    ASSERT_TRUE(store.Add(std::move(t)).ok());
+    ExpectIndexMatchesScan(store, "after add " + std::to_string(i));
+    if (i == 100 || i == TrajBlock::kRows - 1 || i == 700 || i == 1100) {
+      snapshots.emplace_back(store.Snapshot(), i + 1);
+    }
+  }
+  EXPECT_EQ(store.NumBlocks(), 3u);
+
+  // Snapshots taken mid-block kept their own tail block.
+  for (const auto& [snap, size] : snapshots) {
+    EXPECT_EQ(snap.NumTrajectories(), size);
+    ExpectIndexMatchesScan(snap, "snapshot of " + std::to_string(size));
+  }
+
+  TrajectoryStore copied(store);
+  ExpectIndexMatchesScan(copied, "copy-constructed");
+  TrajectoryStore assigned;
+  ASSERT_TRUE(assigned.Add(Trajectory(7, {{1, 2, 3}})).ok());
+  assigned = store;
+  ExpectIndexMatchesScan(assigned, "copy-assigned");
+  EXPECT_TRUE(SameBox(assigned.Bounds(), store.Bounds()));
+  TrajectoryStore moved(std::move(copied));
+  ExpectIndexMatchesScan(moved, "move-constructed");
+  ExpectIndexMatchesScan(copied, "moved-from");  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(copied.NumTrajectories(), 0u);       // NOLINT(bugprone-use-after-move)
+  TrajectoryStore move_assigned;
+  move_assigned = std::move(assigned);
+  ExpectIndexMatchesScan(move_assigned, "move-assigned");
+  EXPECT_TRUE(SameBits(move_assigned.TimeDomain().first,
+                       store.TimeDomain().first));
+  // A moved-from store starts its aggregates over.
+  ASSERT_TRUE(assigned.Add(Trajectory(8, {{5, 6, 7}})).ok());  // NOLINT(bugprone-use-after-move)
+  ExpectIndexMatchesScan(assigned, "reused after move");
+  EXPECT_EQ(assigned.TimeDomain(), std::make_pair(7.0, 7.0));
 }
 
 // Triangle-ish property on co-temporal trajectories: the synchronized
