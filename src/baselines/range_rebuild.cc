@@ -6,7 +6,6 @@
 #include <set>
 
 #include "rtree/str_bulk_load.h"
-#include "storage/env.h"
 
 namespace hermes::baselines {
 
@@ -49,20 +48,13 @@ StatusOr<RangeRebuildResult> RunRangeRebuild(
   }
   result.timings.range_query_us = NowUs() - t0;
 
-  // (ii) Build a fresh pg3D-Rtree on the materialized result.
+  // (ii) + (iii) S2T-Clustering from scratch over the window, which builds
+  // a fresh in-memory R-tree on the materialized result first.
   t0 = NowUs();
-  auto env = storage::Env::NewMemEnv();
-  HERMES_ASSIGN_OR_RETURN(std::unique_ptr<rtree::RTree3D> fresh,
-                          rtree::BuildSegmentIndex(env.get(), "window.idx",
-                                                   result.window_store));
-  result.timings.index_build_us = NowUs() - t0;
-
-  // (iii) S2T-Clustering from scratch over the window.
-  t0 = NowUs();
-  core::S2TClustering s2t(s2t_params);
-  HERMES_ASSIGN_OR_RETURN(result.s2t,
-                          s2t.RunWithIndex(result.window_store, *fresh));
-  result.timings.s2t_us = NowUs() - t0;
+  HERMES_ASSIGN_OR_RETURN(
+      result.s2t, core::S2TClustering(s2t_params).Run(result.window_store));
+  result.timings.index_build_us = result.s2t.timings.index_build_us;
+  result.timings.s2t_us = NowUs() - t0 - result.timings.index_build_us;
   return result;
 }
 

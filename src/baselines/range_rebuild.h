@@ -1,8 +1,6 @@
 #ifndef HERMES_BASELINES_RANGE_REBUILD_H_
 #define HERMES_BASELINES_RANGE_REBUILD_H_
 
-#include <memory>
-
 #include "common/statusor.h"
 #include "core/s2t_clustering.h"
 #include "rtree/rtree3d.h"
@@ -30,7 +28,11 @@ struct RangeRebuildResult {
 
 /// \brief The alternative the demo compares QuT-Clustering against:
 /// (i) temporal range query over a global segment index, (ii) build a
-/// fresh 3D R-tree on the result, (iii) run S2T-Clustering on it.
+/// fresh 3D R-tree on the result, (iii) run S2T-Clustering on it. Steps
+/// (ii) and (iii) are one `S2TClustering::Run` over the window, which
+/// bulk-loads the same in-memory R-tree as every S2T statement;
+/// `timings.index_build_us` is that run's index build and `s2t_us` the
+/// rest of it.
 ///
 /// `global_index` is a pre-built pg3D-Rtree over all of `store`'s segments
 /// (its construction is amortized setup, not part of the per-query cost).

@@ -30,57 +30,26 @@ void S2TTimings::ExportTo(exec::ExecStats* stats) const {
 
 StatusOr<S2TResult> S2TClustering::Run(const traj::TrajectoryStore& store,
                                        exec::ExecContext* ctx) const {
-  S2TTimings timings;
+  S2TResult result;
   int64_t t0 = NowUs();
   const traj::SegmentArena arena = traj::SegmentArena::Build(store, ctx);
-  timings.arena_build_us = NowUs() - t0;
+  result.timings.arena_build_us = NowUs() - t0;
 
-  if (!params_.use_index) {
-    return RunPhases(
-        store,
-        [&] {
-          return voting::ComputeVotingNaive(arena, store, params_.voting, ctx);
-        },
-        timings, ctx);
+  // Phase 1a: voting, on an in-memory STR R-tree over the arena unless the
+  // naive all-pairs engine is asked for.
+  std::unique_ptr<rtree::MemRTree3D> index;
+  if (params_.use_index) {
+    t0 = NowUs();
+    index = rtree::BuildMemSegmentIndex(arena, /*fill_factor=*/0.9, ctx);
+    result.timings.index_build_us = NowUs() - t0;
   }
   t0 = NowUs();
-  const std::unique_ptr<rtree::MemRTree3D> index =
-      rtree::BuildMemSegmentIndex(arena, /*fill_factor=*/0.9, ctx);
-  timings.index_build_us = NowUs() - t0;
-  return RunPhases(
-      store,
-      [&] {
-        return voting::ComputeVotingIndexed(arena, store, *index,
-                                            params_.voting, ctx);
-      },
-      timings, ctx);
-}
-
-StatusOr<S2TResult> S2TClustering::RunWithIndex(
-    const traj::TrajectoryStore& store, const rtree::RTree3D& index,
-    exec::ExecContext* ctx) const {
-  S2TTimings timings;
-  const int64_t t0 = NowUs();
-  const traj::SegmentArena arena = traj::SegmentArena::Build(store, ctx);
-  timings.arena_build_us = NowUs() - t0;
-  return RunPhases(
-      store,
-      [&] {
-        return voting::ComputeVotingIndexed(arena, store, index,
-                                            params_.voting, ctx);
-      },
-      timings, ctx);
-}
-
-StatusOr<S2TResult> S2TClustering::RunPhases(
-    const traj::TrajectoryStore& store, const VoteFn& vote,
-    S2TTimings timings, exec::ExecContext* ctx) const {
-  S2TResult result;
-  result.timings = timings;
-
-  // Phase 1a: voting.
-  int64_t t0 = NowUs();
-  HERMES_ASSIGN_OR_RETURN(result.voting, vote());
+  HERMES_ASSIGN_OR_RETURN(
+      result.voting,
+      index != nullptr ? voting::ComputeVotingIndexed(arena, store, *index,
+                                                      params_.voting, ctx)
+                       : voting::ComputeVotingNaive(arena, store,
+                                                    params_.voting, ctx));
   result.timings.voting_us = NowUs() - t0;
   result.timings.voting_probe_us = result.voting.probe_us;
   result.timings.voting_kernel_us = result.voting.kernel_us;

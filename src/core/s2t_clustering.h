@@ -1,13 +1,11 @@
 #ifndef HERMES_CORE_S2T_CLUSTERING_H_
 #define HERMES_CORE_S2T_CLUSTERING_H_
 
-#include <functional>
 #include <vector>
 
 #include "clustering/greedy_clustering.h"
 #include "common/statusor.h"
 #include "exec/exec_context.h"
-#include "rtree/rtree3d.h"
 #include "sampling/saco_sampling.h"
 #include "segmentation/nats.h"
 #include "traj/segment_arena.h"
@@ -144,23 +142,7 @@ class S2TClustering {
   StatusOr<S2TResult> Run(const traj::TrajectoryStore& store,
                           exec::ExecContext* ctx = nullptr) const;
 
-  /// Runs with a caller-provided paged segment index (e.g. the scenario-2
-  /// baseline's freshly built one). Voting copies the index's entries into
-  /// an in-memory tree (charged to the voting probe, not to
-  /// `index_build_us`); every phase fans out over `ctx`.
-  StatusOr<S2TResult> RunWithIndex(const traj::TrajectoryStore& store,
-                                   const rtree::RTree3D& index,
-                                   exec::ExecContext* ctx = nullptr) const;
-
  private:
-  using VoteFn = std::function<StatusOr<voting::VotingResult>()>;
-
-  /// Times `vote` as the voting phase, then runs segmentation, sampling
-  /// and clustering.
-  StatusOr<S2TResult> RunPhases(const traj::TrajectoryStore& store,
-                                const VoteFn& vote, S2TTimings timings,
-                                exec::ExecContext* ctx) const;
-
   S2TParams params_;
 };
 

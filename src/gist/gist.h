@@ -52,9 +52,6 @@ class GistOpClass {
 
   /// Does `parent` cover `child`? Used only by `Validate`.
   virtual bool Covers(const void* parent, const void* child) const = 0;
-
-  /// Debug rendering of a key.
-  virtual std::string KeyToString(const void* key) const { (void)key; return "?"; }
 };
 
 /// \brief Search/maintenance counters for the benchmark harness.

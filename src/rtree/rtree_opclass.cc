@@ -161,10 +161,6 @@ bool RTreeOpClass::Covers(const void* parent, const void* child) const {
   return DecodeKey(parent).Contains(DecodeKey(child));
 }
 
-std::string RTreeOpClass::KeyToString(const void* key) const {
-  return DecodeKey(key).ToString();
-}
-
 const RTreeOpClass* RTreeOpClass::Instance() {
   static const RTreeOpClass* instance = new RTreeOpClass();
   return instance;

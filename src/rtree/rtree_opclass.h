@@ -46,7 +46,6 @@ class RTreeOpClass : public gist::GistOpClass {
   void PickSplit(const std::vector<const void*>& keys,
                  std::vector<bool>* to_right) const override;
   bool Covers(const void* parent, const void* child) const override;
-  std::string KeyToString(const void* key) const override;
 
   /// Process-wide instance (stateless).
   static const RTreeOpClass* Instance();

@@ -232,7 +232,7 @@ StatusOr<std::unique_ptr<RowCursor>> EvalSelectFunction(
     params.use_index = env.use_index;
     core::S2TClustering s2t(params);
     HERMES_ASSIGN_OR_RETURN(core::S2TResult result, s2t.Run(store, env.exec));
-    // A live context records the s2t_* phases itself (core::RunPhases);
+    // A live context records the s2t_* phases itself (S2TClustering::Run);
     // exporting here too would double-count them in SHOW STATS.
     if (env.exec == nullptr && env.session_stats != nullptr) {
       result.timings.ExportTo(env.session_stats);

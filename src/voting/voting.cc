@@ -180,18 +180,13 @@ CandidateLists ProbeCandidates(const traj::SegmentArena& arena,
   return cands;
 }
 
-Status ValidateParams(const VotingParams& params) {
+Status ValidateVotingInputs(const traj::SegmentArena& arena,
+                            const traj::TrajectoryStore& store,
+                            const VotingParams& params) {
   // Written so NaN fails too; +inf would widen the probe to everything.
   if (!(params.sigma > 0.0) || !std::isfinite(params.sigma)) {
     return Status::InvalidArgument("sigma must be finite and positive");
   }
-  return Status::OK();
-}
-
-Status ValidateVotingInputs(const traj::SegmentArena& arena,
-                            const traj::TrajectoryStore& store,
-                            const VotingParams& params) {
-  HERMES_RETURN_NOT_OK(ValidateParams(params));
   if (arena.num_trajectories() != store.NumTrajectories()) {
     return Status::InvalidArgument(
         "segment arena is stale: trajectory count differs from store");
@@ -314,39 +309,6 @@ StatusOr<VotingResult> ComputeVotingNaive(const traj::TrajectoryStore& store,
                                           const VotingParams& params) {
   const traj::SegmentArena arena = traj::SegmentArena::Build(store);
   return ComputeVotingNaive(arena, store, params, nullptr);
-}
-
-StatusOr<VotingResult> ComputeVotingIndexed(const traj::TrajectoryStore& store,
-                                            const rtree::RTree3D& index,
-                                            const VotingParams& params) {
-  const traj::SegmentArena arena = traj::SegmentArena::Build(store);
-  return ComputeVotingIndexed(arena, store, index, params, nullptr);
-}
-
-StatusOr<VotingResult> ComputeVotingParallel(
-    const traj::TrajectoryStore& store, storage::Env* env,
-    const std::string& index_file, const VotingParams& params,
-    size_t num_threads) {
-  HERMES_RETURN_NOT_OK(ValidateParams(params));
-  if (num_threads == 0) {
-    return Status::InvalidArgument("need at least one thread");
-  }
-  if (!env->FileExists(index_file)) {
-    return Status::NotFound("no index file " + index_file);
-  }
-  HERMES_ASSIGN_OR_RETURN(std::unique_ptr<rtree::RTree3D> index,
-                          rtree::RTree3D::Open(env, index_file));
-  exec::ExecContext ctx(num_threads);
-  const traj::SegmentArena arena = traj::SegmentArena::Build(store, &ctx);
-  return ComputeVotingIndexed(arena, store, *index, params, &ctx);
-}
-
-StatusOr<VotingResult> ComputeVoting(const traj::TrajectoryStore& store,
-                                     const VotingParams& params) {
-  const traj::SegmentArena arena = traj::SegmentArena::Build(store);
-  const std::unique_ptr<rtree::MemRTree3D> index =
-      rtree::BuildMemSegmentIndex(arena);
-  return ComputeVotingIndexed(arena, store, *index, params, nullptr);
 }
 
 }  // namespace hermes::voting

@@ -51,9 +51,9 @@ struct VotingResult {
 };
 
 /// \brief A paged index's backing file. Accepted and ignored by the paged
-/// overload of `ComputeVotingIndexed`: the probe runs on an in-memory STR
-/// R-tree that every chunk reads without locks, so no chunk opens a
-/// handle of its own. Kept only so existing callers compile.
+/// overload of `ComputeVotingIndexed`. Its one caller outside the tests is
+/// `DecomposedS2T` in `perfbench/driver/analytics.cc`; ROADMAP item I step 1
+/// moves that driver to the in-memory overload, and both go then.
 struct IndexProbeSource {
   storage::Env* env = nullptr;
   std::string fname;
@@ -95,7 +95,10 @@ StatusOr<VotingResult> ComputeVotingIndexed(const traj::SegmentArena& arena,
 
 /// Paged adapter: copies `index`'s current entries (one full-domain scan,
 /// so removed entries stay out) into an in-memory tree and votes on that.
-/// The copy is charged to `probe_us`. `probe` is ignored.
+/// The copy is charged to `probe_us`. `probe` is ignored. Its one caller
+/// outside the tests is `DecomposedS2T` in `perfbench/driver/analytics.cc`;
+/// ROADMAP item I step 1 moves that driver to the overload above, which
+/// removes this one.
 StatusOr<VotingResult> ComputeVotingIndexed(const traj::SegmentArena& arena,
                                             const traj::TrajectoryStore& store,
                                             const rtree::RTree3D& index,
@@ -104,29 +107,10 @@ StatusOr<VotingResult> ComputeVotingIndexed(const traj::SegmentArena& arena,
                                             const IndexProbeSource* probe =
                                                 nullptr);
 
-/// Store-walking convenience overloads: snapshot an arena, then run the
-/// arena engine sequentially (the pre-arena API surface).
+/// Store-walking convenience: snapshots an arena, then runs the naive
+/// engine sequentially.
 StatusOr<VotingResult> ComputeVotingNaive(const traj::TrajectoryStore& store,
                                           const VotingParams& params);
-
-StatusOr<VotingResult> ComputeVotingIndexed(const traj::TrajectoryStore& store,
-                                            const rtree::RTree3D& index,
-                                            const VotingParams& params);
-
-/// Convenience: builds a temporary in-memory segment index over a fresh
-/// arena, then runs the indexed engine.
-StatusOr<VotingResult> ComputeVoting(const traj::TrajectoryStore& store,
-                                     const VotingParams& params);
-
-/// \brief Multi-threaded indexed voting over a persisted index.
-/// `index_file` must name an existing segment index under `env` (e.g.
-/// built by `rtree::BuildSegmentIndex`). Its entries are copied into an
-/// in-memory tree (the paged adapter above); both phases then fan out over
-/// `num_threads`. Output is identical to the single-threaded engines.
-StatusOr<VotingResult> ComputeVotingParallel(
-    const traj::TrajectoryStore& store, storage::Env* env,
-    const std::string& index_file, const VotingParams& params,
-    size_t num_threads);
 
 /// \brief Vote cast by trajectory `other` for segment `seg`: the truncated
 /// Gaussian kernel of their time-synchronized average distance during the

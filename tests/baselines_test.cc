@@ -431,6 +431,52 @@ TEST_F(RangeRebuildTest, TimingsPopulated) {
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->timings.TotalUs(), 0);
   EXPECT_GT(result->timings.s2t_us, 0);
+  EXPECT_EQ(result->timings.index_build_us,
+            result->s2t.timings.index_build_us);
+}
+
+TEST_F(RangeRebuildTest, S2TIsTheRunOfItsWindowStore) {
+  // The window cuts every trajectory (each lives over t = 0..150).
+  auto result = RunRangeRebuild(store_, *index_, 35.0, 115.0, params_);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->window_store.NumTrajectories(), store_.NumTrajectories());
+  for (traj::TrajectoryId tid = 0;
+       tid < result->window_store.NumTrajectories(); ++tid) {
+    EXPECT_LT(result->window_store.Get(tid).size(),
+              store_.Get(tid).size());
+  }
+  auto direct = core::S2TClustering(params_).Run(result->window_store);
+  ASSERT_TRUE(direct.ok());
+  const core::S2TResult& s2t = result->s2t;
+  ASSERT_GT(s2t.NumClusters(), 0u);
+
+  ASSERT_EQ(s2t.sub_trajectories.size(), direct->sub_trajectories.size());
+  for (size_t i = 0; i < s2t.sub_trajectories.size(); ++i) {
+    const traj::SubTrajectory& a = s2t.sub_trajectories[i];
+    const traj::SubTrajectory& b = direct->sub_trajectories[i];
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.source_trajectory, b.source_trajectory);
+    EXPECT_EQ(a.object_id, b.object_id);
+    EXPECT_EQ(a.first_sample_index, b.first_sample_index);
+    EXPECT_EQ(a.mean_voting, b.mean_voting);
+    ASSERT_EQ(a.points.size(), b.points.size());
+    for (size_t p = 0; p < a.points.size(); ++p) {
+      EXPECT_EQ(a.points[p].x, b.points[p].x);
+      EXPECT_EQ(a.points[p].y, b.points[p].y);
+      EXPECT_EQ(a.points[p].t, b.points[p].t);
+    }
+  }
+  EXPECT_EQ(s2t.representatives, direct->representatives);
+  ASSERT_EQ(s2t.NumClusters(), direct->NumClusters());
+  for (size_t c = 0; c < s2t.NumClusters(); ++c) {
+    EXPECT_EQ(s2t.clustering.clusters[c].representative,
+              direct->clustering.clusters[c].representative);
+    EXPECT_EQ(s2t.clustering.clusters[c].members,
+              direct->clustering.clusters[c].members);
+  }
+  EXPECT_EQ(s2t.clustering.outliers, direct->clustering.outliers);
+  EXPECT_EQ(s2t.voting.votes, direct->voting.votes);
+  EXPECT_EQ(s2t.voting.pairs_evaluated, direct->voting.pairs_evaluated);
 }
 
 TEST_F(RangeRebuildTest, RejectsEmptyWindow) {

@@ -5,8 +5,7 @@
 #include "core/s2t_clustering.h"
 #include "traj/distance.h"
 #include "datagen/noise.h"
-#include "rtree/str_bulk_load.h"
-#include "storage/env.h"
+#include "rtree/mem_rtree3d.h"
 
 namespace hermes::core {
 namespace {
@@ -97,30 +96,34 @@ TEST(S2TTest, IndexedAndNaivePathsAgree) {
   EXPECT_EQ(a->sub_trajectories.size(), b->sub_trajectories.size());
 }
 
-TEST(S2TTest, RunWithExternalIndex) {
+TEST(S2TTest, RunVotesOnItsOwnInMemoryIndex) {
   traj::TrajectoryStore store = datagen::MakeParallelLanes(
       2, 3, 400.0, 500.0, 10.0, 10.0, /*seed=*/3, /*jitter=*/1.0);
-  auto env = storage::Env::NewMemEnv();
-  auto index = rtree::BuildSegmentIndex(env.get(), "ext.idx", store);
-  ASSERT_TRUE(index.ok());
   S2TClustering s2t(LaneParams());
-  auto result = s2t.RunWithIndex(store, **index);
+  exec::ExecContext one(1);
+  auto result = s2t.Run(store, &one);
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->NumClusters(), 2u);
-  EXPECT_EQ(result->timings.index_build_us, 0);  // Build not charged here.
+  EXPECT_GT(one.stats().Counter("voting_probe_handles"), 0);
+
+  // The votes are the indexed engine's on an STR tree over the arena.
+  const traj::SegmentArena arena = traj::SegmentArena::Build(store);
+  const auto index = rtree::BuildMemSegmentIndex(arena);
+  auto votes = voting::ComputeVotingIndexed(arena, store, *index,
+                                            LaneParams().voting);
+  ASSERT_TRUE(votes.ok());
+  EXPECT_EQ(result->voting.votes, votes->votes);
+  EXPECT_EQ(result->voting.pairs_evaluated, votes->pairs_evaluated);
 }
 
-TEST(S2TTest, RunWithIndexProbesInParallelBitIdentically) {
+TEST(S2TTest, RunProbesInParallelBitIdentically) {
   traj::TrajectoryStore store = datagen::MakeParallelLanes(
       3, 4, 700.0, 600.0, 10.0, 10.0, /*seed=*/11, /*jitter=*/2.0);
-  auto env = storage::Env::NewMemEnv();
-  auto index = rtree::BuildSegmentIndex(env.get(), "ext4.idx", store);
-  ASSERT_TRUE(index.ok());
   S2TClustering s2t(LaneParams());
   exec::ExecContext one(1);
   exec::ExecContext four(4);
-  auto base = s2t.RunWithIndex(store, **index, &one);
-  auto run = s2t.RunWithIndex(store, **index, &four);
+  auto base = s2t.Run(store, &one);
+  auto run = s2t.Run(store, &four);
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(base->voting.votes, run->voting.votes);
@@ -133,7 +136,6 @@ TEST(S2TTest, RunWithIndexProbesInParallelBitIdentically) {
   }
   EXPECT_EQ(base->clustering.outliers, run->clustering.outliers);
   EXPECT_GT(four.stats().Counter("voting_probe_handles"), 0);
-  EXPECT_EQ(run->timings.index_build_us, 0);
 }
 
 TEST(S2TTest, TimingsArePopulated) {

@@ -24,6 +24,15 @@ traj::Trajectory Line(traj::ObjectId id, double y, double t0, double length,
   return t;
 }
 
+/// The indexed engine on the in-memory STR tree over a fresh arena, the way
+/// `S2TClustering::Run` votes.
+StatusOr<VotingResult> VoteOnMemIndex(const traj::TrajectoryStore& store,
+                                      const VotingParams& params) {
+  const traj::SegmentArena arena = traj::SegmentArena::Build(store);
+  const auto index = rtree::BuildMemSegmentIndex(arena);
+  return ComputeVotingIndexed(arena, store, *index, params);
+}
+
 class VotingTest : public ::testing::Test {
  protected:
   VotingParams params_ = {/*sigma=*/50.0, /*cutoff_sigmas=*/3.0,
@@ -90,11 +99,7 @@ TEST_F(VotingTest, IndexedMatchesNaiveExactly) {
       4, 3, 60.0, 800.0, 10.0, 10.0, /*seed=*/5, /*jitter=*/3.0);
   auto naive = ComputeVotingNaive(store, params_);
   ASSERT_TRUE(naive.ok());
-
-  auto env = storage::Env::NewMemEnv();
-  auto index = rtree::BuildSegmentIndex(env.get(), "v.idx", store);
-  ASSERT_TRUE(index.ok());
-  auto indexed = ComputeVotingIndexed(store, **index, params_);
+  auto indexed = VoteOnMemIndex(store, params_);
   ASSERT_TRUE(indexed.ok());
 
   ASSERT_EQ(naive->votes.size(), indexed->votes.size());
@@ -113,18 +118,15 @@ TEST_F(VotingTest, IndexPrunesCandidatePairs) {
       8, 2, 5000.0, 800.0, 10.0, 10.0, /*seed=*/9, /*jitter=*/1.0);
   auto naive = ComputeVotingNaive(store, params_);
   ASSERT_TRUE(naive.ok());
-  auto env = storage::Env::NewMemEnv();
-  auto index = rtree::BuildSegmentIndex(env.get(), "p.idx", store);
-  ASSERT_TRUE(index.ok());
-  auto indexed = ComputeVotingIndexed(store, **index, params_);
+  auto indexed = VoteOnMemIndex(store, params_);
   ASSERT_TRUE(indexed.ok());
   EXPECT_LT(indexed->pairs_evaluated, naive->pairs_evaluated / 4);
 }
 
-TEST_F(VotingTest, ConvenienceWrapperWorks) {
+TEST_F(VotingTest, MemIndexVotesForCoMovingLanes) {
   traj::TrajectoryStore store = datagen::MakeParallelLanes(
       2, 2, 30.0, 500.0, 10.0, 10.0, /*seed=*/3, /*jitter=*/1.0);
-  auto result = ComputeVoting(store, params_);
+  auto result = VoteOnMemIndex(store, params_);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->votes.size(), 4u);
   EXPECT_GT(result->TotalVoting(0), 0.0);
@@ -136,11 +138,7 @@ TEST_F(VotingTest, RejectsNonPositiveSigma) {
   VotingParams bad = params_;
   bad.sigma = 0.0;
   EXPECT_TRUE(ComputeVotingNaive(store, bad).status().IsInvalidArgument());
-  auto env = storage::Env::NewMemEnv();
-  auto index = rtree::BuildSegmentIndex(env.get(), "bad.idx", store);
-  ASSERT_TRUE(index.ok());
-  EXPECT_TRUE(
-      ComputeVotingIndexed(store, **index, bad).status().IsInvalidArgument());
+  EXPECT_TRUE(VoteOnMemIndex(store, bad).status().IsInvalidArgument());
 }
 
 TEST_F(VotingTest, RejectsNonFiniteSigma) {
@@ -152,7 +150,6 @@ TEST_F(VotingTest, RejectsNonFiniteSigma) {
   auto env = storage::Env::NewMemEnv();
   auto index = rtree::BuildSegmentIndex(env.get(), "nonfinite.idx", arena);
   ASSERT_TRUE(index.ok());
-  ASSERT_TRUE((*index)->Flush().ok());
   for (const double sigma : {std::numeric_limits<double>::quiet_NaN(),
                              std::numeric_limits<double>::infinity(),
                              -std::numeric_limits<double>::infinity()}) {
@@ -169,11 +166,6 @@ TEST_F(VotingTest, RejectsNonFiniteSigma) {
                     .status()
                     .IsInvalidArgument());
     EXPECT_TRUE(ComputeVotingNaive(store, bad).status().IsInvalidArgument());
-    EXPECT_TRUE(ComputeVoting(store, bad).status().IsInvalidArgument());
-    EXPECT_TRUE(ComputeVotingParallel(store, env.get(), "nonfinite.idx", bad,
-                                      2)
-                    .status()
-                    .IsInvalidArgument());
   }
 }
 
@@ -202,46 +194,6 @@ TEST_F(VotingTest, MeanAndTotalVotingConsistent) {
     EXPECT_NEAR(total,
                 mean * static_cast<double>(result->votes[tid].size()), 1e-9);
   }
-}
-
-TEST_F(VotingTest, ParallelMatchesSerialExactly) {
-  traj::TrajectoryStore store = datagen::MakeParallelLanes(
-      4, 3, 60.0, 800.0, 10.0, 10.0, /*seed=*/5, /*jitter=*/3.0);
-  auto env = storage::Env::NewMemEnv();
-  auto index = rtree::BuildSegmentIndex(env.get(), "par.idx", store);
-  ASSERT_TRUE(index.ok());
-  ASSERT_TRUE((*index)->Flush().ok());
-  auto serial = ComputeVotingIndexed(store, **index, params_);
-  ASSERT_TRUE(serial.ok());
-
-  for (size_t threads : {1u, 2u, 4u, 7u}) {
-    auto parallel =
-        ComputeVotingParallel(store, env.get(), "par.idx", params_, threads);
-    ASSERT_TRUE(parallel.ok()) << "threads=" << threads;
-    ASSERT_EQ(parallel->votes.size(), serial->votes.size());
-    for (size_t tid = 0; tid < serial->votes.size(); ++tid) {
-      for (size_t i = 0; i < serial->votes[tid].size(); ++i) {
-        EXPECT_NEAR(parallel->votes[tid][i], serial->votes[tid][i], 1e-12);
-      }
-    }
-    EXPECT_EQ(parallel->pairs_evaluated, serial->pairs_evaluated);
-  }
-}
-
-TEST_F(VotingTest, ParallelValidatesArguments) {
-  traj::TrajectoryStore store = datagen::MakeParallelLanes(
-      2, 2, 60.0, 400.0, 10.0, 10.0, /*seed=*/5, /*jitter=*/1.0);
-  auto env = storage::Env::NewMemEnv();
-  EXPECT_TRUE(ComputeVotingParallel(store, env.get(), "missing.idx", params_,
-                                    2)
-                  .status()
-                  .IsNotFound());
-  auto index = rtree::BuildSegmentIndex(env.get(), "ok.idx", store);
-  ASSERT_TRUE(index.ok());
-  ASSERT_TRUE((*index)->Flush().ok());
-  EXPECT_TRUE(ComputeVotingParallel(store, env.get(), "ok.idx", params_, 0)
-                  .status()
-                  .IsInvalidArgument());
 }
 
 // Sigma sweep: larger bandwidth -> strictly more voting mass.
