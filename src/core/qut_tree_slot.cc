@@ -224,7 +224,11 @@ void QutTreeSlot::DropLocked() {
 
 HotTierStats QutTreeSlot::hot_stats() const {
   common::ReaderMutexLock rlock(&mu_);
-  return tree_ == nullptr ? HotTierStats{} : tree_->hot_stats();
+  if (tree_ == nullptr) return HotTierStats{};
+  HotTierStats s = tree_->hot_stats();
+  s.cold_resident_bytes =
+      tree_->cold_io_stats().resident_pages * storage::kPageSize;
+  return s;
 }
 
 ReTraTree* QutTreeSlot::tree() const {

@@ -118,7 +118,8 @@ class QutTreeSlot {
   /// Retires the tree and deletes its files; the next `Refresh` rebuilds.
   void Drop();
 
-  /// The tree's hot-tier counters; zeros when there is no tree.
+  /// The tree's hot-tier counters plus its cold-tier resident bytes;
+  /// zeros when there is no tree.
   HotTierStats hot_stats() const;
 
   /// The current tree, or nullptr (for tests: the pointer dies with the

@@ -866,6 +866,7 @@ ColdIoStats ReTraTree::cold_io_stats() const {
   partitions_->ForEachOpen([&](const std::string&, storage::HeapFile* hf) {
     const storage::PagerStats io = hf->io_stats();
     s.heap_page_fetches += io.cache_hits + io.cache_misses;
+    s.resident_pages += io.resident_pages;
     const storage::LockStats ls = hf->lock_stats();
     s.heap_lock_acquisitions +=
         ls.shared_acquisitions + ls.exclusive_acquisitions;
@@ -879,6 +880,7 @@ ColdIoStats ReTraTree::cold_io_stats() const {
         s.index_nodes_visited += entry->index->stats().nodes_visited;
         const storage::PagerStats io = entry->index->io_stats();
         s.index_page_fetches += io.cache_hits + io.cache_misses;
+        s.resident_pages += io.resident_pages;
         const storage::LockStats ls = entry->index->lock_stats();
         s.index_lock_acquisitions +=
             ls.shared_acquisitions + ls.exclusive_acquisitions;

@@ -138,6 +138,10 @@ struct HotTierStats {
   /// fully released — a demoted snapshot a reader still holds counts).
   uint64_t hot_partitions = 0;
   uint64_t hot_pins_total = 0;
+  /// Bytes of cold-tier buffer-pool frames (heap files and indexes). A
+  /// gauge that `QutTreeSlot::hot_stats` fills from `cold_io_stats`;
+  /// `ReTraTree::hot_stats` reads only atomics and leaves it 0.
+  uint64_t cold_resident_bytes = 0;
 
   /// Field-wise sum (the stats surfaces total every tree's counters).
   HotTierStats& operator+=(const HotTierStats& o) {
@@ -148,6 +152,7 @@ struct HotTierStats {
     hot_index_bytes += o.hot_index_bytes;
     hot_partitions += o.hot_partitions;
     hot_pins_total += o.hot_pins_total;
+    cold_resident_bytes += o.cold_resident_bytes;
     return *this;
   }
 };
@@ -163,6 +168,8 @@ struct ColdIoStats {
   uint64_t index_nodes_visited = 0;
   uint64_t index_page_fetches = 0;
   uint64_t index_lock_acquisitions = 0;
+  /// Buffer-pool frames held now, heap files and indexes together.
+  uint64_t resident_pages = 0;
 };
 
 /// \brief L3 entry: an in-memory representative plus its on-disk member
@@ -450,7 +457,9 @@ class ReTraTree {
   /// index consistency).
   Status Validate() const;
 
-  /// Writes every partition's and index's dirty pages back to the env.
+  /// Writes every partition's and index's meta page and dirty pages to
+  /// the env. Besides eviction, this is the only way the tree's pages
+  /// reach it: destroying the tree discards them.
   Status Flush();
 
  private:

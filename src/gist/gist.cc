@@ -1,5 +1,6 @@
 #include "gist/gist.h"
 
+#include <array>
 #include <cstring>
 
 #include "common/logging.h"
@@ -35,13 +36,9 @@ StatusOr<std::unique_ptr<Gist>> Gist::Open(storage::Env* env,
   // take the (uncontended) writer lock for the analysis.
   common::WriterMutexLock lock(&tree->mu_);
   if (tree->pager_->num_pages() == 0) {
-    HERMES_ASSIGN_OR_RETURN(storage::Page * meta, tree->pager_->Allocate());
-    storage::PinnedPage pin(tree->pager_.get(), meta);
-    std::memset(meta->data.data(), 0, storage::kPageSize);
-    std::memcpy(meta->data.data() + kMetaMagicOff, &kGistMagic, 4);
-    uint32_t invalid = storage::kInvalidPage;
-    std::memcpy(meta->data.data() + kMetaRootOff, &invalid, 4);
-    pin.MarkDirty();
+    // Fresh file: page 0 is the meta page, mirrored in members and
+    // written only by `Flush`, so it takes no frame.
+    tree->pager_->Reserve();
   } else {
     HERMES_RETURN_NOT_OK(tree->LoadMeta());
   }
@@ -61,13 +58,12 @@ Status Gist::LoadMeta() {
 }
 
 Status Gist::SaveMeta() {
-  HERMES_ASSIGN_OR_RETURN(storage::Page * meta, pager_->Fetch(0));
-  storage::PinnedPage pin(pager_.get(), meta);
-  std::memcpy(meta->data.data() + kMetaRootOff, &root_, 4);
-  std::memcpy(meta->data.data() + kMetaHeightOff, &height_, 4);
-  std::memcpy(meta->data.data() + kMetaEntriesOff, &num_entries_, 8);
-  pin.MarkDirty();
-  return Status::OK();
+  std::array<char, storage::kPageSize> meta{};
+  std::memcpy(meta.data() + kMetaMagicOff, &kGistMagic, 4);
+  std::memcpy(meta.data() + kMetaRootOff, &root_, 4);
+  std::memcpy(meta.data() + kMetaHeightOff, &height_, 4);
+  std::memcpy(meta.data() + kMetaEntriesOff, &num_entries_, 8);
+  return pager_->WritePage(0, meta.data());
 }
 
 StatusOr<storage::PageId> Gist::NewNode(bool leaf) {
@@ -109,7 +105,7 @@ Status Gist::Insert(const void* key, uint64_t datum) {
     ++height_;
   }
   ++num_entries_;
-  return SaveMeta();
+  return Status::OK();
 }
 
 StatusOr<Gist::InsertResult> Gist::InsertRecursive(storage::PageId node_id,
@@ -275,7 +271,7 @@ Status Gist::Delete(const void* key, uint64_t datum) {
                           DeleteRecursive(root_, key, datum, &new_union));
   if (!found) return Status::NotFound("no matching entry");
   --num_entries_;
-  return SaveMeta();
+  return Status::OK();
 }
 
 StatusOr<bool> Gist::DeleteRecursive(storage::PageId node_id, const void* key,
@@ -383,7 +379,7 @@ Status Gist::BulkLoad(
   }
   height_ = levels;
   num_entries_ = entries.size();
-  return SaveMeta();
+  return Status::OK();
 }
 
 Status Gist::Validate() const {
@@ -450,6 +446,7 @@ StatusOr<Gist::NodeSnapshot> Gist::ReadNode(storage::PageId id) const {
 
 Status Gist::Flush() {
   storage::CountedExclusiveLock lock(mu_, &lock_counters_);
+  HERMES_RETURN_NOT_OK(SaveMeta());
   return pager_->Flush();
 }
 

@@ -64,7 +64,12 @@ struct GistStats {
 /// \brief Disk-based Generalized Search Tree.
 ///
 /// Page 0 is the meta page (magic, root id, height, entry count); all other
-/// pages are nodes. The tree grows at the root on split (standard GiST).
+/// pages are nodes. The meta page never takes a buffer-pool frame: the
+/// tree keeps its fields in members, and only `Flush` writes its image. So
+/// a file closed without `Flush` does not reopen with its entries: it
+/// reads as empty, or as corrupt once an eviction has written a node. A
+/// flushed file reopens with the same root, height and entry count. The
+/// tree grows at the root on split (standard GiST).
 /// Deletion removes leaf entries and tightens ancestor keys but does not
 /// merge underfull nodes (PostgreSQL's GiST makes the same trade-off;
 /// space is reclaimed by dropping the index file).
@@ -143,6 +148,7 @@ class Gist {
   storage::PagerStats io_stats() const { return pager_->stats(); }
   storage::LockStats lock_stats() const { return lock_counters_.Snapshot(); }
 
+  /// Writes the meta page and every dirty node, then syncs.
   Status Flush();
 
   /// \brief Decoded node snapshot for advanced read paths (e.g. the R-tree
@@ -158,6 +164,7 @@ class Gist {
   Gist(std::unique_ptr<storage::Pager> pager, const GistOpClass* opclass);
 
   Status LoadMeta() REQUIRES(mu_);
+  /// Writes the meta page image from the members, past the pool.
   Status SaveMeta() REQUIRES(mu_);
   StatusOr<storage::PageId> NewNode(bool leaf) REQUIRES(mu_);
 

@@ -558,6 +558,7 @@ void AppendHotTierRows(const core::HotTierStats& s, const std::string& prefix,
   row("hot_promotions", s.hot_promotions);
   row("hot_demotions", s.hot_demotions);
   row("hot_index_bytes", s.hot_index_bytes);
+  row("cold_resident_bytes", s.cold_resident_bytes);
   row("hot_partitions", s.hot_partitions);
   row("hot_pins_total", s.hot_pins_total);
 }

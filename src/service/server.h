@@ -107,7 +107,7 @@ void AccumulateServiceStats(const ServiceStats& s, ServiceStats* total);
 sql::Table ServiceStatsTable(const ServiceStats& s,
                              const std::vector<ServiceStats>& per_shard = {});
 
-/// Appends the seven hot-tier counter rows of `s` to a (name, value)
+/// Appends the eight tier counter rows of `s` to a (name, value)
 /// table, each name prefixed by `prefix`: the rows `SHOW SERVICE STATS`
 /// and the embedded session's `SHOW STATS` share.
 void AppendHotTierRows(const core::HotTierStats& s, const std::string& prefix,

@@ -1,5 +1,6 @@
 #include "storage/heap_file.h"
 
+#include <array>
 #include <cstring>
 
 #include "common/coding.h"
@@ -62,15 +63,9 @@ StatusOr<std::unique_ptr<HeapFile>> HeapFile::Open(Env* env,
   // take the (uncontended) writer lock for the analysis.
   common::WriterMutexLock lock(&hf->mu_);
   if (hf->pager_->num_pages() == 0) {
-    // Fresh file: write the meta page.
-    HERMES_ASSIGN_OR_RETURN(Page * meta, hf->pager_->Allocate());
-    PinnedPage pin(hf->pager_.get(), meta);
-    std::memset(meta->data.data(), 0, kPageSize);
-    uint32_t magic = kHeapMagic;
-    std::memcpy(meta->data.data() + kMetaMagicOff, &magic, 4);
-    uint32_t tail = kInvalidPage;
-    std::memcpy(meta->data.data() + kMetaTailOff, &tail, 4);
-    pin.MarkDirty();
+    // Fresh file: page 0 is the meta page, mirrored in members and
+    // written only by `Flush`, so it takes no frame.
+    hf->pager_->Reserve();
   } else {
     HERMES_RETURN_NOT_OK(hf->LoadMeta());
   }
@@ -92,15 +87,14 @@ Status HeapFile::LoadMeta() {
 }
 
 Status HeapFile::SaveMeta() {
-  HERMES_ASSIGN_OR_RETURN(Page * meta, pager_->Fetch(0));
-  PinnedPage pin(pager_.get(), meta);
-  std::memcpy(meta->data.data() + kMetaTailOff, &tail_page_, 4);
+  std::array<char, kPageSize> meta{};
+  std::memcpy(meta.data() + kMetaMagicOff, &kHeapMagic, 4);
+  std::memcpy(meta.data() + kMetaTailOff, &tail_page_, 4);
   const uint64_t live = live_records_.load(std::memory_order_relaxed);
   const uint64_t total = total_records_.load(std::memory_order_relaxed);
-  std::memcpy(meta->data.data() + kMetaLiveOff, &live, 8);
-  std::memcpy(meta->data.data() + kMetaTotalOff, &total, 8);
-  pin.MarkDirty();
-  return Status::OK();
+  std::memcpy(meta.data() + kMetaLiveOff, &live, 8);
+  std::memcpy(meta.data() + kMetaTotalOff, &total, 8);
+  return pager_->WritePage(0, meta.data());
 }
 
 StatusOr<RecordId> HeapFile::Append(const std::string& record) {
@@ -143,7 +137,6 @@ StatusOr<RecordId> HeapFile::Append(const std::string& record) {
 
   ++live_records_;
   ++total_records_;
-  HERMES_RETURN_NOT_OK(SaveMeta());
   return RecordId{page->id, slot};
 }
 
@@ -181,7 +174,7 @@ Status HeapFile::Delete(const RecordId& rid) {
   pin.MarkDirty();
   HERMES_CHECK(live_records_ > 0);
   --live_records_;
-  return SaveMeta();
+  return Status::OK();
 }
 
 Status HeapFile::Scan(
@@ -205,6 +198,7 @@ Status HeapFile::Scan(
 
 Status HeapFile::Flush() {
   CountedExclusiveLock lock(mu_, &lock_counters_);
+  HERMES_RETURN_NOT_OK(SaveMeta());
   return pager_->Flush();
 }
 

@@ -40,11 +40,17 @@ struct RecordId {
 /// partition (member sub-trajectories of one representative, or the outlier
 /// partition of a sub-chunk).
 ///
-/// Layout: page 0 is the meta page (record & page counts, tail pointer);
-/// data pages use a classic slotted layout (slot directory grows from the
-/// page end, record bytes from the header). Records are immutable once
-/// written; `Delete` installs a tombstone. Space is reclaimed by dropping
-/// the whole partition, matching the engine's usage.
+/// Layout: page 0 is the meta page (record counts, tail pointer); data
+/// pages, from page 1, use a classic slotted layout (slot directory grows
+/// from the page end, record bytes from the header). Records are immutable
+/// once written; `Delete` installs a tombstone. Space is reclaimed by
+/// dropping the whole partition, matching the engine's usage.
+///
+/// The meta page never takes a buffer-pool frame: the handle keeps its
+/// fields in members, and only `Flush` writes its image. So a file closed
+/// without `Flush` does not reopen with its records: it reads as empty,
+/// or as corrupt once an eviction has written a data page. A flushed file
+/// reopens with the same tail and counts.
 ///
 /// Thread safety: record operations take an internal reader/writer lock —
 /// `Read`/`Scan` shared, `Append`/`Delete` exclusive — so one handle may be
@@ -83,6 +89,7 @@ class HeapFile {
     return total_records_.load(std::memory_order_relaxed);
   }
 
+  /// Writes the meta page and every dirty data page, then syncs.
   Status Flush();
 
   /// Point-in-time counter snapshots (by value: they mutate concurrently).
@@ -93,6 +100,7 @@ class HeapFile {
   explicit HeapFile(std::unique_ptr<Pager> pager);
 
   Status LoadMeta() REQUIRES(mu_);
+  /// Writes the meta page image from the members, past the pool.
   Status SaveMeta() REQUIRES(mu_);
 
   /// Reader/writer lock over record operations (see class comment).

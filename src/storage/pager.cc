@@ -1,5 +1,7 @@
 #include "storage/pager.h"
 
+#include <cstring>
+
 #include "common/logging.h"
 
 namespace hermes::storage {
@@ -11,7 +13,7 @@ StatusOr<std::unique_ptr<Pager>> Pager::Open(Env* env,
   HERMES_ASSIGN_OR_RETURN(std::unique_ptr<RandomRWFile> file,
                           env->NewRWFile(fname));
   auto pager =
-      std::unique_ptr<Pager>(new Pager(env, std::move(file), cache_pages));
+      std::unique_ptr<Pager>(new Pager(std::move(file), cache_pages));
   HERMES_ASSIGN_OR_RETURN(uint64_t size, pager->file_->Size());
   if (size % kPageSize != 0) {
     return Status::Corruption(fname + ": size not page-aligned");
@@ -20,19 +22,24 @@ StatusOr<std::unique_ptr<Pager>> Pager::Open(Env* env,
   return pager;
 }
 
-Pager::Pager(Env* env, std::unique_ptr<RandomRWFile> file, size_t cache_pages)
-    : env_(env), file_(std::move(file)), cache_capacity_(cache_pages) {
-  (void)env_;
+Pager::Pager(std::unique_ptr<RandomRWFile> file, size_t cache_pages)
+    : file_(std::move(file)), cache_capacity_(cache_pages) {}
+
+PageId Pager::Reserve() {
+  return num_pages_.fetch_add(1, std::memory_order_acq_rel);
 }
 
-Pager::~Pager() {
-  // Best effort: every pager-backed file is a cache-tree partition or a
-  // throwaway index, so a write the env refuses loses nothing that
-  // cannot be rebuilt. Callers that need the outcome call `Flush`.
-  Status st = Flush();
-  if (!st.ok()) {
-    HERMES_LOG(Error) << "pager flush on close failed: " << st.ToString();
+Status Pager::WritePage(PageId id, const char* data) {
+  common::MutexLock lock(&mu_);
+  HERMES_RETURN_NOT_OK(
+      file_->WriteAt(static_cast<uint64_t>(id) * kPageSize, kPageSize, data));
+  ++stats_.physical_writes;
+  if (id < page_table_.size() && page_table_[id] != nullptr) {
+    Page* page = page_table_[id];
+    std::memcpy(page->data.data(), data, kPageSize);
+    page->dirty = false;
   }
+  return Status::OK();
 }
 
 StatusOr<Page*> Pager::Allocate() {

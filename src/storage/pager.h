@@ -39,6 +39,9 @@ struct PagerStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t evictions = 0;
+  /// Frames in the pool at the time of the snapshot (a gauge, not a
+  /// counter: `ResetStats` leaves it alone).
+  uint64_t resident_pages = 0;
 };
 
 /// \brief Page allocator + LRU buffer pool over one file.
@@ -46,7 +49,14 @@ struct PagerStats {
 /// Pages are allocated append-only (the engine frees space by dropping whole
 /// partition files, matching the ReTraTree storage discipline). Page reads
 /// pin frames; callers must `Unpin` when done. Dirty pages are written back
-/// on eviction and on `Flush`.
+/// on eviction and on `Flush`, and nowhere else: closing a pager discards
+/// its dirty frames. Every pager-backed file is a cache-tree partition or
+/// a throwaway index, so a file that is about to be deleted is never
+/// written; an owner that wants the bytes calls `Flush` first.
+///
+/// An owner may keep a page out of the pool altogether: `Reserve` takes
+/// its id without a frame, and `WritePage` writes its image straight to
+/// the file (`HeapFile` and `Gist` keep their meta page 0 this way).
 ///
 /// Concurrency: the pool metadata (frames, LRU, pins, stats) mutates even
 /// on pure reads, so every entry point locks an internal mutex — which is
@@ -60,15 +70,23 @@ class Pager {
                                                const std::string& fname,
                                                size_t cache_pages = 256);
 
-  /// Flushes best-effort: a failure is logged at `Error`, not raised
-  /// (call `Flush` first to see its `Status`).
-  ~Pager();
+  /// Discards every frame unwritten (see the class comment).
+  ~Pager() = default;
 
   Pager(const Pager&) = delete;
   Pager& operator=(const Pager&) = delete;
 
   /// Allocates a zeroed page at the end of the file; returns it pinned.
   StatusOr<Page*> Allocate();
+
+  /// Takes the next page id without allocating a frame for it. The page
+  /// reaches the file only through `WritePage`.
+  PageId Reserve();
+
+  /// Writes `data` (`kPageSize` bytes) as page `id` straight to the file,
+  /// bypassing the pool. A resident copy of the page is overwritten too,
+  /// so `Fetch` never returns older bytes than the file holds.
+  Status WritePage(PageId id, const char* data);
 
   /// Fetches a page, reading from disk on a cache miss; returns it pinned.
   StatusOr<Page*> Fetch(PageId id);
@@ -89,7 +107,9 @@ class Pager {
   /// the pool mutex, so a reference would race).
   PagerStats stats() const {
     common::MutexLock lock(&mu_);
-    return stats_;
+    PagerStats s = stats_;
+    s.resident_pages = frames_.size();
+    return s;
   }
   void ResetStats() {
     common::MutexLock lock(&mu_);
@@ -97,12 +117,11 @@ class Pager {
   }
 
  private:
-  Pager(Env* env, std::unique_ptr<RandomRWFile> file, size_t cache_pages);
+  Pager(std::unique_ptr<RandomRWFile> file, size_t cache_pages);
 
   Status EvictIfNeeded() REQUIRES(mu_);
   Status WriteBack(Page* page) REQUIRES(mu_);
 
-  Env* env_;
   std::unique_ptr<RandomRWFile> file_;
   size_t cache_capacity_;
   std::atomic<PageId> num_pages_{0};

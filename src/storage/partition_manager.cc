@@ -71,7 +71,7 @@ Status PartitionManager::Drop(const std::string& name) {
   }
   Status st;
   if (closing != nullptr) {
-    closing.reset();  // Destructor flushes; file is deleted next.
+    closing.reset();  // Discards its pages unwritten; the file goes next.
     st = env_->DeleteFile(FileName(name));
   } else if (!env_->FileExists(FileName(name))) {
     st = Status::NotFound("no partition " + name);

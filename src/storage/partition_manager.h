@@ -27,8 +27,8 @@ namespace hermes::storage {
 /// drop, list) is mutex-guarded, so concurrent ingest tasks may open and
 /// drop *different* partitions freely — the batch apply fan-out relies on
 /// this. No file I/O runs under that mutex: `GetOrCreate` opens (and may
-/// create) a file, and `Drop` flushes and deletes one, with the
-/// partition's catalog entry marked busy, so only a `GetOrCreate` or
+/// create) a file, and `Drop` closes one (writing nothing) and deletes it,
+/// with the partition's catalog entry marked busy, so only a `GetOrCreate` or
 /// `Drop` of that same partition waits for it; `Exists` (which counts a
 /// busy entry as existing), `List` and `FlushAll` touch the filesystem
 /// after releasing the mutex too. The returned `HeapFile*` handles are

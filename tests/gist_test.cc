@@ -170,6 +170,73 @@ TEST_F(GistTest, PersistsAcrossReopen) {
   EXPECT_TRUE(found);
 }
 
+/// Size and first page of `fname` under `env`.
+std::pair<uint64_t, std::string> SizeAndMetaPage(storage::Env* env,
+                                                 const std::string& fname) {
+  auto file = env->NewRWFile(fname);
+  EXPECT_TRUE(file.ok());
+  if (!file.ok()) return {0, ""};
+  const uint64_t size = (*file)->Size().ValueOr(0);
+  std::string meta(storage::kPageSize, '\0');
+  if (size >= storage::kPageSize) {
+    EXPECT_TRUE((*file)->ReadAt(0, meta.size(), meta.data()).ok());
+  }
+  return {size, meta};
+}
+
+TEST_F(GistTest, MetaPageTakesNoFrameAndOnlyFlushWritesIt) {
+  EXPECT_EQ(tree_->io_stats().resident_pages, 0u);
+  const std::string key = EncodeKey(geom::Mbb3D(0, 0, 0, 1, 1, 1));
+  ASSERT_TRUE(tree_->Insert(key.data(), 7).ok());
+  EXPECT_EQ(tree_->io_stats().resident_pages, 1u);  // The root leaf.
+  tree_.reset();
+  // Closed without Flush: nothing was written, so it reopens empty.
+  EXPECT_EQ(SizeAndMetaPage(env_.get(), "test.gist").first, 0u);
+  auto reopened =
+      Gist::Open(env_.get(), "test.gist", RTreeOpClass::Instance());
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_TRUE((*reopened)->empty());
+}
+
+// The meta page a flush writes is byte-for-byte the one every insert used
+// to keep in the pool: magic "GIST", root, height, padding, entry count,
+// then zeros. 150 inserts split the root leaf (146 entries fit) once.
+TEST_F(GistTest, FlushedMetaPageMatchesGoldenBytes) {
+  Rng rng(5);
+  std::vector<std::string> keys;
+  for (uint64_t i = 0; i < 150; ++i) {
+    keys.push_back(EncodeKey(RandomBox(&rng, 100.0, 10.0)));
+    ASSERT_TRUE(tree_->Insert(keys.back().data(), i).ok());
+  }
+  ASSERT_TRUE(tree_->Delete(keys[0].data(), 0).ok());
+  EXPECT_EQ(tree_->io_stats().resident_pages, 3u);
+  ASSERT_TRUE(tree_->Flush().ok());
+  EXPECT_EQ(tree_->io_stats().resident_pages, 3u);
+  tree_.reset();
+
+  const auto [size, meta] = SizeAndMetaPage(env_.get(), "test.gist");
+  EXPECT_EQ(size, 4 * storage::kPageSize);
+  std::string want(storage::kPageSize, '\0');
+  const char golden[24] = {
+      0x54, 0x53, 0x49, 0x47,                          // magic
+      0x03, 0x00, 0x00, 0x00,                          // root page
+      0x02, 0x00, 0x00, 0x00,                          // height
+      0x00, 0x00, 0x00, 0x00,                          // padding
+      static_cast<char>(0x95), 0x00, 0x00, 0x00,       // entries (149)
+      0x00, 0x00, 0x00, 0x00,
+  };
+  want.replace(0, sizeof(golden), golden, sizeof(golden));
+  EXPECT_EQ(meta, want);
+
+  auto reopened =
+      Gist::Open(env_.get(), "test.gist", RTreeOpClass::Instance());
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->root(), 3u);
+  EXPECT_EQ((*reopened)->height(), 2u);
+  EXPECT_EQ((*reopened)->num_entries(), 149u);
+  EXPECT_TRUE((*reopened)->Validate().ok());
+}
+
 TEST_F(GistTest, BulkLoadMatchesInserts) {
   Rng rng(11);
   std::vector<std::pair<std::string, uint64_t>> entries;

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/coding.h"
-#include "common/logging.h"
 #include "core/qut_tree_slot.h"
 #include "datagen/maritime.h"
 #include "sql/query_functions.h"
@@ -85,6 +84,19 @@ sql::Table Qut(const QutTreeSlot& slot, const traj::TrajectoryStore& store) {
 size_t FilesIn(storage::Env* env, const std::string& dir) {
   auto names = env->ListDir(dir);
   return names.ok() ? names->size() : 0;
+}
+
+/// Total bytes of the files in `dir`.
+uint64_t BytesIn(storage::Env* env, const std::string& dir) {
+  auto names = env->ListDir(dir);
+  if (!names.ok()) return 0;
+  uint64_t bytes = 0;
+  for (const std::string& name : *names) {
+    auto file = env->NewRWFile(dir + "/" + name);
+    EXPECT_TRUE(file.ok());
+    if (file.ok()) bytes += (*file)->Size().ValueOr(0);
+  }
+  return bytes;
 }
 
 /// Clusters in the answer of `slot`'s tree over the whole time domain of
@@ -184,6 +196,29 @@ TEST(QutTreeSlotTest, NewParamsAndDropRetireTheOldTreeFiles) {
   EXPECT_EQ(FilesIn(env.get(), "gone_0"), 0u);  // Destruction drops too.
 }
 
+// The cold tier's frames are its data pages and nothing more: no file
+// keeps a frame for its meta page, and nothing reaches the env before a
+// flush. After the flush each file holds one meta page plus exactly the
+// data pages the gauge counted (at this size nothing was evicted).
+TEST(QutTreeSlotTest, ColdResidentBytesAreTheDataPages) {
+  const traj::TrajectoryStore ships = MakeShips(12);
+  auto env = storage::Env::NewMemEnv();
+  QutTreeSlot slot(env.get(), "t_");
+  ASSERT_TRUE(slot.Refresh(TreeParams(ships), ships, nullptr,
+                           kDefaultHotIndexBudget)
+                  .ok());
+  const uint64_t resident = slot.hot_stats().cold_resident_bytes;
+  EXPECT_GT(resident, 0u);
+  EXPECT_EQ(resident % storage::kPageSize, 0u);
+  EXPECT_EQ(BytesIn(env.get(), "t_0"), 0u);
+
+  ASSERT_TRUE(slot.tree()->Flush().ok());
+  const size_t files = FilesIn(env.get(), "t_0");
+  EXPECT_GT(files, 1u);
+  EXPECT_EQ(BytesIn(env.get(), "t_0"), resident + files * storage::kPageSize);
+  EXPECT_EQ(slot.hot_stats().cold_resident_bytes, resident);
+}
+
 TEST(QutTreeSlotTest, CatchUpWithoutATreeDoesNothing) {
   const traj::TrajectoryStore ships = MakeShips(4);
   auto env = storage::Env::NewMemEnv();
@@ -264,36 +299,39 @@ TEST(QutTreeSlotTest, QueryAppliesANewHotBudgetWithoutRebuilding) {
   }
 }
 
-// A tree is a cache: when the env refuses every write, building,
-// dropping and destroying one returns a Status or succeeds (pages may
-// stay cached) but never aborts. Once writes work again the next refresh
-// rebuilds, and answers exactly like a slot that never saw a failure.
+// A tree is a cache: when the env refuses every write, building and
+// dropping one never aborts. Closing a tree writes nothing, so the
+// refusal surfaces only on a path that still writes (an explicit Flush),
+// as a Status. Destroying a built slot moves not one byte even when
+// writes are allowed. Once writes work again the next refresh rebuilds,
+// and answers exactly like a slot that never saw a failure.
 TEST(QutTreeSlotTest, RefusedWritesNeverAbortAndTheNextRefreshRebuilds) {
   const traj::TrajectoryStore ships = MakeShips(12);
   const std::vector<double> params = TreeParams(ships);
   auto base = storage::Env::NewMemEnv();
   storage::FaultInjectionEnv env(base.get());
   env.set_write_budget(0);
-  // Each refused close logs an Error line; keep the test output readable.
-  const LogLevel level = GetLogLevel();
-  SetLogLevel(LogLevel::kFatal);
 
   QutTreeSlot slot(&env, "t_");
+  // At this size no page is evicted, and the outlier partitions that
+  // re-clustering drops close unwritten: the build meets no failpoint.
   auto built = slot.Refresh(params, ships, nullptr, kDefaultHotIndexBudget);
-  if (!built.ok()) {
-    EXPECT_EQ(slot.tree(), nullptr);  // Failure drops.
-  }
-  // Re-clustering closes and deletes outlier partitions mid-build, so
-  // the failpoint fires even when every live page stays cached.
-  const uint64_t refused = env.writes_failed();
-  EXPECT_GT(refused, 0u);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_NE(slot.tree(), nullptr);
+  EXPECT_EQ(env.writes_failed(), 0u);
+  EXPECT_TRUE(slot.tree()->Flush().IsIOError());
+  EXPECT_GT(env.writes_failed(), 0u);
   slot.Drop();
+
+  env.set_write_budget(-1);
+  uint64_t written = 0;
   {
     QutTreeSlot doomed(&env, "doomed_");
-    (void)doomed.Refresh(params, ships, nullptr, kDefaultHotIndexBudget);
-  }  // Destroyed holding whatever it built.
-  EXPECT_GT(env.writes_failed(), refused);
-  SetLogLevel(level);
+    ASSERT_TRUE(
+        doomed.Refresh(params, ships, nullptr, kDefaultHotIndexBudget).ok());
+    written = env.bytes_written();
+  }  // Destroyed holding the tree it built.
+  EXPECT_EQ(env.bytes_written(), written);
 
   env.set_write_budget(-1);
   auto w = slot.Refresh(params, ships, nullptr, kDefaultHotIndexBudget);
@@ -822,8 +860,6 @@ TEST(QutTreeSlotTest, AFailedCatchUpIsNeverSeenHalfApplied) {
   auto pre = Answer(&slot, before, wi, we);
   ASSERT_TRUE(pre.ok()) << pre.status().ToString();
   ASSERT_NE(*pre, *post);
-  const LogLevel level = GetLogLevel();
-  SetLogLevel(LogLevel::kFatal);  // Refused writes log Error lines.
 
   env.ParkCreationOf("/sc10_out.part");
   std::future<StatusOr<QutTreeWork>> catch_up = std::async(
@@ -853,7 +889,6 @@ TEST(QutTreeSlotTest, AFailedCatchUpIsNeverSeenHalfApplied) {
   // No reader could rebuild on a full disk.
   EXPECT_EQ(slot.tree(), nullptr);
   EXPECT_EQ(FilesIn(base.get(), "t_0"), 0u);
-  SetLogLevel(level);
 
   env.set_full(false);
   faults.set_write_budget(-1);

@@ -206,6 +206,70 @@ TEST_F(PagerTest, PersistsAcrossReopen) {
   }
 }
 
+/// Size of `fname` under `env` (opening it creates an empty file).
+uint64_t FileSize(Env* env, const std::string& fname) {
+  auto file = env->NewRWFile(fname);
+  EXPECT_TRUE(file.ok());
+  return file.ok() ? (*file)->Size().ValueOr(0) : 0;
+}
+
+/// The first `n` bytes of `fname`.
+std::string FilePrefix(Env* env, const std::string& fname, size_t n) {
+  auto file = env->NewRWFile(fname);
+  EXPECT_TRUE(file.ok());
+  std::string bytes(n, '\0');
+  if (file.ok()) {
+    EXPECT_TRUE((*file)->ReadAt(0, n, bytes.data()).ok());
+  }
+  return bytes;
+}
+
+TEST_F(PagerTest, ClosingWithoutFlushWritesNothing) {
+  {
+    auto pager = Pager::Open(env_.get(), "discard.db", 8);
+    ASSERT_TRUE(pager.ok());
+    for (int i = 0; i < 3; ++i) {
+      auto page = (*pager)->Allocate();
+      ASSERT_TRUE(page.ok());
+      (*page)->data[0] = 'D';
+      (*pager)->Unpin(*page, true);
+    }
+    EXPECT_EQ((*pager)->stats().resident_pages, 3u);
+  }
+  EXPECT_EQ(FileSize(env_.get(), "discard.db"), 0u);
+}
+
+TEST_F(PagerTest, ReservedPagesTakeNoFrame) {
+  auto pager = Pager::Open(env_.get(), "reserve.db", 8);
+  ASSERT_TRUE(pager.ok());
+  EXPECT_EQ((*pager)->Reserve(), 0u);
+  EXPECT_EQ((*pager)->num_pages(), 1u);
+  EXPECT_EQ((*pager)->stats().resident_pages, 0u);
+  auto page = (*pager)->Allocate();
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ((*page)->id, 1u);
+  (*pager)->Unpin(*page, true);
+  EXPECT_EQ((*pager)->stats().resident_pages, 1u);
+
+  std::string image(kPageSize, 'R');
+  ASSERT_TRUE((*pager)->WritePage(0, image.data()).ok());
+  EXPECT_EQ((*pager)->stats().resident_pages, 1u);
+  EXPECT_EQ(FileSize(env_.get(), "reserve.db"), kPageSize);
+  ASSERT_TRUE((*pager)->Flush().ok());
+  EXPECT_EQ(FileSize(env_.get(), "reserve.db"), 2 * kPageSize);
+  EXPECT_EQ(FilePrefix(env_.get(), "reserve.db", kPageSize), image);
+  // A resident copy follows the page written past the pool.
+  auto reread = (*pager)->Fetch(0);
+  ASSERT_TRUE(reread.ok());
+  (*pager)->Unpin(*reread, false);
+  image.assign(kPageSize, 'S');
+  ASSERT_TRUE((*pager)->WritePage(0, image.data()).ok());
+  reread = (*pager)->Fetch(0);
+  ASSERT_TRUE(reread.ok());
+  EXPECT_EQ(std::string((*reread)->data.data(), kPageSize), image);
+  (*pager)->Unpin(*reread, false);
+}
+
 TEST_F(PagerTest, PinnedPagesAreNotEvicted) {
   auto pager = Pager::Open(env_.get(), "pins.db", 4);
   ASSERT_TRUE(pager.ok());
@@ -342,6 +406,85 @@ TEST_F(HeapFileTest, PersistsAcrossReopen) {
   }
 }
 
+TEST_F(HeapFileTest, MetaPageTakesNoFrameAndOnlyFlushWritesIt) {
+  {
+    auto hf = HeapFile::Open(env_.get(), "unflushed.heap");
+    ASSERT_TRUE(hf.ok());
+    EXPECT_EQ((*hf)->io_stats().resident_pages, 0u);
+    ASSERT_TRUE((*hf)->Append("gone").ok());
+    EXPECT_EQ((*hf)->io_stats().resident_pages, 1u);  // The data page.
+  }
+  // Closed without Flush: nothing was written, so it reopens empty.
+  EXPECT_EQ(FileSize(env_.get(), "unflushed.heap"), 0u);
+  {
+    auto hf = HeapFile::Open(env_.get(), "unflushed.heap");
+    ASSERT_TRUE(hf.ok());
+    EXPECT_EQ((*hf)->total_records(), 0u);
+  }
+  // Evictions wrote data pages but never page 0: no magic, no reopen.
+  {
+    auto hf = HeapFile::Open(env_.get(), "evicted.heap", /*cache_pages=*/4);
+    ASSERT_TRUE(hf.ok());
+    for (int i = 0; i < 12; ++i) {
+      ASSERT_TRUE((*hf)->Append(std::string(5000, 'e')).ok());
+    }
+    EXPECT_EQ((*hf)->io_stats().resident_pages, 4u);
+  }
+  EXPECT_GT(FileSize(env_.get(), "evicted.heap"), 0u);
+  EXPECT_TRUE(
+      HeapFile::Open(env_.get(), "evicted.heap").status().IsCorruption());
+
+  auto hf = HeapFile::Open(env_.get(), "empty.heap");
+  ASSERT_TRUE(hf.ok());
+  ASSERT_TRUE((*hf)->Flush().ok());
+  EXPECT_EQ((*hf)->io_stats().resident_pages, 0u);
+  EXPECT_EQ(FileSize(env_.get(), "empty.heap"), kPageSize);
+}
+
+// The meta page a flush writes is byte-for-byte the one every write used
+// to keep in the pool: magic "HERF", tail page, live and total counts,
+// then zeros.
+TEST_F(HeapFileTest, FlushedMetaPageMatchesGoldenBytes) {
+  {
+    auto hf = HeapFile::Open(env_.get(), "golden.heap");
+    ASSERT_TRUE(hf.ok());
+    auto first = (*hf)->Append(std::string(3000, 'a'));
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(first->page, 1u);
+    ASSERT_TRUE((*hf)->Append(std::string(3000, 'b')).ok());
+    auto third = (*hf)->Append(std::string(3000, 'c'));  // Page 1 is full.
+    ASSERT_TRUE(third.ok());
+    EXPECT_EQ(third->page, 2u);
+    ASSERT_TRUE((*hf)->Delete(*first).ok());
+    EXPECT_EQ((*hf)->io_stats().resident_pages, 2u);
+    ASSERT_TRUE((*hf)->Flush().ok());
+    EXPECT_EQ((*hf)->io_stats().resident_pages, 2u);
+  }
+  EXPECT_EQ(FileSize(env_.get(), "golden.heap"), 3 * kPageSize);
+  std::string want(kPageSize, '\0');
+  const char golden[24] = {
+      0x46, 0x52, 0x45, 0x48,                          // magic
+      0x02, 0x00, 0x00, 0x00,                          // tail page
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // live
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // total
+  };
+  want.replace(0, sizeof(golden), golden, sizeof(golden));
+  EXPECT_EQ(FilePrefix(env_.get(), "golden.heap", kPageSize), want);
+
+  auto hf = HeapFile::Open(env_.get(), "golden.heap");
+  ASSERT_TRUE(hf.ok());
+  EXPECT_EQ((*hf)->live_records(), 2u);
+  EXPECT_EQ((*hf)->total_records(), 3u);
+  auto tail = (*hf)->Append("tail");  // Lands on the restored tail page.
+  ASSERT_TRUE(tail.ok());
+  EXPECT_EQ(tail->page, 2u);
+  EXPECT_EQ(tail->slot, 1u);
+  auto rec = (*hf)->Read(RecordId{1, 1});
+  ASSERT_TRUE(rec.ok());
+  EXPECT_EQ(*rec, std::string(3000, 'b'));
+  EXPECT_TRUE((*hf)->Read(RecordId{1, 0}).status().IsNotFound());
+}
+
 TEST_F(HeapFileTest, ReadInvalidRecordIds) {
   auto hf = HeapFile::Open(env_.get(), "inv.heap");
   ASSERT_TRUE(hf.ok());
@@ -446,8 +589,6 @@ TEST(FaultInjectionTest, HeapFileAppendSurfacesWriteErrors) {
   }
   EXPECT_FALSE(last.ok());  // The injected failure surfaced as an error.
   EXPECT_GT(appended, 0);   // Some records made it before the fault.
-  // Lift the fault so the destructor's flush can write back cleanly.
-  faulty.set_write_budget(-1);
 }
 
 TEST(FaultInjectionTest, FlushReportsFailure) {
@@ -460,7 +601,7 @@ TEST(FaultInjectionTest, FlushReportsFailure) {
   (*pager)->Unpin(*page, true);
   faulty.set_write_budget(0);
   EXPECT_TRUE((*pager)->Flush().IsIOError());
-  // Restore the budget so the destructor's flush can succeed.
+  // Once writes work again the same dirty page flushes.
   faulty.set_write_budget(-1);
   ASSERT_TRUE((*pager)->Flush().ok());
 }
