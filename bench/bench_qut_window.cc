@@ -12,7 +12,7 @@
 // re-checks run the distance integral (it checks both at setup).
 //
 // This file also carries the hot/cold tier sweep: QUT served from the
-// in-memory snapshots (hot) vs the on-disk heap+Gist path
+// in-memory snapshots (hot) vs the on-disk heap-file scan
 // (cold, hot tier disabled via a zero budget), plus a concurrent-readers
 // sweep over the lock-free hot probe path. Every tier point is appended
 // to `BENCH_qut.json` (one record per (mode, W, threads)) so successive
@@ -244,7 +244,7 @@ void RunTierSweep(benchmark::State& state, const char* mode) {
 }
 
 /// Cold tier: hot snapshots disabled (zero budget), every partition read
-/// goes through the heap file + Gist — the pre-tier baseline. Registered
+/// scans its heap file — the pre-tier baseline. Registered
 /// before the hot benchmarks so the budget flip-flop never races.
 void BM_QuTQueryCold(benchmark::State& state) {
   SharedFixture().tree->SetHotIndexBudget(0);

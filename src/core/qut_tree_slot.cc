@@ -214,7 +214,7 @@ void QutTreeSlot::Drop() {
 }
 
 void QutTreeSlot::DropLocked() {
-  // Close every partition and index before their files go.
+  // Close every partition before its file goes.
   tree_.reset();
   if (!dir_.empty()) DeleteTreeFiles(env_, dir_);
   dir_.clear();

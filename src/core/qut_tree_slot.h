@@ -25,8 +25,8 @@ namespace hermes::core {
 /// `gamma` is truncated).
 ReTraTreeParams MakeQutTreeParams(const std::vector<double>& tree_params);
 
-/// Deletes every file directly under `dir` (a tree keeps its partitions
-/// and their indexes flat in its directory). Best effort: a file that
+/// Deletes every file directly under `dir` (a tree keeps its partition
+/// files flat in its directory). Best effort: a file that
 /// will not go only leaks space.
 void DeleteTreeFiles(storage::Env* env, const std::string& dir);
 

@@ -69,13 +69,10 @@ StatusOr<traj::SubTrajectory> DecodeSubTrajectory(const std::string& bytes) {
   return st;
 }
 
-ReTraTree::ReTraTree(storage::Env* env, std::string dir,
-                     ReTraTreeParams params,
+ReTraTree::ReTraTree(ReTraTreeParams params,
                      std::unique_ptr<storage::PartitionManager> partitions,
                      exec::ExecContext* exec)
-    : env_(env),
-      dir_(std::move(dir)),
-      params_(std::move(params)),
+    : params_(std::move(params)),
       partitions_(std::move(partitions)),
       exec_(exec) {}
 
@@ -96,7 +93,7 @@ StatusOr<std::unique_ptr<ReTraTree>> ReTraTree::Open(storage::Env* env,
   HERMES_ASSIGN_OR_RETURN(std::unique_ptr<storage::PartitionManager> pm,
                           storage::PartitionManager::Open(env, dir));
   return std::unique_ptr<ReTraTree>(
-      new ReTraTree(env, dir, std::move(params), std::move(pm), exec));
+      new ReTraTree(std::move(params), std::move(pm), exec));
 }
 
 int64_t ReTraTree::ChunkIndexOf(double t) const {
@@ -324,7 +321,7 @@ Status ReTraTree::ApplyPieces(std::vector<std::vector<PendingPiece>> per_traj,
   }
 
   // One task per sub-chunk. Each touches only its sub-chunk's
-  // representatives, partitions, indexes, and id/name sequences; the
+  // representatives, partitions, and id/name sequences; the
   // partition manager, the hot tier and the stats are the only shared
   // state, each under its own mutex.
   std::vector<Status> apply_status(tasks.size(), Status::OK());
@@ -388,9 +385,7 @@ Status ReTraTree::InsertPiece(SubChunk* sc, traj::SubTrajectory piece,
   // Outlier path.
   HERMES_ASSIGN_OR_RETURN(storage::HeapFile * hf,
                           partitions_->GetOrCreate(sc->outlier_partition));
-  HERMES_ASSIGN_OR_RETURN(storage::RecordId rid,
-                          hf->Append(EncodeSubTrajectory(piece)));
-  (void)rid;
+  HERMES_RETURN_NOT_OK(hf->Append(EncodeSubTrajectory(piece)).status());
   {
     common::MutexLock lock(&stats_mu_);
     ++stats_.pieces_inserted;
@@ -411,16 +406,14 @@ Status ReTraTree::AppendMember(SubChunk* /*sc*/, RepresentativeEntry* entry,
                                const traj::SubTrajectory& member) {
   HERMES_ASSIGN_OR_RETURN(storage::HeapFile * hf,
                           partitions_->GetOrCreate(entry->partition_name));
-  HERMES_ASSIGN_OR_RETURN(storage::RecordId rid,
-                          hf->Append(EncodeSubTrajectory(member)));
+  HERMES_RETURN_NOT_OK(hf->Append(EncodeSubTrajectory(member)).status());
   {
     common::MutexLock lock(&stats_mu_);
     ++stats_.records_written;
   }
-  HERMES_RETURN_NOT_OK(entry->index->Insert(member.Bounds(), rid.Pack()));
   ++entry->member_count;
-  // Incremental catch-up extends a live hot snapshot the same way it just
-  // extended the Gist (no-op while the partition is cold).
+  // Incremental catch-up extends a live hot snapshot by the record it
+  // just appended (no-op while the partition is cold).
   return ExtendHotSnapshot(&entry->hot, member);
 }
 
@@ -480,10 +473,6 @@ Status ReTraTree::ReclusterOutliers(SubChunk* sc,
                   static_cast<long long>(sc->global_index),
                   static_cast<unsigned long long>(sc->rep_seq++));
     entry->partition_name = buf;
-    HERMES_ASSIGN_OR_RETURN(
-        entry->index,
-        rtree::RTree3D::Open(env_, dir_ + "/" + entry->partition_name +
-                                       ".idx"));
     RepresentativeEntry* raw = entry.get();
     sc->representatives.push_back(std::move(entry));
     {
@@ -638,7 +627,7 @@ StatusOr<PartitionRead> ReTraTree::ReadMembers(
   qut_cold_probes_.fetch_add(1, std::memory_order_relaxed);
   HERMES_ASSIGN_OR_RETURN(std::vector<traj::SubTrajectory> out,
                           ScanPartition(entry.partition_name));
-  if (HotSlot hot = MaybePromote(&entry.hot, &entry.hot_unfit_budget, &out)) {
+  if (HotSlot hot = MaybePromote(&entry.hot, &out)) {
     return ShareSnapshot(std::move(hot));
   }
   return ShareDecoded(std::move(out));
@@ -651,22 +640,19 @@ StatusOr<PartitionRead> ReTraTree::ReadMembersInWindow(
   const geom::Mbb3D window(-kBig, -kBig, t0, kBig, kBig, t1);
 
   HotSlot hot = std::atomic_load(&entry.hot);
-  if (hot == nullptr && PromotionMightFit(entry.hot_unfit_budget)) {
+  std::vector<traj::SubTrajectory> all;
+  if (hot == nullptr) {
     // Promote-on-read: fault the partition in once, then serve this and
-    // every later window probe from the snapshot. Skipped entirely when
-    // a failed fit is memoized — otherwise every window read would repay
-    // the full scan just to rediscover the snapshot doesn't fit.
-    HERMES_ASSIGN_OR_RETURN(std::vector<traj::SubTrajectory> all,
-                            ScanPartition(entry.partition_name));
-    hot = MaybePromote(&entry.hot, &entry.hot_unfit_budget, &all);
+    // every later window probe from the snapshot.
+    HERMES_ASSIGN_OR_RETURN(all, ScanPartition(entry.partition_name));
+    hot = MaybePromote(&entry.hot, &all);
     if (hot == nullptr) hot = std::atomic_load(&entry.hot);  // Lost a race.
   }
   if (hot != nullptr) {
     qut_hot_probes_.fetch_add(1, std::memory_order_relaxed);
     TouchHot(*hot);
-    // The Gist's closed-box leaf test, in member (append) order: exactly
-    // what sorting the cold path's packed RecordIds produces — so hot and
-    // cold window reads return the same members in the same order.
+    // A closed-box test per member, in member (append) order — the same
+    // test, in the same order, as the cold filter below.
     PartitionRead read;
     read.members.reserve(hot->members.size());
     for (size_t i = 0; i < hot->boxes.size(); ++i) {
@@ -679,25 +665,15 @@ StatusOr<PartitionRead> ReTraTree::ReadMembersInWindow(
     return read;
   }
 
+  // Not promoted (tier disabled or snapshot over budget): filter the
+  // scan's records.
   qut_cold_probes_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<traj::SubTrajectory> out;
-  HERMES_ASSIGN_OR_RETURN(storage::HeapFile * hf,
-                          partitions_->GetOrCreate(entry.partition_name));
-  HERMES_ASSIGN_OR_RETURN(std::vector<uint64_t> rids,
-                          entry.index->Search(window));
-  std::sort(rids.begin(), rids.end());
-  for (uint64_t packed : rids) {
-    HERMES_ASSIGN_OR_RETURN(std::string rec,
-                            hf->Read(storage::RecordId::Unpack(packed)));
-    HERMES_ASSIGN_OR_RETURN(traj::SubTrajectory st,
-                            DecodeSubTrajectory(rec));
-    out.push_back(std::move(st));
-  }
-  {
-    common::MutexLock lock(&stats_mu_);
-    stats_.records_read += out.size();
-  }
-  return ShareDecoded(std::move(out));
+  all.erase(std::remove_if(all.begin(), all.end(),
+                           [&](const traj::SubTrajectory& m) {
+                             return !m.Bounds().Intersects(window);
+                           }),
+            all.end());
+  return ShareDecoded(std::move(all));
 }
 
 StatusOr<PartitionRead> ReTraTree::ReadOutliers(const SubChunk& sc) const {
@@ -712,13 +688,12 @@ StatusOr<PartitionRead> ReTraTree::ReadOutliers(const SubChunk& sc) const {
     // sub-chunk as a cold probe; a later outlier insert extends it in
     // the same order the (then-created) heap partition would produce.
     std::vector<traj::SubTrajectory> none;
-    MaybePromote(&sc.hot_outliers, &sc.hot_outliers_unfit_budget, &none);
+    MaybePromote(&sc.hot_outliers, &none);
     return PartitionRead{};
   }
   HERMES_ASSIGN_OR_RETURN(std::vector<traj::SubTrajectory> out,
                           ScanPartition(sc.outlier_partition));
-  if (HotSlot hot = MaybePromote(&sc.hot_outliers,
-                                 &sc.hot_outliers_unfit_budget, &out)) {
+  if (HotSlot hot = MaybePromote(&sc.hot_outliers, &out)) {
     return ShareSnapshot(std::move(hot));
   }
   return ShareDecoded(std::move(out));
@@ -736,21 +711,14 @@ size_t ReTraTree::HotBytesOf(
 }
 
 ReTraTree::HotSlot ReTraTree::MaybePromote(
-    HotSlot* slot, std::atomic<size_t>* unfit_budget,
-    std::vector<traj::SubTrajectory>* members) const {
-  if (!PromotionMightFit(*unfit_budget)) return nullptr;
+    HotSlot* slot, std::vector<traj::SubTrajectory>* members) const {
+  if (hot_index_budget() == 0) return nullptr;  // Tier off: skip hot_mu_.
   common::MutexLock lock(&hot_mu_);
   const size_t budget = hot_index_budget_.load(std::memory_order_relaxed);
   if (budget == 0) return nullptr;
   if (*slot != nullptr) return nullptr;  // Lost a promote race.
   const size_t bytes = HotBytesOf(*members);
-  if (bytes > budget) {
-    // Record the failure so reads stop re-scanning and re-measuring until
-    // the budget is raised.
-    unfit_budget->store(budget, std::memory_order_relaxed);
-    return nullptr;
-  }
-  unfit_budget->store(0, std::memory_order_relaxed);
+  if (bytes > budget) return nullptr;
   auto hot = std::make_shared<HotPartition>();
   hot->boxes.reserve(members->size());
   for (const auto& m : *members) {
@@ -786,7 +754,7 @@ Status ReTraTree::ExtendHotSnapshot(HotSlot* slot,
   }
   // Roundtrip through the record encoding so the hot copy stays
   // bit-identical to what a cold read would decode. On failure the
-  // record is already durable in the heap + Gist, so a still-published
+  // record is already durable in the heap file, so a still-published
   // snapshot would silently hide it from hot reads: demote so the next
   // read re-promotes from disk.
   StatusOr<traj::SubTrajectory> decoded_or =
@@ -871,22 +839,6 @@ ColdIoStats ReTraTree::cold_io_stats() const {
     s.heap_lock_acquisitions +=
         ls.shared_acquisitions + ls.exclusive_acquisitions;
   });
-  common::ReaderMutexLock nodes(&nodes_mu_);
-  for (const auto& [ci, chunk] : chunks_) {
-    for (const auto& sub : chunk.sub_chunks) {
-      const SubChunk& sc = sub.second;
-      common::ReaderMutexLock lock(&sc.mu);
-      for (const auto& entry : sc.representatives) {
-        s.index_nodes_visited += entry->index->stats().nodes_visited;
-        const storage::PagerStats io = entry->index->io_stats();
-        s.index_page_fetches += io.cache_hits + io.cache_misses;
-        s.resident_pages += io.resident_pages;
-        const storage::LockStats ls = entry->index->lock_stats();
-        s.index_lock_acquisitions +=
-            ls.shared_acquisitions + ls.exclusive_acquisitions;
-      }
-    }
-  }
   return s;
 }
 
@@ -917,11 +869,6 @@ Status ReTraTree::Validate() const {
       }
       common::ReaderMutexLock lock(&sc.mu);
       for (const auto& entry : sc.representatives) {
-        HERMES_RETURN_NOT_OK(entry->index->Validate());
-        if (entry->index->num_entries() != entry->member_count) {
-          return Status::Corruption("index/member count mismatch for " +
-                                    entry->partition_name);
-        }
         HERMES_ASSIGN_OR_RETURN(auto members, ReadMembers(*entry));
         if (members.size() != entry->member_count) {
           return Status::Corruption("partition/member count mismatch for " +
@@ -939,19 +886,6 @@ Status ReTraTree::Validate() const {
   return Status::OK();
 }
 
-Status ReTraTree::Flush() {
-  HERMES_RETURN_NOT_OK(partitions_->FlushAll());
-  common::ReaderMutexLock nodes(&nodes_mu_);
-  for (const auto& [ci, chunk] : chunks_) {
-    for (const auto& sub : chunk.sub_chunks) {
-      const SubChunk& sc = sub.second;
-      common::ReaderMutexLock lock(&sc.mu);
-      for (const auto& entry : sc.representatives) {
-        HERMES_RETURN_NOT_OK(entry->index->Flush());
-      }
-    }
-  }
-  return Status::OK();
-}
+Status ReTraTree::Flush() { return partitions_->FlushAll(); }
 
 }  // namespace hermes::core

@@ -15,7 +15,6 @@
 #include "common/thread_annotations.h"
 #include "core/s2t_clustering.h"
 #include "geom/mbb.h"
-#include "rtree/rtree3d.h"
 #include "storage/env.h"
 #include "storage/partition_manager.h"
 #include "traj/segment_arena.h"
@@ -107,8 +106,7 @@ struct MemberSpan {
 /// until the probe finishes, so demotion/republish never invalidates an
 /// in-flight read.
 struct HotPartition {
-  /// Members in append order — the order the cold path yields too (it
-  /// sorts packed `RecordId`s, which are monotone in append order) —
+  /// Members in append order — the order a cold scan yields too —
   /// stored as the Decode(Encode(...)) record roundtrip so hot and cold
   /// reads are bit-identical.
   std::vector<traj::SubTrajectory> members;
@@ -138,8 +136,8 @@ struct HotTierStats {
   /// fully released — a demoted snapshot a reader still holds counts).
   uint64_t hot_partitions = 0;
   uint64_t hot_pins_total = 0;
-  /// Bytes of cold-tier buffer-pool frames (heap files and indexes). A
-  /// gauge that `QutTreeSlot::hot_stats` fills from `cold_io_stats`;
+  /// Bytes of cold-tier buffer-pool frames (the partitions' heap files).
+  /// A gauge that `QutTreeSlot::hot_stats` fills from `cold_io_stats`;
   /// `ReTraTree::hot_stats` reads only atomics and leaves it 0.
   uint64_t cold_resident_bytes = 0;
 
@@ -157,41 +155,34 @@ struct HotTierStats {
   }
 };
 
-/// \brief Cold-tier work aggregated across every open partition and
-/// per-partition index — page fetches and lock acquisitions. A warm
-/// hot-tier QUT probe must leave every field flat, which is how tests
-/// assert the probe path performs zero page reads and takes zero
-/// per-partition locks.
+/// \brief Cold-tier work aggregated across every open partition — page
+/// fetches and lock acquisitions. A warm hot-tier QUT probe must leave
+/// every field flat, which is how tests assert the probe path performs
+/// zero page reads and takes zero per-partition locks.
 struct ColdIoStats {
   uint64_t heap_page_fetches = 0;  ///< Pager hits + misses (heap files).
   uint64_t heap_lock_acquisitions = 0;
-  uint64_t index_nodes_visited = 0;
+  /// Always 0: partitions have no index. Kept only because
+  /// `perfbench/driver/analytics.cc` still reads it.
   uint64_t index_page_fetches = 0;
-  uint64_t index_lock_acquisitions = 0;
-  /// Buffer-pool frames held now, heap files and indexes together.
+  /// Buffer-pool frames held now.
   uint64_t resident_pages = 0;
 };
 
 /// \brief L3 entry: an in-memory representative plus its on-disk member
-/// partition ("pg3D-Rtree-k" in Fig. 2: heap file + 3D R-tree).
+/// partition, a heap file alone ("pg3D-Rtree-k" in Fig. 2 pairs it with a
+/// 3D R-tree; docs/ARCHITECTURE.md "QUT hot/cold tier" says why not).
 struct RepresentativeEntry {
   traj::SubTrajectory representative;
   /// `representative.Bounds()`, for the L3 assignment's distance cut-off.
   geom::Mbb3D representative_box;
   std::string partition_name;
   size_t member_count = 0;
-  /// Per-partition member index over (x, y, t) bounds -> heap RecordId.
-  std::unique_ptr<rtree::RTree3D> index;
   /// Hot-tier snapshot (null = cold). Probes go through
   /// `std::atomic_load` with no lock; publication swaps the pointer under
   /// the tree's hot-tier mutex. Mutable because promotion is a caching
   /// side effect of const read paths.
   mutable std::shared_ptr<const HotPartition> hot;
-  /// Largest hot-tier budget under which this partition's snapshot was
-  /// measured not to fit (0 = never failed). Read paths consult it to
-  /// skip the promote-on-read scan — which would fail again — until the
-  /// budget is raised past it.
-  mutable std::atomic<size_t> hot_unfit_budget{0};
 };
 
 /// \brief L2 node: one sub-chunk of the time domain with its
@@ -201,7 +192,7 @@ struct RepresentativeEntry {
 /// before its first change to the sub-chunk until the batch is whole (or
 /// has failed), and a QUT holds it shared until its answer is built (see
 /// `ReTraTree::InsertBatch` and `SubChunksIn`). The representatives'
-/// entries (their member counts, indexes and partitions) are sub-chunk
+/// entries (their member counts and partitions) are sub-chunk
 /// state too. `global_index`, `start`, `end` and `outlier_partition` are
 /// set when the node is created, under the tree's node lock, and never
 /// change.
@@ -230,9 +221,6 @@ struct SubChunk {
   /// `RepresentativeEntry::hot`); dropped when re-clustering rebuilds the
   /// buffer.
   mutable std::shared_ptr<const HotPartition> hot_outliers;
-  /// Failed-promotion memo for the outlier snapshot (see
-  /// `RepresentativeEntry::hot_unfit_budget`).
-  mutable std::atomic<size_t> hot_outliers_unfit_budget{0};
 };
 
 /// \brief The sub-chunks whose interval intersects a window, ordered by
@@ -313,7 +301,7 @@ StatusOr<traj::SubTrajectory> DecodeSubTrajectory(const std::string& bytes);
 ///   L1  temporal chunks (width τ)            — in memory
 ///   L2  sub-chunks (width δ)                 — in memory
 ///   L3  cluster representatives              — in memory
-///   L4  member/outlier partitions + R-trees  — on disk
+///   L4  member/outlier partitions            — on disk (heap files)
 ///
 /// Insertion splits trajectories at chunk/sub-chunk boundaries, assigns
 /// each piece to the closest representative (within `d_assign`/`t_align`)
@@ -355,8 +343,8 @@ class ReTraTree {
   /// sub-trajectory id in (trajectory, piece) order — exactly the ids the
   /// sequential `Insert` loop's `next_sub_id_++` would hand out — then
   /// fans out one task per sub-chunk: L3 assignment, heap-file append,
-  /// pg3D-Rtree insert, and outlier re-clustering all run concurrently
-  /// because each sub-chunk owns disjoint partitions and per-sub-chunk
+  /// and outlier re-clustering all run concurrently because each
+  /// sub-chunk owns disjoint partitions and per-sub-chunk
   /// derived-id/partition-name sequences. The resulting catalog is
   /// bit-identical to the sequential loop at any thread count.
   ///
@@ -418,8 +406,9 @@ class ReTraTree {
   /// Reads all members of a representative's partition, in append order.
   StatusOr<PartitionRead> ReadMembers(const RepresentativeEntry& entry) const;
 
-  /// Reads members whose lifespan intersects [t0, t1), in append order,
-  /// using the partition's pg3D-Rtree to avoid a full scan.
+  /// Reads members whose bounds meet the closed window [t0, t1], in
+  /// append order: a box test per member of the hot snapshot, or of a
+  /// full scan when the partition is cold.
   StatusOr<PartitionRead> ReadMembersInWindow(const RepresentativeEntry& entry,
                                               double t0, double t1) const;
 
@@ -431,10 +420,10 @@ class ReTraTree {
   // The three read methods above transparently serve from an immutable
   // in-memory snapshot when one is published for the partition (probe:
   // one atomic load, zero locks, zero page I/O, and the members are
-  // handed out in place under the snapshot's pin) and fall back to the
-  // file-backed heap + GiST otherwise, promoting the partition on the
-  // way out. Appends keep live snapshots coherent by republishing them;
-  // re-clustering drops the outlier snapshot with the buffer. Snapshots
+  // handed out in place under the snapshot's pin) and fall back to a
+  // scan of the partition's heap file otherwise, promoting the partition
+  // on the way out. Appends keep live snapshots coherent by republishing
+  // them; re-clustering drops the outlier snapshot with the buffer. Snapshots
   // never change query results — only where the bytes are read from.
 
   /// Sets the hot-tier byte budget. Shrinking demotes LRU snapshots
@@ -453,17 +442,17 @@ class ReTraTree {
   /// Total representatives across all sub-chunks.
   size_t TotalRepresentatives() const;
 
-  /// Validates structural invariants (sub-chunk intervals, member counts,
-  /// index consistency).
+  /// Validates structural invariants (sub-chunk intervals, member counts
+  /// against the partitions' records).
   Status Validate() const;
 
-  /// Writes every partition's and index's meta page and dirty pages to
-  /// the env. Besides eviction, this is the only way the tree's pages
-  /// reach it: destroying the tree discards them.
+  /// Writes every partition's meta page and dirty pages to the env.
+  /// Besides eviction, this is the only way the tree's pages reach it:
+  /// destroying the tree discards them.
   Status Flush();
 
  private:
-  ReTraTree(storage::Env* env, std::string dir, ReTraTreeParams params,
+  ReTraTree(ReTraTreeParams params,
             std::unique_ptr<storage::PartitionManager> partitions,
             exec::ExecContext* exec);
 
@@ -506,7 +495,7 @@ class ReTraTree {
                      bool allow_recluster, exec::ExecContext* ctx)
       REQUIRES(sc->mu);
 
-  /// Appends a member to the partition + index of `entry`, one of `sc`'s
+  /// Appends a member to the partition of `entry`, one of `sc`'s
   /// representatives.
   Status AppendMember(SubChunk* sc, RepresentativeEntry* entry,
                       const traj::SubTrajectory& member) REQUIRES(sc->mu);
@@ -518,7 +507,7 @@ class ReTraTree {
       REQUIRES(sc->mu);
 
   /// Full scan + decode of one partition, in append order (the shared
-  /// cold-read body of `ReadMembers`/`ReadOutliers` and the re-clustering
+  /// cold-read body of all three read methods and the re-clustering
   /// buffer drain). Counts the records read.
   StatusOr<std::vector<traj::SubTrajectory>> ScanPartition(
       const std::string& name) const;
@@ -535,23 +524,12 @@ class ReTraTree {
   /// read's side effect), moving them out of `*members`, and returns it.
   /// Returns null and leaves `*members` as it was when the tier is
   /// disabled, the slot raced hot, or the snapshot alone exceeds the
-  /// budget — the latter is recorded in `unfit_budget` (the snapshot's
-  /// bytes are known before anything is moved).
-  HotSlot MaybePromote(HotSlot* slot, std::atomic<size_t>* unfit_budget,
+  /// budget (its bytes are known before anything is moved).
+  HotSlot MaybePromote(HotSlot* slot,
                        std::vector<traj::SubTrajectory>* members) const;
-  /// True when promoting this slot could succeed: the tier is enabled
-  /// and no failed promotion has been recorded at (or above) the current
-  /// budget. Window reads consult this before paying the promote-on-read
-  /// full scan.
-  bool PromotionMightFit(const std::atomic<size_t>& unfit_budget) const {
-    const size_t budget = hot_index_budget();
-    if (budget == 0) return false;
-    const size_t failed_at = unfit_budget.load(std::memory_order_relaxed);
-    return failed_at == 0 || budget > failed_at;
-  }
   /// Copy-on-write republish of a live snapshot after an append — the
-  /// drain worker's incremental catch-up extends the snapshot the same
-  /// way it extends the Gist. No-op when the slot is cold. Past
+  /// drain worker's incremental catch-up extends the snapshot as it
+  /// appends to the heap file. No-op when the slot is cold. Past
   /// `kMaxHotExtendMembers` the per-append copy of every member outweighs
   /// the tier's benefit, so the slot is demoted instead (the next read
   /// re-promotes once); the slot is also demoted if the member fails the
@@ -581,8 +559,6 @@ class ReTraTree {
   /// sub-chunk's sequence is exhausted.
   StatusOr<uint64_t> NextDerivedId(SubChunk* sc) REQUIRES(sc->mu);
 
-  storage::Env* env_;
-  std::string dir_;
   ReTraTreeParams params_;
   std::unique_ptr<storage::PartitionManager> partitions_;
   exec::ExecContext* exec_;  // Not owned; nullptr = sequential.

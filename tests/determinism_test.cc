@@ -421,8 +421,8 @@ TEST(DeterminismTest, SnapshotReadersDuringIngestMatchQuiescedPrefixes) {
 
 // ---------------------------------------------------------------------------
 // Hot/cold tier parity: a QUT answer served from the in-memory
-// MemRTree3D snapshots (hot tier) must be bit-identical to the
-// heap-file + Gist cold path — on every scenario, at every build thread
+// snapshots (hot tier) must be bit-identical to the heap-file scan of
+// the cold path — on every scenario, at every build thread
 // count, and both while the tier is promoting and once it is warm.
 // ---------------------------------------------------------------------------
 

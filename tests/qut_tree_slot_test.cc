@@ -811,9 +811,15 @@ void ExpectParkedCatchUpBlocksOnlyItsReaders(size_t budget) {
                  [&] { return Answer(&slot, before, 700, 1100, budget); });
   const bool overlap_done_early = overlap.wait_for(std::chrono::milliseconds(
                                       200)) == std::future_status::ready;
+  // The stats read only the partition catalog, never a sub-chunk.
+  std::future<HotTierStats> stats =
+      std::async(std::launch::async, [&] { return slot.hot_stats(); });
+  const bool stats_done =
+      stats.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
   env.Release();
 
   EXPECT_TRUE(disjoint_done) << "a disjoint QUT waited for the catch-up";
+  EXPECT_TRUE(stats_done) << "hot_stats waited for the catch-up";
   EXPECT_FALSE(overlap_done_early);
   auto work = catch_up.get();
   ASSERT_TRUE(work.ok()) << work.status().ToString();

@@ -133,6 +133,15 @@ TEST_F(ReTraTreeTest, MembersArePersistedAndReadable) {
     }
   }
   EXPECT_GT(total_members, 0u);
+
+  // A partition is its heap file alone: the flushed tree holds no index.
+  ASSERT_TRUE(tree_->Flush().ok());
+  auto files = env_->ListDir("tree");
+  ASSERT_TRUE(files.ok());
+  EXPECT_FALSE(files->empty());
+  for (const std::string& name : *files) {
+    EXPECT_EQ(name.find(".idx"), std::string::npos) << name;
+  }
 }
 
 TEST_F(ReTraTreeTest, ReadMembersInWindowFiltersByTime) {
@@ -166,10 +175,11 @@ TEST_F(ReTraTreeTest, ReadMembersInWindowFiltersByTime) {
   EXPECT_TRUE(empty->empty());
 }
 
-// A hot window probe scans its snapshot's boxes with the Gist's
-// closed-box test, in member order. Members whose box ends exactly at
-// the window's start or starts exactly at its end are in, and a partition
-// of more than 64 members (one R-tree node) comes back in the order of
+// A window probe tests each member's box against the closed window, in
+// member order, whether it scans a hot snapshot, a cold heap file, or a
+// heap file whose snapshot does not fit the budget. Members whose box
+// ends exactly at the window's start or starts exactly at its end are
+// in, and a partition of more than 64 members comes back in the order of
 // the cold read.
 TEST_F(ReTraTreeTest, HotWindowReadsMatchColdOnClosedEdges) {
   ReTraTreeParams p = SmallTreeParams();
@@ -210,7 +220,7 @@ TEST_F(ReTraTreeTest, HotWindowReadsMatchColdOnClosedEdges) {
     for (const auto& m : read) out.push_back(EncodeSubTrajectory(m));
     return out;
   };
-  // Budget 0: every read goes through the heap file and its Gist.
+  // Budget 0: every read scans the heap file and filters its records.
   tree->SetHotIndexBudget(0);
   std::vector<std::vector<std::string>> cold;
   bool ends_at_start = false, starts_at_end = false;
@@ -227,6 +237,17 @@ TEST_F(ReTraTreeTest, HotWindowReadsMatchColdOnClosedEdges) {
   EXPECT_TRUE(starts_at_end);
   EXPECT_LT(cold.back().size(), big->member_count);
   EXPECT_FALSE(cold.back().empty());
+
+  // Budget 1: the tier is on, but no snapshot fits, so each read tries to
+  // promote and then filters its scan like a cold read.
+  tree->SetHotIndexBudget(1);
+  for (size_t k = 0; k < windows.size(); ++k) {
+    auto read =
+        tree->ReadMembersInWindow(*big, windows[k].first, windows[k].second);
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(records(*read), cold[k]) << "window " << k;
+  }
+  ASSERT_EQ(std::atomic_load(&big->hot), nullptr);
 
   tree->SetHotIndexBudget(kDefaultHotIndexBudget);
   ASSERT_TRUE(tree->ReadMembers(*big).ok());  // Promotes.
