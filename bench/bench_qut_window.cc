@@ -336,7 +336,7 @@ void WriteJson(const char* path) {
     std::fprintf(
         f,
         "    {\"mode\": \"%s\", \"w_pct\": %d, \"threads\": %zu, "
-        "\"query_ms\": %.3f, \"clusters\": %zu, \"members\": %zu, "
+        "\"query_ms\": %.6f, \"clusters\": %zu, \"members\": %zu, "
         "\"hot_probes\": %llu, \"cold_probes\": %llu}%s\n",
         r.mode.c_str(), r.w_pct, r.threads, r.query_ms, r.clusters,
         r.members, static_cast<unsigned long long>(r.hot_probes),

@@ -69,11 +69,11 @@ StatusOr<traj::SubTrajectory> DecodeSubTrajectory(const std::string& bytes) {
   return st;
 }
 
-ReTraTree::ReTraTree(ReTraTreeParams params,
-                     std::unique_ptr<storage::PartitionManager> partitions,
-                     exec::ExecContext* exec)
+ReTraTree::ReTraTree(ReTraTreeParams params, storage::Env* env,
+                     std::string dir, exec::ExecContext* exec)
     : params_(std::move(params)),
-      partitions_(std::move(partitions)),
+      env_(env),
+      dir_(std::move(dir)),
       exec_(exec) {}
 
 StatusOr<std::unique_ptr<ReTraTree>> ReTraTree::Open(storage::Env* env,
@@ -90,10 +90,22 @@ StatusOr<std::unique_ptr<ReTraTree>> ReTraTree::Open(storage::Env* env,
   const double ratio = std::round(params.tau / params.delta);
   params.delta = params.tau / std::max(1.0, ratio);
 
-  HERMES_ASSIGN_OR_RETURN(std::unique_ptr<storage::PartitionManager> pm,
-                          storage::PartitionManager::Open(env, dir));
+  HERMES_RETURN_NOT_OK(env->CreateDirs(dir));
   return std::unique_ptr<ReTraTree>(
-      new ReTraTree(std::move(params), std::move(pm), exec));
+      new ReTraTree(std::move(params), env, dir, exec));
+}
+
+std::string ReTraTree::PartitionPath(const std::string& name) const {
+  return dir_ + "/" + name + ".part";
+}
+
+StatusOr<std::unique_ptr<storage::HeapFile>> ReTraTree::OpenPartition(
+    const std::string& name) {
+  HERMES_ASSIGN_OR_RETURN(std::unique_ptr<storage::HeapFile> file,
+                          storage::HeapFile::Open(env_, PartitionPath(name)));
+  common::MutexLock lock(&files_mu_);
+  open_files_.insert(file.get());
+  return file;
 }
 
 int64_t ReTraTree::ChunkIndexOf(double t) const {
@@ -382,10 +394,12 @@ Status ReTraTree::InsertPiece(SubChunk* sc, traj::SubTrajectory piece,
     return AppendMember(sc, best, piece);
   }
 
-  // Outlier path.
-  HERMES_ASSIGN_OR_RETURN(storage::HeapFile * hf,
-                          partitions_->GetOrCreate(sc->outlier_partition));
-  HERMES_RETURN_NOT_OK(hf->Append(EncodeSubTrajectory(piece)).status());
+  // Outlier path: the buffer's file exists from its first outlier on.
+  if (sc->outlier_file == nullptr) {
+    HERMES_ASSIGN_OR_RETURN(sc->outlier_file,
+                            OpenPartition(sc->outlier_partition));
+  }
+  HERMES_RETURN_NOT_OK(sc->outlier_file->Append(EncodeSubTrajectory(piece)));
   {
     common::MutexLock lock(&stats_mu_);
     ++stats_.pieces_inserted;
@@ -404,9 +418,7 @@ Status ReTraTree::InsertPiece(SubChunk* sc, traj::SubTrajectory piece,
 
 Status ReTraTree::AppendMember(SubChunk* /*sc*/, RepresentativeEntry* entry,
                                const traj::SubTrajectory& member) {
-  HERMES_ASSIGN_OR_RETURN(storage::HeapFile * hf,
-                          partitions_->GetOrCreate(entry->partition_name));
-  HERMES_RETURN_NOT_OK(hf->Append(EncodeSubTrajectory(member)).status());
+  HERMES_RETURN_NOT_OK(entry->file->Append(EncodeSubTrajectory(member)));
   {
     common::MutexLock lock(&stats_mu_);
     ++stats_.records_written;
@@ -422,7 +434,7 @@ Status ReTraTree::ReclusterOutliers(SubChunk* sc,
   // Drain the buffered outliers straight from disk — no hot promotion;
   // the buffer is about to be dropped.
   HERMES_ASSIGN_OR_RETURN(std::vector<traj::SubTrajectory> buffered,
-                          ScanPartition(sc->outlier_partition));
+                          ScanPartition(*sc->outlier_file));
 
   // Re-cluster them with S2T: each buffered piece acts as a trajectory of
   // the temporary MOD.
@@ -444,8 +456,15 @@ Status ReTraTree::ReclusterOutliers(SubChunk* sc,
     stats_.s2t_timings += result.timings;
   }
 
-  // Drop and recreate the outlier partition; survivors are re-appended.
-  HERMES_RETURN_NOT_OK(partitions_->Drop(sc->outlier_partition));
+  // Delete the outlier partition; survivors are re-appended to a fresh
+  // one. Its handle leaves the registry before it closes (writing
+  // nothing).
+  {
+    common::MutexLock lock(&files_mu_);
+    open_files_.erase(sc->outlier_file.get());
+  }
+  sc->outlier_file.reset();
+  HERMES_RETURN_NOT_OK(env_->DeleteFile(PartitionPath(sc->outlier_partition)));
   sc->outlier_count = 0;
   {
     // Any published snapshot described the dropped buffer; residues
@@ -473,6 +492,7 @@ Status ReTraTree::ReclusterOutliers(SubChunk* sc,
                   static_cast<long long>(sc->global_index),
                   static_cast<unsigned long long>(sc->rep_seq++));
     entry->partition_name = buf;
+    HERMES_ASSIGN_OR_RETURN(entry->file, OpenPartition(entry->partition_name));
     RepresentativeEntry* raw = entry.get();
     sc->representatives.push_back(std::move(entry));
     {
@@ -557,21 +577,18 @@ SubChunkView ReTraTree::SubChunksIn(double t0, double t1) const {
 }
 
 StatusOr<std::vector<traj::SubTrajectory>> ReTraTree::ScanPartition(
-    const std::string& name) const {
+    const storage::HeapFile& file) const {
   std::vector<traj::SubTrajectory> out;
-  HERMES_ASSIGN_OR_RETURN(storage::HeapFile * hf,
-                          partitions_->GetOrCreate(name));
   Status decode_status = Status::OK();
-  HERMES_RETURN_NOT_OK(
-      hf->Scan([&](const storage::RecordId&, const std::string& rec) {
-        auto st = DecodeSubTrajectory(rec);
-        if (!st.ok()) {
-          decode_status = st.status();
-          return false;
-        }
-        out.push_back(std::move(st).value());
-        return true;
-      }));
+  HERMES_RETURN_NOT_OK(file.Scan([&](const std::string& rec) {
+    auto st = DecodeSubTrajectory(rec);
+    if (!st.ok()) {
+      decode_status = st.status();
+      return false;
+    }
+    out.push_back(std::move(st).value());
+    return true;
+  }));
   HERMES_RETURN_NOT_OK(decode_status);
   {
     common::MutexLock lock(&stats_mu_);
@@ -626,7 +643,7 @@ StatusOr<PartitionRead> ReTraTree::ReadMembers(
   }
   qut_cold_probes_.fetch_add(1, std::memory_order_relaxed);
   HERMES_ASSIGN_OR_RETURN(std::vector<traj::SubTrajectory> out,
-                          ScanPartition(entry.partition_name));
+                          ScanPartition(*entry.file));
   if (HotSlot hot = MaybePromote(&entry.hot, &out)) {
     return ShareSnapshot(std::move(hot));
   }
@@ -644,7 +661,7 @@ StatusOr<PartitionRead> ReTraTree::ReadMembersInWindow(
   if (hot == nullptr) {
     // Promote-on-read: fault the partition in once, then serve this and
     // every later window probe from the snapshot.
-    HERMES_ASSIGN_OR_RETURN(all, ScanPartition(entry.partition_name));
+    HERMES_ASSIGN_OR_RETURN(all, ScanPartition(*entry.file));
     hot = MaybePromote(&entry.hot, &all);
     if (hot == nullptr) hot = std::atomic_load(&entry.hot);  // Lost a race.
   }
@@ -683,7 +700,9 @@ StatusOr<PartitionRead> ReTraTree::ReadOutliers(const SubChunk& sc) const {
     return ShareSnapshot(std::move(hot));
   }
   qut_cold_probes_.fetch_add(1, std::memory_order_relaxed);
-  if (!partitions_->Exists(sc.outlier_partition)) {
+  sc.mu.AssertReaderHeld();  // By the caller's view.
+  if (sc.outlier_file == nullptr) {
+    // No outlier yet (or none since re-clustering): an empty buffer.
     // Promote the empty snapshot too, or every query re-counts this
     // sub-chunk as a cold probe; a later outlier insert extends it in
     // the same order the (then-created) heap partition would produce.
@@ -692,7 +711,7 @@ StatusOr<PartitionRead> ReTraTree::ReadOutliers(const SubChunk& sc) const {
     return PartitionRead{};
   }
   HERMES_ASSIGN_OR_RETURN(std::vector<traj::SubTrajectory> out,
-                          ScanPartition(sc.outlier_partition));
+                          ScanPartition(*sc.outlier_file));
   if (HotSlot hot = MaybePromote(&sc.hot_outliers, &out)) {
     return ShareSnapshot(std::move(hot));
   }
@@ -831,14 +850,17 @@ HotTierStats ReTraTree::hot_stats() const {
 
 ColdIoStats ReTraTree::cold_io_stats() const {
   ColdIoStats s;
-  partitions_->ForEachOpen([&](const std::string&, storage::HeapFile* hf) {
+  common::MutexLock lock(&files_mu_);
+  // HERMES-LINT-ALLOW(unordered-iteration): every field is a sum, which
+  // visit order cannot change.
+  for (const storage::HeapFile* hf : open_files_) {
     const storage::PagerStats io = hf->io_stats();
     s.heap_page_fetches += io.cache_hits + io.cache_misses;
     s.resident_pages += io.resident_pages;
     const storage::LockStats ls = hf->lock_stats();
     s.heap_lock_acquisitions +=
         ls.shared_acquisitions + ls.exclusive_acquisitions;
-  });
+  }
   return s;
 }
 
@@ -886,6 +908,20 @@ Status ReTraTree::Validate() const {
   return Status::OK();
 }
 
-Status ReTraTree::Flush() { return partitions_->FlushAll(); }
+Status ReTraTree::Flush() {
+  common::ReaderMutexLock nodes(&nodes_mu_);
+  for (const auto& [ci, chunk] : chunks_) {
+    for (const auto& [si, sc] : chunk.sub_chunks) {
+      common::ReaderMutexLock lock(&sc.mu);
+      for (const auto& entry : sc.representatives) {
+        HERMES_RETURN_NOT_OK(entry->file->Flush());
+      }
+      if (sc.outlier_file != nullptr) {
+        HERMES_RETURN_NOT_OK(sc.outlier_file->Flush());
+      }
+    }
+  }
+  return Status::OK();
+}
 
 }  // namespace hermes::core

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/mutex.h"
@@ -16,7 +17,7 @@
 #include "core/s2t_clustering.h"
 #include "geom/mbb.h"
 #include "storage/env.h"
-#include "storage/partition_manager.h"
+#include "storage/heap_file.h"
 #include "traj/segment_arena.h"
 #include "traj/sub_trajectory.h"
 #include "traj/trajectory_store.h"
@@ -97,7 +98,7 @@ struct MemberSpan {
 };
 
 /// \brief Immutable hot-tier snapshot of one on-disk partition: its
-/// decoded records in append (RecordId) order plus their bounding boxes.
+/// decoded records in append order plus their bounding boxes.
 /// A window probe scans the boxes in member order; partitions hold a few
 /// members each, so a scan beats any index and costs nothing to build.
 ///
@@ -155,10 +156,11 @@ struct HotTierStats {
   }
 };
 
-/// \brief Cold-tier work aggregated across every open partition — page
-/// fetches and lock acquisitions. A warm hot-tier QUT probe must leave
+/// \brief Cold-tier work aggregated across every open partition file —
+/// page fetches and lock acquisitions. A warm hot-tier QUT probe must leave
 /// every field flat, which is how tests assert the probe path performs
-/// zero page reads and takes zero per-partition locks.
+/// zero page reads and takes zero per-partition locks. The tree sums it
+/// over its registry of open files, without taking any sub-chunk.
 struct ColdIoStats {
   uint64_t heap_page_fetches = 0;  ///< Pager hits + misses (heap files).
   uint64_t heap_lock_acquisitions = 0;
@@ -176,7 +178,14 @@ struct RepresentativeEntry {
   traj::SubTrajectory representative;
   /// `representative.Bounds()`, for the L3 assignment's distance cut-off.
   geom::Mbb3D representative_box;
+  /// "sc<i>_r<seq>": the partition's file is `<dir>/<name>.part`.
   std::string partition_name;
+  /// The member partition, owned by the entry: opened by the
+  /// re-clustering run that creates the entry, before the entry joins its
+  /// sub-chunk, and never reassigned. Appends run under the sub-chunk's
+  /// exclusive lock and reads under its shared lock; the file's own lock
+  /// lets those reads share it.
+  std::unique_ptr<storage::HeapFile> file;
   size_t member_count = 0;
   /// Hot-tier snapshot (null = cold). Probes go through
   /// `std::atomic_load` with no lock; publication swaps the pointer under
@@ -192,18 +201,26 @@ struct RepresentativeEntry {
 /// before its first change to the sub-chunk until the batch is whole (or
 /// has failed), and a QUT holds it shared until its answer is built (see
 /// `ReTraTree::InsertBatch` and `SubChunksIn`). The representatives'
-/// entries (their member counts and partitions) are sub-chunk
-/// state too. `global_index`, `start`, `end` and `outlier_partition` are
-/// set when the node is created, under the tree's node lock, and never
-/// change.
+/// entries (their member counts and partition files) are sub-chunk
+/// state too, and so is the outlier partition's file: every partition
+/// belongs to one sub-chunk, so this lock is all that orders its
+/// creation, appends, reads and deletion. `global_index`, `start`, `end`
+/// and `outlier_partition` are set when the node is created, under the
+/// tree's node lock, and never change.
 struct SubChunk {
   mutable common::SharedMutex mu;
   int64_t global_index = 0;
   double start = 0.0;
   double end = 0.0;
+  /// "sc<i>_out": the outlier partition's file is `<dir>/<name>.part`.
   std::string outlier_partition;
   std::vector<std::unique_ptr<RepresentativeEntry>> representatives
       GUARDED_BY(mu);
+  /// The outlier partition: null until the first outlier insert opens
+  /// (creates) its file, and again from the re-clustering run that
+  /// deletes the file until the next outlier arrives. A read treats null
+  /// as an empty buffer, so reads never create a file.
+  std::unique_ptr<storage::HeapFile> outlier_file GUARDED_BY(mu);
   size_t outlier_count GUARDED_BY(mu) = 0;
   /// Next buffer size that may trigger re-clustering (prevents thrashing
   /// when residues alone still exceed gamma).
@@ -412,7 +429,9 @@ class ReTraTree {
   StatusOr<PartitionRead> ReadMembersInWindow(const RepresentativeEntry& entry,
                                               double t0, double t1) const;
 
-  /// Reads the outlier partition of a sub-chunk, in append order.
+  /// Reads the outlier partition of a sub-chunk, in append order; a
+  /// sub-chunk without an outlier file reads as an empty buffer. The
+  /// caller holds `sc` (a view).
   StatusOr<PartitionRead> ReadOutliers(const SubChunk& sc) const;
 
   // ---- Hot index tier (docs/ARCHITECTURE.md "QUT hot/cold tier") ------
@@ -433,6 +452,8 @@ class ReTraTree {
     return hot_index_budget_.load(std::memory_order_relaxed);
   }
   HotTierStats hot_stats() const;
+  /// Sums the open partition files' counters under the file registry's
+  /// lock alone: never waits for a batch or a file being created.
   ColdIoStats cold_io_stats() const;
   /// Registry every hot snapshot pins (tests watch live/total through it).
   const std::shared_ptr<traj::EpochPinRegistry>& hot_pin_registry() const {
@@ -446,14 +467,14 @@ class ReTraTree {
   /// against the partitions' records).
   Status Validate() const;
 
-  /// Writes every partition's meta page and dirty pages to the env.
-  /// Besides eviction, this is the only way the tree's pages reach it:
+  /// Writes every partition's meta page and dirty pages to the env,
+  /// walking the sub-chunks in index order, each held shared. Besides
+  /// eviction, this is the only way the tree's pages reach it:
   /// destroying the tree discards them.
   Status Flush();
 
  private:
-  ReTraTree(ReTraTreeParams params,
-            std::unique_ptr<storage::PartitionManager> partitions,
+  ReTraTree(ReTraTreeParams params, storage::Env* env, std::string dir,
             exec::ExecContext* exec);
 
   /// One boundary-trimmed, size-bounded piece awaiting apply, tagged with
@@ -506,11 +527,19 @@ class ReTraTree {
   Status ReclusterOutliers(SubChunk* sc, exec::ExecContext* ctx)
       REQUIRES(sc->mu);
 
+  /// Path of the partition file called `name`.
+  std::string PartitionPath(const std::string& name) const;
+  /// Opens (creating) the partition file called `name` and lists it in
+  /// `open_files_` once it exists. The caller owns the handle; one it
+  /// closes while the tree lives leaves `open_files_` first.
+  StatusOr<std::unique_ptr<storage::HeapFile>> OpenPartition(
+      const std::string& name);
+
   /// Full scan + decode of one partition, in append order (the shared
   /// cold-read body of all three read methods and the re-clustering
   /// buffer drain). Counts the records read.
   StatusOr<std::vector<traj::SubTrajectory>> ScanPartition(
-      const std::string& name) const;
+      const storage::HeapFile& file) const;
 
   using HotSlot = std::shared_ptr<const HotPartition>;
 
@@ -560,8 +589,19 @@ class ReTraTree {
   StatusOr<uint64_t> NextDerivedId(SubChunk* sc) REQUIRES(sc->mu);
 
   ReTraTreeParams params_;
-  std::unique_ptr<storage::PartitionManager> partitions_;
+  storage::Env* env_;  // Not owned.
+  /// Directory of the partition files.
+  std::string dir_;
   exec::ExecContext* exec_;  // Not owned; nullptr = sequential.
+
+  /// Guards `open_files_`, the partition files open now (the handles
+  /// belong to their entries and sub-chunks). `cold_io_stats` reads every
+  /// file's counters under it, so it never waits for a sub-chunk; no
+  /// file is created, closed or deleted under it. Taken after any
+  /// sub-chunk's `mu` and before only the files' pager locks.
+  mutable common::Mutex files_mu_;
+  std::unordered_set<const storage::HeapFile*> open_files_
+      GUARDED_BY(files_mu_);
 
   /// The node lock: guards the shape of L1/L2 (`chunks_` and each chunk's
   /// sub-chunk map) and `next_sub_id_`. Taken before any sub-chunk's

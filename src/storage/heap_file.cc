@@ -4,26 +4,24 @@
 #include <cstring>
 
 #include "common/coding.h"
-#include "common/logging.h"
 
 namespace hermes::storage {
 
 namespace {
 
-// Meta page (page 0) layout.
+// Meta page (page 0) layout. The record count fills both count fields, so
+// the page keeps the layout every flushed heap file has had (one field per
+// count when records could be deleted); a load reads the first.
 constexpr uint32_t kHeapMagic = 0x48455246u;  // "HERF"
 constexpr size_t kMetaMagicOff = 0;
 constexpr size_t kMetaTailOff = 4;
-constexpr size_t kMetaLiveOff = 8;
-constexpr size_t kMetaTotalOff = 16;
+constexpr size_t kMetaCountOff = 8;
+constexpr size_t kMetaCountCopyOff = 16;
 
 // Data page layout: [nslots u16][free_start u16][payload ...][slots ...].
-// Slot i lives at kPageSize - 4*(i+1): {off u16, len u16}; len 0xFFFF is a
-// tombstone marker stored alongside the original length in off? No — a
-// tombstone is encoded as len == 0xFFFF (original bytes stay in place).
+// Slot i lives at kPageSize - 4*(i+1): {off u16, len u16}.
 constexpr size_t kDataHeaderSize = 4;
 constexpr size_t kSlotSize = 4;
-constexpr uint16_t kTombstoneLen = 0xFFFF;
 
 uint16_t ReadU16(const char* p) { return GetFixed16(p); }
 void WriteU16(char* p, uint16_t v) { std::memcpy(p, &v, 2); }
@@ -81,8 +79,7 @@ Status HeapFile::LoadMeta() {
   uint32_t tail;
   std::memcpy(&tail, meta->data.data() + kMetaTailOff, 4);
   tail_page_ = tail;
-  live_records_ = GetFixed64(meta->data.data() + kMetaLiveOff);
-  total_records_ = GetFixed64(meta->data.data() + kMetaTotalOff);
+  records_ = GetFixed64(meta->data.data() + kMetaCountOff);
   return Status::OK();
 }
 
@@ -90,14 +87,13 @@ Status HeapFile::SaveMeta() {
   std::array<char, kPageSize> meta{};
   std::memcpy(meta.data() + kMetaMagicOff, &kHeapMagic, 4);
   std::memcpy(meta.data() + kMetaTailOff, &tail_page_, 4);
-  const uint64_t live = live_records_.load(std::memory_order_relaxed);
-  const uint64_t total = total_records_.load(std::memory_order_relaxed);
-  std::memcpy(meta.data() + kMetaLiveOff, &live, 8);
-  std::memcpy(meta.data() + kMetaTotalOff, &total, 8);
+  const uint64_t count = records_.load(std::memory_order_relaxed);
+  std::memcpy(meta.data() + kMetaCountOff, &count, 8);
+  std::memcpy(meta.data() + kMetaCountCopyOff, &count, 8);
   return pager_->WritePage(0, meta.data());
 }
 
-StatusOr<RecordId> HeapFile::Append(const std::string& record) {
+Status HeapFile::Append(const std::string& record) {
   CountedExclusiveLock lock(mu_, &lock_counters_);
   const size_t need = record.size();
   if (need + kDataHeaderSize + kSlotSize > kPageSize) {
@@ -135,50 +131,12 @@ StatusOr<RecordId> HeapFile::Append(const std::string& record) {
   SetPageFreeStart(page, static_cast<uint16_t>(off + need));
   pin.MarkDirty();
 
-  ++live_records_;
-  ++total_records_;
-  return RecordId{page->id, slot};
-}
-
-StatusOr<std::string> HeapFile::Read(const RecordId& rid) const {
-  CountedSharedLock lock(mu_, &lock_counters_);
-  if (!rid.valid() || rid.page == 0 || rid.page >= pager_->num_pages()) {
-    return Status::NotFound("invalid record id");
-  }
-  HERMES_ASSIGN_OR_RETURN(Page * page, pager_->Fetch(rid.page));
-  PinnedPage pin(pager_.get(), page);
-  if (rid.slot >= PageNumSlots(*page)) {
-    return Status::NotFound("no such slot");
-  }
-  const char* slot_ptr = page->data.data() + SlotOffset(rid.slot);
-  const uint16_t off = ReadU16(slot_ptr);
-  const uint16_t len = ReadU16(slot_ptr + 2);
-  if (len == kTombstoneLen) return Status::NotFound("record deleted");
-  return std::string(page->data.data() + off, len);
-}
-
-Status HeapFile::Delete(const RecordId& rid) {
-  CountedExclusiveLock lock(mu_, &lock_counters_);
-  if (!rid.valid() || rid.page == 0 || rid.page >= pager_->num_pages()) {
-    return Status::NotFound("invalid record id");
-  }
-  HERMES_ASSIGN_OR_RETURN(Page * page, pager_->Fetch(rid.page));
-  PinnedPage pin(pager_.get(), page);
-  if (rid.slot >= PageNumSlots(*page)) {
-    return Status::NotFound("no such slot");
-  }
-  char* slot_ptr = page->data.data() + SlotOffset(rid.slot);
-  const uint16_t len = ReadU16(slot_ptr + 2);
-  if (len == kTombstoneLen) return Status::OK();  // Idempotent.
-  WriteU16(slot_ptr + 2, kTombstoneLen);
-  pin.MarkDirty();
-  HERMES_CHECK(live_records_ > 0);
-  --live_records_;
+  ++records_;
   return Status::OK();
 }
 
 Status HeapFile::Scan(
-    const std::function<bool(const RecordId&, const std::string&)>& fn) const {
+    const std::function<bool(const std::string&)>& fn) const {
   CountedSharedLock lock(mu_, &lock_counters_);
   for (PageId pid = 1; pid < pager_->num_pages(); ++pid) {
     HERMES_ASSIGN_OR_RETURN(Page * page, pager_->Fetch(pid));
@@ -188,9 +146,8 @@ Status HeapFile::Scan(
       const char* slot_ptr = page->data.data() + SlotOffset(s);
       const uint16_t off = ReadU16(slot_ptr);
       const uint16_t len = ReadU16(slot_ptr + 2);
-      if (len == kTombstoneLen) continue;
       std::string rec(page->data.data() + off, len);
-      if (!fn(RecordId{pid, s}, rec)) return Status::OK();
+      if (!fn(rec)) return Status::OK();
     }
   }
   return Status::OK();

@@ -15,49 +15,28 @@
 
 namespace hermes::storage {
 
-/// \brief Address of a record in a heap file: (page, slot).
-struct RecordId {
-  PageId page = kInvalidPage;
-  uint16_t slot = 0;
-
-  bool valid() const { return page != kInvalidPage; }
-  bool operator==(const RecordId& o) const {
-    return page == o.page && slot == o.slot;
-  }
-  /// Packs into one integer (for index datums).
-  uint64_t Pack() const {
-    return (static_cast<uint64_t>(page) << 16) | slot;
-  }
-  static RecordId Unpack(uint64_t v) {
-    RecordId rid;
-    rid.page = static_cast<PageId>(v >> 16);
-    rid.slot = static_cast<uint16_t>(v & 0xFFFF);
-    return rid;
-  }
-};
-
 /// \brief Slotted-page heap file: the on-disk representation of a ReTraTree
 /// partition (member sub-trajectories of one representative, or the outlier
 /// partition of a sub-chunk).
 ///
-/// Layout: page 0 is the meta page (record counts, tail pointer); data
-/// pages, from page 1, use a classic slotted layout (slot directory grows
-/// from the page end, record bytes from the header). Records are immutable
-/// once written; `Delete` installs a tombstone. Space is reclaimed by
-/// dropping the whole partition, matching the engine's usage.
+/// Layout: page 0 is the meta page (magic, tail pointer, record count);
+/// data pages, from page 1, use a classic slotted layout (slot directory
+/// grows from the page end, record bytes from the header). The file is
+/// append-only: records are never read by address, changed or deleted one
+/// at a time. Space is reclaimed by deleting the whole partition, which its
+/// owner does (`ReTraTree` re-clustering an outlier buffer).
 ///
 /// The meta page never takes a buffer-pool frame: the handle keeps its
 /// fields in members, and only `Flush` writes its image. So a file closed
 /// without `Flush` does not reopen with its records: it reads as empty,
 /// or as corrupt once an eviction has written a data page. A flushed file
-/// reopens with the same tail and counts.
+/// reopens with the same tail and count.
 ///
 /// Thread safety: record operations take an internal reader/writer lock —
-/// `Read`/`Scan` shared, `Append`/`Delete` exclusive — so one handle may be
+/// `Scan` shared, `Append` and `Flush` exclusive — so one handle may be
 /// shared by concurrent readers without serializing them (the pager guards
 /// its own buffer pool internally). Lock traffic is counted in
-/// `lock_stats()`. Writers still need external coordination against
-/// `PartitionManager::Drop`.
+/// `lock_stats()`. Closing or deleting the file is the owner's business.
 class HeapFile {
  public:
   /// Opens or creates a heap file backed by `fname` under `env`.
@@ -66,28 +45,14 @@ class HeapFile {
                                                   size_t cache_pages = 64);
 
   /// Appends a record (size must fit a page payload; ~8 KiB).
-  StatusOr<RecordId> Append(const std::string& record);
+  Status Append(const std::string& record);
 
-  /// Reads a record; NotFound for tombstones and invalid ids.
-  StatusOr<std::string> Read(const RecordId& rid) const;
+  /// Visits every record in append order. The callback returns false to
+  /// stop the scan early.
+  Status Scan(const std::function<bool(const std::string&)>& fn) const;
 
-  /// Tombstones a record. Idempotent.
-  Status Delete(const RecordId& rid);
-
-  /// Visits all live records in storage order. The callback returns false
-  /// to stop the scan early.
-  Status Scan(
-      const std::function<bool(const RecordId&, const std::string&)>& fn)
-      const;
-
-  /// Number of live (non-deleted) records.
-  uint64_t live_records() const {
-    return live_records_.load(std::memory_order_relaxed);
-  }
-  /// Total appended records including tombstoned ones.
-  uint64_t total_records() const {
-    return total_records_.load(std::memory_order_relaxed);
-  }
+  /// Number of records appended.
+  uint64_t records() const { return records_.load(std::memory_order_relaxed); }
 
   /// Writes the meta page and every dirty data page, then syncs.
   Status Flush();
@@ -111,8 +76,7 @@ class HeapFile {
   std::unique_ptr<Pager> pager_;
   /// Last data page (append target).
   PageId tail_page_ GUARDED_BY(mu_) = kInvalidPage;
-  std::atomic<uint64_t> live_records_{0};
-  std::atomic<uint64_t> total_records_{0};
+  std::atomic<uint64_t> records_{0};
 };
 
 }  // namespace hermes::storage

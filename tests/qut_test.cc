@@ -260,6 +260,32 @@ TEST_F(QuTTest, ZeroBudgetDisablesAndDemotesHotTier) {
   EXPECT_EQ(after.hot_index_bytes, 0u);
 }
 
+// A read never creates a partition file: a cold QUT sweep over the built
+// tree leaves its directory as it was, though some of the sub-chunks it
+// reads have no outlier file.
+TEST_F(QuTTest, ColdSweepCreatesNoFile) {
+  tree_->SetHotIndexBudget(0);
+  auto before = env_->ListDir("qut_tree");
+  ASSERT_TRUE(before.ok());
+  size_t without_outlier_file = 0;
+  for (const auto& [ci, chunk] : tree_->chunks()) {
+    for (const auto& [si, sc] : chunk.sub_chunks) {
+      without_outlier_file +=
+          !env_->FileExists("qut_tree/" + sc.outlier_partition + ".part");
+    }
+  }
+  EXPECT_GT(without_outlier_file, 0u);
+  QuTClustering qut(tree_.get());
+  for (double lo = 0; lo < 800; lo += 50) {
+    ASSERT_TRUE(qut.Query(lo, lo + 175).ok());
+  }
+  ASSERT_TRUE(qut.Query(0, 800).ok());
+  EXPECT_GT(tree_->hot_stats().qut_cold_probes, 0u);
+  auto after = env_->ListDir("qut_tree");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *before);
+}
+
 TEST_F(QuTTest, OverBudgetPartitionDoesNotRepayPromotionPerWindowRead) {
   const RepresentativeEntry* entry = nullptr;
   double sub_chunk_end = 0;

@@ -779,8 +779,7 @@ StatusOr<std::vector<std::string>> Answer(
 // parked inside sub-chunk 10, a QUT over earlier sub-chunks answers, and
 // one whose window reaches the batch waits for the whole batch and
 // answers with it. At hot budget 0 every read is cold, so the disjoint
-// QUT also opens and probes partition files while the parked creation is
-// in flight.
+// QUT also scans partition files while the parked creation is in flight.
 void ExpectParkedCatchUpBlocksOnlyItsReaders(size_t budget) {
   const traj::TrajectoryStore before = MakeConvoys();
   const traj::TrajectoryStore after = ConvoysContinuedFrom(800);
@@ -811,7 +810,8 @@ void ExpectParkedCatchUpBlocksOnlyItsReaders(size_t budget) {
                  [&] { return Answer(&slot, before, 700, 1100, budget); });
   const bool overlap_done_early = overlap.wait_for(std::chrono::milliseconds(
                                       200)) == std::future_status::ready;
-  // The stats read only the partition catalog, never a sub-chunk.
+  // The stats read only the tree's registry of open files, never a
+  // sub-chunk.
   std::future<HotTierStats> stats =
       std::async(std::launch::async, [&] { return slot.hot_stats(); });
   const bool stats_done =

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -320,6 +321,48 @@ TEST_F(ReTraTreeTest, OutliersStayBufferedWhenNoClusterForms) {
   EXPECT_EQ(outliers->size(), 6u);
 }
 
+// Re-clustering deletes the outlier partition it drained. Afterwards the
+// buffer reads exactly the residues that re-entered it and none of the
+// drained pieces; when no residue re-enters it, the sub-chunk has no
+// outlier file at all.
+TEST_F(ReTraTreeTest, ReclusterDeletesTheDrainedOutlierPartition) {
+  // Sub-chunk 0: six co-moving objects and two far-off ones, so the run
+  // the eighth outlier fires leaves two residues.
+  for (int k = 0; k < 6; ++k) {
+    ASSERT_TRUE(tree_->Insert(Line(k, k * 10.0, 0, 95), k).ok());
+  }
+  ASSERT_TRUE(tree_->Insert(Line(6, 9000.0, 0, 95), 6).ok());
+  ASSERT_TRUE(tree_->Insert(Line(7, 20000.0, 0, 95), 7).ok());
+  // Sub-chunk 1: eight co-moving objects, which one cluster takes whole.
+  for (int k = 0; k < 8; ++k) {
+    ASSERT_TRUE(
+        tree_->Insert(Line(10 + k, k * 10.0, 100, 195), 10 + k).ok());
+  }
+  const ReTraTreeStats stats = tree_->stats();
+  ASSERT_EQ(stats.s2t_runs, 2u);
+  ASSERT_EQ(stats.reinserted_after_s2t, 2u);
+  ASSERT_EQ(stats.sent_to_outliers, 8u + 8u + 2u);
+
+  const SubChunkView view = tree_->SubChunksIn(0, 200);
+  ASSERT_EQ(view.size(), 2u);
+  auto residues = tree_->ReadOutliers(*view[0]);
+  ASSERT_TRUE(residues.ok());
+  ASSERT_EQ(residues->size(), 2u);
+  for (const traj::SubTrajectory& r : *residues) {
+    // A residue carries a derived id; the drained pieces had piece ids.
+    EXPECT_NE(r.id & (uint64_t{1} << 63), 0u);
+  }
+  EXPECT_EQ((*residues)[0].source_trajectory, 6u);
+  EXPECT_EQ((*residues)[1].source_trajectory, 7u);
+  EXPECT_TRUE(env_->FileExists("tree/sc0_out.part"));
+
+  auto none = tree_->ReadOutliers(*view[1]);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+  EXPECT_FALSE(env_->FileExists("tree/sc1_out.part"));
+  EXPECT_TRUE(env_->FileExists("tree/sc1_r0.part"));
+}
+
 TEST_F(ReTraTreeTest, SubChunksInSelectsWindow) {
   ASSERT_TRUE(tree_->Insert(Line(1, 0, 0, 795), 0).ok());
   EXPECT_EQ(tree_->SubChunksIn(0, 800).size(), 8u);
@@ -600,6 +643,33 @@ TEST_F(ReTraTreeTest, ParallelApplyExtendsHotSnapshots) {
   batch_tree->SetHotIndexBudget(0);
   read_all(&cold);
   EXPECT_EQ(hot, cold);
+}
+
+// Apply tasks open partition files, and their re-clustering runs delete
+// outlier files, while another thread sums the open files' counters.
+// Run under TSan, this is the race gate of the tree's file registry.
+TEST_F(ReTraTreeTest, ColdIoStatsRunBesideAParallelApply) {
+  traj::TrajectoryStore store;
+  for (int k = 0; k < 12; ++k) {
+    ASSERT_TRUE(store.Add(Line(k, k * 10.0, 0, 395)).ok());
+  }
+  for (int k = 0; k < 10; ++k) {
+    ASSERT_TRUE(store.Add(Line(200 + k, 90000.0 + k * 10.0, 0, 395)).ok());
+  }
+  exec::ExecContext ctx(4);
+  auto tree = std::move(ReTraTree::Open(env_.get(), "stats",
+                                        SmallTreeParams(), &ctx))
+                  .value();
+  std::atomic<bool> done{false};
+  std::thread observer([&] {
+    while (!done.load()) (void)tree->cold_io_stats();
+  });
+  const Status st = tree->InsertStore(store);
+  done.store(true);
+  observer.join();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_GE(tree->stats().s2t_runs, 4u);
+  EXPECT_GT(tree->cold_io_stats().resident_pages, 0u);
 }
 
 TEST_F(ReTraTreeTest, RepresentativeAssignmentRespectsDistance) {

@@ -1,19 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <filesystem>
 #include <future>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "storage/env.h"
 #include "storage/heap_file.h"
 #include "storage/pager.h"
-#include "storage/partition_manager.h"
 
 namespace hermes::storage {
 namespace {
@@ -296,81 +291,55 @@ class HeapFileTest : public ::testing::Test {
   std::unique_ptr<Env> env_;
 };
 
+/// Every record of `hf`, in scan (append) order.
+std::vector<std::string> ScanAll(const HeapFile& hf) {
+  std::vector<std::string> out;
+  EXPECT_TRUE(hf.Scan([&](const std::string& rec) {
+                  out.push_back(rec);
+                  return true;
+                })
+                  .ok());
+  return out;
+}
+
 TEST_F(HeapFileTest, AppendAndRead) {
   auto hf = HeapFile::Open(env_.get(), "a.heap");
   ASSERT_TRUE(hf.ok());
-  auto rid = (*hf)->Append("record-one");
-  ASSERT_TRUE(rid.ok());
-  auto back = (*hf)->Read(*rid);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, "record-one");
-  EXPECT_EQ((*hf)->live_records(), 1u);
+  ASSERT_TRUE((*hf)->Append("record-one").ok());
+  EXPECT_EQ(ScanAll(**hf), std::vector<std::string>{"record-one"});
+  EXPECT_EQ((*hf)->records(), 1u);
 }
 
 TEST_F(HeapFileTest, ManyRecordsSpanPages) {
   auto hf = HeapFile::Open(env_.get(), "many.heap");
   ASSERT_TRUE(hf.ok());
   const std::string payload(1000, 'x');
-  std::vector<RecordId> rids;
+  std::vector<std::string> want;
   for (int i = 0; i < 100; ++i) {
-    auto rid = (*hf)->Append(payload + std::to_string(i));
-    ASSERT_TRUE(rid.ok());
-    rids.push_back(*rid);
+    want.push_back(payload + std::to_string(i));
+    ASSERT_TRUE((*hf)->Append(want.back()).ok());
   }
-  EXPECT_EQ((*hf)->live_records(), 100u);
+  EXPECT_EQ((*hf)->records(), 100u);
   // Must have spilled beyond one data page (8 records/page at ~1KB).
-  EXPECT_GT(rids.back().page, 1u);
-  for (int i = 0; i < 100; ++i) {
-    auto rec = (*hf)->Read(rids[i]);
-    ASSERT_TRUE(rec.ok());
-    EXPECT_EQ(*rec, payload + std::to_string(i));
-  }
+  EXPECT_GT((*hf)->io_stats().resident_pages, 1u);
+  EXPECT_EQ(ScanAll(**hf), want);
 }
 
 TEST_F(HeapFileTest, RejectsOversizedRecord) {
   auto hf = HeapFile::Open(env_.get(), "big.heap");
   ASSERT_TRUE(hf.ok());
-  EXPECT_TRUE((*hf)->Append(std::string(kPageSize, 'x')).status()
-                  .IsInvalidArgument());
+  EXPECT_TRUE((*hf)->Append(std::string(kPageSize, 'x')).IsInvalidArgument());
 }
 
-TEST_F(HeapFileTest, DeleteTombstonesRecord) {
-  auto hf = HeapFile::Open(env_.get(), "del.heap");
-  ASSERT_TRUE(hf.ok());
-  auto rid1 = (*hf)->Append("keep");
-  auto rid2 = (*hf)->Append("remove");
-  ASSERT_TRUE(rid1.ok());
-  ASSERT_TRUE(rid2.ok());
-  ASSERT_TRUE((*hf)->Delete(*rid2).ok());
-  EXPECT_TRUE((*hf)->Read(*rid2).status().IsNotFound());
-  EXPECT_TRUE((*hf)->Read(*rid1).ok());
-  EXPECT_EQ((*hf)->live_records(), 1u);
-  EXPECT_EQ((*hf)->total_records(), 2u);
-  // Idempotent.
-  EXPECT_TRUE((*hf)->Delete(*rid2).ok());
-  EXPECT_EQ((*hf)->live_records(), 1u);
-}
-
-TEST_F(HeapFileTest, ScanVisitsLiveRecordsInOrder) {
+TEST_F(HeapFileTest, ScanVisitsRecordsInOrder) {
   auto hf = HeapFile::Open(env_.get(), "scan.heap");
   ASSERT_TRUE(hf.ok());
-  std::vector<RecordId> rids;
+  std::vector<std::string> want;
   for (int i = 0; i < 10; ++i) {
-    auto rid = (*hf)->Append("rec" + std::to_string(i));
-    ASSERT_TRUE(rid.ok());
-    rids.push_back(*rid);
+    want.push_back("rec" + std::to_string(i));
+    ASSERT_TRUE((*hf)->Append(want.back()).ok());
   }
-  ASSERT_TRUE((*hf)->Delete(rids[3]).ok());
-  std::vector<std::string> seen;
-  ASSERT_TRUE((*hf)
-                  ->Scan([&](const RecordId&, const std::string& rec) {
-                    seen.push_back(rec);
-                    return true;
-                  })
-                  .ok());
-  ASSERT_EQ(seen.size(), 9u);
-  EXPECT_EQ(seen[0], "rec0");
-  EXPECT_EQ(seen[3], "rec4");  // rec3 tombstoned.
+  EXPECT_EQ(ScanAll(**hf), want);
 }
 
 TEST_F(HeapFileTest, ScanEarlyStop) {
@@ -378,31 +347,23 @@ TEST_F(HeapFileTest, ScanEarlyStop) {
   ASSERT_TRUE(hf.ok());
   for (int i = 0; i < 10; ++i) ASSERT_TRUE((*hf)->Append("r").ok());
   int count = 0;
-  ASSERT_TRUE((*hf)
-                  ->Scan([&](const RecordId&, const std::string&) {
-                    return ++count < 3;
-                  })
-                  .ok());
+  ASSERT_TRUE(
+      (*hf)->Scan([&](const std::string&) { return ++count < 3; }).ok());
   EXPECT_EQ(count, 3);
 }
 
 TEST_F(HeapFileTest, PersistsAcrossReopen) {
-  RecordId rid;
   {
     auto hf = HeapFile::Open(env_.get(), "dur.heap");
     ASSERT_TRUE(hf.ok());
-    auto r = (*hf)->Append("durable-record");
-    ASSERT_TRUE(r.ok());
-    rid = *r;
+    ASSERT_TRUE((*hf)->Append("durable-record").ok());
     ASSERT_TRUE((*hf)->Flush().ok());
   }
   {
     auto hf = HeapFile::Open(env_.get(), "dur.heap");
     ASSERT_TRUE(hf.ok());
-    EXPECT_EQ((*hf)->live_records(), 1u);
-    auto rec = (*hf)->Read(rid);
-    ASSERT_TRUE(rec.ok());
-    EXPECT_EQ(*rec, "durable-record");
+    EXPECT_EQ((*hf)->records(), 1u);
+    EXPECT_EQ(ScanAll(**hf), std::vector<std::string>{"durable-record"});
   }
 }
 
@@ -419,7 +380,7 @@ TEST_F(HeapFileTest, MetaPageTakesNoFrameAndOnlyFlushWritesIt) {
   {
     auto hf = HeapFile::Open(env_.get(), "unflushed.heap");
     ASSERT_TRUE(hf.ok());
-    EXPECT_EQ((*hf)->total_records(), 0u);
+    EXPECT_EQ((*hf)->records(), 0u);
   }
   // Evictions wrote data pages but never page 0: no magic, no reopen.
   {
@@ -442,20 +403,15 @@ TEST_F(HeapFileTest, MetaPageTakesNoFrameAndOnlyFlushWritesIt) {
 }
 
 // The meta page a flush writes is byte-for-byte the one every write used
-// to keep in the pool: magic "HERF", tail page, live and total counts,
-// then zeros.
+// to keep in the pool: magic "HERF", tail page, the record count in both
+// count fields, then zeros.
 TEST_F(HeapFileTest, FlushedMetaPageMatchesGoldenBytes) {
   {
     auto hf = HeapFile::Open(env_.get(), "golden.heap");
     ASSERT_TRUE(hf.ok());
-    auto first = (*hf)->Append(std::string(3000, 'a'));
-    ASSERT_TRUE(first.ok());
-    EXPECT_EQ(first->page, 1u);
+    ASSERT_TRUE((*hf)->Append(std::string(3000, 'a')).ok());
     ASSERT_TRUE((*hf)->Append(std::string(3000, 'b')).ok());
-    auto third = (*hf)->Append(std::string(3000, 'c'));  // Page 1 is full.
-    ASSERT_TRUE(third.ok());
-    EXPECT_EQ(third->page, 2u);
-    ASSERT_TRUE((*hf)->Delete(*first).ok());
+    ASSERT_TRUE((*hf)->Append(std::string(3000, 'c')).ok());  // Page 1 full.
     EXPECT_EQ((*hf)->io_stats().resident_pages, 2u);
     ASSERT_TRUE((*hf)->Flush().ok());
     EXPECT_EQ((*hf)->io_stats().resident_pages, 2u);
@@ -465,49 +421,68 @@ TEST_F(HeapFileTest, FlushedMetaPageMatchesGoldenBytes) {
   const char golden[24] = {
       0x46, 0x52, 0x45, 0x48,                          // magic
       0x02, 0x00, 0x00, 0x00,                          // tail page
-      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // live
-      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // total
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // records
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // records again
   };
   want.replace(0, sizeof(golden), golden, sizeof(golden));
   EXPECT_EQ(FilePrefix(env_.get(), "golden.heap", kPageSize), want);
 
   auto hf = HeapFile::Open(env_.get(), "golden.heap");
   ASSERT_TRUE(hf.ok());
-  EXPECT_EQ((*hf)->live_records(), 2u);
-  EXPECT_EQ((*hf)->total_records(), 3u);
-  auto tail = (*hf)->Append("tail");  // Lands on the restored tail page.
-  ASSERT_TRUE(tail.ok());
-  EXPECT_EQ(tail->page, 2u);
-  EXPECT_EQ(tail->slot, 1u);
-  auto rec = (*hf)->Read(RecordId{1, 1});
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(*rec, std::string(3000, 'b'));
-  EXPECT_TRUE((*hf)->Read(RecordId{1, 0}).status().IsNotFound());
-}
-
-TEST_F(HeapFileTest, ReadInvalidRecordIds) {
-  auto hf = HeapFile::Open(env_.get(), "inv.heap");
-  ASSERT_TRUE(hf.ok());
-  ASSERT_TRUE((*hf)->Append("x").ok());
-  EXPECT_TRUE((*hf)->Read(RecordId{99, 0}).status().IsNotFound());
-  EXPECT_TRUE((*hf)->Read(RecordId{1, 42}).status().IsNotFound());
-  EXPECT_TRUE((*hf)->Read(RecordId{}).status().IsNotFound());
-}
-
-TEST_F(HeapFileTest, RecordIdPackUnpack) {
-  RecordId rid{12345, 678};
-  const RecordId back = RecordId::Unpack(rid.Pack());
-  EXPECT_EQ(back, rid);
+  EXPECT_EQ((*hf)->records(), 3u);
+  // Lands on the restored tail page: the file grows by no page.
+  ASSERT_TRUE((*hf)->Append("tail").ok());
+  ASSERT_TRUE((*hf)->Flush().ok());
+  EXPECT_EQ(FileSize(env_.get(), "golden.heap"), 3 * kPageSize);
+  EXPECT_EQ(ScanAll(**hf),
+            (std::vector<std::string>{std::string(3000, 'a'),
+                                      std::string(3000, 'b'),
+                                      std::string(3000, 'c'), "tail"}));
 }
 
 TEST_F(HeapFileTest, EmptyRecordSupported) {
   auto hf = HeapFile::Open(env_.get(), "empty.heap");
   ASSERT_TRUE(hf.ok());
-  auto rid = (*hf)->Append("");
-  ASSERT_TRUE(rid.ok());
-  auto rec = (*hf)->Read(*rid);
-  ASSERT_TRUE(rec.ok());
-  EXPECT_TRUE(rec->empty());
+  ASSERT_TRUE((*hf)->Append("").ok());
+  EXPECT_EQ(ScanAll(**hf), std::vector<std::string>{""});
+}
+
+// One handle shared by scanners and counter readers while a writer appends,
+// through a four-frame pool that evicts under them: every scan sees a
+// prefix of the appended records. The tree's QUT readers share a partition
+// file this way under a sub-chunk's shared lock while the stats sum its
+// counters; run under TSan, this is the heap file's data-race gate.
+TEST_F(HeapFileTest, ScansAndCountersBesideAnAppender) {
+  auto hf = HeapFile::Open(env_.get(), "shared.heap", /*cache_pages=*/4);
+  ASSERT_TRUE(hf.ok());
+  HeapFile* file = hf->get();
+  auto record = [](int i) { return std::string(500, 'a' + i % 26); };
+  std::atomic<bool> done{false};
+  auto reader = [&]() -> bool {
+    bool prefix = true;
+    do {
+      int i = 0;
+      const Status st = file->Scan([&](const std::string& rec) {
+        prefix = prefix && rec == record(i++);
+        return true;
+      });
+      prefix = prefix && st.ok() && i <= 400;
+      (void)file->io_stats();
+      (void)file->lock_stats();
+      (void)file->records();
+    } while (!done.load());
+    return prefix;
+  };
+  std::future<bool> first = std::async(std::launch::async, reader);
+  std::future<bool> second = std::async(std::launch::async, reader);
+  int appended = 0;
+  while (appended < 400 && file->Append(record(appended)).ok()) ++appended;
+  done.store(true);
+  EXPECT_TRUE(first.get());
+  EXPECT_TRUE(second.get());
+  EXPECT_EQ(appended, 400);
+  EXPECT_EQ(file->records(), 400u);
+  EXPECT_GT(file->io_stats().evictions, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -582,9 +557,7 @@ TEST(FaultInjectionTest, HeapFileAppendSurfacesWriteErrors) {
   Status last = Status::OK();
   int appended = 0;
   for (int i = 0; i < 200 && last.ok(); ++i) {
-    last = (*hf)->Append(std::string(2000, 'x')).ok()
-               ? Status::OK()
-               : Status::IOError("append failed");
+    last = (*hf)->Append(std::string(2000, 'x'));
     if (last.ok()) ++appended;
   }
   EXPECT_FALSE(last.ok());  // The injected failure surfaced as an error.
@@ -625,219 +598,6 @@ TEST(FaultInjectionTest, ReadErrorsPropagateThroughFetch) {
   auto pager = Pager::Open(mem.get(), "trunc.db", 4);
   ASSERT_TRUE(pager.ok());
   EXPECT_TRUE((*pager)->Fetch(99).status().IsOutOfRange());
-}
-
-// ---------------------------------------------------------------------------
-// PartitionManager
-// ---------------------------------------------------------------------------
-
-class PartitionTest : public ::testing::Test {
- protected:
-  void SetUp() override { env_ = Env::NewMemEnv(); }
-  std::unique_ptr<Env> env_;
-};
-
-TEST_F(PartitionTest, GetOrCreateIsStable) {
-  auto pm = PartitionManager::Open(env_.get(), "parts");
-  ASSERT_TRUE(pm.ok());
-  auto a = (*pm)->GetOrCreate("alpha");
-  ASSERT_TRUE(a.ok());
-  auto b = (*pm)->GetOrCreate("alpha");
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);  // Same handle.
-}
-
-TEST_F(PartitionTest, ExistsAndList) {
-  auto pm = PartitionManager::Open(env_.get(), "parts2");
-  ASSERT_TRUE(pm.ok());
-  ASSERT_TRUE((*pm)->GetOrCreate("zeta").ok());
-  ASSERT_TRUE((*pm)->GetOrCreate("alpha").ok());
-  EXPECT_TRUE((*pm)->Exists("zeta"));
-  EXPECT_FALSE((*pm)->Exists("missing"));
-  const auto names = (*pm)->List();
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "alpha");  // Sorted.
-  EXPECT_EQ(names[1], "zeta");
-}
-
-TEST_F(PartitionTest, DropRemovesData) {
-  auto pm = PartitionManager::Open(env_.get(), "parts3");
-  ASSERT_TRUE(pm.ok());
-  auto hf = (*pm)->GetOrCreate("victim");
-  ASSERT_TRUE(hf.ok());
-  ASSERT_TRUE((*hf)->Append("doomed").ok());
-  ASSERT_TRUE((*pm)->Drop("victim").ok());
-  EXPECT_FALSE((*pm)->Exists("victim"));
-  // Recreating starts fresh.
-  auto again = (*pm)->GetOrCreate("victim");
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ((*again)->live_records(), 0u);
-}
-
-TEST_F(PartitionTest, DropMissingFails) {
-  auto pm = PartitionManager::Open(env_.get(), "parts4");
-  ASSERT_TRUE(pm.ok());
-  EXPECT_TRUE((*pm)->Drop("ghost").IsNotFound());
-}
-
-TEST_F(PartitionTest, DataPersistsViaEnv) {
-  {
-    auto pm = PartitionManager::Open(env_.get(), "parts5");
-    ASSERT_TRUE(pm.ok());
-    auto hf = (*pm)->GetOrCreate("keep");
-    ASSERT_TRUE(hf.ok());
-    ASSERT_TRUE((*hf)->Append("persisted").ok());
-    ASSERT_TRUE((*pm)->FlushAll().ok());
-  }
-  {
-    auto pm = PartitionManager::Open(env_.get(), "parts5");
-    ASSERT_TRUE(pm.ok());
-    EXPECT_TRUE((*pm)->Exists("keep"));
-    auto hf = (*pm)->GetOrCreate("keep");
-    ASSERT_TRUE(hf.ok());
-    EXPECT_EQ((*hf)->live_records(), 1u);
-  }
-}
-
-/// An Env over a MemEnv whose creation of one named file waits until
-/// `Release`, so a test can hold a partition open mid-creation.
-class ParkingEnv : public Env {
- public:
-  explicit ParkingEnv(std::string park) : park_(std::move(park)) {}
-
-  bool WaitParked() {
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, std::chrono::seconds(60),
-                        [&] { return parked_; });
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(mu_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
-  StatusOr<std::unique_ptr<RandomRWFile>> NewRWFile(
-      const std::string& fname) override {
-    if (fname == park_) {
-      std::unique_lock<std::mutex> lock(mu_);
-      parked_ = true;
-      cv_.notify_all();
-      cv_.wait(lock, [&] { return released_; });
-    }
-    return base_->NewRWFile(fname);
-  }
-  bool FileExists(const std::string& f) const override {
-    return base_->FileExists(f);
-  }
-  Status DeleteFile(const std::string& f) override {
-    return base_->DeleteFile(f);
-  }
-  Status RenameFile(const std::string& src, const std::string& dst) override {
-    return base_->RenameFile(src, dst);
-  }
-  Status CreateDirs(const std::string& d) override {
-    return base_->CreateDirs(d);
-  }
-  StatusOr<std::vector<std::string>> ListDir(
-      const std::string& d) const override {
-    return base_->ListDir(d);
-  }
-
- private:
-  const std::unique_ptr<Env> base_ = Env::NewMemEnv();
-  const std::string park_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool parked_ = false;
-  bool released_ = false;
-};
-
-// A partition file being created holds up only callers naming that
-// partition: other partitions open, probe, list and drop meanwhile, and a
-// second GetOrCreate of the parked name gets the same handle once the
-// creation finishes.
-TEST(PartitionConcurrencyTest, ASlowCreationBlocksOnlyItsOwnPartition) {
-  ParkingEnv env("parts/slow.part");
-  auto pm = PartitionManager::Open(&env, "parts");
-  ASSERT_TRUE(pm.ok());
-  PartitionManager* manager = pm->get();
-  ASSERT_TRUE(manager->GetOrCreate("old").ok());
-  auto slow = std::async(std::launch::async,
-                         [&] { return manager->GetOrCreate("slow"); });
-  ASSERT_TRUE(env.WaitParked());
-  auto same = std::async(std::launch::async,
-                         [&] { return manager->GetOrCreate("slow"); });
-  auto others = std::async(std::launch::async, [&] {
-    Status st = manager->GetOrCreate("fast").status();
-    if (st.ok() && !manager->Exists("old")) st = Status::Corruption("old");
-    if (st.ok() && manager->List().size() != 2) st = Status::Corruption("list");
-    if (st.ok()) st = manager->Drop("old");
-    return st;
-  });
-  const bool others_done = others.wait_for(std::chrono::seconds(20)) ==
-                           std::future_status::ready;
-  const bool same_done_early = same.wait_for(std::chrono::milliseconds(
-                                   100)) == std::future_status::ready;
-  env.Release();
-  EXPECT_TRUE(others_done) << "a creation of another partition blocked "
-                              "the catalog";
-  EXPECT_TRUE(others.get().ok());
-  EXPECT_FALSE(same_done_early);
-  auto first = slow.get();
-  auto second = same.get();
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(*first, *second);
-  EXPECT_EQ(manager->List(), (std::vector<std::string>{"fast", "slow"}));
-}
-
-// Tasks open, append to, probe and drop partitions concurrently — each its
-// own, plus one they all share — while another lists and visits the
-// catalog. Run under TSan, this is the catalog's data-race gate.
-TEST(PartitionConcurrencyTest, ConcurrentGetOrCreateDropAndExists) {
-  auto env = Env::NewMemEnv();
-  auto pm = PartitionManager::Open(env.get(), "parts");
-  ASSERT_TRUE(pm.ok());
-  PartitionManager* manager = pm->get();
-  constexpr int kTasks = 4;
-  constexpr int kRounds = 40;
-  std::atomic<bool> done{false};
-  std::thread observer([&] {
-    while (!done.load()) {
-      (void)manager->List();
-      (void)manager->Exists("shared");
-      manager->ForEachOpen([](const std::string&, HeapFile* hf) {
-        (void)hf->live_records();
-      });
-    }
-  });
-  std::vector<HeapFile*> shared(kTasks, nullptr);
-  std::vector<std::future<Status>> tasks;
-  for (int k = 0; k < kTasks; ++k) {
-    tasks.push_back(std::async(std::launch::async, [&, k]() -> Status {
-      HERMES_ASSIGN_OR_RETURN(shared[k], manager->GetOrCreate("shared"));
-      for (int r = 0; r < kRounds; ++r) {
-        const std::string name =
-            "t" + std::to_string(k) + "_" + std::to_string(r % 3);
-        HERMES_ASSIGN_OR_RETURN(HeapFile * hf, manager->GetOrCreate(name));
-        HERMES_RETURN_NOT_OK(hf->Append("row").status());
-        if (!manager->Exists(name)) return Status::Corruption(name);
-        if (r % 2 == 1) HERMES_RETURN_NOT_OK(manager->Drop(name));
-        if (r % 2 == 1 && manager->Exists(name)) {
-          return Status::Corruption("dropped " + name + " still exists");
-        }
-      }
-      return Status::OK();
-    }));
-  }
-  for (auto& task : tasks) {
-    const Status st = task.get();
-    EXPECT_TRUE(st.ok()) << st.ToString();
-  }
-  done.store(true);
-  observer.join();
-  for (int k = 1; k < kTasks; ++k) EXPECT_EQ(shared[k], shared[0]);
-  EXPECT_TRUE(manager->FlushAll().ok());
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 """Diff two BENCH_*.json files (perf-trajectory tracking) with a gate.
 
 Usage: bench_diff.py OLD.json NEW.json [--key f1,f2] [--warn-threshold R]
-                     [--fail-threshold R | --no-fail]
+                     [--fail-threshold R | --no-fail] [--min-ms MS]
 
 Runs are matched by the --key fields (default: flights,threads — pass
 "mode,threads" for BENCH_ingest.json) and compared on wall_ms plus every
@@ -17,13 +17,18 @@ Two thresholds:
     is deliberately generous until runner variance is characterized;
     tighten it per-repo via the CLI. --no-fail restores the historical
     warn-only behavior.
+
+A phase where both values are under --min-ms (default 1.0) is timer noise
+and is skipped; a new value is judged against at least that floor. A bench
+whose every point is sub-millisecond (the QUT window probes) passes a
+lower floor, and must write its *_ms fields with enough digits for it.
 """
 
 import argparse
 import json
 import sys
 
-# Below this, ratios are timer noise, not signal.
+# Default --min-ms: below this, ratios are timer noise, not signal.
 MIN_MS = 1.0
 
 
@@ -52,6 +57,10 @@ def main():
                              "(default 4.0)")
     parser.add_argument("--no-fail", action="store_true",
                         help="never exit non-zero (warn-only mode)")
+    parser.add_argument("--min-ms", type=float, default=MIN_MS,
+                        help="skip a phase where both values are below "
+                             "this, and judge new values against at least "
+                             f"it (default {MIN_MS})")
     args = parser.parse_args()
     key_fields = [k.strip() for k in args.key.split(",") if k.strip()]
 
@@ -68,9 +77,11 @@ def main():
         print(f"::error title=bench_diff cannot compare::{e}")
         return 1
 
+    floor = args.min_ms
     warned = 0
     failed = 0
     compared = 0
+    skipped = 0
     for key in sorted(set(old_runs) & set(new_runs)):
         old, new = old_runs[key], new_runs[key]
         point = " ".join(f"{k}={v}" for k, v in zip(key_fields, key))
@@ -78,16 +89,17 @@ def main():
                         if k.endswith("_ms") and k in new)
         for phase in phases:
             o, n = float(old[phase]), float(new[phase])
-            compared += 1
-            if o < MIN_MS and n < MIN_MS:
+            if o < floor and n < floor:
+                skipped += 1
                 continue
+            compared += 1
             ratio = n / max(o, 1e-9)
-            if n > max(o, MIN_MS) * args.fail_threshold and not args.no_fail:
+            if n > max(o, floor) * args.fail_threshold and not args.no_fail:
                 print(f"::error title=bench regression over budget::"
                       f"{point} {phase}: {o:.3f}ms -> {n:.3f}ms "
                       f"({ratio:.2f}x > {args.fail_threshold:.2f}x budget)")
                 failed += 1
-            elif n > max(o, MIN_MS) * args.warn_threshold:
+            elif n > max(o, floor) * args.warn_threshold:
                 print(f"::warning title=bench regression::"
                       f"{point} {phase}: {o:.3f}ms -> {n:.3f}ms "
                       f"({ratio:.2f}x)")
@@ -99,7 +111,8 @@ def main():
     if only_new:
         print(f"bench_diff: new points (no baseline): {only_new}")
     print(f"bench_diff: compared {compared} phase totals over "
-          f"{len(set(old_runs) & set(new_runs))} matching points; "
+          f"{len(set(old_runs) & set(new_runs))} matching points "
+          f"({skipped} under the {floor:g} ms floor skipped); "
           f"{warned} warning(s), {failed} over the fail budget")
     return 1 if failed else 0
 
